@@ -11,7 +11,10 @@ features from all window sizes concatenate into the penultimate vector,
 optionally dropout-masked, then a softmax layer maps to class logits.
 
 Backward routes each pooled feature's gradient to its argmax window
-(first index on ties, matching numpy argmax).
+(first index on ties, matching numpy argmax). The input gradient
+accumulates in filter order: every input row receives its additions
+filter by filter, window sizes in order, so it is bit-identical to a
+per-(example, filter) loop.
 """
 
 from __future__ import annotations
@@ -174,11 +177,11 @@ def cnn_backward_batch(
         grads[f"filters_{h}"] += np.einsum("bf,bfk->fk", dpre, cols_at).reshape(F, h, -1)
         grads[f"bias_{h}"] += dpre.sum(axis=0)
         if want_dx:
-            # scatter each filter's gradient back into its argmax window rows
-            contrib = dpre[:, :, None] * W.reshape(F, -1)[None, :, :]      # (B, F, h*dim)
-            dim = x_shape[2]
-            for b in range(B):
-                for f in range(F):
-                    start = am[b, f]
-                    dX[b, start:start + h, :] += contrib[b, f].reshape(h, dim)
+            # Scatter each filter's gradient back into its argmax window
+            # rows, one filter at a time over the whole batch. An example's
+            # window covers h distinct rows, so the fancy-index += sees no
+            # repeated index within one filter.
+            window_rows = am[:, :, None] + np.arange(h)                    # (B, F, h)
+            for f in range(F):
+                dX[rows, window_rows[:, f]] += dpre[:, f, None, None] * W[f]
     return grads, dX

@@ -19,13 +19,14 @@ freely and update the same tensors.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..corpus import Polarity
-from ..errors import ArgumentError, ConfigurationError, ParseError
+from ..errors import ArgumentError, ConfigurationError, MultisentError, ParseError
 from ..pipeline import EmbeddingContext
 from ..preprocess import TokenizedTweet
 from ..rng import SplitMix64, derive_stream
@@ -78,6 +79,18 @@ class FineTunedEmbeddings:
     index: dict[tuple[str, str], int]
     E: np.ndarray
 
+    def rows(self, tweet: TokenizedTweet) -> np.ndarray:
+        """Row in E of each token of tweet; -1 where the token has none."""
+        keys = ((tweet.lang, tok) for tok in tweet.tokens)
+        return np.array([self.index.get(key, -1) for key in keys], dtype=np.intp)
+
+    def substitute(self, static: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """A copy of static with each token that has a row in E taken from E."""
+        out = static.copy()
+        hit = rows >= 0
+        out[hit] = self.E[rows[hit]]
+        return out
+
 
 @dataclass
 class TrainedModel:
@@ -105,17 +118,6 @@ class TrainedModel:
             activation=self.activation,
             dropout_rate=self.dropout_rate,
         )
-
-
-def _embed_with_fine_tuning(
-    tweet: TokenizedTweet, context: EmbeddingContext, ft: FineTunedEmbeddings
-) -> np.ndarray:
-    static = context.embed(tweet)
-    rows = []
-    for t, tok in enumerate(tweet.tokens):
-        row = ft.index.get((tweet.lang, tok))
-        rows.append(ft.E[row] if row is not None else static[t])
-    return np.stack(rows)
 
 
 def train(
@@ -147,28 +149,31 @@ def train(
         dropout_rate=config.dropout_rate,
     )
 
+    # Each example is embedded once. With fine-tuning, a training tweet is
+    # its rows in E (every training token has one), so a batch is E[ids].
     ft: FineTunedEmbeddings | None = None
     if config.fine_tune_embeddings:
         index: dict[tuple[str, str], int] = {}
         vectors: list[np.ndarray] = []
+        train_ids: list[np.ndarray] = []
         for tw in train_tweets:
             emb = context.embed(tw)
+            ids = []
             for t, tok in enumerate(tw.tokens):
                 key = (tw.lang, tok)
-                if key not in index:
-                    index[key] = len(vectors)
+                row = index.get(key)
+                if row is None:
+                    row = index[key] = len(vectors)
                     vectors.append(emb[t].copy())
+                ids.append(row)
+            train_ids.append(np.array(ids, dtype=np.intp))
         ft = FineTunedEmbeddings(index=index, E=np.stack(vectors))
-
-    def embed(tweet: TokenizedTweet) -> np.ndarray:
-        if ft is not None:
-            return _embed_with_fine_tuning(tweet, context, ft)
-        return context.embed(tweet)
-
-    # Frozen embeddings never change, so embed each example once.
-    if ft is None:
+    else:
         train_X = [context.embed(tw) for tw in train_tweets]
     train_y = [int(tw.label) for tw in train_tweets]
+    dev_static = [context.embed(tw) for tw in dev_tweets]
+    dev_rows = [ft.rows(tw) for tw in dev_tweets] if ft is not None else None
+    dev_y = [int(tw.label) for tw in dev_tweets]
 
     tensors = model.params.tensors()
     if ft is not None:
@@ -193,26 +198,29 @@ def train(
             if ft is None:
                 batch = [(train_X[i], train_y[i]) for i in chosen]
             else:
-                batch = [(embed(train_tweets[i]), train_y[i]) for i in chosen]
+                batch = [(ft.E[train_ids[i]], train_y[i]) for i in chosen]
             dropout_seed = derive_stream(config.seed, "dropout", epoch, b_idx)
             loss, grads, dX = loss_and_gradients(model, batch, dropout_seed, want_dx=ft is not None)
+            if not math.isfinite(loss):
+                raise MultisentError(
+                    f"training loss is {loss} in epoch {epoch}, batch {b_idx + 1}; "
+                    "check the embeddings for nan or inf values"
+                )
             total_loss += loss * len(batch)
             step_tensors = model.params.tensors()
             if ft is not None:
-                gE = np.zeros_like(ft.E)
-                for bpos, i in enumerate(chosen):
-                    tw = train_tweets[i]
-                    for t, tok in enumerate(tw.tokens):
-                        row = ft.index.get((tw.lang, tok))
-                        if row is not None:
-                            gE[row] += dX[bpos, t]
+                gE = scatter_embedding_grad(ft.E.shape, [train_ids[i] for i in chosen], dX)
                 step_tensors = dict(step_tensors)
                 step_tensors["__embeddings__"] = ft.E
                 grads = dict(grads)
                 grads["__embeddings__"] = gE
             adadelta_step(step_tensors, grads, state, config.rho, config.eps)
         train_loss = total_loss / n
-        dev_acc = _accuracy(model, dev_tweets, embed, config.batch_size)
+        if ft is None:
+            dev_X = dev_static
+        else:
+            dev_X = [ft.substitute(x, r) for x, r in zip(dev_static, dev_rows)]
+        dev_acc = _accuracy(model, dev_X, dev_y, config.batch_size)
         history.append((epoch, train_loss, dev_acc))
         if dev_acc > best_acc:
             best_acc = dev_acc
@@ -242,15 +250,31 @@ def train(
     )
 
 
-def _accuracy(model: NeuralModel, tweets: list[TokenizedTweet], embed, batch_size: int) -> float:
+def scatter_embedding_grad(
+    shape: tuple[int, int], batch_ids: list[np.ndarray], dX: np.ndarray
+) -> np.ndarray:
+    """Sum each token's input gradient into its row of an E-shaped gradient.
+
+    batch_ids[b] holds the rows of example b's tokens; dX is the padded
+    (B, T, dim) input gradient. Rows are added in (example, token) order.
+    np.add.at accumulates repeated rows, where `gE[ids] += ...` would keep
+    only one of them.
+    """
+    gE = np.zeros(shape)
+    lengths = np.array([ids.size for ids in batch_ids])
+    real = np.arange(dX.shape[1]) < lengths[:, None]    # (B, T), row-major order
+    np.add.at(gE, np.concatenate(batch_ids), dX[real])
+    return gE
+
+
+def _accuracy(model: NeuralModel, X: list[np.ndarray], y: list[int], batch_size: int) -> float:
     correct = 0
-    for start in range(0, len(tweets), batch_size):
-        chunk = tweets[start:start + batch_size]
-        probs = predict_proba_batch(model, [embed(tw) for tw in chunk])
-        for row, tw in zip(probs, chunk):
-            if argmax_label(row) == int(tw.label):
+    for start in range(0, len(X), batch_size):
+        probs = predict_proba_batch(model, X[start:start + batch_size])
+        for row, label in zip(probs, y[start:start + batch_size]):
+            if argmax_label(row) == label:
                 correct += 1
-    return correct / len(tweets)
+    return correct / len(X)
 
 
 def predict(
@@ -274,13 +298,13 @@ def predict_batch(
             f"context does not match the model's training inputs (differs: {changed})"
         )
     model = trained.model()
+    ft = trained.fine_tuned
     out: list[tuple[Polarity, np.ndarray]] = []
     for start in range(0, len(tweets), 256):
         chunk = tweets[start:start + 256]
-        if trained.fine_tuned is not None:
-            mats = [_embed_with_fine_tuning(tw, context, trained.fine_tuned) for tw in chunk]
-        else:
-            mats = [context.embed(tw) for tw in chunk]
+        mats = [context.embed(tw) for tw in chunk]
+        if ft is not None:
+            mats = [ft.substitute(x, ft.rows(tw)) for x, tw in zip(mats, chunk)]
         probs = predict_proba_batch(model, mats)
         for row, tw in zip(probs, chunk):
             out.append((Polarity(argmax_label(row)), row))
@@ -345,6 +369,7 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     history: list[tuple[int, float, float]] = []
     tensors: dict[str, np.ndarray] = {}
     vocab: dict[tuple[str, str], int] = {}
+    vocab_lines: dict[tuple[str, str], int] = {}
     i = 1
     while i < len(lines):
         line = lines[i]
@@ -358,8 +383,23 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             values: list[float] = []
             i += 1
             while len(values) < count:
-                values.extend(float(v) for v in lines[i].split())
+                if i >= len(lines):
+                    raise ParseError(
+                        f"tensor {name} is truncated: {len(values)} of {count} values",
+                        line=len(lines),
+                    )
+                try:
+                    values.extend(float(v) for v in lines[i].split())
+                except ValueError:
+                    raise ParseError(
+                        f"tensor {name} is truncated: {lines[i]!r} is not a row of values",
+                        line=i + 1,
+                    ) from None
                 i += 1
+            if len(values) != count:
+                raise ParseError(
+                    f"tensor {name} has {len(values)} values, shape needs {count}", line=i
+                )
             tensors[name] = np.array(values, dtype=np.float64).reshape(shape)
             continue
         if parts[0] == "fingerprint":
@@ -368,6 +408,7 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             history.append((int(parts[1]), float(parts[2]), float(parts[3])))
         elif parts[0] == "vocab":
             vocab[(parts[1], parts[2])] = int(parts[3])
+            vocab_lines[(parts[1], parts[2])] = i + 1
         else:
             fields[parts[0]] = " ".join(parts[1:])
         i += 1
@@ -378,6 +419,14 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     if kind not in ("lstm", "cnn"):
         raise ParseError(f"unknown model kind {kind!r}", line=2)
     E = tensors.pop("__embeddings__", None)
+    n_rows = 0 if E is None else E.shape[0]
+    for key, row in vocab.items():
+        if not 0 <= row < n_rows:
+            raise ParseError(
+                f"vocab row {row} for {key[0]} {key[1]!r} is outside the "
+                f"{n_rows} __embeddings__ rows",
+                line=vocab_lines[key],
+            )
     if kind == "cnn":
         window_sizes = tuple(int(h) for h in fields["window_sizes"].split(","))
         params = CnnParams(

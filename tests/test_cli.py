@@ -206,3 +206,49 @@ class TestTrainAndPredict:
                    "--embedding", "en.vec"])
         assert rc == 2
         assert "LANG=PATH" in capsys.readouterr().err
+
+
+class TestPredictRejectsBadCheckpoint:
+    @pytest.fixture
+    def ckpt_lines(self, fixture_dir, tmp_path):
+        cfg = write_config(tmp_path / "ft.cfg", fixture_dir, [
+            "kind = cnn",
+            "window_sizes = 2,3",
+            f"embedding.en = {fixture_dir / 'en.vec'}",
+            f"embedding.ja = {fixture_dir / 'ja.vec'}",
+            f"embedding.zh = {fixture_dir / 'zh.vec'}",
+            "train.max_epochs = 1",
+            "train.filters_per_window = 3",
+            "train.fine_tune_embeddings = true",
+        ])
+        ckpt = tmp_path / "ft.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
+        return ckpt.read_text().splitlines()
+
+    def predict(self, fixture_dir, tmp_path, lines):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_text("\n".join(lines) + "\n")
+        return main(["predict", "--model", str(ckpt),
+                     "--in", str(fixture_dir / "corpus.jsonl"),
+                     "--out", str(tmp_path / "p.jsonl"),
+                     "--embedding", f"en={fixture_dir / 'en.vec'}",
+                     "--embedding", f"ja={fixture_dir / 'ja.vec'}",
+                     "--embedding", f"zh={fixture_dir / 'zh.vec'}"])
+
+    def test_truncated_tensor_exits_2(self, fixture_dir, tmp_path, ckpt_lines, capsys):
+        cut = ckpt_lines.index(next(ln for ln in ckpt_lines
+                                    if ln.startswith("tensor __embeddings__ "))) + 3
+        capsys.readouterr()
+        assert self.predict(fixture_dir, tmp_path, ckpt_lines[:cut]) == 2
+        err = capsys.readouterr().err
+        assert f"line {cut}:" in err and "tensor __embeddings__ is truncated" in err
+
+    def test_vocab_row_outside_embeddings_exits_2(self, fixture_dir, tmp_path, ckpt_lines,
+                                                 capsys):
+        at = max(i for i, ln in enumerate(ckpt_lines) if ln.startswith("vocab "))
+        lines = list(ckpt_lines)
+        lines[at] = " ".join(lines[at].split(" ")[:3] + ["999999"])
+        capsys.readouterr()
+        assert self.predict(fixture_dir, tmp_path, lines) == 2
+        err = capsys.readouterr().err
+        assert f"line {at + 1}:" in err and "vocab row 999999" in err

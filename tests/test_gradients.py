@@ -12,10 +12,14 @@ import pytest
 
 from multisent.nn import (
     NeuralModel,
+    cnn_forward_batch,
     init_cnn_params,
     init_lstm_params,
     loss_and_gradients,
 )
+from multisent.nn.activations import activation_grad_from_output
+from multisent.nn.cnn import cnn_backward_batch
+from multisent.nn.model import dropout_mask
 from multisent.rng import SplitMix64, derive_stream
 
 from conftest import finite_difference, rel_err
@@ -127,3 +131,51 @@ class TestCnnGradients:
         # A width-2 window touches exactly two consecutive rows.
         assert rows_hit.size == 2
         assert rows_hit[1] == rows_hit[0] + 1
+
+
+def reference_cnn_dx(dlogits, params, cache, x_shape):
+    """The CNN input gradient as a per-(example, filter) loop."""
+    dX = np.zeros(x_shape)
+    dpenult = dlogits @ params.V
+    if cache.dropout_mask is not None:
+        dpenult = dpenult * cache.dropout_mask
+    offset = 0
+    for h in params.window_sizes:
+        W = params.filters[h]
+        F = W.shape[0]
+        am = cache.argmax[h]
+        y_at = np.take_along_axis(cache.feature_maps[h], am[:, None, :], axis=1)[:, 0, :]
+        dpre = dpenult[:, offset:offset + F] * activation_grad_from_output(cache.activation, y_at)
+        offset += F
+        for b in range(x_shape[0]):
+            for f in range(F):
+                start = am[b, f]
+                dX[b, start:start + h] += dpre[b, f] * W[f]
+    return dX
+
+
+class TestCnnInputGradientExact:
+    def test_matches_per_example_filter_loop_bit_for_bit(self):
+        B, L, dim, F = 4, 7, 3, 4
+        params = init_cnn_params(input_dim=dim, seed=12, window_sizes=(2, 3),
+                                 filters_per_window=F)
+        # Non-negative weights for three filters of each size, and a bump
+        # of three positive rows per example: those filters peak on the
+        # bump, so several of them share an argmax window and add into the
+        # same rows of dX.
+        for h in params.window_sizes:
+            params.filters[h][:3] = np.abs(params.filters[h][:3])
+        rng = SplitMix64(derive_stream(13, "exact-dx"))
+        X = rng.uniform_array(B * L * dim, -0.3, 0.3).reshape(B, L, dim)
+        for b in range(B):
+            X[b, b + 1:b + 4] += 0.5
+        mask = dropout_mask(derive_stream(13, "mask"), (B, params.total_filters), 0.5)
+        assert np.any(mask == 0.0) and np.any(mask != 0.0)
+        _, cache = cnn_forward_batch(X, params, "tanh", mask)
+        for h in params.window_sizes:
+            for b in range(B):
+                assert np.unique(cache.argmax[h][b]).size < F, (h, b)
+        dlogits = rng.uniform_array(B * 3, -1.0, 1.0).reshape(B, 3)
+
+        _, dX = cnn_backward_batch(dlogits, params, cache, want_dx=True, x_shape=X.shape)
+        assert np.array_equal(dX, reference_cnn_dx(dlogits, params, cache, X.shape))

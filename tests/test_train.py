@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from multisent.errors import ArgumentError, ConfigurationError, ParseError
+from multisent.errors import ArgumentError, ConfigurationError, MultisentError, ParseError
 from multisent.nn import (
     TrainConfig,
     load_checkpoint,
@@ -15,7 +15,9 @@ from multisent.nn import (
     save_training_log,
     train,
 )
+from multisent.nn.train import scatter_embedding_grad
 from multisent.pipeline import EmbeddingContext
+from multisent.rng import SplitMix64, derive_stream
 
 from conftest import marker_tweets, toy_context
 
@@ -125,6 +127,42 @@ class TestFineTuning:
         assert int(label) in (0, 1, 2)
 
 
+class TestEmbeddingGradScatter:
+    def reference(self, shape, batch_ids, dX):
+        gE = np.zeros(shape)
+        for bpos, ids in enumerate(batch_ids):
+            for t, row in enumerate(ids):
+                gE[row] += dX[bpos, t]
+        return gE
+
+    def test_repeated_tokens_accumulate(self):
+        # Tweet 0 uses row 2 twice; tweets 0 and 1 share row 4; tweet 1
+        # is shorter, so its padding rows of dX must be ignored.
+        batch_ids = [np.array([2, 4, 2, 0]), np.array([4, 1])]
+        rng = SplitMix64(derive_stream(3, "scatter"))
+        dX = rng.uniform_array(2 * 5 * 3, -1.0, 1.0).reshape(2, 5, 3)
+        gE = scatter_embedding_grad((6, 3), batch_ids, dX)
+        assert np.array_equal(gE, self.reference((6, 3), batch_ids, dX))
+        # Row 2 and row 4 each get two additions; plain fancy-index `+=`
+        # would keep only one of them.
+        buffered = np.zeros((6, 3))
+        buffered[np.concatenate(batch_ids)] += np.concatenate([dX[0, :4], dX[1, :2]])
+        assert not np.array_equal(gE[[2, 4]], buffered[[2, 4]])
+        assert np.all(gE[[3, 5]] == 0.0)
+
+
+class TestFiniteLossGuard:
+    @pytest.mark.parametrize("fine_tune", [False, True])
+    def test_nan_embedding_component_names_epoch_and_batch(self, fine_tune):
+        tweets = marker_tweets(30)
+        ctx = toy_context(tweets, dim=6)
+        ctx.tables["en"].entries["mark1"][2] = float("nan")
+        cfg = quick_config(fine_tune_embeddings=fine_tune, max_epochs=2)
+        with pytest.raises(MultisentError) as err:
+            train("cnn", tweets[:24], tweets[24:], ctx, cfg)
+        assert "loss is nan in epoch 1, batch 1" in str(err.value)
+
+
 class TestCheckpointAndLog:
     def test_round_trip_cnn(self, tmp_path, toy):
         tr, dev, ctx = toy
@@ -164,6 +202,41 @@ class TestCheckpointAndLog:
         path.write_text("not a checkpoint\n")
         with pytest.raises(ParseError):
             load_checkpoint(path)
+
+    def test_truncated_tensor_block_rejected(self, tmp_path, toy):
+        tr, dev, ctx = toy
+        trained = train("cnn", tr, dev, ctx, quick_config(max_epochs=1))
+        path = tmp_path / "model.txt"
+        save_checkpoint(trained, path)
+        lines = path.read_text().splitlines()
+        header = lines.index(next(ln for ln in lines if ln.startswith("tensor V ")))
+        path.write_text("\n".join(lines[:header + 2]) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert err.value.line == header + 2
+        assert "tensor V is truncated" in str(err.value)
+        # A block cut short in the middle of the file runs into the next line.
+        del lines[header + 1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert "tensor V is truncated" in str(err.value)
+
+    def test_vocab_row_outside_embeddings_rejected(self, tmp_path, toy):
+        tr, dev, ctx = toy
+        trained = train("cnn", tr, dev, ctx, quick_config(max_epochs=1,
+                                                         fine_tune_embeddings=True))
+        path = tmp_path / "model.txt"
+        save_checkpoint(trained, path)
+        lines = path.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("vocab "))
+        rows = trained.fine_tuned.E.shape[0]
+        lines[at] = " ".join(lines[at].split(" ")[:3] + [str(rows)])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert err.value.line == at + 1
+        assert f"outside the {rows} __embeddings__ rows" in str(err.value)
 
     def test_training_log_csv(self, tmp_path, toy):
         tr, dev, ctx = toy
