@@ -14,7 +14,6 @@ from .align import (
     PivotPairSet,
     TranslationMatrix,
     alignment_report,
-    apply_translation,
     fit_translation_matrix,
     load_dictionary,
     load_translation_matrix,
@@ -47,8 +46,6 @@ from .corpus import (
 )
 from .embeddings import (
     EmbeddingTable,
-    VocabularyMatrix,
-    build_vocabulary_matrix,
     embed_tokens,
     load_embedding_table,
     save_embedding_table,
@@ -70,7 +67,7 @@ from .experiment import (
     parse_config,
     run_experiment,
 )
-from .nn import TrainConfig, TrainedModel, predict, predict_batch, train
+from .nn import TrainConfig, TrainedModel, predict_batch, train
 from .pipeline import EmbeddingContext
 from .preprocess import (
     NormalizationRuleSet,
@@ -114,11 +111,8 @@ __all__ = [
     "TrainedModel",
     "TranslationMatrix",
     "TweetRecord",
-    "VocabularyMatrix",
     "alignment_report",
-    "apply_translation",
     "build_feature_space",
-    "build_vocabulary_matrix",
     "compare_runs",
     "default_rules",
     "derive_stream",
@@ -134,7 +128,6 @@ __all__ = [
     "normalize",
     "parse_config",
     "parse_label",
-    "predict",
     "predict_batch",
     "predict_nb",
     "predict_svm",

@@ -4,7 +4,7 @@ A translation matrix W maps one language's embedding space onto
 another's. Fitting minimizes the summed squared error over pivot word
 pairs {(x_i, z_i)}: sum_i ||W x_i - z_i||^2. The row-vector convention
 is fixed globally: X stacks x_i as rows, and the stored W satisfies
-mapped = x_i^T W, so whole vocabularies map as Z_hat = Z W.
+mapped = x_i^T W, so a stack of row vectors maps as X W.
 
 The solver is the closed-form normal-equations solution, with a small
 ridge term as fallback when X^T X is numerically singular. A
@@ -14,12 +14,13 @@ it is never the default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, VocabularyMatrix
+from .embeddings import EmbeddingTable
 from .errors import ArgumentError, CoverageError, ParseError
 from .rng import SplitMix64, derive_stream
 
@@ -256,17 +257,6 @@ def fit_translation_matrix(
     )
 
 
-def apply_translation(vocab: VocabularyMatrix, tm: TranslationMatrix) -> VocabularyMatrix:
-    """Map a whole vocabulary matrix into the target space: Z_hat = Z W."""
-    if vocab.lang != tm.src_lang:
-        raise ArgumentError(
-            f"matrix language {vocab.lang!r} does not match map source {tm.src_lang!r}"
-        )
-    if vocab.Z.shape[1] != tm.dim:
-        raise ArgumentError(f"dim mismatch: matrix {vocab.Z.shape[1]}, map {tm.dim}")
-    return VocabularyMatrix(lang=tm.tgt_lang, words=list(vocab.words), Z=vocab.Z @ tm.W)
-
-
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     """1 - cosine similarity; a zero-norm vector contributes distance 1."""
     nu = float(np.linalg.norm(u))
@@ -337,9 +327,12 @@ def load_translation_matrix(path: str | Path) -> TranslationMatrix:
         if len(values) != dim:
             raise ParseError(f"expected {dim} values per row, got {len(values)}", line=i)
         try:
-            rows.append([float(v) for v in values])
+            row = [float(v) for v in values]
         except ValueError:
             raise ParseError(f"non-numeric matrix value in {raw!r}", line=i) from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"non-finite matrix value in {raw!r}", line=i)
+        rows.append(row)
     if len(rows) != dim:
         raise ParseError(f"expected {dim} rows, got {len(rows)}", line=len(lines))
     return TranslationMatrix(

@@ -17,7 +17,6 @@ from .align import (
     alignment_report,
     fit_translation_matrix,
     load_dictionary,
-    load_translation_matrix,
     resolve_pairs,
     save_translation_matrix,
     select_pivot_pairs,
@@ -33,9 +32,9 @@ from .errors import LeakageError, MultisentError
 from .experiment import (
     CVReport,
     ExperimentConfig,
-    _load_context,
     compare_runs,
     compare_runs_csv,
+    load_context,
     parse_config,
     run_experiment,
 )
@@ -112,7 +111,7 @@ def _cmd_train(args) -> int:
     records = [r for r in records if r.lang in active]
     rules = default_rules()
     tweets, _ = preprocess_corpus(records, rules, config.tokenize_mode)
-    context = _load_context(config, tweets, rules.fingerprint())
+    context = load_context(config, tweets, rules.fingerprint())
     ids = [tw.id for tw in tweets]
     by_id = {tw.id: tw for tw in tweets}
     train_ids, dev_ids = split_dev(ids, config.dev_fraction,
@@ -194,19 +193,15 @@ def _cmd_predict(args) -> int:
     records = load_corpus(args.infile)
     rules = default_rules()
     tweets, _ = preprocess_corpus(records, rules, args.mode)
-    emb = _parse_lang_path(args.embedding, "--embedding")
-    mats = _parse_lang_path(args.matrix or [], "--matrix")
-    tables = {lang: load_embedding_table(path, lang) for lang, path in emb.items()}
-    translations = {lang: load_translation_matrix(path) for lang, path in mats.items()}
-    context = EmbeddingContext(
-        tables=tables,
-        translations=translations,
+    context = EmbeddingContext.from_paths(
+        _parse_lang_path(args.embedding, "--embedding"),
+        _parse_lang_path(args.matrix, "--matrix"),
         oov_seed=args.oov_seed,
         oov_scale=args.oov_scale,
         max_len=args.max_len if args.max_len is not None else trained.max_len,
         rules_version=rules.fingerprint(),
     )
-    tweets = [tw for tw in tweets if tw.lang in tables]
+    tweets = [tw for tw in tweets if tw.lang in context.tables]
     preds = predict_batch(trained, tweets, context)
     with open(args.outfile, "w", encoding="utf-8") as fh:
         for tw, (label, probs) in zip(tweets, preds):

@@ -74,31 +74,12 @@ class EmbeddingTable:
         return h.hexdigest()
 
 
-@dataclass
-class VocabularyMatrix:
-    """Stacked vectors for a corpus vocabulary, rows in lexicographic word order."""
-
-    lang: str
-    words: list[str]
-    Z: np.ndarray
-
-    def __post_init__(self):
-        if self.Z.shape[0] != len(self.words):
-            raise ArgumentError(
-                f"matrix has {self.Z.shape[0]} rows for {len(self.words)} words"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.Z.shape[1]
-
-
 def load_embedding_table(path: str | Path, lang: str) -> EmbeddingTable:
     """Parse a word2vec text file.
 
     Duplicate words keep the last occurrence; the table records how many
-    were overwritten. Malformed lines raise ParseError with the 1-based
-    line number.
+    were overwritten. Malformed lines, including nan or infinite
+    components, raise ParseError with the 1-based line number.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -133,6 +114,8 @@ def load_embedding_table(path: str | Path, lang: str) -> EmbeddingTable:
             vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
         except ValueError:
             raise ParseError(f"non-numeric vector component in {ln!r}", line=lineno) from None
+        if not np.isfinite(vec).all():
+            raise ParseError(f"non-finite vector component in {ln!r}", line=lineno)
         if word in entries:
             duplicates += 1
         entries[word] = vec
@@ -167,31 +150,6 @@ def embed_tokens(
         )
     rows = [table.lookup(tok, oov_seed, oov_scale) for tok in tweet.tokens]
     return np.stack(rows).astype(np.float64)
-
-
-def build_vocabulary_matrix(
-    tweets: list[TokenizedTweet],
-    table: EmbeddingTable,
-    oov_seed: int,
-    oov_scale: float | None = None,
-) -> VocabularyMatrix:
-    """Matrix over the union vocabulary of tweets in the table's language.
-
-    Row order is lexicographic by word so the matrix is reproducible
-    regardless of corpus order.
-    """
-    vocab: set[str] = set()
-    for tw in tweets:
-        if tw.lang != table.lang:
-            raise ArgumentError(
-                f"tweet {tw.id!r} has language {tw.lang!r}, table is {table.lang!r}"
-            )
-        vocab.update(tw.tokens)
-    words = sorted(vocab)
-    if not words:
-        return VocabularyMatrix(lang=table.lang, words=[], Z=np.zeros((0, table.dim)))
-    Z = np.stack([table.lookup(w, oov_seed, oov_scale) for w in words]).astype(np.float64)
-    return VocabularyMatrix(lang=table.lang, words=words, Z=Z)
 
 
 def count_tokens(tweets: list[TokenizedTweet], lang: str | None = None) -> dict[str, int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,6 @@ import numpy as np
 from .align import (
     fit_translation_matrix,
     load_dictionary,
-    load_translation_matrix,
     resolve_pairs,
     select_pivot_pairs,
 )
@@ -39,8 +38,8 @@ from .baselines import (
     vectorize,
 )
 from .corpus import Polarity, load_corpus, make_folds, split_dev
-from .embeddings import count_tokens, load_embedding_table, ranks_from_counts
-from .errors import ArgumentError, ConfigurationError, LeakageError
+from .embeddings import count_tokens, ranks_from_counts
+from .errors import ArgumentError, ConfigurationError, LeakageError, ParseError
 from .nn import TrainConfig, predict_batch, train
 from .pipeline import EmbeddingContext, corpus_max_len
 from .preprocess import default_rules, preprocess_corpus
@@ -327,51 +326,59 @@ class CVReport:
 
     @classmethod
     def from_json(cls, text: str) -> "CVReport":
-        obj = json.loads(text)
-        return cls(
-            name=obj["name"],
-            kind=obj["kind"],
-            folds=obj["folds"],
-            seed=obj["seed"],
-            fold_accuracies=list(obj["fold_accuracies"]),
-            mean_accuracy=obj["mean_accuracy"],
-            overall_accuracy=obj["overall_accuracy"],
-            per_language=obj["per_language"],
-            config_fingerprint=obj["config_fingerprint"],
-            wall_clock_per_fold=list(obj.get("wall_clock_per_fold", [])),
-        )
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise ParseError(f"report is not valid JSON: {err.msg}", line=err.lineno) from None
+        if not isinstance(obj, dict):
+            raise ParseError("report must be a JSON object")
+        try:
+            return cls(
+                name=obj["name"],
+                kind=obj["kind"],
+                folds=obj["folds"],
+                seed=obj["seed"],
+                fold_accuracies=list(obj["fold_accuracies"]),
+                mean_accuracy=obj["mean_accuracy"],
+                overall_accuracy=obj["overall_accuracy"],
+                per_language=obj["per_language"],
+                config_fingerprint=obj["config_fingerprint"],
+                wall_clock_per_fold=list(obj.get("wall_clock_per_fold", [])),
+            )
+        except KeyError as err:
+            raise ParseError(f"report lacks key {err.args[0]!r}") from None
+        except TypeError as err:
+            raise ParseError(f"report value has the wrong type: {err}") from None
 
 
-def _load_context(config: ExperimentConfig, tweets, rules_version: str) -> EmbeddingContext:
-    missing = [lang for lang in config.active_languages() if lang not in config.embeddings]
+def load_context(config: ExperimentConfig, tweets, rules_version: str) -> EmbeddingContext:
+    """The config's tables and, under global alignment, its maps; max_len from tweets."""
+    active = config.active_languages()
+    missing = [lang for lang in active if lang not in config.embeddings]
     if missing:
         raise ConfigurationError(f"no embedding path for languages: {missing}")
-    tables = {
-        lang: load_embedding_table(config.embeddings[lang], lang)
-        for lang in config.active_languages()
-    }
-    translations = {}
-    if config.alignment == "translation_matrix" and config.refit == "global":
-        for lang, path in config.matrices.items():
-            if lang in tables:
-                translations[lang] = load_translation_matrix(path)
-        targets = {tm.tgt_lang for tm in translations.values()}
-        uncovered = [
-            lang for lang in config.active_languages()
-            if lang not in translations and lang not in targets
-        ]
-        if uncovered:
-            raise ConfigurationError(
-                f"languages neither mapped nor the map target: {uncovered}"
-            )
-    return EmbeddingContext(
-        tables=tables,
-        translations=translations,
+    aligned = config.alignment == "translation_matrix" and config.refit == "global"
+    matrices = {}
+    if aligned:
+        matrices = {lang: path for lang, path in config.matrices.items() if lang in active}
+    context = EmbeddingContext.from_paths(
+        {lang: config.embeddings[lang] for lang in active},
+        matrices,
         oov_seed=config.oov_seed,
         oov_scale=config.oov_scale,
         max_len=corpus_max_len(tweets),
         rules_version=rules_version,
     )
+    if aligned:
+        targets = {tm.tgt_lang for tm in context.translations.values()}
+        uncovered = [
+            lang for lang in active if lang not in context.translations and lang not in targets
+        ]
+        if uncovered:
+            raise ConfigurationError(
+                f"languages neither mapped nor the map target: {uncovered}"
+            )
+    return context
 
 
 def _refit_context(
@@ -405,14 +412,7 @@ def _refit_context(
             oov_scale=config.oov_scale,
         )
         translations[lang] = fit_translation_matrix(X, Z, src_lang=lang, tgt_lang=target)
-    return EmbeddingContext(
-        tables=base.tables,
-        translations=translations,
-        oov_seed=base.oov_seed,
-        oov_scale=base.oov_scale,
-        max_len=base.max_len,
-        rules_version=base.rules_version,
-    )
+    return replace(base, translations=translations)
 
 
 def run_experiment(
@@ -442,7 +442,7 @@ def run_experiment(
         raise ArgumentError("no usable records in scope")
 
     if config.kind in ("lstm", "cnn") and context is None:
-        context = _load_context(config, tweets, rules_version)
+        context = load_context(config, tweets, rules_version)
     dictionaries = None
     if config.kind in ("lstm", "cnn") and config.refit == "per_fold":
         dictionaries = {
@@ -543,46 +543,14 @@ def _run_fold(
     return {tw.id: pred for tw, (pred, _probs) in zip(test_tweets, preds)}
 
 
-def compare_runs(reports: list[CVReport], baseline: str | None = None) -> str:
-    """Aligned text table of runs sorted by name, with deltas vs a baseline.
+def _comparison_table(
+    reports: list[CVReport], baseline: str | None, digits: int
+) -> list[list[str]]:
+    """Header plus one row per run sorted by name, accuracies to `digits` places.
 
     The baseline defaults to the first report (after sorting) when there
-    is more than one run; a single report renders without a delta column.
+    is more than one run; a single report gets no delta column.
     """
-    if not reports:
-        raise ArgumentError("no reports to compare")
-    rows = sorted(reports, key=lambda r: r.name)
-    base_row = None
-    if len(rows) > 1:
-        if baseline is not None:
-            matches = [r for r in rows if r.name == baseline]
-            if not matches:
-                raise ArgumentError(f"baseline {baseline!r} not among report names")
-            base_row = matches[0]
-        else:
-            base_row = rows[0]
-    headers = ["name", "kind", "folds", "mean_accuracy"]
-    if base_row is not None:
-        headers.append("delta")
-    table = [headers]
-    for r in rows:
-        row = [r.name, r.kind, str(r.folds), f"{r.mean_accuracy:.3f}"]
-        if base_row is not None:
-            if r is base_row:
-                row.append("baseline")
-            else:
-                row.append(f"{r.mean_accuracy - base_row.mean_accuracy:+.3f}")
-        table.append(row)
-    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
-    lines = [
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        for row in table
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def compare_runs_csv(reports: list[CVReport], baseline: str | None = None) -> str:
-    """CSV twin of compare_runs."""
     if not reports:
         raise ArgumentError("no reports to compare")
     rows = sorted(reports, key=lambda r: r.name)
@@ -593,10 +561,27 @@ def compare_runs_csv(reports: list[CVReport], baseline: str | None = None) -> st
         )
         if base_row is None:
             raise ArgumentError(f"baseline {baseline!r} not among report names")
-    out = ["name,kind,folds,mean_accuracy" + (",delta" if base_row is not None else "")]
+    table = [["name", "kind", "folds", "mean_accuracy"] + (["delta"] if base_row is not None else [])]
     for r in rows:
-        line = f"{r.name},{r.kind},{r.folds},{r.mean_accuracy:.6f}"
+        row = [r.name, r.kind, str(r.folds), f"{r.mean_accuracy:.{digits}f}"]
         if base_row is not None:
-            line += ",baseline" if r is base_row else f",{r.mean_accuracy - base_row.mean_accuracy:+.6f}"
-        out.append(line)
-    return "\n".join(out) + "\n"
+            delta = r.mean_accuracy - base_row.mean_accuracy
+            row.append("baseline" if r is base_row else f"{delta:+.{digits}f}")
+        table.append(row)
+    return table
+
+
+def compare_runs(reports: list[CVReport], baseline: str | None = None) -> str:
+    """Aligned text table of runs sorted by name, with deltas vs a baseline."""
+    table = _comparison_table(reports, baseline, 3)
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+    lines = [
+        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+        for row in table
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def compare_runs_csv(reports: list[CVReport], baseline: str | None = None) -> str:
+    """CSV twin of compare_runs, accuracies to six places."""
+    return "\n".join(",".join(row) for row in _comparison_table(reports, baseline, 6)) + "\n"

@@ -1,14 +1,13 @@
 """Neural classifiers with manual gradients: recurrent and convolutional."""
 
 from .adadelta import DEFAULT_EPS, DEFAULT_RHO, AdadeltaState, adadelta_step
-from .cnn import PaddedTweetMatrix, cnn_forward, cnn_forward_batch, pad_matrix
-from .lstm import lstm_cell_step, lstm_forward, lstm_forward_batch
+from .cnn import cnn_forward_batch
+from .lstm import lstm_forward_batch
 from .model import (
     NeuralModel,
     argmax_label,
     cross_entropy,
     loss_and_gradients,
-    predict_proba,
     predict_proba_batch,
     softmax,
 )
@@ -22,7 +21,6 @@ from .train import (
     TrainConfig,
     TrainedModel,
     load_checkpoint,
-    predict,
     predict_batch,
     save_checkpoint,
     save_training_log,
@@ -31,11 +29,10 @@ from .train import (
 
 __all__ = [
     "AdadeltaState", "adadelta_step", "DEFAULT_RHO", "DEFAULT_EPS",
-    "PaddedTweetMatrix", "pad_matrix", "cnn_forward", "cnn_forward_batch",
-    "lstm_cell_step", "lstm_forward", "lstm_forward_batch",
+    "cnn_forward_batch", "lstm_forward_batch",
     "NeuralModel", "softmax", "cross_entropy", "loss_and_gradients",
-    "predict_proba", "predict_proba_batch", "argmax_label",
+    "predict_proba_batch", "argmax_label",
     "LstmParams", "CnnParams", "init_lstm_params", "init_cnn_params",
-    "TrainConfig", "TrainedModel", "train", "predict", "predict_batch",
+    "TrainConfig", "TrainedModel", "train", "predict_batch",
     "save_checkpoint", "load_checkpoint", "save_training_log",
 ]

@@ -29,38 +29,6 @@ from .params import CnnParams, zero_like_tensors
 
 
 @dataclass
-class PaddedTweetMatrix:
-    """A tweet's embedding rows padded with zeros at the back."""
-
-    matrix: np.ndarray
-    true_length: int
-
-    def __post_init__(self):
-        if self.matrix.ndim != 2:
-            raise ArgumentError(f"matrix must be 2d, got shape {self.matrix.shape}")
-        if not 1 <= self.true_length <= self.matrix.shape[0]:
-            raise ArgumentError(
-                f"true_length {self.true_length} out of range for {self.matrix.shape[0]} rows"
-            )
-        if self.true_length < self.matrix.shape[0]:
-            pad = self.matrix[self.true_length:]
-            if np.any(pad != 0.0):
-                raise ArgumentError("padding rows must be all-zero")
-
-
-def pad_matrix(X: np.ndarray, max_len: int) -> PaddedTweetMatrix:
-    """Zero-pad an (n, dim) matrix at the back to (max_len, dim)."""
-    n, dim = X.shape
-    if n == 0:
-        raise ArgumentError("cannot pad an empty sequence")
-    if n > max_len:
-        raise ConfigurationError(f"sequence length {n} exceeds configured maximum {max_len}")
-    out = np.zeros((max_len, dim))
-    out[:n] = X
-    return PaddedTweetMatrix(matrix=out, true_length=n)
-
-
-@dataclass
 class CnnForwardCache:
     windows: dict[int, np.ndarray]     # h -> (B, P_h, h*dim)
     feature_maps: dict[int, np.ndarray]  # h -> (B, P_h, F_h) activated
@@ -125,18 +93,6 @@ def cnn_forward_batch(
                             penultimate=penult, pooled=pooled,
                             dropout_mask=dropout_mask, activation=activation)
     return logits, cache
-
-
-def cnn_forward(
-    padded: PaddedTweetMatrix,
-    params: CnnParams,
-    activation: str = "tanh",
-    dropout_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Logits for a single padded tweet."""
-    mask = None if dropout_mask is None else dropout_mask[None, :]
-    logits, _ = cnn_forward_batch(padded.matrix[None, :, :], params, activation, mask)
-    return logits[0]
 
 
 def cnn_backward_batch(

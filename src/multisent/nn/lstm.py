@@ -77,20 +77,6 @@ def _cell_batch(
     return h, c, cache
 
 
-def lstm_cell_step(
-    x_t: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    params: LstmParams,
-    candidate_activation: str = "tanh",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-example step; returns (h_t, C_t)."""
-    ones = np.ones(1)
-    h, c, _ = _cell_batch(x_t[None, :], h_prev[None, :], c_prev[None, :],
-                          params, candidate_activation, ones)
-    return h[0], c[0]
-
-
 def lstm_forward_batch(
     X: np.ndarray,
     lengths: np.ndarray,
@@ -122,14 +108,6 @@ def lstm_forward_batch(
     return logits, LstmForwardCache(steps=steps, h_last=h, penultimate=penult,
                                     dropout_mask=dropout_mask,
                                     candidate_activation=candidate_activation)
-
-
-def lstm_forward(X: np.ndarray, params: LstmParams, candidate_activation: str = "tanh") -> np.ndarray:
-    """Logits for one sequence of true tokens (n, input), n >= 1."""
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ArgumentError("sequence must be a non-empty (n, dim) matrix")
-    logits, _ = lstm_forward_batch(X[None, :, :], np.array([X.shape[0]]), params, candidate_activation)
-    return logits[0]
 
 
 def lstm_backward_batch(

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ArgumentError
+from ..errors import ArgumentError, ConfigurationError
 from ..rng import SplitMix64
-from .cnn import CnnParams, cnn_backward_batch, cnn_forward_batch, pad_matrix
+from .cnn import CnnParams, cnn_backward_batch, cnn_forward_batch
 from .lstm import LstmParams, lstm_backward_batch, lstm_forward_batch
 
 KINDS = ("lstm", "cnn")
@@ -47,9 +47,6 @@ class NeuralModel:
             return self.params.total_filters
         return self.params.hidden_dim
 
-    def copy_params(self):
-        return self.params.copy()
-
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax along the last axis."""
@@ -74,16 +71,24 @@ def dropout_mask(seed: int, shape: tuple[int, ...], rate: float) -> np.ndarray:
 
 
 def _assemble_batch(model: NeuralModel, batch: list[tuple[np.ndarray, int]]):
-    """Stack variable-length examples into a padded array plus lengths."""
+    """Zero-pad variable-length examples at the back into (B, T, dim), plus lengths.
+
+    The CNN pads to the model's max_len, the LSTM to the batch's longest
+    example.
+    """
     if not batch:
         raise ArgumentError("empty batch")
     lengths = np.array([x.shape[0] for x, _ in batch])
     labels = np.array([int(y) for _, y in batch])
-    if model.kind == "cnn":
-        T = model.max_len
-    else:
-        T = int(lengths.max())
-    X = np.stack([pad_matrix(x, T).matrix for x, _ in batch])
+    T = model.max_len if model.kind == "cnn" else int(lengths.max())
+    X = np.zeros((len(batch), T, batch[0][0].shape[1]))
+    for b, (x, _) in enumerate(batch):
+        n = x.shape[0]
+        if n == 0:
+            raise ArgumentError("cannot pad an empty sequence")
+        if n > T:
+            raise ConfigurationError(f"sequence length {n} exceeds configured maximum {T}")
+        X[b, :n] = x
     return X, lengths, labels
 
 
@@ -136,11 +141,6 @@ def predict_proba_batch(model: NeuralModel, examples: list[np.ndarray]) -> np.nd
         logits, _ = lstm_forward_batch(X, lengths, model.params,
                                        model.candidate_activation, None)
     return softmax(logits)
-
-
-def predict_proba(model: NeuralModel, X: np.ndarray) -> np.ndarray:
-    """Class probabilities for one embedded example (n, dim)."""
-    return predict_proba_batch(model, [X])[0]
 
 
 def argmax_label(probs: np.ndarray) -> int:

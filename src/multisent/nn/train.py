@@ -277,13 +277,6 @@ def _accuracy(model: NeuralModel, X: list[np.ndarray], y: list[int], batch_size:
     return correct / len(X)
 
 
-def predict(
-    trained: TrainedModel, tweet: TokenizedTweet, context: EmbeddingContext
-) -> tuple[Polarity, np.ndarray]:
-    """Classify one tweet; dropout off, ties to the lowest label code."""
-    return predict_batch(trained, [tweet], context)[0]
-
-
 def predict_batch(
     trained: TrainedModel, tweets: list[TokenizedTweet], context: EmbeddingContext
 ) -> list[tuple[Polarity, np.ndarray]]:
@@ -389,12 +382,15 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
                         line=len(lines),
                     )
                 try:
-                    values.extend(float(v) for v in lines[i].split())
+                    row = [float(v) for v in lines[i].split()]
                 except ValueError:
                     raise ParseError(
                         f"tensor {name} is truncated: {lines[i]!r} is not a row of values",
                         line=i + 1,
                     ) from None
+                if not all(map(math.isfinite, row)):
+                    raise ParseError(f"tensor {name} has a non-finite value", line=i + 1)
+                values.extend(row)
                 i += 1
             if len(values) != count:
                 raise ParseError(

@@ -14,8 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .align import TranslationMatrix
-from .embeddings import EmbeddingTable, check_dim_uniformity, embed_tokens
+from .align import TranslationMatrix, load_translation_matrix
+from .embeddings import (
+    EmbeddingTable,
+    check_dim_uniformity,
+    embed_tokens,
+    load_embedding_table,
+)
 from .errors import ArgumentError, ConfigurationError
 from .preprocess import TokenizedTweet
 
@@ -55,6 +60,26 @@ class EmbeddingContext:
                 )
         if self.max_len < 1:
             raise ArgumentError(f"max_len must be >= 1, got {self.max_len}")
+
+    @classmethod
+    def from_paths(
+        cls,
+        embeddings: dict[str, str],
+        matrices: dict[str, str],
+        oov_seed: int,
+        oov_scale: float | None,
+        max_len: int,
+        rules_version: str,
+    ) -> "EmbeddingContext":
+        """Load one table per language and one map per mapped language."""
+        return cls(
+            tables={lang: load_embedding_table(path, lang) for lang, path in embeddings.items()},
+            translations={lang: load_translation_matrix(path) for lang, path in matrices.items()},
+            oov_seed=oov_seed,
+            oov_scale=oov_scale,
+            max_len=max_len,
+            rules_version=rules_version,
+        )
 
     def embed(self, tweet: TokenizedTweet) -> np.ndarray:
         """Embed one tweet into the shared space: lookup then optional map."""

@@ -29,13 +29,11 @@ from multisent.nn import (
     NeuralModel,
     TrainConfig,
     adadelta_step,
-    cnn_forward,
+    cnn_forward_batch,
     init_cnn_params,
     init_lstm_params,
     loss_and_gradients,
-    lstm_cell_step,
     lstm_forward_batch,
-    pad_matrix,
     predict_batch,
     softmax,
     train,
@@ -157,11 +155,13 @@ def test_criterion_04_forward_hand_oracles():
     )
     sig1 = 1.0 / (1.0 + math.exp(-1.0))
     errs = []
-    h, c = lstm_cell_step(np.array([1.0]), np.zeros(1), np.zeros(1), params, "tanh")
+    _, cache = lstm_forward_batch(np.ones((1, 1, 1)), np.array([1]), params, "tanh")
+    c, h = cache.steps[0].c_new[0], cache.h_last[0]
     c_exp = sig1 * math.tanh(1.0)
     errs.append(abs(c[0] - c_exp))
     errs.append(abs(h[0] - sig1 * math.tanh(c_exp)))
-    h, c = lstm_cell_step(np.array([1.0]), np.zeros(1), np.zeros(1), params, "sigmoid")
+    _, cache = lstm_forward_batch(np.ones((1, 1, 1)), np.array([1]), params, "sigmoid")
+    c, h = cache.steps[0].c_new[0], cache.h_last[0]
     c_exp = sig1 * sig1
     errs.append(abs(c[0] - c_exp))
     errs.append(abs(h[0] - sig1 * math.tanh(c_exp)))
@@ -174,7 +174,8 @@ def test_criterion_04_forward_hand_oracles():
         b_y=np.zeros(3),
     )
     X = np.array([[1.0, -1.0], [0.5, 2.0], [-1.5, 0.25]])
-    logits = cnn_forward(pad_matrix(X, 3), cnn, "tanh")
+    logits, _ = cnn_forward_batch(X[None, :, :], cnn, "tanh")
+    logits = logits[0]
     # windows score 0.95 and -1.025; max pooling keeps tanh(0.95)
     errs.append(abs(logits[0] - math.tanh(0.95)))
     errs.append(abs(logits[1]) + abs(logits[2]))

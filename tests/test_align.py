@@ -6,7 +6,6 @@ import pytest
 from multisent.align import (
     PivotPairSet,
     alignment_report,
-    apply_translation,
     cosine_distance,
     fit_objective,
     fit_translation_matrix,
@@ -16,7 +15,6 @@ from multisent.align import (
     save_translation_matrix,
     select_pivot_pairs,
 )
-from multisent.embeddings import VocabularyMatrix
 from multisent.errors import ArgumentError, CoverageError, ParseError
 from multisent.rng import SplitMix64, derive_stream
 
@@ -91,27 +89,6 @@ def test_shape_validation():
         fit_translation_matrix(np.zeros((4, 3)), np.zeros((5, 3)))
     with pytest.raises(ArgumentError):
         fit_translation_matrix(np.zeros((4, 3)), np.zeros((4, 2)))
-
-
-# -- applying --------------------------------------------------------------
-
-def test_apply_translation_maps_rows():
-    X, Z, R = _pairs(4, 40, seed=2)
-    tm = fit_translation_matrix(X, Z, src_lang="ja", tgt_lang="en")
-    vm = VocabularyMatrix(lang="ja", words=["a", "b"], Z=X[:2])
-    mapped = apply_translation(vm, tm)
-    assert mapped.lang == "en"
-    assert mapped.words == ["a", "b"]
-    assert np.allclose(mapped.Z, X[:2] @ R)
-
-
-def test_apply_translation_checks_lang_and_dim():
-    X, Z, _ = _pairs(4, 40, seed=2)
-    tm = fit_translation_matrix(X, Z, src_lang="ja", tgt_lang="en")
-    with pytest.raises(ArgumentError):
-        apply_translation(VocabularyMatrix(lang="zh", words=["a"], Z=X[:1]), tm)
-    with pytest.raises(ArgumentError):
-        apply_translation(VocabularyMatrix(lang="ja", words=["a"], Z=np.zeros((1, 5))), tm)
 
 
 # -- distance report -------------------------------------------------------
@@ -220,6 +197,16 @@ def test_matrix_load_rejects_garbage(tmp_path):
     p.write_text("nonsense\n")
     with pytest.raises(ParseError):
         load_translation_matrix(p)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e999"])
+def test_matrix_load_rejects_non_finite_value(tmp_path, bad):
+    p = tmp_path / "w.mat"
+    p.write_text(f"ja en 2\n# fit_residual 0 ridge_lambda 0\n1 0\n0 {bad}\n")
+    with pytest.raises(ParseError) as exc:
+        load_translation_matrix(p)
+    assert exc.value.line == 4
+    assert "non-finite" in str(exc.value)
 
 
 def test_dictionary_loading(tmp_path):

@@ -117,6 +117,20 @@ class TestEvaluateAndCompare:
         header = csv_out.read_text().splitlines()[0]
         assert header == "name,kind,folds,mean_accuracy,delta"
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"name": "x", "kind": "cnn"}', "report lacks key 'folds'"),
+        ("{not json", "line 1: report is not valid JSON"),
+        ('{"name": "x", "kind": "nb", "folds": 2, "seed": 0, "fold_accuracies": 5, '
+         '"mean_accuracy": 0.5, "overall_accuracy": 0.5, "per_language": {}, '
+         '"config_fingerprint": "f"}', "report value has the wrong type"),
+    ], ids=["missing-key", "bad-json", "wrong-type"])
+    def test_malformed_report_exits_2(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = main(["compare", str(bad)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_config_exits_2(self, fixture_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("kind = nb\nlanguages = en\nwat = yes\n")
@@ -206,6 +220,32 @@ class TestTrainAndPredict:
                    "--embedding", "en.vec"])
         assert rc == 2
         assert "LANG=PATH" in capsys.readouterr().err
+
+
+    def test_non_finite_embedding_exits_2(self, fixture_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cnn3.cfg", fixture_dir, [
+            "kind = cnn",
+            f"embedding.en = {fixture_dir / 'en.vec'}",
+            f"embedding.ja = {fixture_dir / 'ja.vec'}",
+            f"embedding.zh = {fixture_dir / 'zh.vec'}",
+            "train.max_epochs = 1",
+        ])
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
+        lines = (fixture_dir / "en.vec").read_text().splitlines()
+        lines[2] = " ".join(lines[2].split(" ")[:1] + ["nan"] + lines[2].split(" ")[2:])
+        bad_vec = tmp_path / "en.vec"
+        bad_vec.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(ckpt),
+                   "--in", str(fixture_dir / "corpus.jsonl"),
+                   "--out", str(tmp_path / "p.jsonl"),
+                   "--embedding", f"en={bad_vec}",
+                   "--embedding", f"ja={fixture_dir / 'ja.vec'}",
+                   "--embedding", f"zh={fixture_dir / 'zh.vec'}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 3:" in err and "non-finite vector component" in err
 
 
 class TestPredictRejectsBadCheckpoint:

@@ -5,36 +5,53 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import multisent
 from multisent.cli import main
+from multisent.experiment import CVReport
 
 SRC = str(Path(multisent.__file__).resolve().parent.parent)
 
 
-def test_fine_tuned_cnn_checkpoint_ignores_blas_threads(tmp_path):
+def _checkpoint(path: Path) -> bytes:
+    return path.read_bytes()
+
+
+def _canonical_report(path: Path) -> bytes:
+    return CVReport.from_json(path.read_text(encoding="utf-8")).canonical_json().encode()
+
+
+@pytest.mark.parametrize("command, config, read, marker", [
+    pytest.param("train", ["kind = cnn", "train.filters_per_window = 8",
+                           "train.fine_tune_embeddings = true"],
+                 _checkpoint, b"tensor __embeddings__", id="fine-tuned-cnn-checkpoint"),
+    pytest.param("train", ["kind = lstm"], _checkpoint, b"tensor W_i", id="lstm-checkpoint"),
+    pytest.param("evaluate", ["kind = lstm", "folds = 2"], _canonical_report, b'"kind": "lstm"',
+                 id="lstm-evaluate-report"),
+])
+def test_bytes_ignore_blas_threads(tmp_path, command, config, read, marker):
     assert main(["synth", "--out", str(tmp_path), "--seed", "2", "--tweets", "36"]) == 0
-    cfg = tmp_path / "cnn.cfg"
+    cfg = tmp_path / "run.cfg"
     cfg.write_text("\n".join([
         f"corpus = {tmp_path / 'corpus.jsonl'}",
         "languages = en,ja,zh",
-        "kind = cnn",
         "seed = 0",
         "window_sizes = 2,3",
         *[f"embedding.{lang} = {tmp_path / (lang + '.vec')}" for lang in ("en", "ja", "zh")],
         "train.batch_size = 8",
         "train.max_epochs = 3",
         "train.patience = 3",
-        "train.filters_per_window = 8",
-        "train.fine_tune_embeddings = true",
+        *config,
     ]) + "\n")
-    checkpoints = []
+    outputs = []
     for threads in ("1", "2"):
-        out = tmp_path / f"model-{threads}.ckpt"
+        out = tmp_path / f"out-{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-        subprocess.run([sys.executable, "-m", "multisent.cli", "train",
+        subprocess.run([sys.executable, "-m", "multisent.cli", command,
                         "--config", str(cfg), "--out", str(out)],
                        env=env, check=True, capture_output=True, timeout=300)
-        checkpoints.append(out.read_bytes())
-    assert b"tensor __embeddings__" in checkpoints[0]
-    assert checkpoints[0] == checkpoints[1]
+        outputs.append(read(out))
+    assert marker in outputs[0]
+    assert outputs[0] == outputs[1]

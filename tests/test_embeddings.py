@@ -1,4 +1,4 @@
-"""Embedding table IO, OOV policy, and vocabulary matrices."""
+"""Embedding table IO and OOV policy."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from multisent.corpus import Polarity
 from multisent.embeddings import (
     EmbeddingTable,
-    build_vocabulary_matrix,
     check_dim_uniformity,
     count_tokens,
     default_oov_scale,
@@ -43,6 +42,16 @@ def test_row_arity_error_names_line(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_embedding_table(p, "en")
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_component_names_line(tmp_path, bad):
+    p = tmp_path / "e.vec"
+    p.write_text(f"2 2\ngood 0.5 1.0\nbad {bad} 1.0\n")
+    with pytest.raises(ParseError) as exc:
+        load_embedding_table(p, "en")
+    assert exc.value.line == 3
+    assert "non-finite" in str(exc.value)
 
 
 def test_row_count_mismatch(tmp_path):
@@ -132,28 +141,6 @@ def test_lang_mismatch_rejected():
     table = seeded_table("ja", ["a"], dim=3)
     with pytest.raises(ArgumentError):
         embed_tokens(_tw(["a"], lang="en"), table, oov_seed=0)
-
-
-# -- vocabulary matrices ---------------------------------------------------
-
-def test_vocabulary_matrix_lexicographic():
-    table = seeded_table("en", ["cat", "ant", "bee"], dim=3)
-    vm = build_vocabulary_matrix([_tw(["cat", "ant"]), _tw(["bee", "ant"])], table, oov_seed=0)
-    assert vm.words == ["ant", "bee", "cat"]
-    assert np.array_equal(vm.Z[0], table.entries["ant"])
-    assert vm.Z.shape == (3, 3)
-
-
-def test_vocabulary_matrix_empty():
-    table = seeded_table("en", ["a"], dim=5)
-    vm = build_vocabulary_matrix([], table, oov_seed=0)
-    assert vm.Z.shape == (0, 5)
-
-
-def test_vocabulary_matrix_fills_oov():
-    table = seeded_table("en", ["a"], dim=3)
-    vm = build_vocabulary_matrix([_tw(["a", "zzz"])], table, oov_seed=4)
-    assert np.array_equal(vm.Z[1], table.lookup("zzz", oov_seed=4))
 
 
 # -- counts and ranks ------------------------------------------------------

@@ -217,6 +217,33 @@ class TestCompareRuns:
         with pytest.raises(ArgumentError):
             compare_runs([])
 
+    @pytest.mark.parametrize("render, expected", [
+        (compare_runs, "name  kind  folds  mean_accuracy  delta\n"
+                       "a     nb    1      0.500          +0.100\n"
+                       "b     nb    1      0.400          baseline\n"),
+        (compare_runs_csv, "name,kind,folds,mean_accuracy,delta\n"
+                           "a,nb,1,0.500000,+0.100000\n"
+                           "b,nb,1,0.400000,baseline\n"),
+    ], ids=["text", "csv"])
+    def test_explicit_baseline_bytes(self, render, expected):
+        assert render([self.report("b", 0.4), self.report("a", 0.5)], baseline="b") == expected
+
+    @pytest.mark.parametrize("render, expected", [
+        (compare_runs, "name  kind  folds  mean_accuracy\nsolo  nb    1      0.500\n"),
+        (compare_runs_csv, "name,kind,folds,mean_accuracy\nsolo,nb,1,0.500000\n"),
+    ], ids=["text", "csv"])
+    def test_single_report_bytes(self, render, expected):
+        # A lone report has no delta column, whatever baseline is named.
+        assert render([self.report("solo", 0.5)]) == expected
+        assert render([self.report("solo", 0.5)], baseline="zzz") == expected
+
+    @pytest.mark.parametrize("render", [compare_runs, compare_runs_csv], ids=["text", "csv"])
+    def test_unknown_baseline_and_empty_rejected(self, render):
+        with pytest.raises(ArgumentError, match="baseline 'zzz' not among report names"):
+            render([self.report("a", 0.5), self.report("b", 0.4)], baseline="zzz")
+        with pytest.raises(ArgumentError, match="no reports to compare"):
+            render([])
+
 
 class TestRunExperiment:
     def test_needs_two_folds(self):

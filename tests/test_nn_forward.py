@@ -15,16 +15,11 @@ from multisent.nn import (
     CnnParams,
     LstmParams,
     NeuralModel,
-    PaddedTweetMatrix,
     argmax_label,
-    cnn_forward,
     cnn_forward_batch,
     init_cnn_params,
     init_lstm_params,
-    lstm_cell_step,
-    lstm_forward,
     lstm_forward_batch,
-    pad_matrix,
     predict_proba_batch,
     softmax,
 )
@@ -46,10 +41,25 @@ def unit_lstm_params() -> LstmParams:
     )
 
 
+def lstm_one(S: np.ndarray, params: LstmParams, act: str = "tanh"):
+    """Logits and cache for one (n, dim) sequence run as a batch of one."""
+    logits, cache = lstm_forward_batch(S[None, :, :], np.array([S.shape[0]]), params, act)
+    return logits[0], cache
+
+
+def cnn_one(M: np.ndarray, max_len: int, params: CnnParams, act: str = "tanh") -> np.ndarray:
+    """Logits for one (n, dim) tweet zero-padded to max_len, run as a batch of one."""
+    X = np.zeros((1, max_len, M.shape[1]))
+    X[0, :M.shape[0]] = M
+    logits, _ = cnn_forward_batch(X, params, act)
+    return logits[0]
+
+
 class TestLstmCellOracle:
     def test_single_step_tanh_candidate(self):
         params = unit_lstm_params()
-        h, c = lstm_cell_step(np.array([1.0]), np.zeros(1), np.zeros(1), params, "tanh")
+        _, cache = lstm_one(np.ones((1, 1)), params, "tanh")
+        c, h = cache.steps[0].c_new[0], cache.h_last[0]
         # All gates see pre-activation 1*1 + 1*0 + 0 = 1.
         i = f = o = 1.0 / (1.0 + math.exp(-1.0))
         g = math.tanh(1.0)
@@ -61,7 +71,8 @@ class TestLstmCellOracle:
 
     def test_single_step_sigmoid_candidate(self):
         params = unit_lstm_params()
-        h, c = lstm_cell_step(np.array([1.0]), np.zeros(1), np.zeros(1), params, "sigmoid")
+        _, cache = lstm_one(np.ones((1, 1)), params, "sigmoid")
+        c, h = cache.steps[0].c_new[0], cache.h_last[0]
         i = o = g = 1.0 / (1.0 + math.exp(-1.0))
         c_exp = i * g
         h_exp = o * math.tanh(c_exp)
@@ -70,9 +81,9 @@ class TestLstmCellOracle:
 
     def test_two_steps_by_hand(self):
         params = unit_lstm_params()
-        h0, c0 = np.zeros(1), np.zeros(1)
-        h1, c1 = lstm_cell_step(np.array([1.0]), h0, c0, params, "tanh")
-        h2, c2 = lstm_cell_step(np.array([1.0]), h1, c1, params, "tanh")
+        _, cache = lstm_one(np.ones((2, 1)), params, "tanh")
+        h1, c1 = cache.steps[1].h_prev[0], cache.steps[0].c_new[0]
+        h2, c2 = cache.h_last[0], cache.steps[1].c_new[0]
         pre = 1.0 + h1[0]
         gate = 1.0 / (1.0 + math.exp(-pre))
         cand = math.tanh(pre)
@@ -85,8 +96,8 @@ class TestLstmCellOracle:
         # V is a column of ones into 3 classes, so every logit equals h_T.
         params = unit_lstm_params()
         X = np.ones((2, 1))
-        logits = lstm_forward(X, params)
-        _, c1 = lstm_cell_step(np.array([1.0]), np.zeros(1), np.zeros(1), params)
+        logits, cache = lstm_one(X, params)
+        c1 = cache.steps[0].c_new[0]
         h1 = SIG1 * math.tanh(c1[0])
         pre = 1.0 + h1
         gate = 1.0 / (1.0 + math.exp(-pre))
@@ -97,7 +108,7 @@ class TestLstmCellOracle:
     def test_unknown_candidate_activation(self):
         params = unit_lstm_params()
         with pytest.raises((ArgumentError, ConfigurationError)):
-            lstm_cell_step(np.array([1.0]), np.zeros(1), np.zeros(1), params, "softsign")
+            lstm_one(np.ones((1, 1)), params, "softsign")
 
 
 class TestLstmBatch:
@@ -114,7 +125,7 @@ class TestLstmBatch:
             X[b, : S.shape[0]] = S
         logits, _ = lstm_forward_batch(X, np.array(lens), params)
         for b, S in enumerate(seqs):
-            single = lstm_forward(S, params)
+            single, _ = lstm_one(S, params)
             assert np.allclose(logits[b], single, atol=1e-12)
 
     def test_padding_rows_do_not_leak(self):
@@ -135,8 +146,8 @@ class TestLstmBatch:
         params = init_lstm_params(input_dim=3, hidden_dim=4, seed=7)
         rng = np.random.default_rng(1)
         S = rng.normal(size=(3, 3))
-        fwd = lstm_forward(S, params)
-        rev = lstm_forward(S[::-1].copy(), params)
+        fwd, _ = lstm_one(S, params)
+        rev, _ = lstm_one(S[::-1].copy(), params)
         assert not np.allclose(fwd, rev)
 
     def test_bad_lengths_rejected(self):
@@ -174,8 +185,7 @@ class TestCnnOracle:
 
     def test_hand_worked_feature_map(self):
         params = single_filter_cnn()
-        padded = pad_matrix(self.X3, 3)
-        logits = cnn_forward(padded, params, "tanh")
+        logits = cnn_one(self.X3, 3, params, "tanh")
         # window 0: 0.2*1 - 0.3*(-1) + 0.4*0.5 + 0.1*2 + 0.05 = 0.95
         # window 1: 0.2*0.5 - 0.3*2 + 0.4*(-1.5) + 0.1*0.25 + 0.05 = -1.025
         pre0 = 0.2 * 1 + (-0.3) * (-1) + 0.4 * 0.5 + 0.1 * 2 + 0.05
@@ -203,9 +213,9 @@ class TestCnnOracle:
         # A length-1 tweet padded to 3 rows gives two width-2 windows; the
         # second covers only padding, so its pre-activation is the bias.
         params = single_filter_cnn()
-        X = np.array([[1.0, -1.0]])
-        padded = pad_matrix(X, 3)
-        _, cache = cnn_forward_batch(padded.matrix[None, :, :], params, "tanh")
+        X = np.zeros((1, 3, 2))
+        X[0, 0] = [1.0, -1.0]
+        _, cache = cnn_forward_batch(X, params, "tanh")
         fmap = cache.feature_maps[2][0, :, 0]
         assert fmap.shape == (2,)
         assert abs(fmap[0] - math.tanh(0.2 * 1 + (-0.3) * (-1) + 0.05)) < 1e-12
@@ -213,14 +223,12 @@ class TestCnnOracle:
 
     def test_sigmoid_activation_mode(self):
         params = single_filter_cnn()
-        padded = pad_matrix(self.X3, 3)
-        logits = cnn_forward(padded, params, "sigmoid")
+        logits = cnn_one(self.X3, 3, params, "sigmoid")
         assert abs(logits[0] - 1.0 / (1.0 + math.exp(-0.95))) < 1e-12
 
     def test_relu_activation_mode(self):
         params = single_filter_cnn()
-        padded = pad_matrix(self.X3, 3)
-        logits = cnn_forward(padded, params, "relu")
+        logits = cnn_one(self.X3, 3, params, "relu")
         assert abs(logits[0] - 0.95) < 1e-12
 
 
@@ -237,7 +245,7 @@ class TestCnnBatch:
             mats.append(M)
         logits, _ = cnn_forward_batch(X, params)
         for b, M in enumerate(mats):
-            single = cnn_forward(pad_matrix(M, 6), params)
+            single = cnn_one(M, 6, params)
             assert np.allclose(logits[b], single, atol=1e-12)
 
     def test_window_shorter_than_largest_filter_rejected(self):
@@ -245,13 +253,13 @@ class TestCnnBatch:
         with pytest.raises(ConfigurationError):
             cnn_forward_batch(np.zeros((1, 2, 4)), params)
 
-    def test_pad_matrix_validation(self):
+    def test_batch_padding_validation(self):
+        params = init_cnn_params(input_dim=3, seed=5, window_sizes=(2,), filters_per_window=2)
+        model = NeuralModel(kind="cnn", params=params, max_len=5)
         with pytest.raises(ArgumentError):
-            pad_matrix(np.zeros((0, 3)), 5)
+            predict_proba_batch(model, [np.ones((2, 3)), np.zeros((0, 3))])
         with pytest.raises(ConfigurationError):
-            pad_matrix(np.ones((6, 3)), 5)
-        with pytest.raises(ArgumentError):
-            PaddedTweetMatrix(matrix=np.ones((4, 3)), true_length=2)
+            predict_proba_batch(model, [np.ones((2, 3)), np.ones((6, 3))])
 
     def test_pooling_is_order_insensitive_when_windows_coincide(self):
         # Width-1 windows make the model a bag of tokens: permuting rows
@@ -260,8 +268,8 @@ class TestCnnBatch:
         params = init_cnn_params(input_dim=3, seed=9, window_sizes=(1,), filters_per_window=4)
         rng = np.random.default_rng(3)
         M = rng.normal(size=(5, 3))
-        a = cnn_forward(pad_matrix(M, 5), params)
-        b = cnn_forward(pad_matrix(M[::-1].copy(), 5), params)
+        a = cnn_one(M, 5, params)
+        b = cnn_one(M[::-1].copy(), 5, params)
         assert np.allclose(a, b, atol=1e-12)
 
 

@@ -9,7 +9,6 @@ from multisent.errors import ArgumentError, ConfigurationError, MultisentError, 
 from multisent.nn import (
     TrainConfig,
     load_checkpoint,
-    predict,
     predict_batch,
     save_checkpoint,
     save_training_log,
@@ -121,7 +120,7 @@ class TestFineTuning:
         tr, dev, ctx = toy
         cfg = quick_config(fine_tune_embeddings=True, max_epochs=4)
         trained = train("cnn", tr, dev, ctx, cfg)
-        label, probs = predict(trained, tr[0], ctx)
+        [(label, probs)] = predict_batch(trained, [tr[0]], ctx)
         assert probs.shape == (3,)
         assert abs(probs.sum() - 1.0) < 1e-9
         assert int(label) in (0, 1, 2)
@@ -237,6 +236,21 @@ class TestCheckpointAndLog:
             load_checkpoint(path)
         assert err.value.line == at + 1
         assert f"outside the {rows} __embeddings__ rows" in str(err.value)
+
+    @pytest.mark.parametrize("bad", ["nan", "-inf", "1e999"])
+    def test_non_finite_tensor_value_rejected(self, tmp_path, toy, bad):
+        tr, dev, ctx = toy
+        trained = train("cnn", tr, dev, ctx, quick_config(max_epochs=1))
+        path = tmp_path / "model.txt"
+        save_checkpoint(trained, path)
+        lines = path.read_text().splitlines()
+        at = lines.index(next(ln for ln in lines if ln.startswith("tensor V "))) + 1
+        lines[at] = " ".join([bad] + lines[at].split(" ")[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert err.value.line == at + 1
+        assert "tensor V has a non-finite value" in str(err.value)
 
     def test_training_log_csv(self, tmp_path, toy):
         tr, dev, ctx = toy
