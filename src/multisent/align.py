@@ -14,14 +14,13 @@ it is never the default.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import ArgumentError, CoverageError, ParseError
+from .errors import ArgumentError, CoverageError, ParseError, parse_numbers, read_text
 from .rng import SplitMix64, derive_stream
 
 RIDGE_LAMBDA = 1e-8
@@ -101,7 +100,7 @@ def load_dictionary(path: str | Path) -> dict[str, str]:
     share one target word.
     """
     mapping: dict[str, str] = {}
-    for i, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for i, raw in enumerate(read_text(path).splitlines(), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
         parts = raw.split("\t")
@@ -299,7 +298,7 @@ def save_translation_matrix(tm: TranslationMatrix, path: str | Path) -> None:
 
 def load_translation_matrix(path: str | Path) -> TranslationMatrix:
     """Read a map written by save_translation_matrix."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError("empty translation matrix file", line=1)
     header = lines[0].split()
@@ -310,35 +309,28 @@ def load_translation_matrix(path: str | Path) -> TranslationMatrix:
         dim = int(header[2])
     except ValueError:
         raise ParseError(f"dim must be an integer, got {header[2]!r}", line=1) from None
-    residual = 0.0
-    ridge = 0.0
+    stats = {"fit_residual": 0.0, "ridge_lambda": 0.0}
     rows: list[list[float]] = []
     for i, raw in enumerate(lines[1:], start=2):
         if raw.startswith("#"):
             parts = raw[1:].split()
-            if "fit_residual" in parts:
-                residual = float(parts[parts.index("fit_residual") + 1])
-            if "ridge_lambda" in parts:
-                ridge = float(parts[parts.index("ridge_lambda") + 1])
+            for key in stats:
+                if key in parts:
+                    # a key with no value after it reads as the empty string
+                    value = parts[parts.index(key) + 1:][:1] or [""]
+                    stats[key], = parse_numbers(value, float, key, raw, i)
             continue
         if not raw.strip():
             continue
         values = raw.split()
         if len(values) != dim:
             raise ParseError(f"expected {dim} values per row, got {len(values)}", line=i)
-        try:
-            row = [float(v) for v in values]
-        except ValueError:
-            raise ParseError(f"non-numeric matrix value in {raw!r}", line=i) from None
-        if not all(map(math.isfinite, row)):
-            raise ParseError(f"non-finite matrix value in {raw!r}", line=i)
-        rows.append(row)
+        rows.append(parse_numbers(values, float, "matrix value", raw, i))
     if len(rows) != dim:
         raise ParseError(f"expected {dim} rows, got {len(rows)}", line=len(lines))
     return TranslationMatrix(
         src_lang=src,
         tgt_lang=tgt,
         W=np.array(rows, dtype=np.float64),
-        fit_residual=residual,
-        ridge_lambda=ridge,
+        **stats,
     )

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Polarity
-from .errors import ArgumentError, ConfigurationError, ParseError
+from .errors import ArgumentError, ConfigurationError, ParseError, read_text
 from .preprocess import TokenizedTweet
 
 NGRAM_JOINER = "\x1f"
@@ -351,7 +351,7 @@ def save_feature_space(space: FeatureSpace, path: str | Path) -> None:
 
 
 def load_feature_space(path: str | Path) -> FeatureSpace:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith("multisent-features 1 "):
         raise ParseError("not a feature-space dump", line=1)
     scheme = lines[0].split(" ", 2)[2]

@@ -28,7 +28,7 @@ from .embeddings import (
     load_frequency_counts,
     ranks_from_counts,
 )
-from .errors import LeakageError, MultisentError
+from .errors import LeakageError, MultisentError, read_text
 from .experiment import (
     CVReport,
     ExperimentConfig,
@@ -98,8 +98,7 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = parse_config(Path(args.config).read_text(encoding="utf-8"),
-                          name=Path(args.config).stem)
+    config = parse_config(read_text(args.config), name=Path(args.config).stem)
     if args.kind:
         config.kind = args.kind
     if args.seed is not None:
@@ -124,9 +123,8 @@ def _cmd_train(args) -> int:
         config.train_config(config.seed),
     )
     save_checkpoint(trained, args.out)
-    best = max(acc for _, _, acc in trained.history)
     print(f"trained {config.kind} for {len(trained.history)} epochs, "
-          f"best dev accuracy {best:.3f}, wrote {args.out}")
+          f"best dev accuracy {trained.best_dev_accuracy:.3f}, wrote {args.out}")
     if args.log:
         save_training_log(trained, args.log)
         print(f"wrote training log {args.log}")
@@ -161,8 +159,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    config = parse_config(Path(args.config).read_text(encoding="utf-8"),
-                          name=Path(args.config).stem)
+    config = parse_config(read_text(args.config), name=Path(args.config).stem)
     report = run_experiment(config)
     print(compare_runs([report]), end="")
     per_lang = ", ".join(
@@ -198,7 +195,7 @@ def _cmd_predict(args) -> int:
         _parse_lang_path(args.matrix, "--matrix"),
         oov_seed=args.oov_seed,
         oov_scale=args.oov_scale,
-        max_len=args.max_len if args.max_len is not None else trained.max_len,
+        max_len=trained.model.max_len,
         rules_version=rules.fingerprint(),
     )
     tweets = [tw for tw in tweets if tw.lang in context.tables]
@@ -213,9 +210,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    reports = [
-        CVReport.from_json(Path(p).read_text(encoding="utf-8")) for p in args.reports
-    ]
+    reports = [CVReport.from_json(read_text(p)) for p in args.reports]
     print(compare_runs(reports, baseline=args.baseline), end="")
     if args.csv:
         Path(args.csv).write_text(
@@ -309,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", action="append", default=[], metavar="LANG=PATH")
     p.add_argument("--oov-seed", type=int, default=0)
     p.add_argument("--oov-scale", type=float, default=None)
-    p.add_argument("--max-len", type=int, default=None,
-                   help="context max length (default: from the checkpoint)")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("compare", help="tabulate saved evaluation reports")

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import enum
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ArgumentError, ParseError, SchemaError
+from .errors import ArgumentError, ParseError, SchemaError, read_text
 from .rng import SplitMix64, derive_stream
 
 
@@ -106,27 +107,29 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> list[TweetRecord]:
     if format not in ("jsonl", "tsv"):
         raise ArgumentError(f"unknown corpus format {format!r}")
     records: list[TweetRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if format == "jsonl":
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise ParseError(f"invalid JSON: {err.msg}", lineno) from None
-                if not isinstance(obj, dict):
-                    raise ParseError("line is not a JSON object", lineno)
-                records.append(_record_from_json(obj, lineno))
-            else:
-                parts = line.split("\t", 3)
-                if len(parts) != 4:
-                    raise ParseError(f"expected 4 tab-separated columns, got {len(parts)}", lineno)
-                rec_id, lang, label, text = parts
-                records.append(
-                    TweetRecord(id=rec_id, lang=lang, text=text, label=parse_label(label, lineno))
-                )
+    # Lines end at \n, \r\n or \r only: a raw U+2028 or U+0085 inside a
+    # JSON string belongs to its record, so str.splitlines would be wrong.
+    lines = io.StringIO(read_text(path), newline=None)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        if format == "jsonl":
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ParseError(f"invalid JSON: {err.msg}", lineno) from None
+            if not isinstance(obj, dict):
+                raise ParseError("line is not a JSON object", lineno)
+            records.append(_record_from_json(obj, lineno))
+        else:
+            parts = line.split("\t", 3)
+            if len(parts) != 4:
+                raise ParseError(f"expected 4 tab-separated columns, got {len(parts)}", lineno)
+            rec_id, lang, label, text = parts
+            records.append(
+                TweetRecord(id=rec_id, lang=lang, text=text, label=parse_label(label, lineno))
+            )
     return records
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, ConfigurationError, ParseError
+from .errors import ArgumentError, ConfigurationError, ParseError, parse_numbers, read_text
 from .preprocess import TokenizedTweet
 from .rng import SplitMix64, derive_stream
 
@@ -30,12 +30,11 @@ def default_oov_scale(dim: int) -> float:
 
 @dataclass
 class EmbeddingTable:
-    """One language's word vectors plus optional corpus frequency ranks."""
+    """One language's word vectors."""
 
     lang: str
     dim: int
     entries: dict[str, np.ndarray]
-    frequency_rank: dict[str, int] | None = None
     duplicate_count: int = 0
     _oov_cache: dict[tuple[int, float, str], np.ndarray] = field(default_factory=dict, repr=False)
 
@@ -81,7 +80,7 @@ def load_embedding_table(path: str | Path, lang: str) -> EmbeddingTable:
     were overwritten. Malformed lines, including nan or infinite
     components, raise ParseError with the 1-based line number.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError("empty embedding file", line=1)
     header = lines[0].split()
@@ -110,12 +109,8 @@ def load_embedding_table(path: str | Path, lang: str) -> EmbeddingTable:
                 f"expected a word and {dim} values, got {len(parts)} fields", line=lineno
             )
         word = parts[0]
-        try:
-            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-        except ValueError:
-            raise ParseError(f"non-numeric vector component in {ln!r}", line=lineno) from None
-        if not np.isfinite(vec).all():
-            raise ParseError(f"non-finite vector component in {ln!r}", line=lineno)
+        vec = np.array(parse_numbers(parts[1:], float, "vector component", ln, lineno),
+                       dtype=np.float64)
         if word in entries:
             duplicates += 1
         entries[word] = vec
@@ -170,7 +165,7 @@ def ranks_from_counts(counts: dict[str, int]) -> dict[str, int]:
 def load_frequency_counts(path: str | Path) -> dict[str, int]:
     """Read a sidecar frequency TSV: "word<TAB>count" per line."""
     counts: dict[str, int] = {}
-    for i, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for i, raw in enumerate(read_text(path).splitlines(), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
         parts = raw.split("\t")

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the file-boundary helpers that raise them."""
+
+import math
+from pathlib import Path
 
 
 class MultisentError(Exception):
@@ -51,3 +54,26 @@ class RecordDropError(MultisentError):
 
 class LeakageError(MultisentError):
     """A held-out test record was consulted while building training artifacts."""
+
+
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text; an undecodable byte raises ParseError naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(
+            f"invalid UTF-8 byte 0x{data[err.start]:02x}", line=data.count(b"\n", 0, err.start) + 1
+        ) from None
+
+
+def parse_numbers(fields: list[str], kind: type, what: str, text: str, line: int) -> list:
+    """fields as kind (int or float); a non-numeric or non-finite one raises ParseError
+    naming `what`, the line's text and its 1-based number."""
+    try:
+        values = [kind(f) for f in fields]
+    except ValueError:
+        raise ParseError(f"non-numeric {what} in {text!r}", line=line) from None
+    if kind is float and not all(map(math.isfinite, values)):
+        raise ParseError(f"non-finite {what} in {text!r}", line=line)
+    return values

@@ -18,10 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-
-import numpy as np
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .align import (
     fit_translation_matrix,
@@ -49,33 +46,43 @@ KINDS = ("nb", "svm", "lstm", "cnn")
 ALIGNMENTS = ("none", "translation_matrix")
 REFIT_MODES = ("global", "per_fold")
 
-# Config keys that map straight onto TrainConfig fields.
+# The dotted key prefix of each dict-valued config field.
+_PREFIXES = {
+    "embeddings": "embedding.",
+    "matrices": "matrix.",
+    "dictionaries": "dictionary.",
+    "train_overrides": "train.",
+}
+
+# How a config value is read, by the field's annotation.
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "str | None": lambda v: v or None,
+    "float | None": lambda v: None if v in ("", "none") else float(v),
+    "tuple[str, ...]": lambda v: tuple(filter(None, v.split(","))),
+    "tuple[int, ...]": lambda v: tuple(int(w) for w in v.split(",")),
+    "int | None": int,
+    "bool": lambda v: v.lower() in ("1", "true", "yes"),
+}
+
+# The TrainConfig fields a train.* key may set; seed and window_sizes come from the run.
 _TRAIN_KEYS = {
-    "batch_size": int,
-    "dropout_rate": float,
-    "rho": float,
-    "eps": float,
-    "max_epochs": int,
-    "patience": int,
-    "candidate_activation": str,
-    "cnn_activation": str,
-    "filters_per_window": int,
-    "hidden_dim": int,
-    "forget_bias": float,
-    "fine_tune_embeddings": lambda v: v.lower() in ("1", "true", "yes"),
+    f.name: _PARSERS[f.type] for f in fields(TrainConfig) if f.name not in ("seed", "window_sizes")
 }
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything one cross-validation run depends on."""
+    """Everything one cross-validation run depends on; each field is one config key."""
 
     name: str
     corpus: str
     languages: tuple[str, ...]
     kind: str
-    folds: int
-    seed: int
+    folds: int = 10
+    seed: int = 0
     scope: str = "all"                      # "all" or one language code
     alignment: str = "none"
     refit: str = "global"                   # per_fold refits maps from fold train splits
@@ -92,8 +99,8 @@ class ExperimentConfig:
     tokenize_mode: str = "whitespace"
     oov_seed: int = 0
     oov_scale: float | None = None
-    train_overrides: dict[str, object] = field(default_factory=dict)
     window_sizes: tuple[int, ...] = (3, 4, 5)
+    train_overrides: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -145,51 +152,27 @@ class ExperimentConfig:
 
     def canonical_text(self) -> str:
         """Sorted key=value lines; the basis of the config fingerprint."""
-        items: dict[str, str] = {
-            "name": self.name,
-            "corpus": self.corpus,
-            "languages": ",".join(self.languages),
-            "kind": self.kind,
-            "folds": str(self.folds),
-            "seed": str(self.seed),
-            "scope": self.scope,
-            "alignment": self.alignment,
-            "refit": self.refit,
-            "target_language": str(self.target_language),
-            "pivot_count": str(self.pivot_count),
-            "pivot_train_count": str(self.pivot_train_count),
-            "scheme": self.scheme,
-            "alpha": repr(self.alpha),
-            "C": repr(self.C),
-            "dev_fraction": repr(self.dev_fraction),
-            "tokenize_mode": self.tokenize_mode,
-            "oov_seed": str(self.oov_seed),
-            "oov_scale": repr(self.oov_scale),
-            "window_sizes": ",".join(str(w) for w in self.window_sizes),
-        }
-        for lang, path in self.embeddings.items():
-            items[f"embedding.{lang}"] = path
-        for lang, path in self.matrices.items():
-            items[f"matrix.{lang}"] = path
-        for lang, path in self.dictionaries.items():
-            items[f"dictionary.{lang}"] = path
-        for key, value in self.train_overrides.items():
-            items[f"train.{key}"] = str(value)
+        items: dict[str, str] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _PREFIXES:
+                items.update((_PREFIXES[f.name] + k, str(v)) for k, v in value.items())
+            elif isinstance(value, tuple):
+                items[f.name] = ",".join(str(v) for v in value)
+            else:
+                items[f.name] = str(value)
         return "\n".join(f"{k}={items[k]}" for k in sorted(items)) + "\n"
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
     def train_config(self, seed: int) -> TrainConfig:
-        kwargs: dict[str, object] = dict(self.train_overrides)
-        kwargs["seed"] = seed
-        kwargs["window_sizes"] = self.window_sizes
-        return TrainConfig(**kwargs)
+        return TrainConfig(**{**self.train_overrides, "seed": seed, "window_sizes": self.window_sizes})
 
 
 def parse_config(text: str, name: str = "run") -> ExperimentConfig:
-    """Parse flat key=value lines ('#' starts a comment)."""
-    raw: dict[str, str] = {}
+    """Parse flat key=value lines ('#' starts a comment); a missing key takes its default."""
+    raw: dict[str, str] = {"name": name}
     for i, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -199,49 +182,22 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
         key, _, value = stripped.partition("=")
         raw[key.strip()] = value.strip()
 
-    def pop(key: str, default: str | None = None) -> str | None:
-        return raw.pop(key, default)
-
+    kwargs: dict[str, object] = {}
     try:
-        cfg = ExperimentConfig(
-            name=pop("name", name),
-            corpus=pop("corpus", ""),
-            languages=tuple(filter(None, (pop("languages", "") or "").split(","))),
-            kind=pop("kind", ""),
-            folds=int(pop("folds", "10")),
-            seed=int(pop("seed", "0")),
-            scope=pop("scope", "all"),
-            alignment=pop("alignment", "none"),
-            refit=pop("refit", "global"),
-            target_language=pop("target_language") or None,
-            pivot_count=int(pop("pivot_count", "20")),
-            pivot_train_count=int(pop("pivot_train_count", "16")),
-            scheme=pop("scheme", "cumulative_multilingual"),
-            alpha=float(pop("alpha", "1.0")),
-            C=float(pop("C", "1.0")),
-            dev_fraction=float(pop("dev_fraction", "0.1")),
-            tokenize_mode=pop("tokenize_mode", "whitespace"),
-            oov_seed=int(pop("oov_seed", "0")),
-            oov_scale=(lambda v: None if v in (None, "", "none") else float(v))(pop("oov_scale")),
-            window_sizes=tuple(int(w) for w in (pop("window_sizes", "3,4,5") or "").split(",")),
-            embeddings={
-                k.split(".", 1)[1]: raw.pop(k)
-                for k in [k for k in raw if k.startswith("embedding.")]
-            },
-            matrices={
-                k.split(".", 1)[1]: raw.pop(k)
-                for k in [k for k in raw if k.startswith("matrix.")]
-            },
-            dictionaries={
-                k.split(".", 1)[1]: raw.pop(k)
-                for k in [k for k in raw if k.startswith("dictionary.")]
-            },
-            train_overrides={
-                k.split(".", 1)[1]: _TRAIN_KEYS[k.split(".", 1)[1]](raw.pop(k))
-                for k in [k for k in raw if k.startswith("train.")]
-                if k.split(".", 1)[1] in _TRAIN_KEYS
-            },
-        )
+        for f in fields(ExperimentConfig):
+            prefix = _PREFIXES.get(f.name)
+            if prefix is None:
+                if f.name in raw or f.default is MISSING:
+                    kwargs[f.name] = _PARSERS[f.type](raw.pop(f.name, ""))
+                continue
+            values = {}
+            for key in [k for k in raw if k.startswith(prefix)]:
+                sub = key[len(prefix):]
+                read = _TRAIN_KEYS.get(sub) if prefix == "train." else str
+                if read is not None:
+                    values[sub] = read(raw.pop(key))
+            kwargs[f.name] = values
+        cfg = ExperimentConfig(**kwargs)
     except ValueError as err:
         raise ConfigurationError(f"bad config value: {err}") from None
     if raw:

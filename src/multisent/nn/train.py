@@ -20,13 +20,20 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from ..corpus import Polarity
-from ..errors import ArgumentError, ConfigurationError, MultisentError, ParseError
+from ..errors import (
+    ArgumentError,
+    ConfigurationError,
+    MultisentError,
+    ParseError,
+    parse_numbers,
+    read_text,
+)
 from ..pipeline import EmbeddingContext
 from ..preprocess import TokenizedTweet
 from ..rng import SplitMix64, derive_stream
@@ -94,30 +101,15 @@ class FineTunedEmbeddings:
 
 @dataclass
 class TrainedModel:
-    """Final parameters plus everything needed to reproduce predictions."""
+    """The best-dev network plus everything needed to reproduce its predictions."""
 
-    kind: str
-    params: LstmParams | CnnParams
-    max_len: int
-    candidate_activation: str
-    activation: str
-    dropout_rate: float
+    model: NeuralModel
+    seed: int
     fingerprints: dict[str, str]
     history: list[tuple[int, float, float]]  # (epoch, train_loss, dev_accuracy)
     best_epoch: int
     best_dev_accuracy: float
-    config: TrainConfig
     fine_tuned: FineTunedEmbeddings | None = None
-
-    def model(self) -> NeuralModel:
-        return NeuralModel(
-            kind=self.kind,
-            params=self.params,
-            max_len=self.max_len,
-            candidate_activation=self.candidate_activation,
-            activation=self.activation,
-            dropout_rate=self.dropout_rate,
-        )
 
 
 def train(
@@ -235,17 +227,12 @@ def train(
             break
 
     return TrainedModel(
-        kind=kind,
-        params=best_params,
-        max_len=context.max_len,
-        candidate_activation=config.candidate_activation,
-        activation=config.cnn_activation,
-        dropout_rate=config.dropout_rate,
+        model=replace(model, params=best_params),
+        seed=config.seed,
         fingerprints=context.fingerprint(),
         history=history,
         best_epoch=best_epoch,
         best_dev_accuracy=best_acc,
-        config=config,
         fine_tuned=best_ft,
     )
 
@@ -290,7 +277,7 @@ def predict_batch(
         raise ConfigurationError(
             f"context does not match the model's training inputs (differs: {changed})"
         )
-    model = trained.model()
+    model = trained.model
     ft = trained.fine_tuned
     out: list[tuple[Polarity, np.ndarray]] = []
     for start in range(0, len(tweets), 256):
@@ -318,51 +305,56 @@ CHECKPOINT_MAGIC = "multisent-model 1"
 
 def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
     """Write a model as text: header fields, then row-major tensor blocks."""
-    cfg = trained.config
+    model = trained.model
+    tensors = model.params.tensors()
+    if trained.fine_tuned is not None:
+        tensors["__embeddings__"] = trained.fine_tuned.E
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CHECKPOINT_MAGIC + "\n")
-        fh.write(f"kind {trained.kind}\n")
-        fh.write(f"max_len {trained.max_len}\n")
-        fh.write(f"candidate_activation {trained.candidate_activation}\n")
-        fh.write(f"activation {trained.activation}\n")
-        fh.write(f"dropout_rate {trained.dropout_rate:.17g}\n")
+        fh.write(f"kind {model.kind}\n")
+        fh.write(f"max_len {model.max_len}\n")
+        fh.write(f"candidate_activation {model.candidate_activation}\n")
+        fh.write(f"activation {model.activation}\n")
+        fh.write(f"dropout_rate {model.dropout_rate:.17g}\n")
         fh.write(f"best_epoch {trained.best_epoch}\n")
         fh.write(f"best_dev_accuracy {trained.best_dev_accuracy:.17g}\n")
-        fh.write(f"seed {cfg.seed}\n")
-        if trained.kind == "cnn":
-            fh.write(f"window_sizes {','.join(str(h) for h in trained.params.window_sizes)}\n")
+        fh.write(f"seed {trained.seed}\n")
+        if model.kind == "cnn":
+            fh.write(f"window_sizes {','.join(str(h) for h in model.params.window_sizes)}\n")
         for key in sorted(trained.fingerprints):
             fh.write(f"fingerprint {key} {trained.fingerprints[key]}\n")
         for epoch, loss, acc in trained.history:
             fh.write(f"history {epoch} {loss:.17g} {acc:.17g}\n")
-        for name, tensor in trained.params.tensors().items():
+        for name, tensor in tensors.items():
             shape = " ".join(str(s) for s in tensor.shape)
             fh.write(f"tensor {name} {shape}\n")
             flat = tensor.ravel()
             for start in range(0, flat.size, 8):
                 fh.write(" ".join(f"{v:.17g}" for v in flat[start:start + 8]) + "\n")
         if trained.fine_tuned is not None:
-            ft = trained.fine_tuned
-            fh.write(f"tensor __embeddings__ {ft.E.shape[0]} {ft.E.shape[1]}\n")
-            flat = ft.E.ravel()
-            for start in range(0, flat.size, 8):
-                fh.write(" ".join(f"{v:.17g}" for v in flat[start:start + 8]) + "\n")
-            for (lang, tok), row in sorted(ft.index.items(), key=lambda kv: kv[1]):
+            for (lang, tok), row in sorted(trained.fine_tuned.index.items(), key=lambda kv: kv[1]):
                 fh.write(f"vocab {lang} {tok} {row}\n")
         fh.write("end\n")
 
 
+# How many space-separated parts each fixed-form checkpoint line has.
+_LINE_PARTS = {"fingerprint": 3, "history": 4, "vocab": 4}
+
+
 def load_checkpoint(path: str | Path) -> TrainedModel:
-    """Read a model written by save_checkpoint."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Read a model written by save_checkpoint.
+
+    Malformed input (a bad number, a missing header field or tensor, a
+    short line, a truncated tensor block) raises ParseError.
+    """
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ParseError("not a model checkpoint (bad magic line)", line=1)
-    fields: dict[str, str] = {}
+    header: dict[str, int] = {}     # field name -> index of its line
     fingerprints: dict[str, str] = {}
     history: list[tuple[int, float, float]] = []
     tensors: dict[str, np.ndarray] = {}
     vocab: dict[tuple[str, str], int] = {}
-    vocab_lines: dict[tuple[str, str], int] = {}
     i = 1
     while i < len(lines):
         line = lines[i]
@@ -370,9 +362,13 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             break
         parts = line.split(" ")
         if parts[0] == "tensor":
+            if len(parts) < 2:
+                raise ParseError("tensor line lacks a name", line=i + 1)
             name = parts[1]
-            shape = tuple(int(s) for s in parts[2:])
-            count = int(np.prod(shape)) if shape else 1
+            shape = tuple(parse_numbers(parts[2:], int, f"tensor {name} shape", line, i + 1))
+            if any(d < 0 for d in shape) or (name == "__embeddings__" and len(shape) != 2):
+                raise ParseError(f"tensor {name} has an impossible shape {shape}", line=i + 1)
+            count = math.prod(shape)
             values: list[float] = []
             i += 1
             while len(values) < count:
@@ -398,71 +394,79 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
                 )
             tensors[name] = np.array(values, dtype=np.float64).reshape(shape)
             continue
+        want = _LINE_PARTS.get(parts[0])
+        if want is not None and len(parts) != want:
+            raise ParseError(
+                f"{parts[0]} line needs {want} space-separated parts, got {len(parts)}",
+                line=i + 1,
+            )
         if parts[0] == "fingerprint":
-            fingerprints[parts[1]] = parts[2] if len(parts) > 2 else ""
+            fingerprints[parts[1]] = parts[2]
         elif parts[0] == "history":
-            history.append((int(parts[1]), float(parts[2]), float(parts[3])))
+            epoch, = parse_numbers(parts[1:2], int, "history epoch", line, i + 1)
+            loss, acc = parse_numbers(parts[2:], float, "history value", line, i + 1)
+            history.append((epoch, loss, acc))
         elif parts[0] == "vocab":
-            vocab[(parts[1], parts[2])] = int(parts[3])
-            vocab_lines[(parts[1], parts[2])] = i + 1
+            row, = parse_numbers(parts[3:], int, "vocab row", line, i + 1)
+            n_rows = len(tensors.get("__embeddings__", ()))   # vocab lines follow the tensors
+            if not 0 <= row < n_rows:
+                raise ParseError(
+                    f"vocab row {row} for {parts[1]} {parts[2]!r} is outside the "
+                    f"{n_rows} __embeddings__ rows",
+                    line=i + 1,
+                )
+            vocab[(parts[1], parts[2])] = row
         else:
-            fields[parts[0]] = " ".join(parts[1:])
+            header[parts[0]] = i
         i += 1
     else:
         raise ParseError("missing end marker", line=len(lines))
 
-    kind = fields.get("kind")
+    def field(name: str, kind: type = str, sep: str | None = None):
+        """A header field's value as kind; with sep, a tuple of its sep-separated parts."""
+        if name not in header:
+            raise ParseError(f"checkpoint lacks the {name!r} header field", line=len(lines))
+        line = lines[header[name]]
+        value = line.partition(" ")[2]
+        if kind is str:
+            return value
+        values = parse_numbers(value.split(sep) if sep else [value], kind, name, line,
+                               header[name] + 1)
+        return tuple(values) if sep else values[0]
+
+    def tensor(name: str) -> np.ndarray:
+        if name not in tensors:
+            raise ParseError(f"checkpoint lacks tensor {name!r}", line=len(lines))
+        return tensors[name]
+
+    kind = field("kind")
     if kind not in ("lstm", "cnn"):
-        raise ParseError(f"unknown model kind {kind!r}", line=2)
+        raise ParseError(f"unknown model kind {kind!r}", line=header["kind"] + 1)
     E = tensors.pop("__embeddings__", None)
-    n_rows = 0 if E is None else E.shape[0]
-    for key, row in vocab.items():
-        if not 0 <= row < n_rows:
-            raise ParseError(
-                f"vocab row {row} for {key[0]} {key[1]!r} is outside the "
-                f"{n_rows} __embeddings__ rows",
-                line=vocab_lines[key],
-            )
     if kind == "cnn":
-        window_sizes = tuple(int(h) for h in fields["window_sizes"].split(","))
+        window_sizes = field("window_sizes", int, sep=",")
         params = CnnParams(
             window_sizes=window_sizes,
-            filters={h: tensors[f"filters_{h}"] for h in window_sizes},
-            biases={h: tensors[f"bias_{h}"] for h in window_sizes},
-            V=tensors["V"],
-            b_y=tensors["b_y"],
-        )
-        config = TrainConfig(
-            seed=int(fields.get("seed", "0")),
-            dropout_rate=float(fields["dropout_rate"]),
-            cnn_activation=fields["activation"],
-            window_sizes=window_sizes,
-            filters_per_window=params.filters[window_sizes[0]].shape[0],
+            filters={h: tensor(f"filters_{h}") for h in window_sizes},
+            biases={h: tensor(f"bias_{h}") for h in window_sizes},
+            V=tensor("V"),
+            b_y=tensor("b_y"),
         )
     else:
-        params = LstmParams(**{k: tensors[k] for k in (
-            "W_i", "U_i", "b_i", "W_f", "U_f", "b_f",
-            "W_o", "U_o", "b_o", "W_c", "U_c", "b_c", "V", "b_y")})
-        config = TrainConfig(
-            seed=int(fields.get("seed", "0")),
-            dropout_rate=float(fields["dropout_rate"]),
-            candidate_activation=fields["candidate_activation"],
-            hidden_dim=params.hidden_dim,
-        )
-    ft = None
-    if E is not None:
-        ft = FineTunedEmbeddings(index=vocab, E=E)
+        params = LstmParams(**{f.name: tensor(f.name) for f in fields(LstmParams)})
     return TrainedModel(
-        kind=kind,
-        params=params,
-        max_len=int(fields["max_len"]),
-        candidate_activation=fields["candidate_activation"],
-        activation=fields["activation"],
-        dropout_rate=float(fields["dropout_rate"]),
+        model=NeuralModel(
+            kind=kind,
+            params=params,
+            max_len=field("max_len", int),
+            candidate_activation=field("candidate_activation"),
+            activation=field("activation"),
+            dropout_rate=field("dropout_rate", float),
+        ),
+        seed=field("seed", int),
         fingerprints=fingerprints,
         history=history,
-        best_epoch=int(fields["best_epoch"]),
-        best_dev_accuracy=float(fields["best_dev_accuracy"]),
-        config=config,
-        fine_tuned=ft,
+        best_epoch=field("best_epoch", int),
+        best_dev_accuracy=field("best_dev_accuracy", float),
+        fine_tuned=None if E is None else FineTunedEmbeddings(index=vocab, E=E),
     )

@@ -28,7 +28,7 @@ from importlib import resources
 from pathlib import Path
 
 from .corpus import Polarity, TweetRecord
-from .errors import ArgumentError, ConfigurationError, RecordDropError
+from .errors import ArgumentError, ConfigurationError, RecordDropError, read_text
 
 # Codepoint ranges replaced by emoji tokens (inclusive).
 EMOJI_RANGES: tuple[tuple[int, int], ...] = (
@@ -61,20 +61,20 @@ DEFAULT_POLICIES = {"en": CasingPolicy.PLAIN, "ja": CasingPolicy.NFKC, "zh": Cas
 
 def load_pattern_file(path: str | Path) -> list[str]:
     """Read a pattern file: one regular expression per line, '#' comments."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     return [ln for ln in (l.strip() for l in lines) if ln and not ln.startswith("#")]
 
 
 def load_literal_file(path: str | Path) -> list[str]:
     """Read a literal emoticon list: one verbatim string per line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     return [ln for ln in lines if ln.strip() and not ln.startswith("#")]
 
 
 def load_mapping_table(path: str | Path) -> dict[int, int]:
     """Read a TSV of hex codepoint pairs (traditional -> simplified)."""
     table: dict[int, int] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

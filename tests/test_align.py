@@ -209,6 +209,21 @@ def test_matrix_load_rejects_non_finite_value(tmp_path, bad):
     assert "non-finite" in str(exc.value)
 
 
+@pytest.mark.parametrize("lines,message", [
+    (["# fit_residual abc ridge_lambda 0", "1 0", "0 1"], "non-numeric fit_residual"),
+    (["# fit_residual 0 ridge_lambda inf", "1 0", "0 1"], "non-finite ridge_lambda"),
+    (["# fit_residual", "1 0", "0 1"], "non-numeric fit_residual"),
+    (["1 0", "0 x"], "non-numeric matrix value in '0 x'"),
+])
+def test_matrix_load_names_the_bad_line(tmp_path, lines, message):
+    p = tmp_path / "w.mat"
+    p.write_text("ja en 2\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_translation_matrix(p)
+    assert exc.value.line == (2 if lines[0].startswith("#") else 3)
+    assert message in str(exc.value)
+
+
 def test_dictionary_loading(tmp_path):
     p = tmp_path / "d.tsv"
     p.write_text("# comment\ninu\tdog\nneko\tcat\ninu\thound\n")

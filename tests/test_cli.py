@@ -47,6 +47,14 @@ class TestPreprocess:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_invalid_utf8_corpus_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"id":"\xff"}\n')
+        rc = main(["preprocess", "--in", str(bad), "--out", str(tmp_path / "out.jsonl")])
+        assert rc == 2
+        assert "line 1: invalid UTF-8 byte 0xff" in capsys.readouterr().err
+
+
 class TestFolds:
     def test_plan_round_trips(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "plan.json"
@@ -180,7 +188,7 @@ class TestTrainAndPredict:
         assert rc == 0
         printed = capsys.readouterr().out
         assert "trained cnn" in printed and "wrote training log" in printed
-        assert load_checkpoint(ckpt).kind == "cnn"
+        assert load_checkpoint(ckpt).model.kind == "cnn"
         assert log.read_text().startswith("epoch,train_loss,dev_accuracy")
 
         preds = tmp_path / "preds.jsonl"
@@ -292,3 +300,75 @@ class TestPredictRejectsBadCheckpoint:
         assert self.predict(fixture_dir, tmp_path, lines) == 2
         err = capsys.readouterr().err
         assert f"line {at + 1}:" in err and "vocab row 999999" in err
+
+    @pytest.mark.parametrize("prefix, new, message", [
+        ("history ", "history 1 x1.49 0.5", "non-numeric history value"),
+        ("dropout_rate ", None, "checkpoint lacks the 'dropout_rate' header field"),
+        ("max_len ", "max_len nine", "non-numeric max_len"),
+        ("window_sizes ", "window_sizes 2,7", "checkpoint lacks tensor 'filters_7'"),
+    ])
+    def test_malformed_header_exits_2(self, fixture_dir, tmp_path, ckpt_lines, capsys,
+                                      prefix, new, message):
+        at = next(i for i, ln in enumerate(ckpt_lines) if ln.startswith(prefix))
+        lines = list(ckpt_lines)
+        if new is None:
+            del lines[at]
+        else:
+            lines[at] = new
+        capsys.readouterr()
+        assert self.predict(fixture_dir, tmp_path, lines) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestPredictRejectsBadInputs:
+    @pytest.fixture(scope="class")
+    def ckpt(self, fixture_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("ckpt")
+        cfg = write_config(out / "cnn.cfg", fixture_dir, [
+            "kind = cnn",
+            f"embedding.en = {fixture_dir / 'en.vec'}",
+            f"embedding.ja = {fixture_dir / 'ja.vec'}",
+            f"embedding.zh = {fixture_dir / 'zh.vec'}",
+            "train.max_epochs = 1",
+            "train.filters_per_window = 3",
+        ])
+        assert main(["train", "--config", str(cfg), "--out", str(out / "m.ckpt")]) == 0
+        return out / "m.ckpt"
+
+    def predict(self, fixture_dir, tmp_path, ckpt, *extra, en=None):
+        return main(["predict", "--model", str(ckpt),
+                     "--in", str(fixture_dir / "corpus.jsonl"),
+                     "--out", str(tmp_path / "p.jsonl"),
+                     "--embedding", f"en={en or fixture_dir / 'en.vec'}",
+                     "--embedding", f"ja={fixture_dir / 'ja.vec'}",
+                     "--embedding", f"zh={fixture_dir / 'zh.vec'}", *extra])
+
+    def test_invalid_utf8_embedding_exits_2(self, fixture_dir, tmp_path, ckpt, capsys):
+        lines = (fixture_dir / "en.vec").read_bytes().split(b"\n")
+        lines[3] = b"\xff" + lines[3]
+        bad = tmp_path / "en.vec"
+        bad.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert self.predict(fixture_dir, tmp_path, ckpt, en=bad) == 2
+        assert "line 4: invalid UTF-8 byte 0xff" in capsys.readouterr().err
+
+    def test_bad_matrix_comment_exits_2(self, fixture_dir, tmp_path, ckpt, capsys):
+        mat = tmp_path / "ja-en.mat"
+        rc = main(["align", "--src", str(fixture_dir / "ja.vec"),
+                   "--tgt", str(fixture_dir / "en.vec"),
+                   "--dict", str(fixture_dir / "ja-en.tsv"),
+                   "--src-lang", "ja", "--tgt-lang", "en",
+                   "--k", "12", "--train", "9", "--out", str(mat)])
+        assert rc == 0
+        lines = mat.read_text().splitlines()
+        lines[1] = "# fit_residual abc ridge_lambda 0"
+        mat.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self.predict(fixture_dir, tmp_path, ckpt, "--matrix", f"ja={mat}") == 2
+        assert "line 2: non-numeric fit_residual" in capsys.readouterr().err
+
+    def test_max_len_flag_is_gone(self, fixture_dir, tmp_path, ckpt, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            self.predict(fixture_dir, tmp_path, ckpt, "--max-len", "9")
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --max-len 9" in capsys.readouterr().err

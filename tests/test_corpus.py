@@ -69,6 +69,25 @@ def test_invalid_json_names_line(tmp_path):
     assert exc.value.line == 2
 
 
+def test_invalid_utf8_names_line(tmp_path):
+    p = tmp_path / "bad.jsonl"
+    p.write_bytes(b'{"id": "a", "lang": "en", "text": "x", "label": 0}\r\n{"id":"\xff"}\n')
+    with pytest.raises(ParseError) as exc:
+        load_corpus(p)
+    assert exc.value.line == 2
+    assert "invalid UTF-8" in str(exc.value)
+
+
+def test_raw_line_separators_inside_a_string_stay_in_the_record(tmp_path):
+    p = tmp_path / "c.jsonl"
+    text = "a\u2028b\x85c\x0cd"
+    row = json.dumps({"id": "t1", "lang": "en", "text": text, "label": 0}, ensure_ascii=False)
+    p.write_text(row + "\r\n" + row.replace("t1", "t2") + "\r", encoding="utf-8")
+    records = load_corpus(p)
+    assert [r.id for r in records] == ["t1", "t2"]
+    assert all(r.text == text for r in records)
+
+
 def test_missing_field_names_line(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"id": "a", "text": "x", "label": 0}\n')

@@ -54,6 +54,15 @@ def test_non_finite_component_names_line(tmp_path, bad):
     assert "non-finite" in str(exc.value)
 
 
+def test_invalid_utf8_names_line(tmp_path):
+    p = tmp_path / "e.vec"
+    p.write_bytes(b"2 2\ngood 0.5 1.0\nb\xffd 0.5 1.0\n")
+    with pytest.raises(ParseError) as exc:
+        load_embedding_table(p, "en")
+    assert exc.value.line == 3
+    assert "invalid UTF-8 byte 0xff" in str(exc.value)
+
+
 def test_row_count_mismatch(tmp_path):
     p = tmp_path / "e.vec"
     p.write_text("3 2\na 1 2\nb 3 4\n")

@@ -1,0 +1,98 @@
+"""Corrupted checkpoints, matrices and .vec files fail with MultisentError or load.
+
+Each example takes a file the package itself wrote (tiny dims) and either
+replaces, deletes or cuts one line, or splices arbitrary bytes in at some
+offset. The loader must return or raise MultisentError; any other
+exception would end the CLI in a traceback instead of exit 2.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from multisent.align import fit_translation_matrix, load_translation_matrix, save_translation_matrix
+from multisent.embeddings import load_embedding_table, save_embedding_table
+from multisent.errors import MultisentError
+from multisent.nn import NeuralModel, TrainedModel, init_cnn_params, init_lstm_params
+from multisent.nn import load_checkpoint, save_checkpoint
+from multisent.nn.train import FineTunedEmbeddings
+
+from conftest import seeded_table
+
+
+def _checkpoint(kind: str) -> TrainedModel:
+    if kind == "cnn":
+        params = init_cnn_params(3, seed=1, window_sizes=(2, 3), filters_per_window=2)
+    else:
+        params = init_lstm_params(3, 2, seed=1)
+    ft = FineTunedEmbeddings(index={("en", "a"): 0, ("ja", "b"): 1},
+                             E=np.arange(6, dtype=np.float64).reshape(2, 3) / 7)
+    return TrainedModel(
+        model=NeuralModel(kind=kind, params=params, max_len=4),
+        seed=3,
+        fingerprints={"max_len": "4", "oov": "0:None"},
+        history=[(1, 1.25, 0.5), (2, 0.75, 0.625)],
+        best_epoch=2,
+        best_dev_accuracy=0.625,
+        fine_tuned=ft if kind == "cnn" else None,
+    )
+
+
+@pytest.fixture(scope="module")
+def originals(tmp_path_factory):
+    """File name -> (bytes the package wrote, the loader that reads them)."""
+    directory = tmp_path_factory.mktemp("originals")
+    loaders = {}
+    for kind in ("cnn", "lstm"):
+        save_checkpoint(_checkpoint(kind), directory / f"{kind}.ckpt")
+        loaders[f"{kind}.ckpt"] = load_checkpoint
+    table = seeded_table("en", ["alpha", "beta", "gamma"], dim=3)
+    save_embedding_table(table, directory / "en.vec")
+    loaders["en.vec"] = lambda path: load_embedding_table(path, "en")
+    X = np.stack(list(table.entries.values()))
+    save_translation_matrix(fit_translation_matrix(X, X[::-1], src_lang="ja", tgt_lang="en"),
+                            directory / "ja-en.mat")
+    loaders["ja-en.mat"] = load_translation_matrix
+    return {name: ((directory / name).read_bytes(), load) for name, load in loaders.items()}
+
+
+_line_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+
+
+def _corrupt(data: bytes, draw) -> bytes:
+    """data with one line replaced, deleted or cut short, or with bytes spliced in."""
+    op = draw(st.sampled_from(["replace", "delete", "cut", "splice"]))
+    if op == "splice":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + draw(st.binary(min_size=1, max_size=12)) + data[at:]
+    lines = data.split(b"\n")
+    at = draw(st.integers(0, len(lines) - 1))
+    if op == "replace":
+        lines[at] = draw(_line_text).encode("utf-8")
+    elif op == "delete":
+        del lines[at]
+    else:
+        lines[at] = lines[at][:draw(st.integers(0, max(len(lines[at]) - 1, 0)))]
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("name", ["cnn.ckpt", "lstm.ckpt", "en.vec", "ja-en.mat"])
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupted_file_loads_or_raises_multisent_error(originals, tmp_path, name, data):
+    original, load = originals[name]
+    path = tmp_path / name
+    path.write_bytes(_corrupt(original, data.draw))
+    try:
+        load(path)
+    except MultisentError:
+        pass
+
+
+def test_uncorrupted_files_load(originals, tmp_path):
+    for name, (data, load) in originals.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        load(path)

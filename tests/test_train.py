@@ -72,8 +72,8 @@ class TestLoop:
         cfg = quick_config(dropout_rate=0.5, max_epochs=4)
         a = train("cnn", tr, dev, ctx, cfg)
         b = train("cnn", tr, dev, ctx, cfg)
-        for name, ta in a.params.tensors().items():
-            assert np.array_equal(ta, b.params.tensors()[name]), name
+        for name, ta in a.model.params.tensors().items():
+            assert np.array_equal(ta, b.model.params.tensors()[name]), name
         assert a.history == b.history
 
     def test_seed_changes_the_run(self, toy):
@@ -81,8 +81,8 @@ class TestLoop:
         a = train("cnn", tr, dev, ctx, quick_config(max_epochs=3, seed=0))
         b = train("cnn", tr, dev, ctx, quick_config(max_epochs=3, seed=1))
         assert any(
-            not np.array_equal(ta, b.params.tensors()[n])
-            for n, ta in a.params.tensors().items()
+            not np.array_equal(ta, b.model.params.tensors()[n])
+            for n, ta in a.model.params.tensors().items()
         )
 
     def test_validation(self, toy):
@@ -169,12 +169,12 @@ class TestCheckpointAndLog:
         path = tmp_path / "model.txt"
         save_checkpoint(trained, path)
         back = load_checkpoint(path)
-        assert back.kind == trained.kind
-        assert back.max_len == trained.max_len
+        assert back.model.kind == trained.model.kind
+        assert back.model.max_len == trained.model.max_len
         assert back.history == trained.history
         assert back.fingerprints == trained.fingerprints
-        for name, t in trained.params.tensors().items():
-            assert np.array_equal(t, back.params.tensors()[name]), name
+        for name, t in trained.model.params.tensors().items():
+            assert np.array_equal(t, back.model.params.tensors()[name]), name
         a = predict_batch(trained, dev, ctx)
         b = predict_batch(back, dev, ctx)
         assert [int(x) for x, _ in a] == [int(x) for x, _ in b]
@@ -251,6 +251,65 @@ class TestCheckpointAndLog:
             load_checkpoint(path)
         assert err.value.line == at + 1
         assert "tensor V has a non-finite value" in str(err.value)
+
+    @pytest.mark.parametrize("kind,over", [
+        ("cnn", dict(window_sizes=(2, 3), filters_per_window=3, fine_tune_embeddings=True)),
+        ("lstm", dict(hidden_dim=4)),
+    ])
+    def test_reloaded_checkpoint_saves_the_same_bytes(self, tmp_path, toy, kind, over):
+        tr, dev, ctx = toy
+        trained = train(kind, tr, dev, ctx, quick_config(max_epochs=2, seed=5, **over))
+        save_checkpoint(trained, tmp_path / "a.txt")
+        save_checkpoint(load_checkpoint(tmp_path / "a.txt"), tmp_path / "b.txt")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    @pytest.mark.parametrize("prefix,edit,message", [
+        ("history ", lambda ln: "history 1 x1.49 0.5", "non-numeric history value"),
+        ("history ", lambda ln: "history 1 0.5", "history line needs 4"),
+        ("dropout_rate ", lambda ln: None, "checkpoint lacks the 'dropout_rate' header field"),
+        ("dropout_rate ", lambda ln: "dropout_rate nan", "non-finite dropout_rate"),
+        ("max_len ", lambda ln: "max_len nine", "non-numeric max_len"),
+        ("window_sizes ", lambda ln: "window_sizes 2,7", "checkpoint lacks tensor 'filters_7'"),
+        ("window_sizes ", lambda ln: "window_sizes 2,", "non-numeric window_sizes"),
+        ("fingerprint ", lambda ln: "fingerprint rules", "fingerprint line needs 3"),
+        ("vocab ", lambda ln: ln.rsplit(" ", 1)[0], "vocab line needs 4"),
+        ("vocab ", lambda ln: ln.rsplit(" ", 1)[0] + " 1.5", "non-numeric vocab row"),
+        ("tensor V ", lambda ln: "tensor", "tensor line lacks a name"),
+        ("tensor V ", lambda ln: "tensor V 3 x", "non-numeric tensor V shape"),
+        ("tensor V ", lambda ln: "tensor V -3 -4", "impossible shape"),
+        ("tensor __embeddings__ ", lambda ln: ln.rsplit(" ", 1)[0], "impossible shape"),
+        ("tensor b_y ", lambda ln: "tensor c_y 3", "checkpoint lacks tensor 'b_y'"),
+    ])
+    def test_malformed_line_raises_parse_error(self, tmp_path, toy, prefix, edit, message):
+        tr, dev, ctx = toy
+        cfg = quick_config(max_epochs=1, window_sizes=(2, 3), filters_per_window=3,
+                           fine_tune_embeddings=True)
+        path = tmp_path / "model.txt"
+        save_checkpoint(train("cnn", tr, dev, ctx, cfg), path)
+        lines = path.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        changed = edit(lines[at])
+        if changed is None:
+            del lines[at]
+        else:
+            lines[at] = changed
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert message in str(err.value)
+        assert err.value.line == (len(lines) if message.startswith("checkpoint lacks") else at + 1)
+
+    def test_invalid_utf8_names_its_line(self, tmp_path, toy):
+        tr, dev, ctx = toy
+        path = tmp_path / "model.txt"
+        save_checkpoint(train("cnn", tr, dev, ctx, quick_config(max_epochs=1)), path)
+        data = path.read_bytes().split(b"\n")
+        data[4] = b"activation t\xe9nh"
+        path.write_bytes(b"\n".join(data))
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert err.value.line == 5
+        assert "invalid UTF-8 byte 0xe9" in str(err.value)
 
     def test_training_log_csv(self, tmp_path, toy):
         tr, dev, ctx = toy
