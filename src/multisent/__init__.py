@@ -46,7 +46,6 @@ from .corpus import (
 )
 from .embeddings import (
     EmbeddingTable,
-    embed_tokens,
     load_embedding_table,
     save_embedding_table,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "compare_runs",
     "default_rules",
     "derive_stream",
-    "embed_tokens",
     "fit_translation_matrix",
     "generate_fixture",
     "load_corpus",

@@ -7,9 +7,7 @@ is fixed globally: X stacks x_i as rows, and the stored W satisfies
 mapped = x_i^T W, so a stack of row vectors maps as X W.
 
 The solver is the closed-form normal-equations solution, with a small
-ridge term as fallback when X^T X is numerically singular. A
-gradient-descent solver exists as an option and must land on the same W;
-it is never the default.
+ridge term as fallback when X^T X is numerically singular.
 """
 
 from __future__ import annotations
@@ -200,19 +198,13 @@ def fit_translation_matrix(
     Z: np.ndarray,
     src_lang: str = "src",
     tgt_lang: str = "tgt",
-    solver: str = "exact",
     ridge_lambda: float = RIDGE_LAMBDA,
-    gd_max_iter: int = 20000,
-    gd_tol: float = 1e-12,
 ) -> TranslationMatrix:
     """Fit W minimizing the summed squared mapping error over row pairs.
 
-    The exact solver uses the normal equations (X^T X) W = X^T Z. When
-    X^T X is numerically singular the ridge system
-    (X^T X + lambda I) W = X^T Z is solved instead and the lambda used
-    is recorded on the result. The gd solver runs plain gradient descent
-    with a step of 1/(2 * largest eigenvalue) and is checked against the
-    exact solution in tests.
+    Solves the normal equations (X^T X) W = X^T Z. When X^T X is
+    numerically singular the ridge system (X^T X + lambda I) W = X^T Z is
+    solved instead and the lambda used is recorded on the result.
     """
     if X.ndim != 2 or Z.ndim != 2 or X.shape != Z.shape:
         raise ArgumentError(f"X and Z must be equal-shape 2d arrays, got {X.shape} and {Z.shape}")
@@ -223,29 +215,16 @@ def fit_translation_matrix(
     XtZ = X.T @ Z
     used_lambda = 0.0
     full_rank = int(np.linalg.matrix_rank(XtX)) == dim
-    if solver == "exact":
-        W = None
-        # Normal equations are exact when X^T X is well conditioned.
-        if full_rank:
-            try:
-                W = np.linalg.solve(XtX, XtZ)
-            except np.linalg.LinAlgError:
-                W = None
-        if W is None or not np.all(np.isfinite(W)):
-            W = np.linalg.solve(XtX + ridge_lambda * np.eye(dim), XtZ)
-            used_lambda = ridge_lambda
-    elif solver == "gd":
-        step = 1.0 / (2.0 * float(np.linalg.eigvalsh(XtX)[-1]) + 1e-30)
-        W = np.zeros((dim, dim))
-        for _ in range(gd_max_iter):
-            grad = 2.0 * (XtX @ W - XtZ)
-            W_next = W - step * grad
-            if np.max(np.abs(W_next - W)) < gd_tol:
-                W = W_next
-                break
-            W = W_next
-    else:
-        raise ArgumentError(f"unknown solver {solver!r}")
+    W = None
+    # Normal equations are exact when X^T X is well conditioned.
+    if full_rank:
+        try:
+            W = np.linalg.solve(XtX, XtZ)
+        except np.linalg.LinAlgError:
+            W = None
+    if W is None or not np.all(np.isfinite(W)):
+        W = np.linalg.solve(XtX + ridge_lambda * np.eye(dim), XtZ)
+        used_lambda = ridge_lambda
     return TranslationMatrix(
         src_lang=src_lang,
         tgt_lang=tgt_lang,

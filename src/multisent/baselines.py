@@ -7,7 +7,7 @@ two languages occupies two columns and the combined dimensionality is
 exactly the sum of the per-language ones.
 
 Naive Bayes is multinomial over the binary features with add-alpha
-smoothing; a Bernoulli mode (modeling feature absence too) is a flag.
+smoothing.
 
 The SVM is a soft-margin linear machine trained in the dual by
 coordinate descent with a deterministic sweep order; the bias is an
@@ -105,12 +105,10 @@ class NBModel:
     """Smoothed class-conditional log-likelihoods over binary features."""
 
     alpha: float
-    bernoulli: bool
     classes: list[int]
     dimension: int
     log_prior: np.ndarray          # (n_classes,)
     log_lik: np.ndarray            # (n_classes, V) log P(feature present | class)
-    log_absent: np.ndarray | None  # (n_classes, V) log P(absent | class), bernoulli only
 
 
 def train_nb(
@@ -118,7 +116,6 @@ def train_nb(
     labels: list[int],
     alpha: float = 1.0,
     dimension: int | None = None,
-    bernoulli: bool = False,
 ) -> NBModel:
     """Fit counts; alpha > 0 is the add-alpha smoothing strength."""
     if not vectors:
@@ -140,33 +137,20 @@ def train_nb(
         if vec.size:
             present[ci, vec] += 1.0
     log_prior = np.log(n_by_class / n_by_class.sum())
-    if bernoulli:
-        p = (present + alpha) / (n_by_class[:, None] + 2.0 * alpha)
-        log_lik = np.log(p)
-        log_absent = np.log(1.0 - p)
-    else:
-        totals = present.sum(axis=1, keepdims=True)
-        log_lik = np.log((present + alpha) / (totals + alpha * V))
-        log_absent = None
+    totals = present.sum(axis=1, keepdims=True)
     return NBModel(
         alpha=alpha,
-        bernoulli=bernoulli,
         classes=classes,
         dimension=V,
         log_prior=log_prior,
-        log_lik=log_lik,
-        log_absent=log_absent,
+        log_lik=np.log((present + alpha) / (totals + alpha * V)),
     )
 
 
 def nb_log_posterior(model: NBModel, vector: np.ndarray) -> np.ndarray:
     """Unnormalized log posterior per class, in model.classes order."""
     scores = model.log_prior.copy()
-    if model.bernoulli:
-        scores = scores + model.log_absent.sum(axis=1)
-        if vector.size:
-            scores = scores + (model.log_lik[:, vector] - model.log_absent[:, vector]).sum(axis=1)
-    elif vector.size:
+    if vector.size:
         scores = scores + model.log_lik[:, vector].sum(axis=1)
     return scores
 

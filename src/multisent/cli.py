@@ -84,8 +84,7 @@ def _cmd_align(args) -> int:
         src_lang=src_lang, tgt_lang=tgt_lang,
     )
     X, Z = resolve_pairs(pairs.train_pairs, src_table, tgt_table)
-    tm = fit_translation_matrix(X, Z, src_lang=src_lang, tgt_lang=tgt_lang,
-                                solver=args.solver)
+    tm = fit_translation_matrix(X, Z, src_lang=src_lang, tgt_lang=tgt_lang)
     save_translation_matrix(tm, args.out)
     print(f"fit {src_lang}->{tgt_lang} map from {len(pairs.train_pairs)} pairs, "
           f"residual {tm.fit_residual:.6g}, wrote {args.out}")
@@ -262,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3500, help="pivot pair count")
     p.add_argument("--train", type=int, default=3000, help="pairs used for fitting")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--solver", choices=("exact", "gd"), default="exact")
     p.add_argument("--out", required=True)
     p.add_argument("--report", action="store_true",
                    help="print held-out distance sums before and after mapping")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,6 @@ class EmbeddingTable:
     dim: int
     entries: dict[str, np.ndarray]
     duplicate_count: int = 0
-    _oov_cache: dict[tuple[int, float, str], np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -51,17 +50,12 @@ class EmbeddingTable:
         return word in self.entries
 
     def lookup(self, token: str, oov_seed: int, oov_scale: float | None = None) -> np.ndarray:
-        """Vector for token; OOV tokens get a cached seeded random vector."""
+        """Vector for token; OOV tokens get a seeded random vector."""
         vec = self.entries.get(token)
         if vec is not None:
             return vec
         scale = default_oov_scale(self.dim) if oov_scale is None else oov_scale
-        key = (oov_seed, scale, token)
-        cached = self._oov_cache.get(key)
-        if cached is None:
-            cached = oov_vector(oov_seed, self.lang, token, self.dim, scale)
-            self._oov_cache[key] = cached
-        return cached
+        return oov_vector(oov_seed, self.lang, token, self.dim, scale)
 
     def fingerprint(self) -> str:
         """Content hash covering language, dim, and every entry."""
@@ -130,21 +124,6 @@ def oov_vector(seed: int, lang: str, token: str, dim: int, scale: float) -> np.n
     """Deterministic random vector in [-scale, +scale]^dim for an unknown token."""
     rng = SplitMix64(derive_stream(seed, "oov", lang, token))
     return rng.uniform_array(dim, -scale, scale)
-
-
-def embed_tokens(
-    tweet: TokenizedTweet,
-    table: EmbeddingTable,
-    oov_seed: int,
-    oov_scale: float | None = None,
-) -> np.ndarray:
-    """Stack per-token vectors for one tweet; row t corresponds to token t."""
-    if table.lang != tweet.lang:
-        raise ArgumentError(
-            f"tweet language {tweet.lang!r} does not match table language {table.lang!r}"
-        )
-    rows = [table.lookup(tok, oov_seed, oov_scale) for tok in tweet.tokens]
-    return np.stack(rows).astype(np.float64)
 
 
 def count_tokens(tweets: list[TokenizedTweet], lang: str | None = None) -> dict[str, int]:

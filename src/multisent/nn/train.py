@@ -42,6 +42,7 @@ from .model import NeuralModel, argmax_label, loss_and_gradients, predict_proba_
 from .params import (
     DEFAULT_FILTERS_PER_WINDOW,
     DEFAULT_WINDOW_SIZES,
+    N_CLASSES,
     CnnParams,
     LstmParams,
     init_cnn_params,
@@ -83,20 +84,8 @@ class TrainConfig:
 class FineTunedEmbeddings:
     """Training-vocabulary vectors updated alongside the model parameters."""
 
-    index: dict[tuple[str, str], int]
+    index: dict[tuple[str, str], int]   # (lang, token) -> row of E
     E: np.ndarray
-
-    def rows(self, tweet: TokenizedTweet) -> np.ndarray:
-        """Row in E of each token of tweet; -1 where the token has none."""
-        keys = ((tweet.lang, tok) for tok in tweet.tokens)
-        return np.array([self.index.get(key, -1) for key in keys], dtype=np.intp)
-
-    def substitute(self, static: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """A copy of static with each token that has a row in E taken from E."""
-        out = static.copy()
-        hit = rows >= 0
-        out[hit] = self.E[rows[hit]]
-        return out
 
 
 @dataclass
@@ -141,40 +130,27 @@ def train(
         dropout_rate=config.dropout_rate,
     )
 
-    # Each example is embedded once. With fine-tuning, a training tweet is
-    # its rows in E (every training token has one), so a batch is E[ids].
-    ft: FineTunedEmbeddings | None = None
-    if config.fine_tune_embeddings:
-        index: dict[tuple[str, str], int] = {}
-        vectors: list[np.ndarray] = []
-        train_ids: list[np.ndarray] = []
-        for tw in train_tweets:
-            emb = context.embed(tw)
-            ids = []
-            for t, tok in enumerate(tw.tokens):
-                key = (tw.lang, tok)
-                row = index.get(key)
-                if row is None:
-                    row = index[key] = len(vectors)
-                    vectors.append(emb[t].copy())
-                ids.append(row)
-            train_ids.append(np.array(ids, dtype=np.intp))
-        ft = FineTunedEmbeddings(index=index, E=np.stack(vectors))
-    else:
-        train_X = [context.embed(tw) for tw in train_tweets]
+    # Each tweet is encoded once as rows of one table: the training
+    # vocabulary first (E, which fine-tuning updates through a view), then
+    # the tokens only dev tweets hold. Every batch is table[ids].
+    index: dict[tuple[str, str], int] = {}
+    vectors: list[np.ndarray] = []
+    train_ids = encode_tweets(train_tweets, index, vectors, context)
+    vocab = dict(index)
+    dev_ids = encode_tweets(dev_tweets, index, vectors, context)
+    table = np.stack(vectors)
+    E = table[:len(vocab)]
     train_y = [int(tw.label) for tw in train_tweets]
-    dev_static = [context.embed(tw) for tw in dev_tweets]
-    dev_rows = [ft.rows(tw) for tw in dev_tweets] if ft is not None else None
     dev_y = [int(tw.label) for tw in dev_tweets]
 
+    fine_tune = config.fine_tune_embeddings
     tensors = model.params.tensors()
-    if ft is not None:
-        tensors = dict(tensors)
-        tensors["__embeddings__"] = ft.E
+    if fine_tune:
+        tensors["__embeddings__"] = E
     state = AdadeltaState.for_tensors(tensors)
 
     best_params = model.params.copy()
-    best_ft = FineTunedEmbeddings(ft.index, ft.E.copy()) if ft is not None else None
+    best_E = E.copy()
     best_acc = -1.0
     best_epoch = 0
     epochs_since = 0
@@ -187,38 +163,27 @@ def train(
         total_loss = 0.0
         for b_idx, start in enumerate(range(0, n, config.batch_size)):
             chosen = order[start:start + config.batch_size]
-            if ft is None:
-                batch = [(train_X[i], train_y[i]) for i in chosen]
-            else:
-                batch = [(ft.E[train_ids[i]], train_y[i]) for i in chosen]
+            batch = [(table[train_ids[i]], train_y[i]) for i in chosen]
             dropout_seed = derive_stream(config.seed, "dropout", epoch, b_idx)
-            loss, grads, dX = loss_and_gradients(model, batch, dropout_seed, want_dx=ft is not None)
+            loss, grads, dX = loss_and_gradients(model, batch, dropout_seed, want_dx=fine_tune)
             if not math.isfinite(loss):
                 raise MultisentError(
                     f"training loss is {loss} in epoch {epoch}, batch {b_idx + 1}; "
                     "check the embeddings for nan or inf values"
                 )
             total_loss += loss * len(batch)
-            step_tensors = model.params.tensors()
-            if ft is not None:
-                gE = scatter_embedding_grad(ft.E.shape, [train_ids[i] for i in chosen], dX)
-                step_tensors = dict(step_tensors)
-                step_tensors["__embeddings__"] = ft.E
-                grads = dict(grads)
-                grads["__embeddings__"] = gE
-            adadelta_step(step_tensors, grads, state, config.rho, config.eps)
+            if fine_tune:
+                grads["__embeddings__"] = scatter_embedding_grad(
+                    E.shape, [train_ids[i] for i in chosen], dX)
+            adadelta_step(tensors, grads, state, config.rho, config.eps)
         train_loss = total_loss / n
-        if ft is None:
-            dev_X = dev_static
-        else:
-            dev_X = [ft.substitute(x, r) for x, r in zip(dev_static, dev_rows)]
-        dev_acc = _accuracy(model, dev_X, dev_y, config.batch_size)
+        dev_acc = _accuracy(model, [table[ids] for ids in dev_ids], dev_y, config.batch_size)
         history.append((epoch, train_loss, dev_acc))
         if dev_acc > best_acc:
             best_acc = dev_acc
             best_params = model.params.copy()
-            if ft is not None:
-                best_ft = FineTunedEmbeddings(ft.index, ft.E.copy())
+            if fine_tune:
+                best_E = E.copy()
             best_epoch = epoch
             epochs_since = 0
         else:
@@ -233,8 +198,32 @@ def train(
         history=history,
         best_epoch=best_epoch,
         best_dev_accuracy=best_acc,
-        fine_tuned=best_ft,
+        fine_tuned=FineTunedEmbeddings(vocab, best_E) if fine_tune else None,
     )
+
+
+def encode_tweets(
+    tweets: list[TokenizedTweet],
+    index: dict[tuple[str, str], int],
+    vectors: list[np.ndarray],
+    context: EmbeddingContext,
+) -> list[np.ndarray]:
+    """Each tweet's tokens as row ids into vectors, one row per (lang, token).
+
+    A token index already holds keeps its row; any other token is given the
+    next row, which holds its context vector. index and vectors grow in place.
+    """
+    encoded = []
+    for tw in tweets:
+        ids = []
+        for tok in tw.tokens:
+            row = index.get((tw.lang, tok))
+            if row is None:
+                row = index[(tw.lang, tok)] = len(vectors)
+                vectors.append(context.vector(tw.lang, tok))
+            ids.append(row)
+        encoded.append(np.array(ids, dtype=np.intp))
+    return encoded
 
 
 def scatter_embedding_grad(
@@ -277,17 +266,16 @@ def predict_batch(
         raise ConfigurationError(
             f"context does not match the model's training inputs (differs: {changed})"
         )
-    model = trained.model
+    # A token takes its fine-tuned row when it has one, its context vector otherwise.
     ft = trained.fine_tuned
+    index = dict(ft.index) if ft is not None else {}
+    vectors = list(ft.E) if ft is not None else []
+    ids = encode_tweets(tweets, index, vectors, context)
+    table = np.stack(vectors) if vectors else None
     out: list[tuple[Polarity, np.ndarray]] = []
-    for start in range(0, len(tweets), 256):
-        chunk = tweets[start:start + 256]
-        mats = [context.embed(tw) for tw in chunk]
-        if ft is not None:
-            mats = [ft.substitute(x, ft.rows(tw)) for x, tw in zip(mats, chunk)]
-        probs = predict_proba_batch(model, mats)
-        for row, tw in zip(probs, chunk):
-            out.append((Polarity(argmax_label(row)), row))
+    for start in range(0, len(ids), 256):
+        probs = predict_proba_batch(trained.model, [table[r] for r in ids[start:start + 256]])
+        out.extend((Polarity(argmax_label(row)), row) for row in probs)
     return out
 
 
@@ -345,7 +333,8 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     """Read a model written by save_checkpoint.
 
     Malformed input (a bad number, a missing header field or tensor, a
-    short line, a truncated tensor block) raises ParseError.
+    short line, a truncated tensor block, a tensor shape that does not fit
+    the architecture) raises ParseError.
     """
     lines = read_text(path).splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
@@ -354,6 +343,7 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     fingerprints: dict[str, str] = {}
     history: list[tuple[int, float, float]] = []
     tensors: dict[str, np.ndarray] = {}
+    tensor_lines: dict[str, int] = {}   # tensor name -> 1-based line of its header
     vocab: dict[tuple[str, str], int] = {}
     i = 1
     while i < len(lines):
@@ -368,6 +358,7 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             shape = tuple(parse_numbers(parts[2:], int, f"tensor {name} shape", line, i + 1))
             if any(d < 0 for d in shape) or (name == "__embeddings__" and len(shape) != 2):
                 raise ParseError(f"tensor {name} has an impossible shape {shape}", line=i + 1)
+            tensor_lines[name] = i + 1
             count = math.prod(shape)
             values: list[float] = []
             i += 1
@@ -434,26 +425,47 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
                                header[name] + 1)
         return tuple(values) if sep else values[0]
 
-    def tensor(name: str) -> np.ndarray:
+    def tensor(name: str, shape: tuple[int | None, ...] | None = None) -> np.ndarray:
+        """A tensor, checked against shape when given (None matches any length)."""
         if name not in tensors:
             raise ParseError(f"checkpoint lacks tensor {name!r}", line=len(lines))
+        got = tensors[name].shape
+        if shape is not None and not (len(got) == len(shape) and all(
+                w is None or w == g for g, w in zip(got, shape))):
+            need = str(shape).replace("None", "n")
+            raise ParseError(f"tensor {name} has shape {got}, the model needs {need}",
+                             line=tensor_lines[name])
         return tensors[name]
 
     kind = field("kind")
     if kind not in ("lstm", "cnn"):
         raise ParseError(f"unknown model kind {kind!r}", line=header["kind"] + 1)
-    E = tensors.pop("__embeddings__", None)
+    # Each tensor's shape is checked against the architecture. Its sizes
+    # come from the 1-D biases (F_h filters, H hidden units) and from the
+    # input dim d of the first input-side tensor, filters_h or W_i.
     if kind == "cnn":
         window_sizes = field("window_sizes", int, sep=",")
+        for h in window_sizes:
+            tensor(f"filters_{h}")      # a missing filter bank is named before its bias
+        biases = {h: tensor(f"bias_{h}", (None,)) for h in window_sizes}
+        h0 = window_sizes[0]
+        d = tensor(f"filters_{h0}", (len(biases[h0]), h0, None)).shape[2]
         params = CnnParams(
             window_sizes=window_sizes,
-            filters={h: tensor(f"filters_{h}") for h in window_sizes},
-            biases={h: tensor(f"bias_{h}") for h in window_sizes},
-            V=tensor("V"),
-            b_y=tensor("b_y"),
+            filters={h: tensor(f"filters_{h}", (len(biases[h]), h, d)) for h in window_sizes},
+            biases=biases,
+            V=tensor("V", (N_CLASSES, sum(len(b) for b in biases.values()))),
+            b_y=tensor("b_y", (N_CLASSES,)),
         )
     else:
-        params = LstmParams(**{f.name: tensor(f.name) for f in fields(LstmParams)})
+        H = len(tensor("b_i", (None,)))
+        d = tensor("W_i", (H, None)).shape[1]
+        shapes = {"W": (H, d), "U": (H, H), "b": (H,), "V": (N_CLASSES, H)}
+        params = LstmParams(**{
+            f.name: tensor(f.name, (N_CLASSES,) if f.name == "b_y" else shapes[f.name[0]])
+            for f in fields(LstmParams)
+        })
+    E = tensor("__embeddings__", (None, d)) if "__embeddings__" in tensors else None
     return TrainedModel(
         model=NeuralModel(
             kind=kind,

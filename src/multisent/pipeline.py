@@ -3,6 +3,8 @@
 An EmbeddingContext bundles the per-language embedding tables, optional
 translation matrices mapping each language into the shared target
 space, the OOV policy, and the corpus maximum length used for padding.
+It maps each (language, token) once and keeps the result, so a token has
+one vector per context.
 Its fingerprint ties a trained model to exactly these inputs so stale
 model/context pairings fail loudly instead of predicting garbage.
 """
@@ -15,12 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .align import TranslationMatrix, load_translation_matrix
-from .embeddings import (
-    EmbeddingTable,
-    check_dim_uniformity,
-    embed_tokens,
-    load_embedding_table,
-)
+from .embeddings import EmbeddingTable, check_dim_uniformity, load_embedding_table
 from .errors import ArgumentError, ConfigurationError
 from .preprocess import TokenizedTweet
 
@@ -42,11 +39,17 @@ class EmbeddingContext:
     oov_scale: float | None = None
     max_len: int = 1
     rules_version: str = "-"
+    _vectors: dict[tuple[str, str], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.tables:
             raise ArgumentError("context needs at least one embedding table")
         self.dim = check_dim_uniformity(list(self.tables.values()))
+        for lang, table in self.tables.items():
+            if table.lang != lang:
+                raise ArgumentError(f"table for {table.lang!r} stored under {lang!r}")
         for lang, tm in self.translations.items():
             if lang not in self.tables:
                 raise ConfigurationError(f"translation for unknown language {lang!r}")
@@ -81,16 +84,28 @@ class EmbeddingContext:
             rules_version=rules_version,
         )
 
+    def vector(self, lang: str, token: str) -> np.ndarray:
+        """A token's vector in the shared space: lookup then optional map.
+
+        Each (lang, token) is computed once and cached, so a token gets
+        the same bytes whichever tweet holds it.
+        """
+        key = (lang, token)
+        vec = self._vectors.get(key)
+        if vec is None:
+            table = self.tables.get(lang)
+            if table is None:
+                raise ConfigurationError(f"no embedding table for language {lang!r}")
+            vec = np.asarray(table.lookup(token, self.oov_seed, self.oov_scale), np.float64)
+            tm = self.translations.get(lang)
+            if tm is not None:
+                vec = vec @ tm.W
+            self._vectors[key] = vec
+        return vec
+
     def embed(self, tweet: TokenizedTweet) -> np.ndarray:
-        """Embed one tweet into the shared space: lookup then optional map."""
-        table = self.tables.get(tweet.lang)
-        if table is None:
-            raise ConfigurationError(f"no embedding table for language {tweet.lang!r}")
-        X = embed_tokens(tweet, table, self.oov_seed, self.oov_scale)
-        tm = self.translations.get(tweet.lang)
-        if tm is not None:
-            X = X @ tm.W
-        return X
+        """Embed one tweet into the shared space; row t is token t's vector."""
+        return np.stack([self.vector(tweet.lang, tok) for tok in tweet.tokens])
 
     def fingerprint(self) -> dict[str, str]:
         """Stable hashes of everything that shapes model inputs."""

@@ -130,16 +130,6 @@ class TestNaiveBayes:
         assert abs(post.sum() - 1.0) < 1e-12
         assert model.classes == [0, 2]
 
-    def test_bernoulli_counts_absences(self):
-        model = train_nb(self.VECTORS, self.LABELS, alpha=1.0, dimension=2,
-                         bernoulli=True)
-        # Presence rates: class 0 f0 3/4, f1 2/4; class 2 f0 1/4, f1 3/4.
-        # P({f0}) per class: 3/4 * 1/2 vs 1/4 * 1/4; posterior 6/7.
-        post = nb_posterior(model, np.array([0]))
-        want = Fraction(3, 8) / (Fraction(3, 8) + Fraction(1, 16))
-        assert want == Fraction(6, 7)
-        assert abs(post[0] - float(want)) < 1e-12
-
     def test_empty_vector_uses_priors_only_multinomial(self):
         model = train_nb(self.VECTORS, [0, 0, 2, 2, ][: len(self.VECTORS)],
                          alpha=1.0, dimension=2)

@@ -320,6 +320,16 @@ class TestPredictRejectsBadCheckpoint:
         assert message in capsys.readouterr().err
 
 
+    def test_tensor_shapes_that_disagree_exit_2(self, fixture_dir, tmp_path, ckpt_lines, capsys):
+        at = ckpt_lines.index("tensor V 3 6")
+        lines = list(ckpt_lines)
+        lines[at] = "tensor V 6 3"
+        capsys.readouterr()
+        assert self.predict(fixture_dir, tmp_path, lines) == 2
+        err = capsys.readouterr().err
+        assert f"line {at + 1}: tensor V has shape (6, 3), the model needs (3, 6)" in err
+
+
 class TestPredictRejectsBadInputs:
     @pytest.fixture(scope="class")
     def ckpt(self, fixture_dir, tmp_path_factory):

@@ -18,6 +18,12 @@ def _checkpoint(path: Path) -> bytes:
     return path.read_bytes()
 
 
+def _mapped_checkpoint(path: Path) -> bytes:
+    data = path.read_bytes()
+    assert b"alignment:ja none" not in data and b"alignment:zh none" not in data
+    return data
+
+
 def _canonical_report(path: Path) -> bytes:
     return CVReport.from_json(path.read_text(encoding="utf-8")).canonical_json().encode()
 
@@ -26,12 +32,21 @@ def _canonical_report(path: Path) -> bytes:
     pytest.param("train", ["kind = cnn", "train.filters_per_window = 8",
                            "train.fine_tune_embeddings = true"],
                  _checkpoint, b"tensor __embeddings__", id="fine-tuned-cnn-checkpoint"),
+    pytest.param("train", ["kind = cnn", "train.filters_per_window = 8",
+                           "alignment = translation_matrix",
+                           "matrix.ja = {dir}/ja-en.mat", "matrix.zh = {dir}/zh-en.mat"],
+                 _mapped_checkpoint, b"tensor filters_2", id="mapped-cnn-checkpoint"),
     pytest.param("train", ["kind = lstm"], _checkpoint, b"tensor W_i", id="lstm-checkpoint"),
     pytest.param("evaluate", ["kind = lstm", "folds = 2"], _canonical_report, b'"kind": "lstm"',
                  id="lstm-evaluate-report"),
 ])
 def test_bytes_ignore_blas_threads(tmp_path, command, config, read, marker):
     assert main(["synth", "--out", str(tmp_path), "--seed", "2", "--tweets", "36"]) == 0
+    for lang in ("ja", "zh"):
+        assert main(["align", "--src", str(tmp_path / f"{lang}.vec"),
+                     "--tgt", str(tmp_path / "en.vec"), "--dict", str(tmp_path / f"{lang}-en.tsv"),
+                     "--src-lang", lang, "--tgt-lang", "en", "--k", "20", "--train", "16",
+                     "--out", str(tmp_path / f"{lang}-en.mat")]) == 0
     cfg = tmp_path / "run.cfg"
     cfg.write_text("\n".join([
         f"corpus = {tmp_path / 'corpus.jsonl'}",
@@ -42,7 +57,7 @@ def test_bytes_ignore_blas_threads(tmp_path, command, config, read, marker):
         "train.batch_size = 8",
         "train.max_epochs = 3",
         "train.patience = 3",
-        *config,
+        *[line.format(dir=tmp_path) for line in config],
     ]) + "\n")
     outputs = []
     for threads in ("1", "2"):

@@ -9,7 +9,6 @@ from multisent.embeddings import (
     check_dim_uniformity,
     count_tokens,
     default_oov_scale,
-    embed_tokens,
     load_embedding_table,
     load_frequency_counts,
     oov_vector,
@@ -17,6 +16,7 @@ from multisent.embeddings import (
     save_embedding_table,
 )
 from multisent.errors import ArgumentError, ConfigurationError, ParseError
+from multisent.pipeline import EmbeddingContext
 from multisent.preprocess import TokenizedTweet
 
 from conftest import seeded_table
@@ -24,6 +24,11 @@ from conftest import seeded_table
 
 def _tw(tokens, lang="en"):
     return TokenizedTweet(id="t", lang=lang, label=Polarity.NEUTRAL, tokens=tokens)
+
+
+def _embed(tweet, table, oov_seed):
+    """tweet's rows through a context holding only table."""
+    return EmbeddingContext(tables={table.lang: table}, oov_seed=oov_seed).embed(tweet)
 
 
 # -- file format -----------------------------------------------------------
@@ -109,14 +114,14 @@ def test_default_scale():
 
 def test_in_vocabulary_rows_exact():
     table = seeded_table("en", ["a", "b"], dim=3)
-    X = embed_tokens(_tw(["b", "a"]), table, oov_seed=0)
+    X = _embed(_tw(["b", "a"]), table, oov_seed=0)
     assert np.array_equal(X[0], table.entries["b"])
     assert np.array_equal(X[1], table.entries["a"])
 
 
 def test_same_oov_token_identical_rows():
     table = seeded_table("en", ["a"], dim=3)
-    X = embed_tokens(_tw(["mystery", "a", "mystery"]), table, oov_seed=5)
+    X = _embed(_tw(["mystery", "a", "mystery"]), table, oov_seed=5)
     assert np.array_equal(X[0], X[2])
     assert not np.array_equal(X[0], X[1])
 
@@ -124,8 +129,8 @@ def test_same_oov_token_identical_rows():
 def test_oov_reproducible_across_runs():
     t1 = seeded_table("en", ["a"], dim=4)
     t2 = seeded_table("en", ["a"], dim=4)
-    x1 = embed_tokens(_tw(["ghost"]), t1, oov_seed=9)
-    x2 = embed_tokens(_tw(["ghost"]), t2, oov_seed=9)
+    x1 = _embed(_tw(["ghost"]), t1, oov_seed=9)
+    x2 = _embed(_tw(["ghost"]), t2, oov_seed=9)
     assert np.array_equal(x1, x2)
 
 
@@ -139,7 +144,7 @@ def test_oov_depends_on_seed_lang_token():
 def test_oov_respects_scale_bounds():
     v = oov_vector(3, "en", "tok", 200, 0.01)
     assert np.all(np.abs(v) <= 0.01)
-    # a different scale under the same seed must not reuse the cache
+    # the scale reaches the vector under the same seed
     table = seeded_table("en", [], dim=4)
     a = table.lookup("tok", oov_seed=0, oov_scale=0.5)
     b = table.lookup("tok", oov_seed=0, oov_scale=0.005)
@@ -149,7 +154,7 @@ def test_oov_respects_scale_bounds():
 def test_lang_mismatch_rejected():
     table = seeded_table("ja", ["a"], dim=3)
     with pytest.raises(ArgumentError):
-        embed_tokens(_tw(["a"], lang="en"), table, oov_seed=0)
+        EmbeddingContext(tables={"en": table}).embed(_tw(["a"], lang="en"))
 
 
 # -- counts and ranks ------------------------------------------------------

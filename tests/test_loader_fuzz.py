@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from multisent.align import fit_translation_matrix, load_translation_matrix, save_translation_matrix
 from multisent.embeddings import load_embedding_table, save_embedding_table
-from multisent.errors import MultisentError
+from multisent.errors import MultisentError, ParseError
 from multisent.nn import NeuralModel, TrainedModel, init_cnn_params, init_lstm_params
 from multisent.nn import load_checkpoint, save_checkpoint
 from multisent.nn.train import FineTunedEmbeddings
@@ -89,6 +89,27 @@ def test_corrupted_file_loads_or_raises_multisent_error(originals, tmp_path, nam
         load(path)
     except MultisentError:
         pass
+
+
+@pytest.mark.parametrize("name", ["cnn.ckpt", "lstm.ckpt"])
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_permuted_tensor_shape_is_rejected(originals, tmp_path, name, data):
+    """The same values under a reordered shape load only if the shape is unchanged."""
+    original, load = originals[name]
+    lines = original.decode("utf-8").split("\n")
+    at = data.draw(st.sampled_from([i for i, ln in enumerate(lines) if ln.startswith("tensor ")]))
+    _, tensor, *dims = lines[at].split(" ")
+    permuted = data.draw(st.permutations(dims))
+    lines[at] = " ".join(["tensor", tensor, *permuted])
+    path = tmp_path / name
+    path.write_text("\n".join(lines), encoding="utf-8")
+    if permuted == dims:
+        load(path)
+    else:
+        with pytest.raises(ParseError, match=f"tensor {tensor} has shape"):
+            load(path)
 
 
 def test_uncorrupted_files_load(originals, tmp_path):

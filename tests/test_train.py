@@ -1,10 +1,13 @@
 """End-to-end behavior of the mini-batch training loop."""
 
 import csv
+import importlib
 
 import numpy as np
 import pytest
 
+from multisent.align import TranslationMatrix
+from multisent.corpus import Polarity
 from multisent.errors import ArgumentError, ConfigurationError, MultisentError, ParseError
 from multisent.nn import (
     TrainConfig,
@@ -16,9 +19,10 @@ from multisent.nn import (
 )
 from multisent.nn.train import scatter_embedding_grad
 from multisent.pipeline import EmbeddingContext
+from multisent.preprocess import TokenizedTweet
 from multisent.rng import SplitMix64, derive_stream
 
-from conftest import marker_tweets, toy_context
+from conftest import marker_tweets, seeded_table, toy_context
 
 
 def quick_config(**over) -> TrainConfig:
@@ -124,6 +128,67 @@ class TestFineTuning:
         assert probs.shape == (3,)
         assert abs(probs.sum() - 1.0) < 1e-9
         assert int(label) in (0, 1, 2)
+
+
+class TestOneVectorPerToken:
+    """A mapped token has one vector, whichever tweet holds it and wherever it is read."""
+
+    DIM = 50
+    WORDS = [f"w{i}" for i in range(40)]
+
+    @pytest.fixture(scope="class")
+    def mapped(self):
+        rng = SplitMix64(derive_stream(7, "random-map"))
+        W = rng.uniform_array(self.DIM * self.DIM, -1.0, 1.0).reshape(self.DIM, self.DIM)
+        ctx = EmbeddingContext(
+            tables={"ja": seeded_table("ja", self.WORDS, self.DIM)},
+            translations={"ja": TranslationMatrix(src_lang="ja", tgt_lang="en", W=W)},
+            max_len=len(self.WORDS),
+        )
+        # Every tweet starts with w0; lengths run from 2 to 40 tokens.
+        tweets = [TokenizedTweet(id=f"t{n}", lang="ja", label=Polarity(n % 3),
+                                 tokens=self.WORDS[:n])
+                  for n in range(2, len(self.WORDS) + 1)]
+        alone = ctx.embed(TokenizedTweet(id="t1", lang="ja", label=Polarity.NEUTRAL,
+                                         tokens=["w0"]))[0]
+        return ctx, tweets, alone
+
+    def test_rows_match_across_tweet_lengths(self, mapped):
+        ctx, tweets, alone = mapped
+        for tw in tweets:
+            assert ctx.embed(tw)[0].tobytes() == alone.tobytes(), tw.length
+
+    @pytest.mark.parametrize("fine_tune", [False, True])
+    def test_rows_match_in_training_and_prediction(self, mapped, monkeypatch, fine_tune):
+        ctx, tweets, alone = mapped
+        train_module = importlib.import_module("multisent.nn.train")
+        seen = {"train": [], "predict": []}
+        real_loss, real_predict = train_module.loss_and_gradients, train_module.predict_proba_batch
+
+        def spy_loss(model, batch, *args, **kwargs):
+            seen["train"].append([x[0].copy() for x, _ in batch])
+            return real_loss(model, batch, *args, **kwargs)
+
+        def spy_predict(model, examples):
+            seen["predict"].append([x[0].copy() for x in examples])
+            return real_predict(model, examples)
+
+        monkeypatch.setattr(train_module, "loss_and_gradients", spy_loss)
+        monkeypatch.setattr(train_module, "predict_proba_batch", spy_predict)
+        cfg = quick_config(window_sizes=(2,), filters_per_window=2, max_epochs=1,
+                           fine_tune_embeddings=fine_tune)
+        trained = train("cnn", tweets[:30], tweets[30:], ctx, cfg)
+        # Before the first update every training row of w0 is its context vector.
+        assert all(row.tobytes() == alone.tobytes() for row in seen["train"][0])
+        seen["predict"].clear()
+        predict_batch(trained, tweets, ctx)
+        want = alone
+        if fine_tune:
+            want = trained.fine_tuned.E[trained.fine_tuned.index[("ja", "w0")]]
+            assert want.tobytes() != alone.tobytes()
+        rows = [row for chunk in seen["predict"] for row in chunk]
+        assert len(rows) == len(tweets)
+        assert all(row.tobytes() == want.tobytes() for row in rows)
 
 
 class TestEmbeddingGradScatter:
@@ -279,6 +344,10 @@ class TestCheckpointAndLog:
         ("tensor V ", lambda ln: "tensor V -3 -4", "impossible shape"),
         ("tensor __embeddings__ ", lambda ln: ln.rsplit(" ", 1)[0], "impossible shape"),
         ("tensor b_y ", lambda ln: "tensor c_y 3", "checkpoint lacks tensor 'b_y'"),
+        ("tensor V ", lambda ln: "tensor V 6 3", "tensor V has shape (6, 3), the model needs (3, 6)"),
+        ("tensor filters_3 ", lambda ln: "tensor filters_3 3 6 3",
+         "tensor filters_3 has shape (3, 6, 3), the model needs (3, 3, 6)"),
+        ("tensor bias_2 ", lambda ln: "tensor bias_2 1 3", "tensor bias_2 has shape (1, 3)"),
     ])
     def test_malformed_line_raises_parse_error(self, tmp_path, toy, prefix, edit, message):
         tr, dev, ctx = toy
@@ -298,6 +367,19 @@ class TestCheckpointAndLog:
             load_checkpoint(path)
         assert message in str(err.value)
         assert err.value.line == (len(lines) if message.startswith("checkpoint lacks") else at + 1)
+
+    def test_lstm_tensor_shapes_must_fit_each_other(self, tmp_path, toy):
+        tr, dev, ctx = toy
+        path = tmp_path / "model.txt"
+        save_checkpoint(train("lstm", tr, dev, ctx, quick_config(hidden_dim=4, max_epochs=1)), path)
+        lines = path.read_text().splitlines()
+        at = lines.index("tensor W_f 4 6")
+        lines[at] = "tensor W_f 6 4"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert err.value.line == at + 1
+        assert "tensor W_f has shape (6, 4), the model needs (4, 6)" in str(err.value)
 
     def test_invalid_utf8_names_its_line(self, tmp_path, toy):
         tr, dev, ctx = toy
