@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .align import (
@@ -188,7 +189,7 @@ def _cmd_predict(args) -> int:
     trained = load_checkpoint(args.model)
     records = load_corpus(args.infile)
     rules = default_rules()
-    tweets, _ = preprocess_corpus(records, rules, args.mode)
+    tweets, empty = preprocess_corpus(records, rules, args.mode)
     context = EmbeddingContext.from_paths(
         _parse_lang_path(args.embedding, "--embedding"),
         _parse_lang_path(args.matrix, "--matrix"),
@@ -197,6 +198,7 @@ def _cmd_predict(args) -> int:
         max_len=trained.model.max_len,
         rules_version=rules.fingerprint(),
     )
+    skipped = Counter(tw.lang for tw in tweets if tw.lang not in context.tables)
     tweets = [tw for tw in tweets if tw.lang in context.tables]
     preds = predict_batch(trained, tweets, context)
     with open(args.outfile, "w", encoding="utf-8") as fh:
@@ -205,7 +207,16 @@ def _cmd_predict(args) -> int:
                 {"id": tw.id, "label": int(label), "probs": [float(p) for p in probs]},
             ) + "\n")
     print(f"wrote {len(preds)} predictions to {args.outfile}")
+    if skipped:
+        by_lang = ", ".join(f"{lang}: {k}" for lang, k in sorted(skipped.items()))
+        print(f"skipped {_records(sum(skipped.values()))} with no --embedding ({by_lang})")
+    if empty:
+        print(f"skipped {_records(len(empty))} with no tokens after normalization")
     return 0
+
+
+def _records(n: int) -> str:
+    return f"{n} record{'' if n == 1 else 's'}"
 
 
 def _cmd_compare(args) -> int:

@@ -13,13 +13,11 @@ from ..errors import ArgumentError
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never overflows.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never
+    # overflows; its underflow to 0 for large |x| is the exact answer.
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def apply_activation(name: str, x: np.ndarray) -> np.ndarray:

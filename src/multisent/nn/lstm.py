@@ -12,11 +12,14 @@ Per step, from input x_t and the previous hidden/cell states:
 The candidate activation defaults to tanh; "sigmoid" is accepted as an
 alternative mode so both variants stay comparable.
 
-The batched path pads sequences to the longest in the batch and uses a
-step mask: on inactive steps h and C carry through unchanged, so the
-final h equals the hidden state at each sequence's true length. The
-backward pass is a manual reversal of the forward recurrence, routing
-carried gradients straight through inactive steps.
+The batch runs as a packed sequence: rows sorted by length, longest
+first, and only the (t, row) cells holding tokens stacked step by step
+into one array, so step t owns the first n_t sorted rows and padding is
+never computed. The gates are stacked (i, f, o, c) into one W, U and b
+per call; one gemm projects every cell before the loop, and each step
+adds one h @ U.T. The backward pass reverses the loop into a packed
+array of pre-activation gradients, then takes the weight gradients and
+dX with one gemm each over all cells.
 """
 
 from __future__ import annotations
@@ -27,54 +30,41 @@ import numpy as np
 
 from ..errors import ArgumentError
 from .activations import activation_grad_from_output, apply_activation, sigmoid
-from .params import LstmParams, zero_like_tensors
+from .params import LstmParams
 
-
-@dataclass
-class LstmStepCache:
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
-    c_new: np.ndarray
-    tanh_c: np.ndarray
-    mask: np.ndarray
+GATES = ("i", "f", "o", "c")
 
 
 @dataclass
 class LstmForwardCache:
-    steps: list[LstmStepCache]
+    """Per-cell arrays; step t's cells are rows offsets[t]:offsets[t+1], of
+    batch rows order[:n_t]. h_prev enters a cell, c and tanh_c leave it,
+    gates holds the i, f, o and candidate values side by side."""
+
+    x: np.ndarray
+    h_prev: np.ndarray
+    c: np.ndarray
+    tanh_c: np.ndarray
+    gates: np.ndarray
+    order: np.ndarray
+    offsets: np.ndarray
+    x_shape: tuple[int, int, int]
     h_last: np.ndarray
     penultimate: np.ndarray
     dropout_mask: np.ndarray | None
     candidate_activation: str
 
 
-def _cell_batch(
-    x: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    params: LstmParams,
-    candidate_activation: str,
-    mask: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, LstmStepCache]:
-    """One masked step over a batch; x is (B, input), states are (B, hidden)."""
-    i = sigmoid(x @ params.W_i.T + h_prev @ params.U_i.T + params.b_i)
-    f = sigmoid(x @ params.W_f.T + h_prev @ params.U_f.T + params.b_f)
-    o = sigmoid(x @ params.W_o.T + h_prev @ params.U_o.T + params.b_o)
-    g = apply_activation(candidate_activation, x @ params.W_c.T + h_prev @ params.U_c.T + params.b_c)
-    c_new = i * g + f * c_prev
-    tanh_c = np.tanh(c_new)
-    h_new = o * tanh_c
-    m = mask[:, None]
-    h = m * h_new + (1.0 - m) * h_prev
-    c = m * c_new + (1.0 - m) * c_prev
-    cache = LstmStepCache(x=x, h_prev=h_prev, c_prev=c_prev, i=i, f=f, o=o, g=g,
-                          c_new=c_new, tanh_c=tanh_c, mask=mask)
-    return h, c, cache
+def _stacked(params: LstmParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W (4H, d), U (4H, H), b (4H)) with the gates in i, f, o, c order."""
+    t = params.tensors()
+    return tuple(np.concatenate([t[f"{p}_{g}"] for g in GATES]) for p in "WUb")
+
+
+def _cells(order: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(batch row, timestep) of each packed cell."""
+    steps = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    return order[np.arange(offsets[-1]) - offsets[steps]], steps
 
 
 def lstm_forward_batch(
@@ -96,18 +86,36 @@ def lstm_forward_batch(
     B, T, _ = X.shape
     if T == 0 or np.any(lengths < 1) or np.any(lengths > T):
         raise ArgumentError("sequence lengths must be in [1, T] with T >= 1")
-    h = np.zeros((B, params.hidden_dim))
-    c = np.zeros((B, params.hidden_dim))
-    steps: list[LstmStepCache] = []
+    H = params.hidden_dim
+    W, U, b = _stacked(params)
+    order = np.argsort(-lengths, kind="stable")
+    n = np.count_nonzero(lengths > np.arange(T)[:, None], axis=1)
+    offsets = np.concatenate([[0], np.cumsum(n)])
+    x = X[_cells(order, offsets)]
+    gates = x @ W.T
+    gates += b
+    h_prev, c_all, tanh_c = np.empty((3, len(x), H))
+    h, c = np.zeros((2, B, H))
     for t in range(T):
-        mask = (lengths > t).astype(np.float64)
-        h, c, cache = _cell_batch(X[:, t, :], h, c, params, candidate_activation, mask)
-        steps.append(cache)
-    penult = h if dropout_mask is None else h * dropout_mask
+        a, z = offsets[t], offsets[t + 1]
+        h_prev[a:z] = h[:n[t]]
+        pre = gates[a:z]
+        pre += h[:n[t]] @ U.T
+        pre[:, :3 * H] = sigmoid(pre[:, :3 * H])
+        pre[:, 3 * H:] = apply_activation(candidate_activation, pre[:, 3 * H:])
+        i, f, o, g = (pre[:, k * H:(k + 1) * H] for k in range(4))
+        c[:n[t]] = i * g + f * c[:n[t]]
+        c_all[a:z] = c[:n[t]]
+        tanh_c[a:z] = np.tanh(c[:n[t]])
+        h[:n[t]] = o * tanh_c[a:z]
+    h_last = np.empty_like(h)
+    h_last[order] = h
+    penult = h_last if dropout_mask is None else h_last * dropout_mask
     logits = penult @ params.V.T + params.b_y
-    return logits, LstmForwardCache(steps=steps, h_last=h, penultimate=penult,
-                                    dropout_mask=dropout_mask,
-                                    candidate_activation=candidate_activation)
+    return logits, LstmForwardCache(
+        x=x, h_prev=h_prev, c=c_all, tanh_c=tanh_c, gates=gates, order=order,
+        offsets=offsets, x_shape=X.shape, h_last=h_last, penultimate=penult,
+        dropout_mask=dropout_mask, candidate_activation=candidate_activation)
 
 
 def lstm_backward_batch(
@@ -119,57 +127,48 @@ def lstm_backward_batch(
     """Gradients of all parameters given d loss / d logits.
 
     Returns (grads keyed like params.tensors(), dX or None). dX has the
-    batch's padded shape and is only assembled when want_dx is set
-    (embedding fine-tuning).
+    batch's padded shape, zero on padding, and is only assembled when
+    want_dx is set (embedding fine-tuning).
     """
-    grads = zero_like_tensors(params.tensors())
-    act = cache.candidate_activation
-    grads["V"] += dlogits.T @ cache.penultimate
-    grads["b_y"] += dlogits.sum(axis=0)
-    dh = dlogits @ params.V
-    if cache.dropout_mask is not None:
-        dh = dh * cache.dropout_mask
+    H = params.hidden_dim
+    W, U, _ = _stacked(params)
+    offsets, tanh_c = cache.offsets, cache.tanh_c
+    n = np.diff(offsets)
+    # C_{t-1} of a cell is its row's cell one step back, n[t-1] packed rows up
+    c_prev = np.zeros_like(cache.c)
+    c_prev[n[0]:] = cache.c[np.arange(n[0], len(c_prev)) - np.repeat(n[:-1], n[1:])]
+    gates = cache.gates.reshape(-1, 4, H)
+    i, f, o, g = (gates[:, k] for k in range(4))
+    # d pre / d C_t (i, f, candidate) and d pre / d h_t (o), scaled in place below
+    dpre = 1.0 - gates
+    dpre *= gates
+    dpre[:, 0] *= g
+    dpre[:, 1] *= c_prev
+    dpre[:, 2] *= tanh_c
+    dpre[:, 3] = i * activation_grad_from_output(cache.candidate_activation, g)
+    dc_dh = o * (1.0 - tanh_c * tanh_c)
+
+    mask = 1.0 if cache.dropout_mask is None else cache.dropout_mask
+    dh = (dlogits @ params.V * mask)[cache.order]
     dc = np.zeros_like(dh)
-    dX = np.zeros((len(cache.steps), *cache.steps[0].x.shape)) if want_dx else None
+    for t in range(len(n) - 1, -1, -1):
+        a, z = offsets[t], offsets[t + 1]
+        d = dpre[a:z]
+        dc_new = dc[:n[t]] + dh[:n[t]] * dc_dh[a:z]
+        d_o = dh[:n[t]] * d[:, 2]
+        d *= dc_new[:, None, :]
+        d[:, 2] = d_o
+        dh[:n[t]] = d.reshape(n[t], 4 * H) @ U
+        dc[:n[t]] = dc_new * f[a:z]
 
-    for t in range(len(cache.steps) - 1, -1, -1):
-        s = cache.steps[t]
-        m = s.mask[:, None]
-        dh_new = dh * m
-        dc_new = dc * m
-        dh_carry = dh * (1.0 - m)
-        dc_carry = dc * (1.0 - m)
-
-        do = dh_new * s.tanh_c
-        dpre_o = do * s.o * (1.0 - s.o)
-        dc_new = dc_new + dh_new * s.o * (1.0 - s.tanh_c * s.tanh_c)
-        di = dc_new * s.g
-        dpre_i = di * s.i * (1.0 - s.i)
-        dg = dc_new * s.i
-        dpre_g = dg * activation_grad_from_output(act, s.g)
-        df = dc_new * s.c_prev
-        dpre_f = df * s.f * (1.0 - s.f)
-
-        grads["W_i"] += dpre_i.T @ s.x
-        grads["U_i"] += dpre_i.T @ s.h_prev
-        grads["b_i"] += dpre_i.sum(axis=0)
-        grads["W_f"] += dpre_f.T @ s.x
-        grads["U_f"] += dpre_f.T @ s.h_prev
-        grads["b_f"] += dpre_f.sum(axis=0)
-        grads["W_o"] += dpre_o.T @ s.x
-        grads["U_o"] += dpre_o.T @ s.h_prev
-        grads["b_o"] += dpre_o.sum(axis=0)
-        grads["W_c"] += dpre_g.T @ s.x
-        grads["U_c"] += dpre_g.T @ s.h_prev
-        grads["b_c"] += dpre_g.sum(axis=0)
-
-        if want_dx:
-            dX[t] = dpre_i @ params.W_i + dpre_f @ params.W_f + dpre_o @ params.W_o + dpre_g @ params.W_c
-
-        dh = (dpre_i @ params.U_i + dpre_f @ params.U_f + dpre_o @ params.U_o
-              + dpre_g @ params.U_c + dh_carry)
-        dc = dc_new * s.f + dc_carry
-
+    dpre = dpre.reshape(-1, 4 * H)
+    dW, dU, db = dpre.T @ cache.x, dpre.T @ cache.h_prev, dpre.sum(axis=0)
+    grads = {f"{p}_{gate}": grad[k * H:(k + 1) * H]
+             for k, gate in enumerate(GATES) for p, grad in zip("WUb", (dW, dU, db))}
+    grads["V"] = dlogits.T @ cache.penultimate
+    grads["b_y"] = dlogits.sum(axis=0)
+    dX = None
     if want_dx:
-        dX = np.transpose(dX, (1, 0, 2))
+        dX = np.zeros(cache.x_shape)
+        dX[_cells(cache.order, offsets)] = dpre @ W
     return grads, dX

@@ -156,12 +156,12 @@ def test_criterion_04_forward_hand_oracles():
     sig1 = 1.0 / (1.0 + math.exp(-1.0))
     errs = []
     _, cache = lstm_forward_batch(np.ones((1, 1, 1)), np.array([1]), params, "tanh")
-    c, h = cache.steps[0].c_new[0], cache.h_last[0]
+    c, h = cache.c[0], cache.h_last[0]
     c_exp = sig1 * math.tanh(1.0)
     errs.append(abs(c[0] - c_exp))
     errs.append(abs(h[0] - sig1 * math.tanh(c_exp)))
     _, cache = lstm_forward_batch(np.ones((1, 1, 1)), np.array([1]), params, "sigmoid")
-    c, h = cache.steps[0].c_new[0], cache.h_last[0]
+    c, h = cache.c[0], cache.h_last[0]
     c_exp = sig1 * sig1
     errs.append(abs(c[0] - c_exp))
     errs.append(abs(h[0] - sig1 * math.tanh(c_exp)))
@@ -374,8 +374,8 @@ def test_criterion_10_probability_invariants():
             scale = 1.0 + srng.next_float() * 7.0
             X = (srng.uniform_array(n * 5, -1.0, 1.0).reshape(n, 5)) * scale
             _, cache = lstm_forward_batch(X[None, :, :], np.array([n]), params)
-            # every intermediate state appears as the next step's h_prev
-            states = [step.h_prev for step in cache.steps] + [cache.h_last]
+            # every intermediate state appears as the next cell's h_prev
+            states = [cache.h_prev, cache.h_last]
             worst_h = max(worst_h, float(max(np.max(np.abs(h)) for h in states)))
             cases += 1
     ok = worst_sum <= 1e-9 and worst_h < 1.0 and cases == 1000

@@ -205,6 +205,36 @@ class TestTrainAndPredict:
             assert row["label"] in (0, 1, 2)
             assert abs(sum(row["probs"]) - 1.0) < 1e-9
 
+    def test_skipped_records_are_counted(self, fixture_dir, tmp_path, capsys):
+        lines = (fixture_dir / "corpus.jsonl").read_text().splitlines()
+        en_lines = [ln for ln in lines if json.loads(ln)["lang"] == "en"]
+        ja_line = next(ln for ln in lines if json.loads(ln)["lang"] == "ja")
+        (tmp_path / "en.jsonl").write_text("\n".join(en_lines) + "\n")
+        (tmp_path / "one.jsonl").write_text(en_lines[0] + "\n")
+        empty = json.dumps({"id": "blank", "lang": "en", "text": "  ", "label": 0})
+        (tmp_path / "mixed.jsonl").write_text("\n".join([en_lines[0], ja_line, empty]) + "\n")
+        cfg = tmp_path / "en.cfg"
+        cfg.write_text("\n".join([
+            f"corpus = {tmp_path / 'en.jsonl'}", "languages = en", "folds = 3", "seed = 0",
+            "kind = cnn", f"embedding.en = {fixture_dir / 'en.vec'}",
+            "train.max_epochs = 1", "train.filters_per_window = 3",
+        ]) + "\n")
+        ckpt = tmp_path / "en.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
+        printed = {}
+        for name in ("one", "mixed"):
+            capsys.readouterr()
+            rc = main(["predict", "--model", str(ckpt), "--in", str(tmp_path / f"{name}.jsonl"),
+                       "--out", str(tmp_path / f"{name}.preds"),
+                       "--embedding", f"en={fixture_dir / 'en.vec'}"])
+            assert rc == 0
+            printed[name] = capsys.readouterr().out
+        assert "wrote 1 predictions" in printed["mixed"]
+        assert "skipped 1 record with no --embedding (ja: 1)" in printed["mixed"]
+        assert "skipped 1 record with no tokens after normalization" in printed["mixed"]
+        assert not any(ln.startswith("skipped") for ln in printed["one"].splitlines())
+        assert (tmp_path / "mixed.preds").read_bytes() == (tmp_path / "one.preds").read_bytes()
+
     def test_nonneural_kind_rejected(self, fixture_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "nb2.cfg", fixture_dir, ["kind = nb"])
         rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")])

@@ -16,6 +16,7 @@ from multisent.nn import (
     init_cnn_params,
     init_lstm_params,
     loss_and_gradients,
+    lstm_forward_batch,
 )
 from multisent.nn.activations import activation_grad_from_output
 from multisent.nn.cnn import cnn_backward_batch
@@ -80,6 +81,29 @@ class TestLstmGradients:
             assert rel_err(dX[b, : X.shape[0]], numeric) <= TOL
         # Padding rows carry no gradient.
         assert np.all(dX[1, 2:] == 0.0)
+
+    def test_unsorted_tied_lengths(self):
+        # The packed batch runs its rows longest first, ties in input order;
+        # every logit, gradient and dX row must land back on its own row.
+        params = init_lstm_params(input_dim=3, hidden_dim=4, seed=11)
+        model = NeuralModel(kind="lstm", params=params, max_len=6, dropout_rate=0.0)
+        lens = [2, 5, 2, 4, 1]
+        batch = make_batch(9, lens, 3)
+        X = np.zeros((len(lens), max(lens), 3))
+        for b, (S, _) in enumerate(batch):
+            X[b, :lens[b]] = S
+        logits, _ = lstm_forward_batch(X, np.array(lens), params)
+        for b, (S, _) in enumerate(batch):
+            alone, _ = lstm_forward_batch(S[None], np.array([lens[b]]), params)
+            assert np.allclose(logits[b], alone[0], rtol=0.0, atol=1e-12)
+
+        check_model(model, batch)
+        _, _, dX = loss_and_gradients(model, batch, want_dx=True)
+        for b, (S, _) in enumerate(batch):
+            numeric = finite_difference(
+                lambda: loss_and_gradients(model, batch)[0], {"x": S})["x"]
+            assert rel_err(dX[b, :lens[b]], numeric) <= TOL
+            assert np.all(dX[b, lens[b]:] == 0.0)
 
 
 class TestCnnGradients:

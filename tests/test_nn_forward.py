@@ -23,6 +23,7 @@ from multisent.nn import (
     predict_proba_batch,
     softmax,
 )
+from multisent.nn.activations import sigmoid
 
 SIG1 = 0.7310585786300049   # 1 / (1 + e^-1)
 TANH1 = 0.7615941559557649  # tanh(1)
@@ -59,7 +60,7 @@ class TestLstmCellOracle:
     def test_single_step_tanh_candidate(self):
         params = unit_lstm_params()
         _, cache = lstm_one(np.ones((1, 1)), params, "tanh")
-        c, h = cache.steps[0].c_new[0], cache.h_last[0]
+        c, h = cache.c[0], cache.h_last[0]
         # All gates see pre-activation 1*1 + 1*0 + 0 = 1.
         i = f = o = 1.0 / (1.0 + math.exp(-1.0))
         g = math.tanh(1.0)
@@ -72,7 +73,7 @@ class TestLstmCellOracle:
     def test_single_step_sigmoid_candidate(self):
         params = unit_lstm_params()
         _, cache = lstm_one(np.ones((1, 1)), params, "sigmoid")
-        c, h = cache.steps[0].c_new[0], cache.h_last[0]
+        c, h = cache.c[0], cache.h_last[0]
         i = o = g = 1.0 / (1.0 + math.exp(-1.0))
         c_exp = i * g
         h_exp = o * math.tanh(c_exp)
@@ -82,8 +83,8 @@ class TestLstmCellOracle:
     def test_two_steps_by_hand(self):
         params = unit_lstm_params()
         _, cache = lstm_one(np.ones((2, 1)), params, "tanh")
-        h1, c1 = cache.steps[1].h_prev[0], cache.steps[0].c_new[0]
-        h2, c2 = cache.h_last[0], cache.steps[1].c_new[0]
+        h1, c1 = cache.h_prev[1], cache.c[0]
+        h2, c2 = cache.h_last[0], cache.c[1]
         pre = 1.0 + h1[0]
         gate = 1.0 / (1.0 + math.exp(-pre))
         cand = math.tanh(pre)
@@ -97,7 +98,7 @@ class TestLstmCellOracle:
         params = unit_lstm_params()
         X = np.ones((2, 1))
         logits, cache = lstm_one(X, params)
-        c1 = cache.steps[0].c_new[0]
+        c1 = cache.c[0]
         h1 = SIG1 * math.tanh(c1[0])
         pre = 1.0 + h1
         gate = 1.0 / (1.0 + math.exp(-pre))
@@ -166,6 +167,39 @@ class TestLstmBatch:
         lengths = np.array([9, 4, 7, 1])
         _, cache = lstm_forward_batch(X, lengths, params)
         assert np.max(np.abs(cache.h_last)) < 1.0
+
+
+def sign_split_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) on x >= 0 and e^x / (1 + e^x) below, entry by entry."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    GRID = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e-8, -1e-8, 0.5, -0.5,
+                     1.0, -1.0, 36.0, -36.0, 37.5, -37.5, 40.0, -40.0, 700.0, -700.0,
+                     720.0, -720.0, 745.5, -745.5, 800.0, -800.0, np.inf, -np.inf])
+
+    def test_bitwise_equal_to_sign_split_reference(self):
+        rng = np.random.default_rng(8)
+        dense = np.concatenate([self.GRID, rng.normal(scale=20.0, size=4000),
+                                rng.uniform(-1000.0, 1000.0, size=4000)])
+        with np.errstate(under="ignore"):
+            expected = sign_split_sigmoid(dense)
+        got = sigmoid(dense)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+        assert sigmoid(dense.reshape(2, -1)).tobytes() == expected.tobytes()
+
+    def test_raises_no_floating_point_error(self):
+        with np.errstate(all="raise"):
+            out = sigmoid(self.GRID)
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        assert out[0] == out[1] == 0.5 and out[-2] == 1.0 and out[-1] == 0.0
 
 
 def single_filter_cnn() -> CnnParams:
