@@ -75,7 +75,6 @@ from .preprocess import (
     normalize,
     preprocess_corpus,
     preprocess_record,
-    tokenize,
 )
 from .rng import SplitMix64, derive_stream
 from .synth import SynthSpec, generate_fixture, write_fixture
@@ -138,7 +137,6 @@ __all__ = [
     "save_translation_matrix",
     "select_pivot_pairs",
     "split_dev",
-    "tokenize",
     "train",
     "train_nb",
     "train_svm_ovo",

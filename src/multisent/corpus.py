@@ -63,14 +63,6 @@ class TweetRecord:
             raise SchemaError(f"record {self.id!r}: both text and tokens are empty")
 
 
-def validate_langs(records: Iterable[TweetRecord], languages: Sequence[str]) -> None:
-    """Check every record's language against a closed set."""
-    allowed = set(languages)
-    for rec in records:
-        if rec.lang not in allowed:
-            raise SchemaError(f"record {rec.id!r}: lang {rec.lang!r} not in configured set {sorted(allowed)}")
-
-
 def _record_from_json(obj: dict, line: int) -> TweetRecord:
     for key in ("id", "lang", "label"):
         if key not in obj:
@@ -96,16 +88,13 @@ def _record_from_json(obj: dict, line: int) -> TweetRecord:
         raise
 
 
-def load_corpus(path: str | Path, format: str = "jsonl") -> list[TweetRecord]:
-    """Load a labeled corpus from JSONL or TSV, in file order.
+def load_corpus(path: str | Path) -> list[TweetRecord]:
+    """Load a labeled JSONL corpus, in file order.
 
-    JSONL lines carry {id, lang, text, tokens?, label}; unknown fields are
-    ignored. TSV rows carry the columns id, lang, label, text. Labels are
-    validated against the three-way set; errors name the offending line.
+    Lines carry {id, lang, text, tokens?, label}; unknown fields are
+    ignored. Labels are validated against the three-way set; errors name
+    the offending line.
     """
-    path = Path(path)
-    if format not in ("jsonl", "tsv"):
-        raise ArgumentError(f"unknown corpus format {format!r}")
     records: list[TweetRecord] = []
     # Lines end at \n, \r\n or \r only: a raw U+2028 or U+0085 inside a
     # JSON string belongs to its record, so str.splitlines would be wrong.
@@ -114,27 +103,18 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> list[TweetRecord]:
         line = raw.rstrip("\n")
         if not line.strip():
             continue
-        if format == "jsonl":
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ParseError(f"invalid JSON: {err.msg}", lineno) from None
-            if not isinstance(obj, dict):
-                raise ParseError("line is not a JSON object", lineno)
-            records.append(_record_from_json(obj, lineno))
-        else:
-            parts = line.split("\t", 3)
-            if len(parts) != 4:
-                raise ParseError(f"expected 4 tab-separated columns, got {len(parts)}", lineno)
-            rec_id, lang, label, text = parts
-            records.append(
-                TweetRecord(id=rec_id, lang=lang, text=text, label=parse_label(label, lineno))
-            )
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ParseError(f"invalid JSON: {err.msg}", lineno) from None
+        if not isinstance(obj, dict):
+            raise ParseError("line is not a JSON object", lineno)
+        records.append(_record_from_json(obj, lineno))
     return records
 
 
 def save_corpus(records: Iterable[TweetRecord], path: str | Path) -> None:
-    """Write records as JSONL (inverse of load_corpus for the jsonl format)."""
+    """Write records as JSONL (the inverse of load_corpus)."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             obj = {"id": rec.id, "lang": rec.lang, "text": rec.text, "label": int(rec.label)}

@@ -1,16 +1,21 @@
-"""Tweet text normalization and tokenization.
+"""Tweet text normalization and record preprocessing.
 
-Normalization unifies surface variation before tokenization. Stages, in
-order: per-language casing/width policy, URL replacement, emoji
-replacement, emoticon replacement, whitespace collapse. Casing runs
-first so width-normalized faces ("（＾ｏ＾）") are visible to the
-emoticon patterns. Every stage skips replacement tokens already present
-in the text, which is what makes normalize idempotent: a second pass
-finds only protected tokens and already-normalized text.
+Normalization unifies surface variation before tokenization: first the
+language's casing/width policy, then a table of replacement stages, then
+whitespace collapse. Casing runs first so width-normalized faces
+("（＾ｏ＾）") are visible to the emoticon patterns.
 
-Emoji are detected by codepoint ranges, listed in EMOJI_RANGES. Variation
-selectors (U+FE0E/U+FE0F) and the zero-width joiner (U+200D) are dropped,
-so each pictographic codepoint yields exactly one token.
+`NormalizationRuleSet.stages` is that table: an ordered tuple of
+(compiled regex, replacement) pairs, applied with `re.sub`. The order is
+URL, emoji, the emoticon literals (one alternation, present only when
+there are literals), then each emoticon pattern in file order. Every
+stage skips the replacement tokens already present in the text, which
+is what makes normalize idempotent: a second pass finds only protected
+tokens and already-normalized text.
+
+The emoji stage is one character class built from EMOJI_RANGES. Each
+codepoint in those ranges becomes one token; variation selectors
+(U+FE0E/U+FE0F) and the zero-width joiner (U+200D) are dropped.
 
 Emoticon detection ships as a versioned pattern file (one regex per line)
 plus a literal exception list for rare faces; both live in the package
@@ -28,7 +33,7 @@ from importlib import resources
 from pathlib import Path
 
 from .corpus import Polarity, TweetRecord
-from .errors import ArgumentError, ConfigurationError, RecordDropError, read_text
+from .errors import ArgumentError, ConfigurationError, ParseError, RecordDropError, read_text
 
 # Codepoint ranges replaced by emoji tokens (inclusive).
 EMOJI_RANGES: tuple[tuple[int, int], ...] = (
@@ -43,13 +48,19 @@ EMOJI_RANGES: tuple[tuple[int, int], ...] = (
 )
 
 # Invisible joiners/selectors removed during the emoji pass.
-_DROPPED_CODEPOINTS = {0xFE0E, 0xFE0F, 0x200D}
+_DROPPED_CODEPOINTS = (0xFE0E, 0xFE0F, 0x200D)
 
 _URL_PATTERN = re.compile(r"(?:https?|ftp)://\S+", re.IGNORECASE)
 
+# A dropped codepoint matches with group 1 unset; an emoji sets group 1.
+_EMOJI_PATTERN = re.compile(
+    "[" + "".join(f"\\U{cp:08X}" for cp in _DROPPED_CODEPOINTS) + "]|(["
+    + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in EMOJI_RANGES) + "])"
+)
+
 
 class CasingPolicy(enum.Enum):
-    """Per-language character normalization applied after token replacement."""
+    """Per-language character normalization applied before token replacement."""
 
     PLAIN = "plain"            # lowercase only
     NFKC = "nfkc"              # NFKC width/compat normalization, then lowercase
@@ -74,14 +85,19 @@ def load_literal_file(path: str | Path) -> list[str]:
 def load_mapping_table(path: str | Path) -> dict[int, int]:
     """Read a TSV of hex codepoint pairs (traditional -> simplified)."""
     table: dict[int, int] = {}
-    for raw in read_text(path).splitlines():
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split("\t")
         if len(parts) < 2:
-            raise ArgumentError(f"mapping line needs two tab-separated codepoints: {raw!r}")
-        table[int(parts[0], 16)] = int(parts[1], 16)
+            raise ParseError(f"mapping line needs two tab-separated codepoints: {raw!r}", lineno)
+        try:
+            src, dst = int(parts[0], 16), int(parts[1], 16)
+            chr(src), chr(dst)  # rejects codepoints outside Unicode
+        except ValueError:
+            raise ParseError(f"mapping line needs hex codepoints up to 10FFFF: {raw!r}", lineno) from None
+        table[src] = dst
     return table
 
 
@@ -91,7 +107,12 @@ def _data_path(name: str) -> Path:
 
 @dataclass
 class NormalizationRuleSet:
-    """Replacement tokens, per-language policies, and detection pattern sets."""
+    """Replacement tokens, per-language policies, and detection pattern sets.
+
+    Construction compiles `stages`, the ordered (regex, replacement) pairs
+    that normalize applies, and `guard`, the regex of replacement tokens
+    every stage leaves alone.
+    """
 
     emoji_token_prefix: str = "EMOJI_"
     emoticon_token: str = "EMOTICON"
@@ -106,7 +127,6 @@ class NormalizationRuleSet:
         for token in (self.emoji_token_prefix, self.emoticon_token, self.url_token):
             if not token or any(ch.isspace() for ch in token):
                 raise ArgumentError(f"replacement token {token!r} must be non-empty and whitespace-free")
-        self._compiled = [re.compile(p) for p in self.emoticon_patterns]
         # Literals are matched before patterns, longest first and
         # case-insensitively (casing runs before emoticon detection, so
         # each literal's NFKC form must match too). Bare-word literals
@@ -121,9 +141,17 @@ class NormalizationRuleSet:
             if all(ch.isalnum() or ch == "_" for ch in lit):
                 body = rf"(?<!\w){body}(?!\w)"
             parts.append(body)
-        self._literal_re = re.compile("|".join(parts), re.IGNORECASE) if parts else None
+        prefix, emoticon = self.emoji_token_prefix, f" {self.emoticon_token} "
+        stages = [
+            (_URL_PATTERN, f" {self.url_token} "),
+            (_EMOJI_PATTERN, lambda m: f" {prefix}{ord(m[1]):X} " if m[1] else ""),
+        ]
+        if parts:
+            stages.append((re.compile("|".join(parts), re.IGNORECASE), emoticon))
+        stages.extend((re.compile(p), emoticon) for p in self.emoticon_patterns)
+        self.stages = tuple(stages)
         # Replacement tokens are protected from every stage.
-        self._protected_re = re.compile(
+        self.guard = re.compile(
             "("
             + "|".join(
                 [
@@ -168,23 +196,6 @@ def default_rules() -> NormalizationRuleSet:
     )
 
 
-def _is_emoji(cp: int) -> bool:
-    return any(lo <= cp <= hi for lo, hi in EMOJI_RANGES)
-
-
-def _replace_emoji(text: str, prefix: str) -> str:
-    out: list[str] = []
-    for ch in text:
-        cp = ord(ch)
-        if cp in _DROPPED_CODEPOINTS:
-            continue
-        if _is_emoji(cp):
-            out.append(f" {prefix}{cp:X} ")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
 def _outside_tokens(text: str, protected_re: re.Pattern, fn) -> str:
     """Apply fn to the stretches of text between protected tokens."""
     pieces = protected_re.split(text)
@@ -196,11 +207,10 @@ def _outside_tokens(text: str, protected_re: re.Pattern, fn) -> str:
 def normalize(text: str, lang: str, rules: NormalizationRuleSet) -> str:
     """Normalize one tweet's text for a given language.
 
-    Pipeline: the language's casing/width policy, then URL, emoji, and
-    emoticon replacement, then whitespace collapse. Each stage leaves
-    replacement tokens created earlier (or already present) untouched.
-    Total on valid input and idempotent: a second pass leaves the output
-    unchanged.
+    The language's casing/width policy, then each of `rules.stages` in
+    order, then whitespace collapse. Each stage leaves replacement tokens
+    created earlier (or already present) untouched. Total on valid input
+    and idempotent: a second pass leaves the output unchanged.
     """
     policy = rules.policy_for(lang)
 
@@ -211,27 +221,10 @@ def normalize(text: str, lang: str, rules: NormalizationRuleSet) -> str:
             seg = seg.translate(rules.trad2simp)
         return seg.lower()
 
-    guard = rules._protected_re
-    text = _outside_tokens(text, guard, apply_policy)
-    text = _outside_tokens(text, guard, lambda s: _URL_PATTERN.sub(f" {rules.url_token} ", s))
-    text = _outside_tokens(text, guard, lambda s: _replace_emoji(s, rules.emoji_token_prefix))
-    if rules._literal_re is not None:
-        literal_re = rules._literal_re
-        text = _outside_tokens(text, guard, lambda s: literal_re.sub(f" {rules.emoticon_token} ", s))
-    for pattern in rules._compiled:
-        text = _outside_tokens(text, guard, lambda s: pattern.sub(f" {rules.emoticon_token} ", s))
+    text = _outside_tokens(text, rules.guard, apply_policy)
+    for rx, repl in rules.stages:
+        text = _outside_tokens(text, rules.guard, lambda s: rx.sub(repl, s))
     return " ".join(text.split())
-
-
-def tokenize(text: str, lang: str, mode: str = "whitespace", tokens: list[str] | None = None) -> list[str]:
-    """Split normalized text on whitespace, or pass pre-tokenized input through."""
-    if mode == "whitespace":
-        return text.split()
-    if mode == "pretokenized":
-        if tokens is None:
-            raise ConfigurationError("pretokenized mode requires a tokens field")
-        return list(tokens)
-    raise ArgumentError(f"unknown tokenize mode {mode!r}")
 
 
 @dataclass
@@ -257,22 +250,23 @@ def preprocess_record(
     rules: NormalizationRuleSet,
     mode: str = "whitespace",
 ) -> TokenizedTweet:
-    """Normalize and tokenize one record.
+    """Normalize and tokenize one record; the one place that reads `mode`.
 
-    In pretokenized mode each supplied token is normalized individually;
+    In whitespace mode the normalized text is split on whitespace. In
+    pretokenized mode each supplied token is normalized individually;
     tokens whose normalization introduces spaces (an embedded emoji or
     URL) expand into several tokens, and tokens that normalize to nothing
     are dropped. A record with no tokens left raises RecordDropError so
     corpus statistics can report the drop.
     """
-    if mode == "pretokenized":
+    if mode == "whitespace":
+        toks = normalize(record.text, record.lang, rules).split()
+    elif mode == "pretokenized":
         if record.tokens is None:
             raise ConfigurationError(f"record {record.id!r} has no tokens for pretokenized mode")
-        toks: list[str] = []
-        for tok in record.tokens:
-            toks.extend(normalize(tok, record.lang, rules).split())
+        toks = [t for tok in record.tokens for t in normalize(tok, record.lang, rules).split()]
     else:
-        toks = tokenize(normalize(record.text, record.lang, rules), record.lang, mode)
+        raise ArgumentError(f"unknown tokenize mode {mode!r}")
     if not toks:
         raise RecordDropError(record.id, "empty after normalization")
     return TokenizedTweet(id=record.id, lang=record.lang, label=record.label, tokens=toks)

@@ -15,7 +15,6 @@ from multisent.corpus import (
     parse_label,
     save_corpus,
     split_dev,
-    validate_langs,
 )
 from multisent.errors import ArgumentError, ParseError, SchemaError
 
@@ -96,22 +95,9 @@ def test_missing_field_names_line(tmp_path):
     assert exc.value.line == 1 and "lang" in str(exc.value)
 
 
-def test_tsv_format(tmp_path):
-    p = tmp_path / "c.tsv"
-    p.write_text("t1\ten\tpos\thello world\tthere\n", encoding="utf-8")
-    records = load_corpus(p, format="tsv")
-    assert records[0].text == "hello world\tthere"  # text may contain tabs
-
-
 def test_empty_record_rejected():
     with pytest.raises(SchemaError):
         TweetRecord(id="x", lang="en", text="", label=Polarity.NEUTRAL)
-
-
-def test_validate_langs():
-    recs = [TweetRecord(id="a", lang="fr", text="x", label=Polarity.NEUTRAL)]
-    with pytest.raises(SchemaError):
-        validate_langs(recs, ["en", "ja"])
 
 
 def _records(n):

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multisent.corpus import Polarity, TweetRecord
-from multisent.errors import ArgumentError, ConfigurationError, RecordDropError
+from multisent.errors import ArgumentError, ConfigurationError, ParseError, RecordDropError
 from multisent.preprocess import (
+    EMOJI_RANGES,
     NormalizationRuleSet,
     default_rules,
     load_literal_file,
@@ -15,7 +16,6 @@ from multisent.preprocess import (
     normalize,
     preprocess_corpus,
     preprocess_record,
-    tokenize,
 )
 
 RULES = default_rules()
@@ -106,25 +106,45 @@ def test_idempotence_generically(text, lang):
     assert normalize(once, lang, RULES) == once
 
 
-# -- tokenize --------------------------------------------------------------
+# Pinned outputs: a change to any of these changes every model's input.
+@pytest.mark.parametrize("text,lang,expected", [
+    ("\U0001F468\u200d\U0001F469\u200d\U0001F467", "en",  # ZWJ family
+     "EMOJI_1F468 EMOJI_1F469 EMOJI_1F467"),
+    ("\U0001F1EF\U0001F1F5", "en", "EMOJI_1F1EF EMOJI_1F1F5"),  # flag pair
+    ("\U0001F44D\U0001F3FD", "en", "EMOJI_1F44D EMOJI_1F3FD"),  # skin tone
+    ("\u2764\ufe0f", "en", "EMOJI_2764"),  # VS16 dropped
+    ("http://x.co/a\U0001F600", "en", "URL"),  # the URL stage runs first
+    ("\U0001F600https://x.co", "en", "EMOJI_1F600 URL"),
+    (":-)\U0001F600", "en", "EMOTICON EMOJI_1F600"),
+    ("\U0001F600:-)", "en", "EMOJI_1F600 EMOTICON"),
+    ("Good\U0001F600Day", "en", "good EMOJI_1F600 day"),
+    ("keep EMOJI_1F600 as is", "en", "keep EMOJI_1F600 as is"),
+    ("\u25ff\u2600\u27bf\u27c0", "en", "\u25ff EMOJI_2600 EMOJI_27BF \u27c0"),
+    ("\U0001D400", "en", "\U0001D400"),
+    ("\U0001D400", "ja", "a"),
+])
+def test_normalize_pinned_bytes(text, lang, expected):
+    assert normalize(text, lang, RULES) == expected
 
-def test_whitespace_tokenize():
-    assert tokenize("a  b", "en") == ["a", "b"]
 
-
-def test_pretokenized_passthrough():
-    toks = ["今日", "は", "いい"]
-    assert tokenize("", "ja", mode="pretokenized", tokens=toks) == toks
-
-
-def test_pretokenized_requires_tokens():
-    with pytest.raises(ConfigurationError):
-        tokenize("text", "en", mode="pretokenized", tokens=None)
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ArgumentError):
-        tokenize("text", "en", mode="characters")
+def test_emoji_stage_over_every_codepoint():
+    rx, repl = NormalizationRuleSet().stages[1]
+    cps = [cp for cp in range(0x110000) if not 0xD800 <= cp <= 0xDFFF]
+    out = rx.sub(repl, "".join(map(chr, cps)))
+    emoji = {cp for lo, hi in EMOJI_RANGES for cp in range(lo, hi + 1)}
+    expected = []
+    for cp in cps:
+        if cp in (0xFE0E, 0xFE0F, 0x200D):
+            continue
+        if cp in emoji:
+            expected.append(f" EMOJI_{cp:X} ")
+        else:
+            expected.append(chr(cp))
+    expected = "".join(expected)
+    if out != expected:  # not an assert: a million-character diff is unreadable
+        pairs = enumerate(zip(out, expected))
+        first = next((i for i, (a, b) in pairs if a != b), min(len(out), len(expected)))
+        pytest.fail(f"emoji stage differs from the range check at output index {first}")
 
 
 # -- preprocess_record / corpus -------------------------------------------
@@ -163,6 +183,16 @@ def test_corpus_collects_drops():
     assert dropped == ["gone"]
 
 
+def test_pretokenized_requires_tokens():
+    with pytest.raises(ConfigurationError):
+        preprocess_record(_rec("text", tokens=None), RULES, "pretokenized")
+
+
+def test_unknown_mode_rejected():
+    with pytest.raises(ArgumentError, match="unknown tokenize mode 'characters'"):
+        preprocess_record(_rec("text"), RULES, "characters")
+
+
 def test_pretokenized_tokens_normalized_per_token():
     tw = preprocess_record(
         _rec("", rid="p1", lang="ja", tokens=["ＡＢ", "❤"]),
@@ -199,9 +229,33 @@ def test_mapping_table_format(tmp_path):
     assert load_mapping_table(p) == {0x8AAA: 0x8BF4}
 
 
+@pytest.mark.parametrize("bad", ["zz\t4E00", "8AAA\t110000"])
+def test_mapping_table_non_hex_names_line(tmp_path, bad):
+    p = tmp_path / "map.tsv"
+    p.write_text(f"# header\n8AAA\t8BF4\n{bad}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_mapping_table(p)
+    assert exc.value.line == 3
+
+
+def test_mapping_table_single_field_names_line(tmp_path):
+    p = tmp_path / "map.tsv"
+    p.write_text("8AAA\t8BF4\n8AAA\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_mapping_table(p)
+    assert exc.value.line == 2
+
+
 def test_replacement_tokens_must_be_whitespace_free():
     with pytest.raises(ArgumentError):
         NormalizationRuleSet(url_token="U RL")
+
+
+def test_no_literals_means_no_literal_stage():
+    rules = NormalizationRuleSet(emoticon_patterns=[":-?\\)", ";\\)"])
+    assert [rx.pattern for rx, _ in rules.stages[2:]] == [":-?\\)", ";\\)"]
+    assert len(NormalizationRuleSet(emoticon_literals=["xD"]).stages) == 3
+    assert normalize("x :) ;)", "en", rules) == "x EMOTICON EMOTICON"
 
 
 def test_rules_fingerprint_tracks_content():
