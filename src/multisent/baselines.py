@@ -11,12 +11,19 @@ smoothing.
 
 The SVM is a soft-margin linear machine trained in the dual by
 coordinate descent with a deterministic sweep order; the bias is an
-appended constant feature. Multiclass is one-vs-one with majority
-voting, ties resolved to the lowest label code.
+appended constant feature. The sweep visits examples in blocks of
+BLOCK consecutive ones: it reads a block's margins with one gather,
+steps through the block's coordinates in Python scalars, correcting each
+margin by the block's own earlier steps through the block's exact
+integer Gram entries, and writes the block's weight changes at once.
+That is the sequential iterate with a different float summation order.
+Multiclass is one-vs-one with majority voting, ties resolved to the
+lowest label code.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +35,7 @@ from .preprocess import TokenizedTweet
 
 NGRAM_JOINER = "\x1f"
 SCHEMES = ("per_language", "cumulative_multilingual")
+BLOCK = 8  # examples per block of the SVM coordinate sweep
 
 
 def ngrams_of(tokens: list[str]) -> list[str]:
@@ -111,6 +119,27 @@ class NBModel:
     log_lik: np.ndarray            # (n_classes, V) log P(feature present | class)
 
 
+def _joined_ids(vectors: list[np.ndarray]) -> np.ndarray:
+    """All examples' feature ids end to end."""
+    return np.concatenate([v for v in vectors if v.size] or [np.empty(0, dtype=np.int64)])
+
+
+def _check_ids(ids: np.ndarray, dimension: int) -> None:
+    """Raise unless every feature id is an integer in [0, dimension)."""
+    if not ids.size:
+        return
+    if ids.dtype.kind not in "iu":
+        raise ArgumentError(f"feature ids must be integers, got dtype {ids.dtype}")
+    bad = ids[(ids < 0) | (ids >= dimension)]
+    if bad.size:
+        raise ArgumentError(f"feature id {int(bad[0])} outside [0, {dimension})")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ArgumentError(f"{name} must be finite and positive, got {value}")
+
+
 def train_nb(
     vectors: list[np.ndarray],
     labels: list[int],
@@ -122,11 +151,11 @@ def train_nb(
         raise ArgumentError("empty training set")
     if len(vectors) != len(labels):
         raise ArgumentError("vectors and labels differ in length")
-    if alpha <= 0:
-        raise ArgumentError(f"alpha must be positive, got {alpha}")
+    _check_positive("alpha", alpha)
     V = dimension
     if V is None:
         V = max((int(v.max()) + 1 for v in vectors if v.size), default=0)
+    _check_ids(_joined_ids(vectors), V)
     classes = sorted(set(int(y) for y in labels))
     n_by_class = np.zeros(len(classes))
     present = np.zeros((len(classes), V))
@@ -207,16 +236,50 @@ def train_binary_svm(
     Minimizes 0.5 ||w||^2 + C sum_i hinge(1 - y_i w.x_i) through its
     dual; the recorded dual objective sum(alpha) - 0.5 ||w||^2 is
     non-decreasing across sweeps. Examples are visited in a fixed order
-    every sweep, so training is deterministic.
+    every sweep, so training is deterministic. Each vector holds
+    strictly increasing ids in [0, dimension), as vectorize returns them.
+
+    The sweep runs over blocks of BLOCK consecutive examples. A block's
+    margins w.x_j are read at once, before any of its steps; step j then
+    adds the block's earlier alpha changes times their signed Gram
+    entries y_j y_k (|x_j & x_k| + 1), which are exact small integers,
+    so every step sees the same margin as in a one-example-at-a-time
+    sweep, summed in a different order. The block's weight changes are
+    written after its last step, in example order.
     """
     n = len(vectors)
     if n == 0:
         raise ArgumentError("empty training set")
-    if C <= 0:
-        raise ArgumentError(f"C must be positive, got {C}")
-    # Bias handled as a constant appended feature: Q_ii = |x_i| + 1 > 0.
-    q_diag = np.array([float(v.size) + 1.0 for v in vectors])
-    alpha = np.zeros(n)
+    if len(ys) != n:
+        raise ArgumentError("vectors and labels differ in length")
+    _check_positive("C", C)
+    ids = _joined_ids(vectors)
+    _check_ids(ids, dimension)
+    sizes = [v.size for v in vectors]
+    # Bias handled as a constant feature appended to every example.
+    ids = np.insert(ids, np.cumsum(sizes), dimension)
+    lengths = np.array(sizes) + 1
+    starts = np.cumsum(lengths) - lengths
+    rising = np.diff(ids) > 0
+    rising[starts[1:] - 1] = True         # from one example's bias to the next example
+    if not rising.all():
+        raise ArgumentError("the feature ids of each example must be strictly increasing")
+
+    ys = [float(y) for y in ys]
+    q_diag = [s + 1.0 for s in sizes]     # Q_ii = |x_i| + 1 > 0
+    alpha = [0.0] * n
+    blocks = []
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        sets = [set(v.tolist()) for v in vectors[lo:hi]]
+        # gram[j][k] = y_j y_k (|x_j & x_k| + 1) for the block's rows k < j
+        gram = [[ys[lo + j] * ys[lo + k] * (len(sets[j] & sets[k]) + 1) for k in range(j)]
+                for j in range(hi - lo)]
+        first = starts[lo]
+        row_lengths = lengths[lo:hi]
+        blocks.append((lo, ids[first:first + row_lengths.sum()], starts[lo:hi] - first,
+                       row_lengths, gram))
+
     w = np.zeros(dimension + 1)
     history: list[float] = []
     converged = False
@@ -224,28 +287,37 @@ def train_binary_svm(
     for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
         max_pg = 0.0
-        for i in range(n):
-            vec = vectors[i]
-            y = ys[i]
-            wx = w[-1] + (float(w[vec].sum()) if vec.size else 0.0)
-            G = y * wx - 1.0
-            a = alpha[i]
-            if a <= 0.0:
-                pg = min(G, 0.0)
-            elif a >= C:
-                pg = max(G, 0.0)
-            else:
-                pg = G
-            if pg != 0.0:
-                max_pg = max(max_pg, abs(pg))
-                a_new = min(max(a - G / q_diag[i], 0.0), C)
-                delta = (a_new - a) * y
-                if delta != 0.0:
-                    if vec.size:
-                        w[vec] += delta
-                    w[-1] += delta
+        for lo, block_ids, row_starts, row_lengths, gram in blocks:
+            margins = np.add.reduceat(w[block_ids], row_starts).tolist()
+            steps: list[tuple[int, float]] = []    # (row in block, alpha change)
+            for j, margin in enumerate(margins):
+                i = lo + j
+                G = ys[i] * margin
+                row = gram[j]
+                for k, change in steps:
+                    G += change * row[k]
+                G -= 1.0
+                a = alpha[i]
+                # Skip when the projected gradient is 0: G == 0, or G
+                # pushes alpha out through the bound it already sits on.
+                if G == 0.0 or (G > 0.0 and a <= 0.0) or (G < 0.0 and a >= C):
+                    continue
+                if abs(G) > max_pg:
+                    max_pg = abs(G)
+                a_new = a - G / q_diag[i]
+                if a_new < 0.0:
+                    a_new = 0.0
+                elif a_new > C:
+                    a_new = C
+                if a_new != a:
+                    steps.append((j, a_new - a))
                     alpha[i] = a_new
-        history.append(float(alpha.sum() - 0.5 * float(w @ w)))
+            if steps:
+                deltas = [0.0] * len(margins)
+                for j, change in steps:
+                    deltas[j] = change * ys[lo + j]
+                np.add.at(w, block_ids, np.array(deltas).repeat(row_lengths))
+        history.append(sum(alpha) - 0.5 * float(w @ w))
         if max_pg < tol:
             converged = True
             break

@@ -22,7 +22,7 @@ from .align import (
     save_translation_matrix,
     select_pivot_pairs,
 )
-from .baselines import build_feature_space, save_feature_space
+from .baselines import SCHEMES, build_feature_space, save_feature_space
 from .corpus import load_corpus, make_folds, split_dev
 from .embeddings import (
     load_embedding_table,
@@ -288,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="cross-validate an n-gram baseline")
     p.add_argument("--model", choices=("nb", "svm"), required=True)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--scheme", choices=("per_language", "cumulative_multilingual"),
-                   default="cumulative_multilingual")
+    p.add_argument("--scheme", choices=SCHEMES, default="cumulative_multilingual")
     p.add_argument("--alpha", type=float, default=1.0, help="NB smoothing")
     p.add_argument("--c", type=float, default=1.0, help="SVM cost")
     p.add_argument("--folds", type=int, default=10)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -27,6 +28,7 @@ from .align import (
     select_pivot_pairs,
 )
 from .baselines import (
+    SCHEMES,
     build_feature_space,
     predict_nb,
     predict_svm,
@@ -111,6 +113,12 @@ class ExperimentConfig:
             )
         if not self.languages:
             raise ConfigurationError("languages must be non-empty")
+        if self.scheme not in SCHEMES:
+            raise ConfigurationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        for key in ("alpha", "C"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{key} must be finite and positive, got {value}")
         if self.scope != "all" and self.scope not in self.languages:
             raise ConfigurationError(
                 f"scope {self.scope!r} is not in languages {self.languages}"

@@ -158,6 +158,19 @@ class TestNaiveBayes:
         with pytest.raises(ArgumentError):
             train_nb([np.array([0])], [0], alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ArgumentError, match="alpha must be finite and positive"):
+            train_nb(self.VECTORS, self.LABELS, alpha=alpha, dimension=2)
+
+    @pytest.mark.parametrize("bad, dimension", [
+        (-1, 2), (-1, None), (2, 2), (5, 2),
+    ])
+    def test_feature_id_out_of_range_rejected(self, bad, dimension):
+        vectors = [np.array([0]), np.array([bad]), np.array([1])]
+        with pytest.raises(ArgumentError, match=f"feature id {bad} outside"):
+            train_nb(vectors, [0, 0, 2], dimension=dimension)
+
 
 def brute_force_primal(vectors, ys, dim, C, span=3.0, levels=6, points=13):
     """Grid-refinement minimizer of the primal objective over (w, bias)."""
@@ -234,6 +247,125 @@ class TestBinarySvm:
             train_binary_svm([np.array([0])], np.array([1.0]), dimension=1,
                              pos_code=0, neg_code=1, C=0.0)
 
+    @pytest.mark.parametrize("C", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_c_rejected(self, C):
+        with pytest.raises(ArgumentError, match="C must be finite and positive"):
+            train_binary_svm(self.VECTORS, self.YS, dimension=2,
+                             pos_code=0, neg_code=2, C=C)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([-1]), "feature id -1 outside \\[0, 2\\)"),
+        (np.array([5]), "feature id 5 outside \\[0, 2\\)"),
+        (np.array([1, 0]), "strictly increasing"),
+        (np.array([1, 1]), "strictly increasing"),
+        (np.array([0.0]), "must be integers"),
+    ], ids=["negative", "too-large", "unsorted", "repeated", "float"])
+    def test_bad_feature_ids_rejected(self, bad, message):
+        vectors = [np.array([0]), bad, np.array([1])]
+        with pytest.raises(ArgumentError, match=message):
+            train_binary_svm(vectors, np.array([1.0, -1.0, -1.0]), dimension=2,
+                             pos_code=0, neg_code=2)
+
+    def test_label_count_must_match(self):
+        with pytest.raises(ArgumentError, match="differ in length"):
+            train_binary_svm(self.VECTORS, self.YS[:-1], dimension=2,
+                             pos_code=0, neg_code=2)
+
+
+def per_example_dcd(vectors, ys, dimension, C, tol=1e-4, max_sweeps=1000):
+    """The one-example-at-a-time sweep the blocked one must reproduce.
+
+    Returns (w, alpha, sweeps, converged, dual objective history).
+    """
+    n = len(vectors)
+    q_diag = np.array([float(v.size) + 1.0 for v in vectors])
+    alpha = np.zeros(n)
+    w = np.zeros(dimension + 1)
+    history = []
+    converged = False
+    sweeps = 0
+    for sweep in range(1, max_sweeps + 1):
+        sweeps = sweep
+        max_pg = 0.0
+        for i in range(n):
+            vec = vectors[i]
+            y = ys[i]
+            wx = w[-1] + (float(w[vec].sum()) if vec.size else 0.0)
+            G = y * wx - 1.0
+            a = alpha[i]
+            if a <= 0.0:
+                pg = min(G, 0.0)
+            elif a >= C:
+                pg = max(G, 0.0)
+            else:
+                pg = G
+            if pg != 0.0:
+                max_pg = max(max_pg, abs(pg))
+                a_new = min(max(a - G / q_diag[i], 0.0), C)
+                delta = (a_new - a) * y
+                if delta != 0.0:
+                    if vec.size:
+                        w[vec] += delta
+                    w[-1] += delta
+                    alpha[i] = a_new
+        history.append(float(alpha.sum() - 0.5 * float(w @ w)))
+        if max_pg < tol:
+            converged = True
+            break
+    return w, alpha, sweeps, converged, history
+
+
+def random_problem(n, seed, dimension, max_ids=12):
+    """Seeded sparse problem with empty vectors and duplicated examples.
+
+    Labels follow a random linear rule, one in ten flipped.
+    """
+    rng = np.random.default_rng(seed)
+    vectors = [np.unique(rng.integers(0, dimension, rng.integers(1, max_ids)))
+               for _ in range(n)]
+    for i in range(0, n, 5):
+        vectors[i] = np.array([], dtype=np.int64)
+    for i in range(3, n, 7):
+        vectors[i] = vectors[i - 1].copy()
+    rule = rng.normal(size=dimension)
+    ys = np.array([1.0 if rule[v].sum() > 0 else -1.0 for v in vectors])
+    ys[rng.random(n) < 0.1] *= -1
+    return vectors, ys
+
+
+class TestBlockedSweep:
+    """The blocked sweep against the per-example loop it replaces."""
+
+    def check(self, vectors, ys, dimension, C):
+        ref_w, ref_alpha, ref_sweeps, ref_converged, ref_hist = per_example_dcd(
+            vectors, ys, dimension, C)
+        m = train_binary_svm(vectors, ys, dimension, 0, 2, C=C)
+        assert (m.sweeps, m.converged) == (ref_sweeps, ref_converged)
+        assert np.max(np.abs(m.w - ref_w)) <= 1e-12
+        hist = m.dual_objective_history
+        assert len(hist) == len(ref_hist)
+        assert all(b >= a - 1e-12 for a, b in zip(hist, hist[1:]))
+        return ref_alpha
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 233])
+    def test_matches_per_example_sweep(self, n):
+        vectors, ys = random_problem(n, seed=n, dimension=3 * n + 5)
+        self.check(vectors, ys, 3 * n + 5, C=1.0)
+
+    @pytest.mark.parametrize("n", [9, 233])
+    def test_matches_with_alphas_on_both_bounds(self, n):
+        # Few columns and a small C: some examples end outside the margin
+        # (alpha 0) and some inside it (alpha C).
+        vectors, ys = random_problem(n, seed=1, dimension=12, max_ids=6)
+        C = 0.5
+        alpha = self.check(vectors, ys, 12, C)
+        assert (alpha == 0.0).any() and (alpha == C).any()
+
+    def test_all_empty_vectors(self):
+        vectors = [np.array([], dtype=np.int64)] * 11
+        ys = np.array([1.0, -1.0, 1.0] * 3 + [1.0, 1.0])
+        self.check(vectors, ys, dimension=4, C=1.0)
+
 
 class TestOneVsOne:
     def three_class_data(self):
@@ -254,6 +386,19 @@ class TestOneVsOne:
     def test_missing_class_rejected(self):
         with pytest.raises(ConfigurationError):
             train_svm_ovo([np.array([0]), np.array([1])], [0, 1], dimension=2)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_feature_id_out_of_range_rejected(self, bad):
+        vectors, labels = self.three_class_data()
+        vectors[-1] = np.array([bad])      # a negative-class example
+        with pytest.raises(ArgumentError, match=f"feature id {bad} outside"):
+            train_svm_ovo(vectors, labels, dimension=3)
+
+    @pytest.mark.parametrize("C", [float("nan"), float("inf")])
+    def test_non_finite_c_rejected(self, C):
+        vectors, labels = self.three_class_data()
+        with pytest.raises(ArgumentError, match="C must be finite and positive"):
+            train_svm_ovo(vectors, labels, dimension=3, C=C)
 
     def test_circular_votes_tie_to_lowest_code(self):
         def stub(pos, neg, bias):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from multisent import experiment
 from multisent.align import load_translation_matrix
 from multisent.cli import main
 from multisent.corpus import FoldPlan
@@ -145,6 +146,40 @@ class TestEvaluateAndCompare:
         rc = main(["evaluate", "--config", str(cfg)])
         assert rc == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, line, message", [
+        ("svm", "C = nan", "C must be finite and positive, got nan"),
+        ("svm", "C = inf", "C must be finite and positive, got inf"),
+        ("svm", "C = 0", "C must be finite and positive, got 0.0"),
+        ("nb", "alpha = nan", "alpha must be finite and positive, got nan"),
+        ("nb", "alpha = -1", "alpha must be finite and positive, got -1.0"),
+        ("svm", "scheme = trigram", "scheme must be one of"),
+    ], ids=["C-nan", "C-inf", "C-zero", "alpha-nan", "alpha-negative", "scheme"])
+    def test_bad_baseline_value_exits_2_before_reading_corpus(
+        self, fixture_dir, tmp_path, capsys, monkeypatch, kind, line, message
+    ):
+        calls = []
+        for name in ("load_corpus", "_run_fold"):
+            real = getattr(experiment, name)
+            monkeypatch.setattr(experiment, name,
+                                lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+        cfg = write_config(tmp_path / "bad.cfg", fixture_dir, [f"kind = {kind}", line])
+        rc = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "r.json").exists()
+
+    def test_baseline_command_rejects_nan_c_before_any_fold(
+        self, fixture_dir, tmp_path, capsys, monkeypatch
+    ):
+        folds = []
+        monkeypatch.setattr(experiment, "_run_fold", lambda *a, **k: folds.append(a))
+        rc = main(["baseline", "--model", "svm", "--c", "nan",
+                   "--in", str(fixture_dir / "corpus.jsonl"), "--folds", "3"])
+        assert rc == 2
+        assert "C must be finite and positive, got nan" in capsys.readouterr().err
+        assert folds == []
 
 
 class TestBaseline:
