@@ -1,10 +1,11 @@
 """Non-neural baselines: binarized n-gram features, Naive Bayes, linear SVM.
 
 Features are unigrams and bigrams with no frequency cutoff, binarized
-(each n-gram counts once per tweet). The cumulative multilingual scheme
-namespaces every n-gram by its language, so the same surface string in
-two languages occupies two columns and the combined dimensionality is
-exactly the sum of the per-language ones.
+(each n-gram counts once per tweet) and tagged with the tweet's
+language, so the same surface string in two languages occupies two
+columns and a multilingual space's dimensionality is exactly the sum of
+the per-language ones. Each training tweet's n-grams are computed once,
+for both the column index and the tweet's feature vector.
 
 Naive Bayes is multinomial over the binary features with add-alpha
 smoothing.
@@ -34,7 +35,6 @@ from .errors import ArgumentError, ConfigurationError, ParseError, read_text
 from .preprocess import TokenizedTweet
 
 NGRAM_JOINER = "\x1f"
-SCHEMES = ("per_language", "cumulative_multilingual")
 BLOCK = 8  # examples per block of the SVM coordinate sweep
 
 
@@ -50,14 +50,11 @@ def ngrams_of(tokens: list[str]) -> list[str]:
 
 @dataclass
 class FeatureSpace:
-    """Dense n-gram -> column mapping built from a training split."""
+    """Dense language-tagged n-gram -> column mapping built from a training split."""
 
-    scheme: str
     index: dict[str, int]
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ArgumentError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         ids = sorted(self.index.values())
         if ids != list(range(len(ids))):
             raise ArgumentError("feature ids must be dense 0..V-1")
@@ -66,46 +63,33 @@ class FeatureSpace:
     def dimension(self) -> int:
         return len(self.index)
 
-    def key(self, lang: str, ngram: str) -> str:
-        if self.scheme == "cumulative_multilingual":
-            return lang + NGRAM_JOINER + ngram
-        return ngram
+
+def _keys(tweet: TokenizedTweet) -> list[str]:
+    """The tweet's distinct n-grams, each prefixed by its language."""
+    prefix = tweet.lang + NGRAM_JOINER
+    return [prefix + ng for ng in ngrams_of(tweet.tokens)]
 
 
-def build_feature_space(tweets: list[TokenizedTweet], scheme: str) -> FeatureSpace:
-    """One column per distinct (possibly language-tagged) n-gram.
+def _ids(keys: list[str], index: dict[str, int]) -> np.ndarray:
+    """Column ids of the keys the index knows, strictly increasing."""
+    return np.array(sorted(index[k] for k in keys if k in index), dtype=np.int64)
+
+
+def build_feature_space(tweets: list[TokenizedTweet]) -> tuple[FeatureSpace, list[np.ndarray]]:
+    """One column per distinct language-tagged n-gram, and each tweet's column ids.
 
     Column ids are assigned lexicographically so the space is independent
-    of corpus order. The per_language scheme requires a single-language
-    corpus; mixed input needs the cumulative scheme.
+    of corpus order; on a one-language corpus that is the order of the
+    plain n-grams. The vectors equal vectorize(tweet, space) per tweet.
     """
-    if scheme not in SCHEMES:
-        raise ArgumentError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if scheme == "per_language":
-        langs = {tw.lang for tw in tweets}
-        if len(langs) > 1:
-            raise ArgumentError(
-                f"per_language scheme cannot mix languages {sorted(langs)}"
-            )
-    keys: set[str] = set()
-    for tw in tweets:
-        lang = tw.lang
-        for ng in ngrams_of(tw.tokens):
-            if scheme == "cumulative_multilingual":
-                keys.add(lang + NGRAM_JOINER + ng)
-            else:
-                keys.add(ng)
-    return FeatureSpace(scheme=scheme, index={k: i for i, k in enumerate(sorted(keys))})
+    keys = [_keys(tw) for tw in tweets]
+    index = {k: i for i, k in enumerate(sorted(set().union(*keys)))}
+    return FeatureSpace(index), [_ids(ks, index) for ks in keys]
 
 
 def vectorize(tweet: TokenizedTweet, space: FeatureSpace) -> np.ndarray:
     """Active column ids for a tweet, strictly increasing; unknown n-grams drop."""
-    ids = {
-        space.index[key]
-        for ng in ngrams_of(tweet.tokens)
-        if (key := space.key(tweet.lang, ng)) in space.index
-    }
-    return np.array(sorted(ids), dtype=np.int64)
+    return _ids(_keys(tweet), space.index)
 
 
 @dataclass
@@ -143,22 +127,19 @@ def _check_positive(name: str, value: float) -> None:
 def train_nb(
     vectors: list[np.ndarray],
     labels: list[int],
+    dimension: int,
     alpha: float = 1.0,
-    dimension: int | None = None,
 ) -> NBModel:
-    """Fit counts; alpha > 0 is the add-alpha smoothing strength."""
+    """Fit counts over ids in [0, dimension); alpha > 0 is the add-alpha smoothing strength."""
     if not vectors:
         raise ArgumentError("empty training set")
     if len(vectors) != len(labels):
         raise ArgumentError("vectors and labels differ in length")
     _check_positive("alpha", alpha)
-    V = dimension
-    if V is None:
-        V = max((int(v.max()) + 1 for v in vectors if v.size), default=0)
-    _check_ids(_joined_ids(vectors), V)
+    _check_ids(_joined_ids(vectors), dimension)
     classes = sorted(set(int(y) for y in labels))
     n_by_class = np.zeros(len(classes))
-    present = np.zeros((len(classes), V))
+    present = np.zeros((len(classes), dimension))
     pos = {c: i for i, c in enumerate(classes)}
     for vec, y in zip(vectors, labels):
         ci = pos[int(y)]
@@ -170,9 +151,9 @@ def train_nb(
     return NBModel(
         alpha=alpha,
         classes=classes,
-        dimension=V,
+        dimension=dimension,
         log_prior=log_prior,
-        log_lik=np.log((present + alpha) / (totals + alpha * V)),
+        log_lik=np.log((present + alpha) / (totals + alpha * dimension)),
     )
 
 
@@ -398,19 +379,21 @@ def svm_primal_objective(
     return total
 
 
+FEATURES_MAGIC = "multisent-features 2"
+
+
 def save_feature_space(space: FeatureSpace, path: str | Path) -> None:
-    """Text dump: scheme header then "id<TAB>feature" rows."""
+    """Text dump: the magic line, then "id<TAB>feature" rows in id order."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"multisent-features 1 {space.scheme}\n")
+        fh.write(FEATURES_MAGIC + "\n")
         for key, idx in sorted(space.index.items(), key=lambda kv: kv[1]):
             fh.write(f"{idx}\t{key}\n")
 
 
 def load_feature_space(path: str | Path) -> FeatureSpace:
     lines = read_text(path).splitlines()
-    if not lines or not lines[0].startswith("multisent-features 1 "):
-        raise ParseError("not a feature-space dump", line=1)
-    scheme = lines[0].split(" ", 2)[2]
+    if not lines or lines[0] != FEATURES_MAGIC:
+        raise ParseError(f"not a feature-space dump (want {FEATURES_MAGIC!r})", line=1)
     index: dict[str, int] = {}
     for i, raw in enumerate(lines[1:], start=2):
         if not raw:
@@ -420,4 +403,4 @@ def load_feature_space(path: str | Path) -> FeatureSpace:
             index[key] = int(idx_s)
         except ValueError:
             raise ParseError(f"bad feature row {raw!r}", line=i) from None
-    return FeatureSpace(scheme=scheme, index=index)
+    return FeatureSpace(index)

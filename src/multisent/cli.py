@@ -22,7 +22,7 @@ from .align import (
     save_translation_matrix,
     select_pivot_pairs,
 )
-from .baselines import SCHEMES, build_feature_space, save_feature_space
+from .baselines import build_feature_space, save_feature_space
 from .corpus import load_corpus, make_folds, split_dev
 from .embeddings import (
     load_embedding_table,
@@ -33,6 +33,7 @@ from .errors import LeakageError, MultisentError, read_text
 from .experiment import (
     CVReport,
     ExperimentConfig,
+    check_costs,
     compare_runs,
     compare_runs_csv,
     load_context,
@@ -132,6 +133,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    check_costs(args.alpha, args.c)
     records = load_corpus(args.infile)
     languages = tuple(sorted({r.lang for r in records}))
     config = ExperimentConfig(
@@ -141,7 +143,6 @@ def _cmd_baseline(args) -> int:
         kind=args.model,
         folds=args.folds,
         seed=args.seed,
-        scheme=args.scheme,
         alpha=args.alpha,
         C=args.c,
     )
@@ -152,7 +153,7 @@ def _cmd_baseline(args) -> int:
         print(f"wrote report {args.out}")
     if args.save_features:
         tweets, _ = preprocess_corpus(records, default_rules(), "whitespace")
-        space = build_feature_space(tweets, args.scheme)
+        space, _ = build_feature_space(tweets)
         save_feature_space(space, args.save_features)
         print(f"wrote feature space ({space.dimension} columns) {args.save_features}")
     return 0
@@ -288,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="cross-validate an n-gram baseline")
     p.add_argument("--model", choices=("nb", "svm"), required=True)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--scheme", choices=SCHEMES, default="cumulative_multilingual")
     p.add_argument("--alpha", type=float, default=1.0, help="NB smoothing")
     p.add_argument("--c", type=float, default=1.0, help="SVM cost")
     p.add_argument("--folds", type=int, default=10)

@@ -28,7 +28,6 @@ from .align import (
     select_pivot_pairs,
 )
 from .baselines import (
-    SCHEMES,
     build_feature_space,
     predict_nb,
     predict_svm,
@@ -94,7 +93,6 @@ class ExperimentConfig:
     embeddings: dict[str, str] = field(default_factory=dict)
     matrices: dict[str, str] = field(default_factory=dict)
     dictionaries: dict[str, str] = field(default_factory=dict)
-    scheme: str = "cumulative_multilingual"
     alpha: float = 1.0
     C: float = 1.0
     dev_fraction: float = 0.1
@@ -113,12 +111,7 @@ class ExperimentConfig:
             )
         if not self.languages:
             raise ConfigurationError("languages must be non-empty")
-        if self.scheme not in SCHEMES:
-            raise ConfigurationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        for key in ("alpha", "C"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigurationError(f"{key} must be finite and positive, got {value}")
+        check_costs(self.alpha, self.C)
         if self.scope != "all" and self.scope not in self.languages:
             raise ConfigurationError(
                 f"scope {self.scope!r} is not in languages {self.languages}"
@@ -211,6 +204,13 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
     if raw:
         raise ConfigurationError(f"unknown config keys: {sorted(raw)}")
     return cfg
+
+
+def check_costs(alpha: float, C: float) -> None:
+    """Raise ConfigurationError unless NB's alpha and the SVM's C are finite and positive."""
+    for key, value in (("alpha", alpha), ("C", C)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigurationError(f"{key} must be finite and positive, got {value}")
 
 
 class IdAudit:
@@ -478,19 +478,15 @@ def _run_fold(
     test_tweets = [by_id[rid] for rid in test_ids]
     if config.kind in ("nb", "svm"):
         train_tweets = list(audit.use(by_id[rid] for rid in train_ids))
-        scheme = config.scheme
-        if config.scope != "all" and scheme == "cumulative_multilingual":
-            scheme = "per_language"
-        space = build_feature_space(train_tweets, scheme)
-        vecs = [vectorize(tw, space) for tw in train_tweets]
+        space, vecs = build_feature_space(train_tweets)
         labels = [int(tw.label) for tw in train_tweets]
         if config.kind == "nb":
-            model = train_nb(vecs, labels, alpha=config.alpha, dimension=space.dimension)
-            return {
-                tw.id: predict_nb(model, vectorize(tw, space)) for tw in test_tweets
-            }
-        model = train_svm_ovo(vecs, labels, dimension=space.dimension, C=config.C)
-        return {tw.id: predict_svm(model, vectorize(tw, space)) for tw in test_tweets}
+            model = train_nb(vecs, labels, space.dimension, alpha=config.alpha)
+            predict = predict_nb
+        else:
+            model = train_svm_ovo(vecs, labels, space.dimension, C=config.C)
+            predict = predict_svm
+        return {tw.id: predict(model, vectorize(tw, space)) for tw in test_tweets}
 
     # neural kinds
     fold_seed = derive_stream(config.seed, "fold", fold)

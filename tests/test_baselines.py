@@ -52,59 +52,71 @@ class TestNgrams:
 class TestFeatureSpace:
     def test_columns_are_lexicographic(self):
         tweets = [_tw(["b", "a"], id="t1"), _tw(["c"], id="t2")]
-        space = build_feature_space(tweets, "per_language")
+        space, _ = build_feature_space(tweets)
         ordered = sorted(space.index, key=space.index.get)
         assert ordered == sorted(space.index)
         assert space.dimension == 4  # a, b, c, b+a bigram
 
     def test_corpus_order_does_not_matter(self):
         tweets = [_tw(["b", "a"], id="t1"), _tw(["c"], id="t2")]
-        a = build_feature_space(tweets, "per_language")
-        b = build_feature_space(tweets[::-1], "per_language")
+        a, _ = build_feature_space(tweets)
+        b, _ = build_feature_space(tweets[::-1])
         assert a.index == b.index
 
     def test_cumulative_scheme_namespaces_by_language(self):
         tweets = [_tw(["same"], lang="en", id="t1"), _tw(["same"], lang="ja", id="t2")]
-        space = build_feature_space(tweets, "cumulative_multilingual")
+        space, _ = build_feature_space(tweets)
         assert space.dimension == 2
-        en_only = build_feature_space([tweets[0]], "cumulative_multilingual")
-        ja_only = build_feature_space([tweets[1]], "cumulative_multilingual")
+        en_only, _ = build_feature_space([tweets[0]])
+        ja_only, _ = build_feature_space([tweets[1]])
         assert space.dimension == en_only.dimension + ja_only.dimension
 
-    def test_per_language_rejects_mixed_corpus(self):
-        tweets = [_tw(["a"], lang="en", id="t1"), _tw(["b"], lang="ja", id="t2")]
-        with pytest.raises(ArgumentError):
-            build_feature_space(tweets, "per_language")
+    def test_one_language_keeps_plain_ngram_order(self):
+        tweets = [_tw(["b", "a", "Z"], lang="ja", id="t1"),
+                  _tw(["c", "a", "b"], lang="ja", id="t2")]
+        space, _ = build_feature_space(tweets)
+        plain = sorted({ng for tw in tweets for ng in ngrams_of(tw.tokens)})
+        prefix = "ja" + NGRAM_JOINER
+        assert list(space.index) == [prefix + ng for ng in plain]
+        assert list(space.index.values()) == list(range(len(plain)))
 
-    def test_unknown_scheme(self):
-        with pytest.raises(ArgumentError):
-            build_feature_space([], "global")
+    def test_returned_vectors_equal_vectorize(self):
+        tweets = [_tw(["b", "a", "b"], id="t1"), _tw(["c", "a"], lang="ja", id="t2"),
+                  _tw(["a", "c", "a", "c"], id="t3"), _tw(["c"], lang="en", id="t4")]
+        space, vectors = build_feature_space(tweets)
+        assert len(vectors) == len(tweets)
+        for tw, vec in zip(tweets, vectors):
+            want = vectorize(tw, space)
+            assert vec.dtype == want.dtype == np.int64
+            assert vec.tolist() == want.tolist()
+            assert all(a < b for a, b in zip(vec.tolist(), vec.tolist()[1:]))
 
     def test_vectorize_known_and_unknown(self):
         tweets = [_tw(["a", "b"], id="t1")]
-        space = build_feature_space(tweets, "per_language")
+        space, _ = build_feature_space(tweets)
         vec = vectorize(_tw(["b", "zzz", "a"], id="q"), space)
         # Unknown token and the unseen bigrams drop; ids come back sorted.
-        assert vec.tolist() == sorted([space.index["a"], space.index["b"]])
+        prefix = "en" + NGRAM_JOINER
+        assert vec.tolist() == sorted([space.index[prefix + "a"], space.index[prefix + "b"]])
 
     def test_vectorize_respects_language_namespacing(self):
         tweets = [_tw(["same"], lang="en", id="t1"), _tw(["same"], lang="ja", id="t2")]
-        space = build_feature_space(tweets, "cumulative_multilingual")
+        space, _ = build_feature_space(tweets)
         en_vec = vectorize(_tw(["same"], lang="en", id="q1"), space)
         ja_vec = vectorize(_tw(["same"], lang="ja", id="q2"), space)
         assert en_vec.tolist() != ja_vec.tolist()
 
     def test_dense_id_validation(self):
         with pytest.raises(ArgumentError):
-            FeatureSpace(scheme="per_language", index={"a": 0, "b": 2})
+            FeatureSpace(index={"a": 0, "b": 2})
 
     def test_save_load_round_trip(self, tmp_path):
         tweets = [_tw(["b", "a"], id="t1"), _tw(["tab\tless", "c"], id="t2")]
-        space = build_feature_space(tweets, "per_language")
+        space, _ = build_feature_space(tweets)
         path = tmp_path / "space.tsv"
         save_feature_space(space, path)
+        assert path.read_text(encoding="utf-8").splitlines()[0] == "multisent-features 2"
         back = load_feature_space(path)
-        assert back.scheme == space.scheme
         assert back.index == space.index
 
     def test_load_rejects_garbage(self, tmp_path):
@@ -113,6 +125,15 @@ class TestFeatureSpace:
         with pytest.raises(ParseError):
             load_feature_space(path)
 
+    @pytest.mark.parametrize("header", [
+        "multisent-features 1 cumulative_multilingual",
+        "multisent-features 1 per_language", "multisent-features 2 extra", "",
+    ], ids=["v1-cumulative", "v1-per-language", "v2-extra", "empty"])
+    def test_load_rejects_any_other_header(self, tmp_path, header):
+        path = tmp_path / "bad.tsv"
+        path.write_text(header + "\n0\ten\x1fa\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="^line 1: not a feature-space dump"):
+            load_feature_space(path)
 
 class TestNaiveBayes:
     # Two features; class 0 docs {f0} and {f0,f1}, class 2 docs {f1} twice.
@@ -152,11 +173,11 @@ class TestNaiveBayes:
 
     def test_validation(self):
         with pytest.raises(ArgumentError):
-            train_nb([], [])
+            train_nb([], [], dimension=1)
         with pytest.raises(ArgumentError):
-            train_nb([np.array([0])], [0, 1])
+            train_nb([np.array([0])], [0, 1], dimension=1)
         with pytest.raises(ArgumentError):
-            train_nb([np.array([0])], [0], alpha=0.0)
+            train_nb([np.array([0])], [0], dimension=1, alpha=0.0)
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
     def test_non_finite_alpha_rejected(self, alpha):
@@ -164,7 +185,7 @@ class TestNaiveBayes:
             train_nb(self.VECTORS, self.LABELS, alpha=alpha, dimension=2)
 
     @pytest.mark.parametrize("bad, dimension", [
-        (-1, 2), (-1, None), (2, 2), (5, 2),
+        (-1, 2), (2, 2), (5, 2),
     ])
     def test_feature_id_out_of_range_rejected(self, bad, dimension):
         vectors = [np.array([0]), np.array([bad]), np.array([1])]

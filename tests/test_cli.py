@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from multisent import experiment
+from multisent import cli, experiment
 from multisent.align import load_translation_matrix
 from multisent.cli import main
 from multisent.corpus import FoldPlan
@@ -86,6 +86,18 @@ class TestAlign:
         assert tm.W.shape == (8, 8)
 
 
+@pytest.fixture
+def spy_calls(monkeypatch):
+    """Names of the corpus loads and fold runs made while the test runs, in order."""
+    calls = []
+    for module, name in ((experiment, "load_corpus"), (experiment, "_run_fold"),
+                         (cli, "load_corpus")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+    return calls
+
+
 def write_config(path, fixture_dir, lines):
     base = [
         f"corpus = {fixture_dir / 'corpus.jsonl'}",
@@ -153,22 +165,26 @@ class TestEvaluateAndCompare:
         ("svm", "C = 0", "C must be finite and positive, got 0.0"),
         ("nb", "alpha = nan", "alpha must be finite and positive, got nan"),
         ("nb", "alpha = -1", "alpha must be finite and positive, got -1.0"),
-        ("svm", "scheme = trigram", "scheme must be one of"),
-    ], ids=["C-nan", "C-inf", "C-zero", "alpha-nan", "alpha-negative", "scheme"])
+    ], ids=["C-nan", "C-inf", "C-zero", "alpha-nan", "alpha-negative"])
     def test_bad_baseline_value_exits_2_before_reading_corpus(
-        self, fixture_dir, tmp_path, capsys, monkeypatch, kind, line, message
+        self, fixture_dir, tmp_path, capsys, spy_calls, kind, line, message
     ):
-        calls = []
-        for name in ("load_corpus", "_run_fold"):
-            real = getattr(experiment, name)
-            monkeypatch.setattr(experiment, name,
-                                lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
         cfg = write_config(tmp_path / "bad.cfg", fixture_dir, [f"kind = {kind}", line])
         rc = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
         assert rc == 2
         assert message in capsys.readouterr().err
-        assert calls == []
+        assert spy_calls == []
         assert not (tmp_path / "r.json").exists()
+
+    def test_scheme_key_is_unknown_before_reading_corpus(
+        self, fixture_dir, tmp_path, capsys, spy_calls
+    ):
+        cfg = write_config(tmp_path / "old.cfg", fixture_dir,
+                           ["kind = svm", "scheme = per_language"])
+        rc = main(["evaluate", "--config", str(cfg)])
+        assert rc == 2
+        assert "unknown config keys: ['scheme']" in capsys.readouterr().err
+        assert spy_calls == []
 
     def test_baseline_command_rejects_nan_c_before_any_fold(
         self, fixture_dir, tmp_path, capsys, monkeypatch
@@ -180,6 +196,21 @@ class TestEvaluateAndCompare:
         assert rc == 2
         assert "C must be finite and positive, got nan" in capsys.readouterr().err
         assert folds == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--model", "svm", "--c", "nan"], "C must be finite and positive, got nan"),
+        (["--model", "nb", "--alpha", "0"], "alpha must be finite and positive, got 0.0"),
+    ], ids=["C-nan", "alpha-zero"])
+    def test_baseline_command_checks_costs_before_reading_corpus(
+        self, tmp_path, capsys, spy_calls, flags, message
+    ):
+        missing = tmp_path / "missing.jsonl"
+        rc = main(["baseline", *flags, "--in", str(missing)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "missing.jsonl" not in err and "No such file" not in err
+        assert spy_calls == []
 
 
 class TestBaseline:
@@ -200,7 +231,14 @@ class TestBaseline:
                    "--in", str(fixture_dir / "corpus.jsonl"),
                    "--folds", "2", "--save-features", str(space_path)])
         assert rc == 0
-        assert space_path.read_text().startswith("multisent-features 1 ")
+        assert space_path.read_text().startswith("multisent-features 2\n")
+
+    def test_scheme_flag_is_gone(self, fixture_dir, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["baseline", "--model", "nb", "--in", str(fixture_dir / "corpus.jsonl"),
+                  "--scheme", "per_language"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --scheme" in capsys.readouterr().err
 
 
 class TestTrainAndPredict:

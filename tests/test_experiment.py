@@ -300,6 +300,59 @@ class TestRunExperiment:
             run_experiment(nb_config(), records=marker_records(20))
 
 
+# Canonical NB and SVM reports on SynthSpec(seed=3, n_tweets=150), 5 folds:
+# (fold accuracies, mean, overall, {lang: (correct, total, accuracy)}). They
+# were captured while a one-language scope still built its n-gram space
+# without language tags, so they pin that tagging every n-gram changes no
+# prediction.
+SCOPE_REPORTS = {
+    ("nb", "all"): ([0.7, 0.7666666666666667, 0.7, 0.6, 0.7333333333333333],
+                    0.7000000000000001, 0.7,
+                    {"en": (32, 51, 0.6274509803921569), "ja": (35, 51, 0.6862745098039216),
+                     "zh": (38, 48, 0.7916666666666666)}),
+    ("nb", "en"): ([0.45454545454545453, 0.7, 0.8, 0.8, 0.9],
+                   0.730909090909091, 0.7254901960784313,
+                   {"en": (37, 51, 0.7254901960784313)}),
+    ("nb", "ja"): ([0.7272727272727273, 0.8, 0.9, 0.7, 0.7],
+                   0.7654545454545454, 0.7647058823529411,
+                   {"ja": (39, 51, 0.7647058823529411)}),
+    ("svm", "all"): ([0.7333333333333333, 0.7333333333333333, 0.7, 0.6, 0.7333333333333333],
+                     0.7, 0.7,
+                     {"en": (36, 51, 0.7058823529411765), "ja": (36, 51, 0.7058823529411765),
+                      "zh": (33, 48, 0.6875)}),
+    ("svm", "en"): ([0.6363636363636364, 0.8, 0.7, 0.8, 0.5],
+                    0.6872727272727273, 0.6862745098039216,
+                    {"en": (35, 51, 0.6862745098039216)}),
+    ("svm", "ja"): ([0.6363636363636364, 0.7, 0.7, 0.7, 0.7],
+                    0.6872727272727273, 0.6862745098039216,
+                    {"ja": (35, 51, 0.6862745098039216)}),
+}
+
+
+@pytest.fixture(scope="module")
+def scope_fixture():
+    spec = SynthSpec(seed=3, n_tweets=150)
+    return spec, generate_fixture(spec).records
+
+
+@pytest.mark.parametrize("kind, scope", sorted(SCOPE_REPORTS))
+def test_ngram_reports_per_scope_are_pinned(scope_fixture, kind, scope):
+    spec, records = scope_fixture
+    cfg = ExperimentConfig(name="fx", corpus="", languages=spec.languages, kind=kind,
+                           folds=5, seed=0, scope=scope)
+    got = run_experiment(cfg, records=records).canonical_dict()
+    del got["config_fingerprint"]
+    folds, mean, overall, per_language = SCOPE_REPORTS[(kind, scope)]
+    assert got == {
+        "name": "fx", "kind": kind, "folds": 5, "seed": 0,
+        "fold_accuracies": folds, "mean_accuracy": mean, "overall_accuracy": overall,
+        "per_language": {
+            lang: {"accuracy": acc, "correct": float(correct), "total": float(total)}
+            for lang, (correct, total, acc) in per_language.items()
+        },
+    }
+
+
 class TestPerFoldRefit:
     def test_end_to_end_on_synthetic_fixture(self, tmp_path):
         spec = SynthSpec(n_tweets=36, dim=8, markers_per_class=6,

@@ -1,4 +1,5 @@
-"""Corrupted checkpoints, matrices and .vec files fail with MultisentError or load.
+"""Corrupted checkpoints, matrices, .vec files and feature-space dumps fail with
+MultisentError or load.
 
 Each example takes a file the package itself wrote (tiny dims) and either
 replaces, deletes or cuts one line, or splices arbitrary bytes in at some
@@ -12,11 +13,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from multisent.align import fit_translation_matrix, load_translation_matrix, save_translation_matrix
+from multisent.baselines import build_feature_space, load_feature_space, save_feature_space
+from multisent.corpus import Polarity
 from multisent.embeddings import load_embedding_table, save_embedding_table
 from multisent.errors import MultisentError, ParseError
 from multisent.nn import NeuralModel, TrainedModel, init_cnn_params, init_lstm_params
 from multisent.nn import load_checkpoint, save_checkpoint
 from multisent.nn.train import FineTunedEmbeddings
+from multisent.preprocess import TokenizedTweet
 
 from conftest import seeded_table
 
@@ -54,6 +58,12 @@ def originals(tmp_path_factory):
     save_translation_matrix(fit_translation_matrix(X, X[::-1], src_lang="ja", tgt_lang="en"),
                             directory / "ja-en.mat")
     loaders["ja-en.mat"] = load_translation_matrix
+    tweets = [TokenizedTweet(id=str(i), lang=lang, label=Polarity.NEUTRAL, tokens=tokens)
+              for i, (lang, tokens) in enumerate([("en", ["good", "day", "good"]),
+                                                  ("ja", ["良い", "日"]), ("zh", ["好"])])]
+    space, _ = build_feature_space(tweets)
+    save_feature_space(space, directory / "features.tsv")
+    loaders["features.tsv"] = load_feature_space
     return {name: ((directory / name).read_bytes(), load) for name, load in loaders.items()}
 
 
@@ -77,7 +87,7 @@ def _corrupt(data: bytes, draw) -> bytes:
     return b"\n".join(lines)
 
 
-@pytest.mark.parametrize("name", ["cnn.ckpt", "lstm.ckpt", "en.vec", "ja-en.mat"])
+@pytest.mark.parametrize("name", ["cnn.ckpt", "lstm.ckpt", "en.vec", "ja-en.mat", "features.tsv"])
 @settings(max_examples=150, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
