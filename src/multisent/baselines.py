@@ -399,6 +399,8 @@ def load_feature_space(path: str | Path) -> FeatureSpace:
         if not raw:
             continue
         idx_s, _, key = raw.partition("\t")
+        if not key:
+            raise ParseError(f"feature row {raw!r} has no feature name", line=i)
         try:
             index[key] = int(idx_s)
         except ValueError:

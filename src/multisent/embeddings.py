@@ -23,6 +23,10 @@ from .preprocess import TokenizedTweet
 from .rng import SplitMix64, derive_stream
 
 
+# Rows per np.loadtxt call; bounds the transient array each call returns.
+_LOAD_CHUNK_ROWS = 1024
+
+
 def default_oov_scale(dim: int) -> float:
     """Per-component bound for OOV vectors; small relative to unit vectors."""
     return 0.5 / dim
@@ -70,9 +74,11 @@ class EmbeddingTable:
 def load_embedding_table(path: str | Path, lang: str) -> EmbeddingTable:
     """Parse a word2vec text file.
 
-    Duplicate words keep the last occurrence; the table records how many
-    were overwritten. Malformed lines, including nan or infinite
-    components, raise ParseError with the 1-based line number.
+    A value is anything Python float() accepts, with the same bits. The
+    entries are read-only row views of one (rows, dim) matrix. Duplicate
+    words keep the last occurrence; the table records how many were
+    overwritten. The first malformed line, including one with nan or
+    infinite components, raises ParseError with its 1-based line number.
     """
     lines = read_text(path).splitlines()
     if not lines:
@@ -94,21 +100,50 @@ def load_embedding_table(path: str | Path, lang: str) -> EmbeddingTable:
             f"header promises {vocab_size} rows, file has {len(body)}", line=lineno
         )
 
-    entries: dict[str, np.ndarray] = {}
-    duplicates = 0
-    for lineno, ln in body:
+    rows = [ln.rstrip() for _, ln in body]
+    M = np.empty((len(rows), dim), dtype=np.float64)
+    if not _parse_rows(rows, dim, M):
+        _parse_each_line(body, dim, M)
+    M.flags.writeable = False
+    entries = dict(zip((row.partition(" ")[0] for row in rows), M))
+    return EmbeddingTable(lang=lang, dim=dim, entries=entries,
+                          duplicate_count=len(rows) - len(entries))
+
+
+def _parse_rows(rows: list[str], dim: int, M: np.ndarray) -> bool:
+    """Fill M from "word v1 .. vdim" rows in one vectorised pass.
+
+    False when some row has the wrong field count, a value loadtxt cannot
+    read or a non-finite value; M is then partly written and the caller
+    parses line by line instead. A U+001F in a row also sends it there:
+    numpy strips that character around a number and float() does not.
+    """
+    if any(row.count(" ") != dim or "\x1f" in row for row in rows):
+        return False
+    columns = range(1, dim + 1)
+    try:
+        for start in range(0, len(rows), _LOAD_CHUNK_ROWS):
+            chunk = rows[start:start + _LOAD_CHUNK_ROWS]
+            M[start:start + len(chunk)] = np.loadtxt(
+                chunk, dtype=np.float64, delimiter=" ", usecols=columns,
+                comments=None, quotechar=None, ndmin=2,
+            )
+    except ValueError:
+        return False
+    return bool(np.isfinite(M).all())
+
+
+def _parse_each_line(body: list[tuple[int, str]], dim: int, M: np.ndarray) -> None:
+    """Fill M with float() per field; the first bad line in file order raises
+    ParseError. Also reads the spellings float() accepts and loadtxt does not,
+    such as `1_0` and full-width digits."""
+    for i, (lineno, ln) in enumerate(body):
         parts = ln.rstrip().split(" ")
         if len(parts) != dim + 1:
             raise ParseError(
                 f"expected a word and {dim} values, got {len(parts)} fields", line=lineno
             )
-        word = parts[0]
-        vec = np.array(parse_numbers(parts[1:], float, "vector component", ln, lineno),
-                       dtype=np.float64)
-        if word in entries:
-            duplicates += 1
-        entries[word] = vec
-    return EmbeddingTable(lang=lang, dim=dim, entries=entries, duplicate_count=duplicates)
+        M[i] = parse_numbers(parts[1:], float, "vector component", ln, lineno)
 
 
 def save_embedding_table(table: EmbeddingTable, path: str | Path) -> None:

@@ -125,6 +125,14 @@ class TestFeatureSpace:
         with pytest.raises(ParseError):
             load_feature_space(path)
 
+    @pytest.mark.parametrize("row", ["0", "0\t"], ids=["no-tab", "empty-name"])
+    def test_load_rejects_a_row_without_a_feature_name(self, tmp_path, row):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"multisent-features 2\n{row}\n1\ten\x1fx\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_feature_space(path)
+        assert str(exc.value) == f"line 2: feature row {row!r} has no feature name"
+
     @pytest.mark.parametrize("header", [
         "multisent-features 1 cumulative_multilingual",
         "multisent-features 1 per_language", "multisent-features 2 extra", "",

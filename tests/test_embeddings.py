@@ -1,11 +1,18 @@
 """Embedding table IO and OOV policy."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from multisent.corpus import Polarity
 from multisent.embeddings import (
+    _LOAD_CHUNK_ROWS,
     EmbeddingTable,
+    _parse_each_line,
+    _parse_rows,
     check_dim_uniformity,
     count_tokens,
     default_oov_scale,
@@ -98,6 +105,136 @@ def test_five_word_round_trip(tmp_path):
     loaded = load_embedding_table(p, "en")
     for word in table.entries:
         assert np.array_equal(loaded.entries[word], table.entries[word])
+
+
+# -- values read as float() reads them ---------------------------------------
+
+_SPELLINGS = [repr, "{:.6f}".format, "{:.17g}".format, "{:e}".format]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(
+    st.lists(st.tuples(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                 st.sampled_from([-0.0, 5e-324, 1e308])),
+                       st.sampled_from(_SPELLINGS)),
+             min_size=3, max_size=3),
+    min_size=1, max_size=6))
+def test_written_doubles_load_as_float_reads_them(tmp_path, rows):
+    texts = [[spell(x) for x, spell in row] for row in rows]
+    p = tmp_path / "e.vec"
+    p.write_text(f"{len(rows)} 3\n" + "".join(
+        f"w{i} {' '.join(fields)}\n" for i, fields in enumerate(texts)))
+    table = load_embedding_table(p, "en")
+    for i, fields in enumerate(texts):
+        want = np.array([float(f) for f in fields], dtype=np.float64)
+        assert table.entries[f"w{i}"].tobytes() == want.tobytes()
+
+
+_AFFIX = st.sampled_from(["", "", "", "\x1f", "\t", "\xa0", "　", "\x00", "_", "１", "+", "-",
+                          "e", ".", "#", '"'])
+_FIELD_TEXT = st.tuples(_AFFIX, st.one_of(
+    st.floats().map(repr), st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["", "1_0", "Infinity", "1e309", "5e-324", "0x1", "1,5"])), _AFFIX).map("".join)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(fields=st.lists(st.lists(_FIELD_TEXT, min_size=2, max_size=2), min_size=1, max_size=4))
+def test_vectorised_parse_agrees_with_the_per_line_parser(fields):
+    """Where the one-pass parse accepts a body, float() per field reads the same bits."""
+    body = [(i + 2, f"w{i} {' '.join(row)}") for i, row in enumerate(fields)]
+    fast = np.empty((len(body), 2))
+    if not _parse_rows([ln.rstrip() for _, ln in body], 2, fast):
+        return
+    slow = np.empty_like(fast)
+    _parse_each_line(body, 2, slow)
+    assert fast.tobytes() == slow.tobytes()
+
+
+@pytest.mark.parametrize("spelling,value", [("1_0", 10.0), ("１", 1.0), ("\t1", 1.0)])
+def test_spellings_float_accepts_still_load(tmp_path, spelling, value):
+    p = tmp_path / "e.vec"
+    p.write_text(f"2 2\na 0.5 {spelling}\nb 1 2\n", encoding="utf-8")
+    table = load_embedding_table(p, "en")
+    assert table.entries["a"].tolist() == [0.5, value]
+
+
+@pytest.mark.parametrize("bad,kind", [
+    ("nan", "non-finite"), ("Infinity", "non-finite"), ("1e309", "non-finite"),
+    ("x1", "non-numeric"), ("\x1f1", "non-numeric"), ("1,5", "non-numeric"),
+])
+def test_bad_value_message_names_line_and_text(tmp_path, bad, kind):
+    p = tmp_path / "e.vec"
+    p.write_text(f"3 2\ngood 0.5 1.0\nbad {bad} 1.0 \nworse 1 2\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_embedding_table(p, "en")
+    assert exc.value.line == 3
+    assert str(exc.value) == f"line 3: {kind} vector component in {f'bad {bad} 1.0 '!r}"
+
+
+@pytest.mark.parametrize("line3,line5,message", [
+    ("c 1 x", "e 1 2 3", "line 3: non-numeric vector component in 'c 1 x'"),
+    ("c 1 2 3", "e 1 nan", "line 3: expected a word and 2 values, got 4 fields"),
+])
+def test_first_bad_line_in_file_order_wins(tmp_path, line3, line5, message):
+    p = tmp_path / "e.vec"
+    p.write_text(f"5 2\na 1 2\n{line3}\nd 1 2\n{line5}\nf 1 2\n")
+    with pytest.raises(ParseError) as exc:
+        load_embedding_table(p, "en")
+    assert str(exc.value) == message
+
+
+def test_bad_line_past_the_first_chunk_names_its_line(tmp_path):
+    n = 2 * _LOAD_CHUNK_ROWS + 5
+    rows = [f"w{i % 1500} {i} {-i}" for i in range(n)]
+    p = tmp_path / "e.vec"
+    p.write_text(f"{n} 2\n" + "\n".join(rows) + "\n")
+    table = load_embedding_table(p, "en")
+    assert table.duplicate_count == n - 1500
+    assert table.entries["w0"].tolist() == [1500.0, -1500.0]  # rows 0 and 1500; the last wins
+    rows[_LOAD_CHUNK_ROWS + 7] = "w 1 oops"
+    p.write_text(f"{n} 2\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_embedding_table(p, "en")
+    assert exc.value.line == _LOAD_CHUNK_ROWS + 9
+
+
+def test_extra_fields_rejected(tmp_path):
+    p = tmp_path / "e.vec"
+    p.write_text("2 2\na 1 2\nb 1 2 3\n")
+    with pytest.raises(ParseError) as exc:
+        load_embedding_table(p, "en")
+    assert str(exc.value) == "line 3: expected a word and 2 values, got 4 fields"
+
+
+def test_empty_table_loads_without_warnings(tmp_path):
+    p = tmp_path / "e.vec"
+    p.write_text("0 4\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = load_embedding_table(p, "en")
+    assert table.entries == {} and table.dim == 4 and table.duplicate_count == 0
+
+
+def test_fingerprint_bytes_are_pinned(tmp_path):
+    """Checkpoints record this digest; a change here orphans every one of them."""
+    p = tmp_path / "e.vec"
+    p.write_text("3 2\nbeta 3 4e-3\nalpha 0.5 -1.25\ngamma -0.0 1e10\n")
+    digest = "491574ac16108a7248f7ddd16b86ec94923ee4647b44360992b8b5d464728ea7"
+    assert load_embedding_table(p, "en").fingerprint() == digest
+    built = EmbeddingTable(lang="en", dim=2, entries={
+        "alpha": np.array([0.5, -1.25]), "beta": np.array([3, 4e-3]),
+        "gamma": np.array([-0.0, 1e10])})
+    assert built.fingerprint() == digest
+
+
+def test_loaded_rows_are_read_only(tmp_path):
+    p = tmp_path / "e.vec"
+    p.write_text("2 2\na 1 2\nb 3 4\n")
+    table = load_embedding_table(p, "en")
+    with pytest.raises(ValueError):
+        table.entries["a"][0] = 9.0
+    assert table.entries["b"].tolist() == [3.0, 4.0]
 
 
 def test_frequency_counts_sidecar(tmp_path):
