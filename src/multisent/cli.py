@@ -42,7 +42,7 @@ from .experiment import (
 )
 from .nn import load_checkpoint, predict_batch, save_checkpoint, save_training_log, train
 from .pipeline import EmbeddingContext
-from .preprocess import default_rules, preprocess_corpus
+from .preprocess import TokenizedTweet, default_rules, preprocess_corpus
 from .rng import derive_stream
 from .synth import SynthSpec, generate_fixture, write_fixture
 
@@ -201,6 +201,15 @@ def _cmd_predict(args) -> int:
     )
     skipped = Counter(tw.lang for tw in tweets if tw.lang not in context.tables)
     tweets = [tw for tw in tweets if tw.lang in context.tables]
+    # The CNN cannot pad past the max_len it was trained with, so a longer
+    # tweet is cut to its first max_len tokens; the LSTM takes any length.
+    max_len = trained.model.max_len
+    truncated = 0
+    if trained.model.kind == "cnn":
+        truncated = sum(1 for tw in tweets if tw.length > max_len)
+        tweets = [tw if tw.length <= max_len else
+                  TokenizedTweet(tw.id, tw.lang, tw.label, tw.tokens[:max_len])
+                  for tw in tweets]
     preds = predict_batch(trained, tweets, context)
     with open(args.outfile, "w", encoding="utf-8") as fh:
         for tw, (label, probs) in zip(tweets, preds):
@@ -213,6 +222,8 @@ def _cmd_predict(args) -> int:
         print(f"skipped {_records(sum(skipped.values()))} with no --embedding ({by_lang})")
     if empty:
         print(f"skipped {_records(len(empty))} with no tokens after normalization")
+    if truncated:
+        print(f"truncated {_records(truncated)} to the model's max_len of {max_len} tokens")
     return 0
 
 

@@ -1,17 +1,30 @@
 """Convolutional classifier over zero-padded tweet matrices.
 
-Every tweet is padded at the back with zero rows to the corpus maximum
-length. For a filter of window size h with weights w and bias b,
-position i yields feature c_i = act(w . x_{i:i+h-1} + b) for every
-window position over the padded matrix, including windows that lie in
-the padding (so padded windows yield act(b); per-filter bias therefore
-leaks a constant into fully padded regions, which is deliberate and
-documented). Max pooling keeps one feature per filter; the pooled
-features from all window sizes concatenate into the penultimate vector,
-optionally dropout-masked, then a softmax layer maps to class logits.
+Every tweet is padded at the back with zero rows. For a filter of window
+size h with weights w and bias b, position i yields feature
+c_i = act(w . x_{i:i+h-1} + b) for every window position over the padded
+matrix, including windows that lie in the padding (so padded windows
+yield act(b); per-filter bias therefore leaks a constant into fully
+padded regions, which is deliberate and documented). Max pooling keeps
+one feature per filter; the pooled features from all window sizes
+concatenate into the penultimate vector, optionally dropout-masked, then
+a softmax layer maps to class logits.
 
-Backward routes each pooled feature's gradient to its argmax window
-(first index on ties, matching numpy argmax). The input gradient
+The output depends on the padding only through whether a tweet has a
+fully padded window. Every such window yields the same act(b), and all
+of them come after the tweet's real and partial windows, so the first
+one decides the max and its first-index argmax just as all of them do.
+A batch padded to its longest tweet plus the largest window (or to the
+corpus maximum length, if that is shorter) keeps every tweet's real and
+partial windows and its first fully padded one wherever the corpus
+maximum had one, so its pooled features and argmax are those of the
+corpus-maximum padding.
+
+Forward pools by value (fmap.max); the argmax positions that backward
+needs are computed from the feature maps on first read of
+`CnnForwardCache.argmax`, so prediction never computes them. Backward
+routes each pooled feature's gradient to its argmax window (first index
+on ties, matching numpy argmax). The input gradient
 accumulates in filter order: every input row receives its additions
 filter by filter, window sizes in order, so it is bit-identical to a
 per-(example, filter) loop.
@@ -20,6 +33,7 @@ per-(example, filter) loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,11 +46,15 @@ from .params import CnnParams, zero_like_tensors
 class CnnForwardCache:
     windows: dict[int, np.ndarray]     # h -> (B, P_h, h*dim)
     feature_maps: dict[int, np.ndarray]  # h -> (B, P_h, F_h) activated
-    argmax: dict[int, np.ndarray]      # h -> (B, F_h)
     penultimate: np.ndarray            # (B, total) after dropout
     pooled: np.ndarray                 # (B, total) before dropout
     dropout_mask: np.ndarray | None
     activation: str
+
+    @cached_property
+    def argmax(self) -> dict[int, np.ndarray]:
+        """h -> (B, F_h) window index of each pooled feature, first max on ties."""
+        return {h: np.argmax(fmap, axis=1) for h, fmap in self.feature_maps.items()}
 
 
 def _im2col(X: np.ndarray, h: int) -> np.ndarray:
@@ -58,7 +76,7 @@ def cnn_forward_batch(
     activation: str = "tanh",
     dropout_mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, CnnForwardCache]:
-    """Forward over a padded batch (B, max_len, dim); returns (logits, cache).
+    """Forward over a zero-padded batch (B, T, dim); returns (logits, cache).
 
     dropout_mask, when given, is a (B, total_filters) matrix multiplied
     into the penultimate layer (inverted dropout: zeros and 1/(1-rate)
@@ -73,7 +91,6 @@ def cnn_forward_batch(
         )
     windows: dict[int, np.ndarray] = {}
     maps: dict[int, np.ndarray] = {}
-    argmax: dict[int, np.ndarray] = {}
     pooled_parts = []
     for h in params.window_sizes:
         W = params.filters[h]                      # (F, h, dim)
@@ -81,17 +98,14 @@ def cnn_forward_batch(
         cols = _im2col(X, h)                       # (B, P, h*dim)
         pre = cols @ W.reshape(F, -1).T + params.biases[h]
         fmap = apply_activation(activation, pre)   # (B, P, F)
-        am = np.argmax(fmap, axis=1)               # (B, F), first max on ties
-        pooled_parts.append(np.take_along_axis(fmap, am[:, None, :], axis=1)[:, 0, :])
+        pooled_parts.append(fmap.max(axis=1))
         windows[h] = cols
         maps[h] = fmap
-        argmax[h] = am
     pooled = np.concatenate(pooled_parts, axis=1)  # (B, total)
     penult = pooled if dropout_mask is None else pooled * dropout_mask
     logits = penult @ params.V.T + params.b_y
-    cache = CnnForwardCache(windows=windows, feature_maps=maps, argmax=argmax,
-                            penultimate=penult, pooled=pooled,
-                            dropout_mask=dropout_mask, activation=activation)
+    cache = CnnForwardCache(windows=windows, feature_maps=maps, penultimate=penult,
+                            pooled=pooled, dropout_mask=dropout_mask, activation=activation)
     return logits, cache
 
 
@@ -122,11 +136,9 @@ def cnn_backward_batch(
         W = params.filters[h]
         F = W.shape[0]
         dpool = dpenult[:, offset:offset + F]      # (B, F)
+        y_at = cache.pooled[:, offset:offset + F]  # activation output at each argmax
         offset += F
-        fmap = cache.feature_maps[h]
         am = cache.argmax[h]                       # (B, F)
-        # activation output and input window at each argmax position
-        y_at = np.take_along_axis(fmap, am[:, None, :], axis=1)[:, 0, :]   # (B, F)
         dpre = dpool * activation_grad_from_output(cache.activation, y_at)  # (B, F)
         # gather windows: cols (B, P, h*dim) at am (B, F) -> (B, F, h*dim)
         cols_at = cache.windows[h][rows, am]

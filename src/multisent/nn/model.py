@@ -73,22 +73,29 @@ def dropout_mask(seed: int, shape: tuple[int, ...], rate: float) -> np.ndarray:
 def _assemble_batch(model: NeuralModel, batch: list[tuple[np.ndarray, int]]):
     """Zero-pad variable-length examples at the back into (B, T, dim), plus lengths.
 
-    The CNN pads to the model's max_len, the LSTM to the batch's longest
-    example.
+    The LSTM pads to the batch's longest example. The CNN pads to that
+    length plus its largest window size, capped at the model's max_len:
+    every example keeps all its windows and, wherever the max_len padding
+    gave it one, a fully padded window, so the output is that of the
+    max_len padding (see nn.cnn). An example longer than the model's
+    max_len is rejected.
     """
     if not batch:
         raise ArgumentError("empty batch")
     lengths = np.array([x.shape[0] for x, _ in batch])
     labels = np.array([int(y) for _, y in batch])
-    T = model.max_len if model.kind == "cnn" else int(lengths.max())
+    if lengths.min() == 0:
+        raise ArgumentError("cannot pad an empty sequence")
+    longest = int(lengths.max())
+    T = longest
+    if model.kind == "cnn":
+        if longest > model.max_len:
+            raise ConfigurationError(
+                f"sequence length {longest} exceeds the model's max_len {model.max_len}")
+        T = min(model.max_len, longest + max(model.params.window_sizes))
     X = np.zeros((len(batch), T, batch[0][0].shape[1]))
     for b, (x, _) in enumerate(batch):
-        n = x.shape[0]
-        if n == 0:
-            raise ArgumentError("cannot pad an empty sequence")
-        if n > T:
-            raise ConfigurationError(f"sequence length {n} exceeds configured maximum {T}")
-        X[b, :n] = x
+        X[b, :x.shape[0]] = x
     return X, lengths, labels
 
 

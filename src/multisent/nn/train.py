@@ -177,7 +177,7 @@ def train(
                     E.shape, [train_ids[i] for i in chosen], dX)
             adadelta_step(tensors, grads, state, config.rho, config.eps)
         train_loss = total_loss / n
-        dev_acc = _accuracy(model, [table[ids] for ids in dev_ids], dev_y, config.batch_size)
+        dev_acc = _accuracy(model, table, dev_ids, dev_y, config.batch_size)
         history.append((epoch, train_loss, dev_acc))
         if dev_acc > best_acc:
             best_acc = dev_acc
@@ -243,14 +243,29 @@ def scatter_embedding_grad(
     return gE
 
 
-def _accuracy(model: NeuralModel, X: list[np.ndarray], y: list[int], batch_size: int) -> float:
-    correct = 0
-    for start in range(0, len(X), batch_size):
-        probs = predict_proba_batch(model, X[start:start + batch_size])
-        for row, label in zip(probs, y[start:start + batch_size]):
-            if argmax_label(row) == label:
-                correct += 1
-    return correct / len(X)
+def _predict_in_length_order(
+    model: NeuralModel, table: np.ndarray, ids: list[np.ndarray], batch_size: int
+) -> np.ndarray:
+    """Class probabilities for each example table[ids[i]], in input order.
+
+    Batches are cut from the examples stably sorted by token count, so a
+    CNN batch, padded to its longest example plus the largest window,
+    convolves little padding.
+    """
+    order = sorted(range(len(ids)), key=lambda i: ids[i].size)
+    probs = np.empty((len(ids), N_CLASSES))
+    for start in range(0, len(order), batch_size):
+        chosen = order[start:start + batch_size]
+        probs[chosen] = predict_proba_batch(model, [table[ids[i]] for i in chosen])
+    return probs
+
+
+def _accuracy(
+    model: NeuralModel, table: np.ndarray, ids: list[np.ndarray], y: list[int], batch_size: int
+) -> float:
+    probs = _predict_in_length_order(model, table, ids, batch_size)
+    correct = sum(1 for row, label in zip(probs, y) if argmax_label(row) == label)
+    return correct / len(ids)
 
 
 def predict_batch(
@@ -272,11 +287,8 @@ def predict_batch(
     vectors = list(ft.E) if ft is not None else []
     ids = encode_tweets(tweets, index, vectors, context)
     table = np.stack(vectors) if vectors else None
-    out: list[tuple[Polarity, np.ndarray]] = []
-    for start in range(0, len(ids), 256):
-        probs = predict_proba_batch(trained.model, [table[r] for r in ids[start:start + 256]])
-        out.extend((Polarity(argmax_label(row)), row) for row in probs)
-    return out
+    probs = _predict_in_length_order(trained.model, table, ids, 256)
+    return [(Polarity(argmax_label(row)), row) for row in probs]
 
 
 def save_training_log(trained: TrainedModel, path: str | Path) -> None:

@@ -308,6 +308,35 @@ class TestTrainAndPredict:
         assert not any(ln.startswith("skipped") for ln in printed["one"].splitlines())
         assert (tmp_path / "mixed.preds").read_bytes() == (tmp_path / "one.preds").read_bytes()
 
+    def test_over_long_tweet_is_cut_to_max_len(self, tmp_path, capsys):
+        fx = tmp_path / "fx"
+        assert main(["synth", "--out", str(fx), "--seed", "3"]) == 0
+        embeddings = [f"embedding.{lang} = {fx / f'{lang}.vec'}" for lang in ("en", "ja", "zh")]
+        cfg = write_config(tmp_path / "cnn.cfg", fx, [
+            "kind = cnn", *embeddings, "train.max_epochs = 1", "train.filters_per_window = 3",
+        ])
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
+        assert load_checkpoint(ckpt).model.max_len == 9
+        records = [json.loads(ln) for ln in (fx / "corpus.jsonl").read_text().splitlines()]
+        en = [r for r in records if r["lang"] == "en"]
+        words = " ".join(r["text"] for r in en).split()
+        long_words = (words * (200 // len(words) + 1))[:200]
+        rows = [dict(en[0], id="long", text=" ".join(long_words)),
+                dict(en[0], id="head", text=" ".join(long_words[:9])),
+                en[1]]
+        (tmp_path / "in.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(ckpt), "--in", str(tmp_path / "in.jsonl"),
+                   "--out", str(tmp_path / "p.jsonl"),
+                   *[f"--embedding={lang}={fx / f'{lang}.vec'}" for lang in ("en", "ja", "zh")]])
+        assert rc == 0
+        assert "truncated 1 record to the model's max_len of 9 tokens" in capsys.readouterr().out
+        preds = [json.loads(ln) for ln in (tmp_path / "p.jsonl").read_text().splitlines()]
+        assert [p["id"] for p in preds] == ["long", "head", en[1]["id"]]
+        assert {k: v for k, v in preds[0].items() if k != "id"} == \
+            {k: v for k, v in preds[1].items() if k != "id"}
+
     def test_nonneural_kind_rejected(self, fixture_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "nb2.cfg", fixture_dir, ["kind = nb"])
         rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")])

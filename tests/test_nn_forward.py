@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multisent.errors import ArgumentError, ConfigurationError
 from multisent.nn import (
@@ -24,6 +26,7 @@ from multisent.nn import (
     softmax,
 )
 from multisent.nn.activations import sigmoid
+from multisent.nn.model import _assemble_batch
 
 SIG1 = 0.7310585786300049   # 1 / (1 + e^-1)
 TANH1 = 0.7615941559557649  # tanh(1)
@@ -305,6 +308,63 @@ class TestCnnBatch:
         a = cnn_one(M, 5, params)
         b = cnn_one(M[::-1].copy(), 5, params)
         assert np.allclose(a, b, atol=1e-12)
+
+
+class TestCnnTrimmedPadding:
+    """Padding a CNN batch to its longest tweet plus the largest window, capped
+    at max_len, pools and routes gradients as padding to max_len does."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_trimmed_padding_matches_max_len_padding(self, data):
+        window_sizes = tuple(sorted(data.draw(
+            st.sets(st.integers(1, 5), min_size=1, max_size=3), label="window_sizes")))
+        max_h = max(window_sizes)
+        dim = data.draw(st.integers(1, 4), label="dim")
+        F = data.draw(st.integers(1, 3), label="F")
+        act = data.draw(st.sampled_from(["tanh", "sigmoid", "relu"]), label="act")
+        bias_shift = data.draw(st.sampled_from([0.0, -0.5, -3.0]), label="bias_shift")
+        zero_filters = data.draw(st.booleans(), label="zero_filters")
+        lengths = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=5),
+                            label="lengths")
+        longest = max(lengths)
+        max_len = data.draw(st.integers(max(longest, max_h), longest + 2 * max_h + 3),
+                            label="max_len")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        params = CnnParams(
+            window_sizes=window_sizes,
+            filters={h: (0.0 if zero_filters else 1.0) * rng.normal(size=(F, h, dim))
+                     for h in window_sizes},
+            biases={h: rng.normal(size=F) + bias_shift for h in window_sizes},
+            V=rng.normal(size=(3, F * len(window_sizes))),
+            b_y=rng.normal(size=3),
+        )
+        X = np.zeros((len(lengths), max_len, dim))
+        for b, n in enumerate(lengths):
+            X[b, :n] = rng.normal(size=(n, dim))
+        T = min(max_len, longest + max_h)
+
+        _, full = cnn_forward_batch(X, params, act)
+        _, trim = cnn_forward_batch(X[:, :T].copy(), params, act)
+        for h in window_sizes:
+            np.testing.assert_array_equal(trim.argmax[h], full.argmax[h])
+        np.testing.assert_allclose(trim.pooled, full.pooled, rtol=1e-12, atol=0.0)
+        for cache in (full, trim):
+            by_index = np.concatenate([
+                np.take_along_axis(cache.feature_maps[h], cache.argmax[h][:, None, :],
+                                   axis=1)[:, 0, :]
+                for h in window_sizes], axis=1)
+            assert by_index.tobytes() == cache.pooled.tobytes()
+
+    def test_batch_pads_to_longest_plus_largest_window(self):
+        params = init_cnn_params(input_dim=2, seed=1, window_sizes=(2, 3), filters_per_window=2)
+        model = NeuralModel(kind="cnn", params=params, max_len=10)
+        short = [(np.ones((n, 2)), 0) for n in (4, 2)]
+        assert _assemble_batch(model, short)[0].shape == (2, 7, 2)
+        long = [(np.ones((n, 2)), 0) for n in (9, 2)]
+        assert _assemble_batch(model, long)[0].shape == (2, 10, 2)
+        with pytest.raises(ConfigurationError, match="the model's max_len 10"):
+            _assemble_batch(model, [(np.ones((11, 2)), 0)])
 
 
 class TestSoftmaxAndPredict:

@@ -11,13 +11,15 @@ from multisent.corpus import Polarity
 from multisent.errors import ArgumentError, ConfigurationError, MultisentError, ParseError
 from multisent.nn import (
     TrainConfig,
+    argmax_label,
     load_checkpoint,
     predict_batch,
+    predict_proba_batch,
     save_checkpoint,
     save_training_log,
     train,
 )
-from multisent.nn.train import scatter_embedding_grad
+from multisent.nn.train import _accuracy, encode_tweets, scatter_embedding_grad
 from multisent.pipeline import EmbeddingContext
 from multisent.preprocess import TokenizedTweet
 from multisent.rng import SplitMix64, derive_stream
@@ -406,6 +408,57 @@ class TestCheckpointAndLog:
             assert int(row[0]) == epoch
             assert float(row[1]) == loss
             assert float(row[2]) == acc
+
+
+class TestLengthOrder:
+    """Batches are cut in length order; every output still belongs to its input."""
+
+    WORDS = [f"w{i}" for i in range(40)]
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        ctx = EmbeddingContext(tables={"en": seeded_table("en", self.WORDS, 6)},
+                               max_len=len(self.WORDS))
+        rng = SplitMix64(derive_stream(5, "mixed-lengths"))
+        tweets = []
+        for i in range(300):
+            n = 1 + rng.next_below(len(self.WORDS))
+            toks = [self.WORDS[rng.next_below(len(self.WORDS))] for _ in range(n)]
+            tweets.append(TokenizedTweet(id=f"t{i}", lang="en", label=Polarity(i % 3),
+                                         tokens=toks))
+        return ctx, tweets
+
+    @pytest.fixture(scope="class", params=["cnn", "lstm"])
+    def trained(self, request, mixed):
+        ctx, tweets = mixed
+        cfg = quick_config(window_sizes=(2, 3), filters_per_window=3, hidden_dim=4,
+                           max_epochs=1)
+        return train(request.param, tweets[:60], tweets[60:90], ctx, cfg)
+
+    def test_rows_follow_input_order(self, mixed, trained):
+        ctx, tweets = mixed
+        descending = sorted(tweets, key=lambda tw: -tw.length)
+        assert descending[0].length > descending[-1].length
+        out = predict_batch(trained, descending, ctx)
+        assert len(out) == len(descending)
+        for tw, (label, probs) in zip(descending, out):
+            [(alone_label, alone_probs)] = predict_batch(trained, [tw], ctx)
+            assert label == alone_label, tw.id
+            np.testing.assert_allclose(probs, alone_probs, rtol=0.0, atol=1e-12)
+
+    def test_accuracy_matches_unsorted_loop(self, mixed, trained):
+        ctx, tweets = mixed
+        index, vectors = {}, []
+        ids = encode_tweets(tweets, index, vectors, ctx)
+        table = np.stack(vectors)
+        y = [int(tw.label) for tw in tweets]
+        correct = 0
+        for start in range(0, len(ids), 7):
+            probs = predict_proba_batch(trained.model, [table[r] for r in ids[start:start + 7]])
+            correct += sum(argmax_label(row) == label
+                           for row, label in zip(probs, y[start:start + 7]))
+        assert 0 < correct < len(ids)
+        assert _accuracy(trained.model, table, ids, y, 7) == correct / len(ids)
 
 
 class TestPredictGuards:
