@@ -13,9 +13,17 @@ stage skips the replacement tokens already present in the text, which
 is what makes normalize idempotent: a second pass finds only protected
 tokens and already-normalized text.
 
-The emoji stage is one character class built from EMOJI_RANGES. Each
-codepoint in those ranges becomes one token; variation selectors
-(U+FE0E/U+FE0F) and the zero-width joiner (U+200D) are dropped.
+The emoji stage is one character class over EMOJI_RANGES and the dropped
+codepoints. Each codepoint in those ranges becomes one token; variation
+selectors (U+FE0E/U+FE0F) and the zero-width joiner (U+200D) are dropped.
+
+normalize splits the text on the guard once after the casing pass and
+again only after a stage changed some piece, since a change can merge a
+piece into the token beside it. `NormalizationRuleSet.screens` holds, per
+stage, None or a cheap regex that finds something in every piece the
+stage could change, and a stage skips each piece its screen passes over.
+Both skips are exact: the output has the bytes of splitting, substituting
+and joining for every stage.
 
 Emoticon detection ships as a versioned pattern file (one regex per line)
 plus a literal exception list for rare faces; both live in the package
@@ -52,11 +60,16 @@ _DROPPED_CODEPOINTS = (0xFE0E, 0xFE0F, 0x200D)
 
 _URL_PATTERN = re.compile(r"(?:https?|ftp)://\S+", re.IGNORECASE)
 
-# A dropped codepoint matches with group 1 unset; an emoji sets group 1.
+# Every URL match contains "://", and neither ":" nor "/" has a case variant.
+_URL_SCREEN = re.compile("://")
+
 _EMOJI_PATTERN = re.compile(
-    "[" + "".join(f"\\U{cp:08X}" for cp in _DROPPED_CODEPOINTS) + "]|(["
-    + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in EMOJI_RANGES) + "])"
+    "["
+    + "".join(f"\\U{cp:08X}" for cp in _DROPPED_CODEPOINTS)
+    + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in EMOJI_RANGES)
+    + "]"
 )
+_DROPPED = frozenset(map(chr, _DROPPED_CODEPOINTS))
 
 
 class CasingPolicy(enum.Enum):
@@ -110,8 +123,10 @@ class NormalizationRuleSet:
     """Replacement tokens, per-language policies, and detection pattern sets.
 
     Construction compiles `stages`, the ordered (regex, replacement) pairs
-    that normalize applies, and `guard`, the regex of replacement tokens
-    every stage leaves alone.
+    that normalize applies; `screens`, aligned with `stages`, each None or
+    a regex that finds something in every piece its stage could change;
+    and `guard`, the regex of replacement tokens every stage leaves alone.
+    An emoticon pattern that does not compile raises ConfigurationError.
     """
 
     emoji_token_prefix: str = "EMOJI_"
@@ -135,21 +150,40 @@ class NormalizationRuleSet:
         for lit in self.emoticon_literals:
             variants.add(lit)
             variants.add(unicodedata.normalize("NFKC", lit))
-        parts = []
+        parts, screen_chars, screen_words = [], set(), []
         for lit in sorted(variants, key=len, reverse=True):
             body = re.escape(lit)
-            if all(ch.isalnum() or ch == "_" for ch in lit):
+            symbol = next((ch for ch in lit if not (ch.isalnum() or ch == "_")), None)
+            if symbol is None:
+                screen_words.append(body)
                 body = rf"(?<!\w){body}(?!\w)"
+            else:
+                screen_chars.add(symbol)
             parts.append(body)
         prefix, emoticon = self.emoji_token_prefix, f" {self.emoticon_token} "
         stages = [
             (_URL_PATTERN, f" {self.url_token} "),
-            (_EMOJI_PATTERN, lambda m: f" {prefix}{ord(m[1]):X} " if m[1] else ""),
+            (_EMOJI_PATTERN, lambda m: "" if m[0] in _DROPPED else f" {prefix}{ord(m[0]):X} "),
         ]
+        screens = [_URL_SCREEN, None]
         if parts:
             stages.append((re.compile("|".join(parts), re.IGNORECASE), emoticon))
-        stages.extend((re.compile(p), emoticon) for p in self.emoticon_patterns)
+            # Every match of a literal contains the character or word its
+            # screen alternative names, and under IGNORECASE a class [c]
+            # accepts the same characters as the literal c.
+            if screen_chars:
+                screen_words.insert(0, "[" + "".join(map(re.escape, sorted(screen_chars))) + "]")
+            screens.append(re.compile("|".join(screen_words), re.IGNORECASE))
+        for position, pattern in enumerate(self.emoticon_patterns, start=1):
+            try:
+                stages.append((re.compile(pattern), emoticon))
+            except (re.error, OverflowError, RecursionError) as err:
+                raise ConfigurationError(
+                    f"emoticon pattern {position} {pattern!r} does not compile: {err}"
+                ) from None
+            screens.append(None)
         self.stages = tuple(stages)
+        self.screens = tuple(screens)
         # Replacement tokens are protected from every stage.
         self.guard = re.compile(
             "("
@@ -196,14 +230,6 @@ def default_rules() -> NormalizationRuleSet:
     )
 
 
-def _outside_tokens(text: str, protected_re: re.Pattern, fn) -> str:
-    """Apply fn to the stretches of text between protected tokens."""
-    pieces = protected_re.split(text)
-    for i in range(0, len(pieces), 2):  # odd indices are protected tokens
-        pieces[i] = fn(pieces[i])
-    return "".join(pieces)
-
-
 def normalize(text: str, lang: str, rules: NormalizationRuleSet) -> str:
     """Normalize one tweet's text for a given language.
 
@@ -213,18 +239,29 @@ def normalize(text: str, lang: str, rules: NormalizationRuleSet) -> str:
     and idempotent: a second pass leaves the output unchanged.
     """
     policy = rules.policy_for(lang)
-
-    def apply_policy(seg: str) -> str:
+    guard = rules.guard
+    pieces = guard.split(text)  # odd indices are protected tokens
+    for i in range(0, len(pieces), 2):
+        seg = pieces[i]
         if policy is CasingPolicy.NFKC:
             seg = unicodedata.normalize("NFKC", seg)
         elif policy is CasingPolicy.TRAD2SIMP:
             seg = seg.translate(rules.trad2simp)
-        return seg.lower()
-
-    text = _outside_tokens(text, rules.guard, apply_policy)
-    for rx, repl in rules.stages:
-        text = _outside_tokens(text, rules.guard, lambda s: rx.sub(repl, s))
-    return " ".join(text.split())
+        pieces[i] = seg.lower()
+    pieces = guard.split("".join(pieces))
+    for (rx, repl), screen in zip(rules.stages, rules.screens):
+        changed = False
+        for i in range(0, len(pieces), 2):
+            piece = pieces[i]
+            if screen is not None and screen.search(piece) is None:
+                continue
+            new = rx.sub(repl, piece)
+            if new != piece:
+                pieces[i] = new
+                changed = True
+        if changed:  # never patch in place: a change can merge a piece into a token
+            pieces = guard.split("".join(pieces))
+    return " ".join("".join(pieces).split())
 
 
 @dataclass
@@ -241,7 +278,7 @@ class TokenizedTweet:
         self.length = len(self.tokens)
         if self.length == 0:
             raise ArgumentError(f"tweet {self.id!r} has no tokens")
-        if any(t == "" for t in self.tokens):
+        if "" in self.tokens:
             raise ArgumentError(f"tweet {self.id!r} contains an empty token")
 
 

@@ -1,11 +1,15 @@
-"""Corrupted checkpoints, matrices, .vec files and feature-space dumps fail with
-MultisentError or load.
+"""Corrupted checkpoints, matrices, .vec files, feature-space dumps and the
+packaged pattern, literal and mapping files fail with MultisentError or load.
 
-Each example takes a file the package itself wrote (tiny dims) and either
-replaces, deletes or cuts one line, or splices arbitrary bytes in at some
-offset. The loader must return or raise MultisentError; any other
-exception would end the CLI in a traceback instead of exit 2.
+Each example takes a file the package itself wrote (tiny dims) or ships,
+and either replaces, deletes or cuts one line, or splices arbitrary bytes
+in at some offset. The loader must return or raise MultisentError; any
+other exception would end the CLI in a traceback instead of exit 2. A
+packaged file's loader also builds a NormalizationRuleSet from what it
+read and normalizes a sample under it.
 """
+
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -20,7 +24,14 @@ from multisent.errors import MultisentError, ParseError
 from multisent.nn import NeuralModel, TrainedModel, init_cnn_params, init_lstm_params
 from multisent.nn import load_checkpoint, save_checkpoint
 from multisent.nn.train import FineTunedEmbeddings
-from multisent.preprocess import TokenizedTweet
+from multisent.preprocess import (
+    NormalizationRuleSet,
+    TokenizedTweet,
+    load_literal_file,
+    load_mapping_table,
+    load_pattern_file,
+    normalize,
+)
 
 from conftest import seeded_table
 
@@ -64,7 +75,18 @@ def originals(tmp_path_factory):
     space, _ = build_feature_space(tweets)
     save_feature_space(space, directory / "features.tsv")
     loaders["features.tsv"] = load_feature_space
+    for name, read, field in [("emoticon_patterns.txt", load_pattern_file, "emoticon_patterns"),
+                              ("emoticon_literals.txt", load_literal_file, "emoticon_literals"),
+                              ("zh_trad2simp.tsv", load_mapping_table, "trad2simp")]:
+        (directory / name).write_bytes((resources.files("multisent") / "data" / name).read_bytes())
+        loaders[name] = lambda path, read=read, field=field: _normalize_sample(
+            NormalizationRuleSet(**{field: read(path)}))
     return {name: ((directory / name).read_bytes(), load) for name, load in loaders.items()}
+
+
+def _normalize_sample(rules: NormalizationRuleSet) -> None:
+    for lang in ("en", "ja", "zh"):
+        normalize("Good :-) (^_^) orz ＡＢ 說話 \U0001F600\u200d http://x.co", lang, rules)
 
 
 _line_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
@@ -87,7 +109,8 @@ def _corrupt(data: bytes, draw) -> bytes:
     return b"\n".join(lines)
 
 
-@pytest.mark.parametrize("name", ["cnn.ckpt", "lstm.ckpt", "en.vec", "ja-en.mat", "features.tsv"])
+@pytest.mark.parametrize("name", ["cnn.ckpt", "lstm.ckpt", "en.vec", "ja-en.mat", "features.tsv",
+                                  "emoticon_patterns.txt", "emoticon_literals.txt", "zh_trad2simp.tsv"])
 @settings(max_examples=150, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())

@@ -1,5 +1,8 @@
 """Text normalization, tokenization, and record preprocessing."""
 
+import re
+import unicodedata
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from multisent.corpus import Polarity, TweetRecord
 from multisent.errors import ArgumentError, ConfigurationError, ParseError, RecordDropError
 from multisent.preprocess import (
     EMOJI_RANGES,
+    CasingPolicy,
     NormalizationRuleSet,
     default_rules,
     load_literal_file,
@@ -145,6 +149,127 @@ def test_emoji_stage_over_every_codepoint():
         pairs = enumerate(zip(out, expected))
         first = next((i for i, (a, b) in pairs if a != b), min(len(out), len(expected)))
         pytest.fail(f"emoji stage differs from the range check at output index {first}")
+
+
+# -- normalize against the split-every-stage loop --------------------------
+
+def _oracle(text, lang, rules):
+    """normalize as one guard split, substitution and join per stage, screens unused."""
+    def outside(text, fn):
+        pieces = rules.guard.split(text)
+        for i in range(0, len(pieces), 2):
+            pieces[i] = fn(pieces[i])
+        return "".join(pieces)
+
+    policy = rules.policy_for(lang)
+
+    def apply_policy(seg):
+        if policy is CasingPolicy.NFKC:
+            seg = unicodedata.normalize("NFKC", seg)
+        elif policy is CasingPolicy.TRAD2SIMP:
+            seg = seg.translate(rules.trad2simp)
+        return seg.lower()
+
+    text = outside(text, apply_policy)
+    for rx, repl in rules.stages:
+        text = outside(text, lambda s: rx.sub(repl, s))
+    return " ".join(text.split())
+
+
+def _fullwidth(s):
+    return "".join(chr(ord(ch) + 0xFEE0) if "!" <= ch <= "~" else ch for ch in s)
+
+
+_FACES = [":-)", ":)", ":(", ";-)", ":D", ":-D", ":'(", ":P", "=)", ":/", "<3", "<333",
+          "^_^", "^^", "(=^o^=)", "XD", "8-)", "(:", "D:", ":3", "12:30", "x3000"]
+_HEX = "0123456789ABCDEFabcdef０１２３４５６７８９ＡＢＣＤＥＦ"
+_fragment_parts = [
+    st.sampled_from(["EMOJI_1F600", "EMOTICON", "URL", "EMOJI_", "emoji_1f600", "ＵＲＬ", "Emoticon"]),
+    st.text(_HEX, max_size=6).map(lambda h: "EMOJI_" + h),
+    st.sampled_from(["http", "https", "ftp", "HTTP", "ｈｔｔｐｓ", "ftp:/"]).flatmap(
+        lambda scheme: st.text("ab/.?=:%&ＡＢ\U0001F600", max_size=8).map(lambda rest: scheme + "://" + rest)),
+    st.sampled_from(["\U0001F468\u200d\U0001F469", "\u2764\ufe0f", "\U0001F44D\U0001F3FD",
+                     "\U0001F1EF\U0001F1F5", "\u200d", "\ufe0e", "\ufe0f\u200d", "\u2600\ufe0e"]),
+    # a dropped joiner between a token and a hex digit: removing it merges the two
+    st.tuples(st.sampled_from(["EMOJI_1F600", "EMOTICON", "URL"]), st.sampled_from(["\u200d", "\ufe0f"]),
+              st.sampled_from(["8-)", "8)", "1", "F:)", "x3"])).map("".join),
+    st.sampled_from(["ſ", "K", "İ", "ı", "ß", "ⓚ", "Ⓚ", "說", "這", "ｶﾞ", "１２", " ", "\t", "\n"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+]
+
+
+def _texts(faces):
+    forms = st.sampled_from(faces).flatmap(
+        lambda f: st.sampled_from([f, f.upper(), f.lower(), _fullwidth(f)]))
+    return st.lists(st.one_of(forms, *_fragment_parts), max_size=12).map("".join)
+
+
+def _assert_matches_oracle_and_screens(text, lang, rules):
+    assert normalize(text, lang, rules) == _oracle(text, lang, rules)
+    for s in (text, text.lower(), unicodedata.normalize("NFKC", text)):
+        for (rx, repl), screen in zip(rules.stages, rules.screens):
+            if screen is not None and screen.search(s) is None:
+                assert rx.sub(repl, s) == s, (rx.pattern, screen.pattern, s)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_texts(_FACES + RULES.emoticon_literals), st.sampled_from(["en", "ja", "zh"]))
+def test_normalize_equals_split_every_stage_loop(text, lang):
+    assert len(RULES.screens) == len(RULES.stages)
+    _assert_matches_oracle_and_screens(text, lang, RULES)
+
+
+_literal = st.one_of(
+    st.text("abcxyzOTLK_19ſİｏ", min_size=1, max_size=4),                  # bare words
+    st.text("()^_-;:.\\/*oOxXﾟ▽（）ｏ＾ _ⓚⓀ", min_size=1, max_size=6),      # punctuation faces
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(_literal, max_size=5), st.data())
+def test_normalize_equals_loop_under_random_literals(literals, data):
+    rules = NormalizationRuleSet(emoticon_patterns=list(RULES.emoticon_patterns),
+                                 emoticon_literals=literals, trad2simp=dict(RULES.trad2simp))
+    text = data.draw(_texts(_FACES + (literals or ["orz"])))
+    _assert_matches_oracle_and_screens(text, data.draw(st.sampled_from(["en", "ja", "zh"])), rules)
+
+
+@pytest.mark.parametrize("text,lang,expected", [
+    # NFKC turns the full-width digits into hex digits of the token before them
+    ("EMOJI_1F600１２", "ja", "EMOJI_1F60012"),
+    # dropping the joiner merges "8" into the token, so "8-)" is no face
+    ("EMOJI_1F600\u200d8-)", "en", "EMOJI_1F6008-)"),
+])
+def test_a_change_that_merges_into_a_token_is_split_again(text, lang, expected):
+    assert normalize(text, lang, RULES) == _oracle(text, lang, RULES) == expected
+
+
+def test_literal_screen_is_one_class_plus_bare_words():
+    rules = NormalizationRuleSet(emoticon_literals=["m(_ _)m", "\\o/", "orz", "xD"])
+    rx, _ = rules.stages[2]
+    assert rules.screens[:2] == (re.compile("://"), None)
+    assert rules.screens[2].pattern == r"[\(\\]|orz|xD"
+    assert rules.screens[2].flags & re.IGNORECASE and rx.flags & re.IGNORECASE
+    assert NormalizationRuleSet(emoticon_patterns=[":\\)"]).screens == (re.compile("://"), None, None)
+
+
+_ALL_CHARS = "".join(chr(cp) for cp in range(0x110000) if not 0xD800 <= cp <= 0xDFFF)
+
+
+# every non-word character of the packaged literals, and non-word characters with case variants
+@pytest.mark.parametrize("ch", sorted({c for c in "".join(RULES.emoticon_literals)
+                                       if not (c.isalnum() or c == "_")} | set("ⓚⓀⓢⓈⓘⒾ")))
+def test_ignorecase_class_accepts_what_the_literal_accepts(ch):
+    literal = re.compile(re.escape(ch), re.IGNORECASE)
+    klass = re.compile(f"[{re.escape(ch)}]", re.IGNORECASE)
+    assert literal.findall(_ALL_CHARS) == klass.findall(_ALL_CHARS)
+
+
+def test_uncompilable_emoticon_pattern_names_its_position():
+    with pytest.raises(ConfigurationError, match=r"emoticon pattern 2 '\(ab' does not compile"):
+        NormalizationRuleSet(emoticon_patterns=[":\\)", "(ab"])
+    with pytest.raises(ConfigurationError, match=re.escape("emoticon pattern 1 'a{4294967296}'")):
+        NormalizationRuleSet(emoticon_patterns=["a{4294967296}"])
 
 
 # -- preprocess_record / corpus -------------------------------------------
