@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import reprlib
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -147,6 +148,11 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "alignment=translation_matrix requires at least one matrix"
             )
+        try:
+            # every TrainConfig message starts with its field, so this names the key
+            self.train_config(self.seed)
+        except ArgumentError as err:
+            raise ConfigurationError(f"train.{err}") from None
 
     def active_languages(self) -> tuple[str, ...]:
         return self.languages if self.scope == "all" else (self.scope,)
@@ -297,6 +303,7 @@ class CVReport:
         if not isinstance(obj, dict):
             raise ParseError("report must be a JSON object")
         try:
+            _check_report_types(obj)
             return cls(
                 name=obj["name"],
                 kind=obj["kind"],
@@ -313,6 +320,44 @@ class CVReport:
             raise ParseError(f"report lacks key {err.args[0]!r}") from None
         except TypeError as err:
             raise ParseError(f"report value has the wrong type: {err}") from None
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    return _number(value) and math.isfinite(value)
+
+
+_STRING = ("a string", lambda v: isinstance(v, str))
+_INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_FINITE = ("a finite number", _finite)
+
+# Each report field's JSON type, in field order, as (description, test).
+_REPORT_TYPES = {
+    "name": _STRING,
+    "kind": _STRING,
+    "folds": _INTEGER,
+    "seed": _INTEGER,
+    "fold_accuracies": ("a list of finite numbers",
+                        lambda v: isinstance(v, list) and all(map(_finite, v))),
+    "mean_accuracy": _FINITE,
+    "overall_accuracy": _FINITE,
+    "per_language": ("an object of objects of numbers",
+                     lambda v: isinstance(v, dict) and all(
+                         isinstance(s, dict) and all(map(_number, s.values()))
+                         for s in v.values())),
+    "config_fingerprint": _STRING,
+}
+
+
+def _check_report_types(obj: dict) -> None:
+    """Raise ParseError naming the first report field whose JSON type is wrong."""
+    for key, (what, ok) in _REPORT_TYPES.items():
+        if not ok(obj[key]):
+            raise ParseError(f"report value has the wrong type: {key} must be {what}, "
+                             f"got {reprlib.repr(obj[key])}")
 
 
 def load_context(config: ExperimentConfig, tweets, rules_version: str) -> EmbeddingContext:

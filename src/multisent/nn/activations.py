@@ -11,6 +11,8 @@ import numpy as np
 
 from ..errors import ArgumentError
 
+ACTIVATIONS = ("tanh", "sigmoid", "relu")
+
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never

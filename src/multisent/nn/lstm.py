@@ -9,15 +9,21 @@ Per step, from input x_t and the previous hidden/cell states:
     o_t = sigmoid(W_o x_t + U_o h_{t-1} + b_o)        output gate
     h_t = o_t * tanh(C_t)
 
-The candidate activation defaults to tanh; "sigmoid" is accepted as an
-alternative mode so both variants stay comparable.
+The candidate activation defaults to tanh; "sigmoid" and "relu" are
+accepted as alternative modes so the variants stay comparable.
 
 The batch runs as a packed sequence: rows sorted by length, longest
 first, and only the (t, row) cells holding tokens stacked step by step
 into one array, so step t owns the first n_t sorted rows and padding is
 never computed. The gates are stacked (i, f, o, c) into one W, U and b
 per call; one gemm projects every cell before the loop, and each step
-adds one h @ U.T. The backward pass reverses the loop into a packed
+adds one h @ U.T. Each sigmoid is taken as 0.5 + 0.5 * tanh(z / 2): the
+sigmoid gates' rows of W, U and b are halved (exact, as a power of two),
+so one tanh in place over a step's gate block and a multiply-add on the
+sigmoid columns give every gate. c, tanh(c) and h are written straight
+into their packed per-cell arrays; step t + 1 reads its rows' state from
+the first n_{t+1} rows of step t's block, and h_prev is gathered once
+after the loop. The backward pass reverses the loop into a packed
 array of pre-activation gradients, then takes the weight gradients and
 dX with one gemm each over all cells.
 """
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ArgumentError
-from .activations import activation_grad_from_output, apply_activation, sigmoid
+from .activations import ACTIVATIONS, activation_grad_from_output
 from .params import LstmParams
 
 GATES = ("i", "f", "o", "c")
@@ -67,6 +73,13 @@ def _cells(order: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return order[np.arange(offsets[-1]) - offsets[steps]], steps
 
 
+def _one_step_back(per_cell: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Each packed cell's row one step earlier (zero at step 0): n[t-1] cells up."""
+    back = np.zeros_like(per_cell)
+    back[n[0]:] = per_cell[np.arange(n[0], len(per_cell)) - np.repeat(n[:-1], n[1:])]
+    return back
+
+
 def lstm_forward_batch(
     X: np.ndarray,
     lengths: np.ndarray,
@@ -81,6 +94,8 @@ def lstm_forward_batch(
     dropout mask (inverted dropout, training only) multiplies it before
     the softmax-layer affine map.
     """
+    if candidate_activation not in ACTIVATIONS:
+        raise ArgumentError(f"unknown activation {candidate_activation!r}")
     if X.ndim != 3:
         raise ArgumentError(f"X must be (batch, time, dim), got shape {X.shape}")
     B, T, _ = X.shape
@@ -88,28 +103,41 @@ def lstm_forward_batch(
         raise ArgumentError("sequence lengths must be in [1, T] with T >= 1")
     H = params.hidden_dim
     W, U, b = _stacked(params)
+    # The columns that go through tanh(z / 2) to give sigmoid(z); halving
+    # their weights and bias is exact, so they hold exactly z / 2.
+    k = 4 * H if candidate_activation == "sigmoid" else 3 * H
+    for m in (W, U, b):
+        m[:k] *= 0.5
     order = np.argsort(-lengths, kind="stable")
     n = np.count_nonzero(lengths > np.arange(T)[:, None], axis=1)
     offsets = np.concatenate([[0], np.cumsum(n)])
     x = X[_cells(order, offsets)]
-    gates = x @ W.T
+    gates = x @ np.ascontiguousarray(W.T)
     gates += b
-    h_prev, c_all, tanh_c = np.empty((3, len(x), H))
-    h, c = np.zeros((2, B, H))
+    UT = np.ascontiguousarray(U.T)
+    c_all, tanh_c, h_all = np.empty((3, len(x), H))
     for t in range(T):
         a, z = offsets[t], offsets[t + 1]
-        h_prev[a:z] = h[:n[t]]
         pre = gates[a:z]
-        pre += h[:n[t]] @ U.T
-        pre[:, :3 * H] = sigmoid(pre[:, :3 * H])
-        pre[:, 3 * H:] = apply_activation(candidate_activation, pre[:, 3 * H:])
-        i, f, o, g = (pre[:, k * H:(k + 1) * H] for k in range(4))
-        c[:n[t]] = i * g + f * c[:n[t]]
-        c_all[a:z] = c[:n[t]]
-        tanh_c[a:z] = np.tanh(c[:n[t]])
-        h[:n[t]] = o * tanh_c[a:z]
-    h_last = np.empty_like(h)
-    h_last[order] = h
+        if t:
+            # step t's rows are the first n_t rows of step t-1's block
+            prev = slice(offsets[t - 1], offsets[t - 1] + n[t])
+            pre += h_all[prev] @ UT
+        if candidate_activation == "relu":
+            np.tanh(pre[:, :k], out=pre[:, :k])
+            np.maximum(pre[:, k:], 0.0, out=pre[:, k:])
+        else:
+            np.tanh(pre, out=pre)
+        pre[:, :k] *= 0.5
+        pre[:, :k] += 0.5
+        i, f, o, g = (pre[:, j * H:(j + 1) * H] for j in range(4))
+        c = np.multiply(i, g, out=c_all[a:z])
+        if t:
+            c += f * c_all[prev]
+        np.multiply(o, np.tanh(c, out=tanh_c[a:z]), out=h_all[a:z])
+    h_prev = _one_step_back(h_all, n)
+    h_last = np.empty((B, H))
+    h_last[order] = h_all[offsets[lengths[order] - 1] + np.arange(B)]
     penult = h_last if dropout_mask is None else h_last * dropout_mask
     logits = penult @ params.V.T + params.b_y
     return logits, LstmForwardCache(
@@ -134,9 +162,7 @@ def lstm_backward_batch(
     W, U, _ = _stacked(params)
     offsets, tanh_c = cache.offsets, cache.tanh_c
     n = np.diff(offsets)
-    # C_{t-1} of a cell is its row's cell one step back, n[t-1] packed rows up
-    c_prev = np.zeros_like(cache.c)
-    c_prev[n[0]:] = cache.c[np.arange(n[0], len(c_prev)) - np.repeat(n[:-1], n[1:])]
+    c_prev = _one_step_back(cache.c, n)
     gates = cache.gates.reshape(-1, 4, H)
     i, f, o, g = (gates[:, k] for k in range(4))
     # d pre / d C_t (i, f, candidate) and d pre / d h_t (o), scaled in place below
@@ -147,22 +173,25 @@ def lstm_backward_batch(
     dpre[:, 2] *= tanh_c
     dpre[:, 3] = i * activation_grad_from_output(cache.candidate_activation, g)
     dc_dh = o * (1.0 - tanh_c * tanh_c)
+    f = np.ascontiguousarray(f)
 
     mask = 1.0 if cache.dropout_mask is None else cache.dropout_mask
     dh = (dlogits @ params.V * mask)[cache.order]
     dc = np.zeros_like(dh)
+    dc_new, d_o = np.empty((2, *dh.shape))
     for t in range(len(n) - 1, -1, -1):
-        a, z = offsets[t], offsets[t + 1]
+        a, z, m = offsets[t], offsets[t + 1], n[t]
         d = dpre[a:z]
-        dc_new = dc[:n[t]] + dh[:n[t]] * dc_dh[a:z]
-        d_o = dh[:n[t]] * d[:, 2]
-        d *= dc_new[:, None, :]
-        d[:, 2] = d_o
-        dh[:n[t]] = d.reshape(n[t], 4 * H) @ U
-        dc[:n[t]] = dc_new * f[a:z]
+        np.multiply(dh[:m], dc_dh[a:z], out=dc_new[:m])
+        dc_new[:m] += dc[:m]
+        np.multiply(dh[:m], d[:, 2], out=d_o[:m])
+        d *= dc_new[:m, None, :]
+        d[:, 2] = d_o[:m]
+        np.matmul(d.reshape(m, 4 * H), U, out=dh[:m])
+        np.multiply(dc_new[:m], f[a:z], out=dc[:m])
 
     dpre = dpre.reshape(-1, 4 * H)
-    dW, dU, db = dpre.T @ cache.x, dpre.T @ cache.h_prev, dpre.sum(axis=0)
+    dW, dU, db = (cache.x.T @ dpre).T, (cache.h_prev.T @ dpre).T, dpre.sum(axis=0)
     grads = {f"{p}_{gate}": grad[k * H:(k + 1) * H]
              for k, gate in enumerate(GATES) for p, grad in zip("WUb", (dW, dU, db))}
     grads["V"] = dlogits.T @ cache.penultimate

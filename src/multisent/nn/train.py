@@ -37,6 +37,7 @@ from ..errors import (
 from ..pipeline import EmbeddingContext
 from ..preprocess import TokenizedTweet
 from ..rng import SplitMix64, derive_stream
+from .activations import ACTIVATIONS
 from .adadelta import DEFAULT_EPS, DEFAULT_RHO, AdadeltaState, adadelta_step
 from .model import NeuralModel, argmax_label, loss_and_gradients, predict_proba_batch
 from .params import (
@@ -78,6 +79,10 @@ class TrainConfig:
             raise ArgumentError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 0:
             raise ArgumentError(f"patience must be >= 0, got {self.patience}")
+        for key in ("candidate_activation", "cnn_activation"):
+            if getattr(self, key) not in ACTIVATIONS:
+                raise ArgumentError(
+                    f"{key} must be one of {', '.join(ACTIVATIONS)}, got {getattr(self, key)!r}")
 
 
 @dataclass

@@ -144,7 +144,23 @@ class TestEvaluateAndCompare:
         ('{"name": "x", "kind": "nb", "folds": 2, "seed": 0, "fold_accuracies": 5, '
          '"mean_accuracy": 0.5, "overall_accuracy": 0.5, "per_language": {}, '
          '"config_fingerprint": "f"}', "report value has the wrong type"),
-    ], ids=["missing-key", "bad-json", "wrong-type"])
+        ('{"name": 5, "kind": "nb", "folds": 2, "seed": 0, "fold_accuracies": [0.5], '
+         '"mean_accuracy": 0.5, "overall_accuracy": 0.5, "per_language": {}, '
+         '"config_fingerprint": "f"}', "name must be a string, got 5"),
+        ('{"name": "x", "kind": "nb", "folds": true, "seed": 0, "fold_accuracies": [0.5], '
+         '"mean_accuracy": 0.5, "overall_accuracy": 0.5, "per_language": {}, '
+         '"config_fingerprint": "f"}', "folds must be an integer, got True"),
+        ('{"name": "x", "kind": "nb", "folds": 2, "seed": 0, "fold_accuracies": [0.5], '
+         '"mean_accuracy": 0.5, "overall_accuracy": NaN, "per_language": {}, '
+         '"config_fingerprint": "f"}', "overall_accuracy must be a finite number, got nan"),
+        ('{"name": "x", "kind": "nb", "folds": 2, "seed": 0, "fold_accuracies": [0.5], '
+         '"mean_accuracy": 0.5, "overall_accuracy": 0.5, "per_language": {"en": {"total": "9"}}, '
+         '"config_fingerprint": "f"}', "per_language must be an object of objects of numbers"),
+        ('{"name": "x", "kind": "nb", "folds": 2, "seed": 0, "fold_accuracies": [0.5], '
+         '"mean_accuracy": 0.5, "overall_accuracy": 0.5, "per_language": {}, '
+         '"config_fingerprint": null}', "config_fingerprint must be a string, got None"),
+    ], ids=["missing-key", "bad-json", "wrong-type", "numeric-name", "bool-folds",
+            "nan-accuracy", "string-count", "null-fingerprint"])
     def test_malformed_report_exits_2(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -185,6 +201,37 @@ class TestEvaluateAndCompare:
         assert rc == 2
         assert "unknown config keys: ['scheme']" in capsys.readouterr().err
         assert spy_calls == []
+
+    @pytest.mark.parametrize("kind, line, message", [
+        ("lstm", "train.candidate_activation = softsign",
+         "train.candidate_activation must be one of tanh, sigmoid, relu, got 'softsign'"),
+        ("cnn", "train.cnn_activation = Tanh",
+         "train.cnn_activation must be one of tanh, sigmoid, relu, got 'Tanh'"),
+        ("lstm", "train.batch_size = 0", "train.batch_size must be >= 1, got 0"),
+    ], ids=["candidate-softsign", "cnn-capitalised", "batch-size-zero"])
+    def test_bad_train_value_exits_2_before_reading_corpus(
+        self, fixture_dir, tmp_path, capsys, spy_calls, kind, line, message
+    ):
+        cfg = write_config(tmp_path / "bad.cfg", fixture_dir, [f"kind = {kind}", line])
+        for command in (["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r.json")],
+                        ["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]):
+            rc = main(command)
+            assert rc == 2
+            assert f"error: {message}\n" == capsys.readouterr().err
+        assert spy_calls == []
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.ckpt").exists()
+
+    def test_relu_candidate_still_evaluates(self, fixture_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "relu.cfg", fixture_dir, [
+            "kind = lstm",
+            *(f"embedding.{lang} = {fixture_dir / f'{lang}.vec'}" for lang in ("en", "ja", "zh")),
+            "train.candidate_activation = relu",
+            "train.max_epochs = 1",
+        ])
+        out = tmp_path / "relu.json"
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = CVReport.from_json(out.read_text())
+        assert report.kind == "lstm" and len(report.fold_accuracies) == 3
 
     def test_baseline_command_rejects_nan_c_before_any_fold(
         self, fixture_dir, tmp_path, capsys, monkeypatch

@@ -1,14 +1,17 @@
-"""Corrupted checkpoints, matrices, .vec files, feature-space dumps and the
-packaged pattern, literal and mapping files fail with MultisentError or load.
+"""Corrupted checkpoints, matrices, .vec files, feature-space dumps, report
+JSON, bilingual dictionaries, frequency TSVs and the packaged pattern,
+literal and mapping files fail with MultisentError or load.
 
 Each example takes a file the package itself wrote (tiny dims) or ships,
-and either replaces, deletes or cuts one line, or splices arbitrary bytes
+or for the two TSV inputs a small file in their documented format, and
+either replaces, deletes or cuts one line, or splices arbitrary bytes
 in at some offset. The loader must return or raise MultisentError; any
 other exception would end the CLI in a traceback instead of exit 2. A
 packaged file's loader also builds a NormalizationRuleSet from what it
 read and normalizes a sample under it.
 """
 
+import json
 from importlib import resources
 
 import numpy as np
@@ -16,11 +19,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from multisent.align import fit_translation_matrix, load_translation_matrix, save_translation_matrix
+from multisent.align import (
+    fit_translation_matrix,
+    load_dictionary,
+    load_translation_matrix,
+    save_translation_matrix,
+)
 from multisent.baselines import build_feature_space, load_feature_space, save_feature_space
 from multisent.corpus import Polarity
-from multisent.embeddings import load_embedding_table, save_embedding_table
-from multisent.errors import MultisentError, ParseError
+from multisent.embeddings import load_embedding_table, load_frequency_counts, save_embedding_table
+from multisent.errors import MultisentError, ParseError, read_text
+from multisent.experiment import CVReport, compare_runs, compare_runs_csv
 from multisent.nn import NeuralModel, TrainedModel, init_cnn_params, init_lstm_params
 from multisent.nn import load_checkpoint, save_checkpoint
 from multisent.nn.train import FineTunedEmbeddings
@@ -75,6 +84,19 @@ def originals(tmp_path_factory):
     space, _ = build_feature_space(tweets)
     save_feature_space(space, directory / "features.tsv")
     loaders["features.tsv"] = load_feature_space
+    report = CVReport(name="run", kind="lstm", folds=2, seed=3, fold_accuracies=[0.5, 0.75],
+                      mean_accuracy=0.625, overall_accuracy=0.625,
+                      per_language={"en": {"correct": 5.0, "total": 8.0},
+                                    "ja": {"correct": 5.0, "total": 8.0}},
+                      config_fingerprint="ab" * 32, wall_clock_per_fold=[0.25, 0.5])
+    (directory / "report.json").write_text(report.to_json(), encoding="utf-8")
+    loaders["report.json"] = lambda path: CVReport.from_json(read_text(path))
+    (directory / "ja-en.tsv").write_text("# ja\ten\n良い\tgood\n日\tday\n話\tgood\n",
+                                         encoding="utf-8")
+    loaders["ja-en.tsv"] = load_dictionary
+    (directory / "en.freq").write_text("good\t12\nday\t7\n# tail\n\nnight\t1\n",
+                                       encoding="utf-8")
+    loaders["en.freq"] = load_frequency_counts
     for name, read, field in [("emoticon_patterns.txt", load_pattern_file, "emoticon_patterns"),
                               ("emoticon_literals.txt", load_literal_file, "emoticon_literals"),
                               ("zh_trad2simp.tsv", load_mapping_table, "trad2simp")]:
@@ -110,6 +132,7 @@ def _corrupt(data: bytes, draw) -> bytes:
 
 
 @pytest.mark.parametrize("name", ["cnn.ckpt", "lstm.ckpt", "en.vec", "ja-en.mat", "features.tsv",
+                                  "report.json", "ja-en.tsv", "en.freq",
                                   "emoticon_patterns.txt", "emoticon_literals.txt", "zh_trad2simp.tsv"])
 @settings(max_examples=150, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -150,3 +173,38 @@ def test_uncorrupted_files_load(originals, tmp_path):
         path = tmp_path / name
         path.write_bytes(data)
         load(path)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+def _paths(node, prefix=()):
+    """Every key or index path into a JSON object's nested objects and lists."""
+    for k, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield prefix + (k,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (k,))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_report_with_any_json_value_in_a_field_loads_or_raises_multisent_error(originals, data):
+    """`compare` reads each report and prints a table of it; a field that holds
+    any other JSON value must fail in from_json, not in the table."""
+    obj = json.loads(originals["report.json"][0])
+    path = data.draw(st.sampled_from(list(_paths(obj))), label="path")
+    target = obj
+    for k in path[:-1]:
+        target = target[k]
+    target[path[-1]] = data.draw(_json_values, label="value")
+    try:
+        report = CVReport.from_json(json.dumps(obj))
+    except MultisentError:
+        return
+    compare_runs([report, report])
+    compare_runs_csv([report])

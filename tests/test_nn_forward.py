@@ -25,7 +25,13 @@ from multisent.nn import (
     predict_proba_batch,
     softmax,
 )
-from multisent.nn.activations import sigmoid
+from multisent.nn.activations import (
+    ACTIVATIONS,
+    activation_grad_from_output,
+    apply_activation,
+    sigmoid,
+)
+from multisent.nn.lstm import GATES, LstmForwardCache, _cells, _stacked, lstm_backward_batch
 from multisent.nn.model import _assemble_batch
 
 SIG1 = 0.7310585786300049   # 1 / (1 + e^-1)
@@ -170,6 +176,181 @@ class TestLstmBatch:
         lengths = np.array([9, 4, 7, 1])
         _, cache = lstm_forward_batch(X, lengths, params)
         assert np.max(np.abs(cache.h_last)) < 1.0
+
+
+# The kernel before the tanh form, kept as the oracle: the exact sign-split
+# sigmoid on the strided gate block, state copied step to step.
+def oracle_lstm_forward(X, lengths, params, candidate_activation="tanh", dropout_mask=None):
+    B, T, _ = X.shape
+    H = params.hidden_dim
+    W, U, b = _stacked(params)
+    order = np.argsort(-lengths, kind="stable")
+    n = np.count_nonzero(lengths > np.arange(T)[:, None], axis=1)
+    offsets = np.concatenate([[0], np.cumsum(n)])
+    x = X[_cells(order, offsets)]
+    gates = x @ W.T
+    gates += b
+    h_prev, c_all, tanh_c = np.empty((3, len(x), H))
+    h, c = np.zeros((2, B, H))
+    for t in range(T):
+        a, z = offsets[t], offsets[t + 1]
+        h_prev[a:z] = h[:n[t]]
+        pre = gates[a:z]
+        pre += h[:n[t]] @ U.T
+        pre[:, :3 * H] = sigmoid(pre[:, :3 * H])
+        pre[:, 3 * H:] = apply_activation(candidate_activation, pre[:, 3 * H:])
+        i, f, o, g = (pre[:, k * H:(k + 1) * H] for k in range(4))
+        c[:n[t]] = i * g + f * c[:n[t]]
+        c_all[a:z] = c[:n[t]]
+        tanh_c[a:z] = np.tanh(c[:n[t]])
+        h[:n[t]] = o * tanh_c[a:z]
+    h_last = np.empty_like(h)
+    h_last[order] = h
+    penult = h_last if dropout_mask is None else h_last * dropout_mask
+    logits = penult @ params.V.T + params.b_y
+    return logits, LstmForwardCache(
+        x=x, h_prev=h_prev, c=c_all, tanh_c=tanh_c, gates=gates, order=order,
+        offsets=offsets, x_shape=X.shape, h_last=h_last, penultimate=penult,
+        dropout_mask=dropout_mask, candidate_activation=candidate_activation)
+
+
+def oracle_lstm_backward(dlogits, params, cache, want_dx=False):
+    H = params.hidden_dim
+    W, U, _ = _stacked(params)
+    offsets, tanh_c = cache.offsets, cache.tanh_c
+    n = np.diff(offsets)
+    c_prev = np.zeros_like(cache.c)
+    c_prev[n[0]:] = cache.c[np.arange(n[0], len(c_prev)) - np.repeat(n[:-1], n[1:])]
+    gates = cache.gates.reshape(-1, 4, H)
+    i, f, o, g = (gates[:, k] for k in range(4))
+    dpre = 1.0 - gates
+    dpre *= gates
+    dpre[:, 0] *= g
+    dpre[:, 1] *= c_prev
+    dpre[:, 2] *= tanh_c
+    dpre[:, 3] = i * activation_grad_from_output(cache.candidate_activation, g)
+    dc_dh = o * (1.0 - tanh_c * tanh_c)
+
+    mask = 1.0 if cache.dropout_mask is None else cache.dropout_mask
+    dh = (dlogits @ params.V * mask)[cache.order]
+    dc = np.zeros_like(dh)
+    for t in range(len(n) - 1, -1, -1):
+        a, z = offsets[t], offsets[t + 1]
+        d = dpre[a:z]
+        dc_new = dc[:n[t]] + dh[:n[t]] * dc_dh[a:z]
+        d_o = dh[:n[t]] * d[:, 2]
+        d *= dc_new[:, None, :]
+        d[:, 2] = d_o
+        dh[:n[t]] = d.reshape(n[t], 4 * H) @ U
+        dc[:n[t]] = dc_new * f[a:z]
+
+    dpre = dpre.reshape(-1, 4 * H)
+    dW, dU, db = dpre.T @ cache.x, dpre.T @ cache.h_prev, dpre.sum(axis=0)
+    grads = {f"{p}_{gate}": grad[k * H:(k + 1) * H]
+             for k, gate in enumerate(GATES) for p, grad in zip("WUb", (dW, dU, db))}
+    grads["V"] = dlogits.T @ cache.penultimate
+    grads["b_y"] = dlogits.sum(axis=0)
+    dX = None
+    if want_dx:
+        dX = np.zeros(cache.x_shape)
+        dX[_cells(cache.order, offsets)] = dpre @ W
+    return grads, dX
+
+
+def sigmoid_gate_preactivations(cache, params) -> tuple[np.ndarray, np.ndarray]:
+    """(gate values, pre-activations) of every sigmoid gate column in the cache.
+
+    The kernel sums z / 2 from halved weights with contiguous transposes;
+    the halving is exact, so this repeats that sum and doubles it."""
+    H = params.hidden_dim
+    k = 4 * H if cache.candidate_activation == "sigmoid" else 3 * H
+    W, U, b = _stacked(params)
+    for m in (W, U, b):
+        m[:k] *= 0.5
+    z = cache.x @ np.ascontiguousarray(W.T)
+    z += b
+    off = cache.offsets
+    for t in range(1, len(off) - 1):
+        z[off[t]:off[t + 1]] += cache.h_prev[off[t]:off[t + 1]] @ np.ascontiguousarray(U.T)
+    return cache.gates[:, :k], 2.0 * z[:, :k]
+
+
+class TestLstmAgainstOracle:
+    """The tanh-form, in-place kernel against the exact-sigmoid kernel it replaced.
+
+    Every gate moves by about an ulp, and gemm bits may differ between a
+    contiguous and a transposed operand, so results agree to within a
+    tolerance fixed here: 256 * eps per step, relative to the larger of 1
+    and the oracle array's largest magnitude."""
+
+    SIGMOID_GATE_TOL = 2.3e-16
+
+    @staticmethod
+    def tolerance(steps: int) -> float:
+        return 256 * steps * np.finfo(np.float64).eps
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle(self, data):
+        T = data.draw(st.integers(1, 10), label="T")
+        lengths = np.array(data.draw(st.lists(st.integers(1, T), min_size=1, max_size=6),
+                                     label="lengths"))
+        d = data.draw(st.integers(1, 6), label="input_dim")
+        H = data.draw(st.integers(1, 6), label="hidden_dim")
+        act = data.draw(st.sampled_from(ACTIVATIONS), label="act")
+        use_dropout = data.draw(st.booleans(), label="dropout")
+        want_dx = data.draw(st.booleans(), label="want_dx")
+        scale = data.draw(st.sampled_from([1.0, 3.0]), label="weight_scale")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        params = init_lstm_params(d, H, seed=int(rng.integers(2**31)))
+        for tensor in params.tensors().values():
+            tensor *= scale
+        B = len(lengths)
+        X = rng.normal(scale=2.0, size=(B, T, d))
+        mask = (rng.random((B, H)) >= 0.5) * 2.0 if use_dropout else None
+        dlogits = rng.normal(size=(B, 3))
+
+        want, want_cache = oracle_lstm_forward(X, lengths, params, act, mask)
+        want_grads, want_dX = oracle_lstm_backward(dlogits, params, want_cache, want_dx)
+        got, cache = lstm_forward_batch(X, lengths, params, act, mask)
+        grads, dX = lstm_backward_batch(dlogits, params, cache, want_dx)
+
+        tol = self.tolerance(T)
+        pairs = [("logits", got, want), ("h_last", cache.h_last, want_cache.h_last)]
+        pairs += [(name, grads[name], want_grads[name]) for name in want_grads]
+        assert set(grads) == set(want_grads)
+        assert (dX is None) == (want_dX is None) == (not want_dx)
+        if want_dx:
+            pairs.append(("dX", dX, want_dX))
+        for name, a, b in pairs:
+            assert a.shape == b.shape, name
+            bound = tol * max(float(np.max(np.abs(b))), 1.0)
+            assert float(np.max(np.abs(a - b))) <= bound, name
+
+        gate, pre = sigmoid_gate_preactivations(cache, params)
+        assert float(np.max(np.abs(gate - sigmoid(pre)), initial=0.0)) <= self.SIGMOID_GATE_TOL
+
+    def test_saturated_preactivations_raise_nothing(self):
+        # Weights 1 on a single input and no recurrence, so each gate's
+        # pre-activation is the input itself, from -800 to 800.
+        grid = np.array([0.0, -0.0, 1e-8, -1e-8, 0.5, -0.5, 1.0, -1.0,
+                         36.0, -36.0, 37.5, -37.5, 40.0, -40.0, 700.0, -700.0, 720.0,
+                         -720.0, 745.5, -745.5, 800.0, -800.0])
+        one, zero = np.ones((1, 1)), np.zeros((1, 1))
+        params = LstmParams(**{f"{p}_{g}": (one if p == "W" else zero).copy()
+                               for g in GATES for p in "WU"},
+                            **{f"b_{g}": np.zeros(1) for g in GATES},
+                            V=np.ones((3, 1)), b_y=np.zeros(3))
+        X = np.stack([grid, grid[::-1]])[:, :, None]
+        lengths = np.array([len(grid), len(grid) - 5])
+        for act in ACTIVATIONS:
+            with np.errstate(all="raise"):
+                logits, cache = lstm_forward_batch(X, lengths, params, act)
+                _, dX = lstm_backward_batch(np.full((2, 3), 0.25), params, cache, want_dx=True)
+            assert np.all(np.isfinite(logits)) and np.all(np.isfinite(dX))
+            gate, pre = sigmoid_gate_preactivations(cache, params)
+            assert np.all((gate >= 0.0) & (gate <= 1.0))
+            assert float(np.max(np.abs(gate - sigmoid(pre)))) <= self.SIGMOID_GATE_TOL
 
 
 def sign_split_sigmoid(x: np.ndarray) -> np.ndarray:
