@@ -8,7 +8,10 @@ Per component, with decay rho and stabilizer eps:
     p   <- p + d
 
 Eg accumulates squared gradients, Eu accumulates squared updates; both
-start at zero. Zero gradient leaves parameters and state untouched.
+start at zero. A zero gradient leaves the parameters untouched but still
+scales both accumulators by rho, so it leaves the state untouched only
+while the state is zero. A sparse update of only the embedding rows a
+batch touched would therefore differ from this dense one.
 """
 
 from __future__ import annotations

@@ -20,14 +20,29 @@ partial windows and its first fully padded one wherever the corpus
 maximum had one, so its pooled features and argmax are those of the
 corpus-maximum padding.
 
+Packed windows: given the tweets' lengths, forward convolves only the
+windows that start on a real token. For each window size it gathers them
+from the flat (B*T, dim) view of the batch into one (N, h*dim) matrix and
+runs one gemm over it; every other window is wholly padded, and its
+feature map entry is filled with act(b), its exact value. Without
+lengths, every window counts as real.
+
+The gemm's row count is rounded up to a multiple of ROW_ALIGN with zero
+rows. With OpenBLAS a row's bits depend on where it sits in the call: the
+last M mod 4 rows, and every row of a call too small for the main kernel,
+take other code paths. The alignment keeps every real window in a full
+tile, which on training batches reproduces the bits of convolving every
+window one example per call. It guarantees no bits, so the tests compare
+against that kernel within a tolerance.
+
 Forward pools by value (fmap.max); the argmax positions that backward
 needs are computed from the feature maps on first read of
 `CnnForwardCache.argmax`, so prediction never computes them. Backward
-routes each pooled feature's gradient to its argmax window (first index
-on ties, matching numpy argmax). The input gradient
-accumulates in filter order: every input row receives its additions
-filter by filter, window sizes in order, so it is bit-identical to a
-per-(example, filter) loop.
+gathers each pooled feature's argmax window from the cached input and
+routes the feature's gradient to it (first index on ties, matching numpy
+argmax). The input gradient accumulates in filter order: every input row
+receives its additions filter by filter, window sizes in order, so it is
+bit-identical to a per-(example, filter) loop.
 """
 
 from __future__ import annotations
@@ -41,13 +56,16 @@ from ..errors import ArgumentError, ConfigurationError
 from .activations import activation_grad_from_output, apply_activation
 from .params import CnnParams, zero_like_tensors
 
+# The packed window gemm's row count is a multiple of this (see the module docstring).
+ROW_ALIGN = 16
+
 
 @dataclass
 class CnnForwardCache:
-    windows: dict[int, np.ndarray]     # h -> (B, P_h, h*dim)
-    feature_maps: dict[int, np.ndarray]  # h -> (B, P_h, F_h) activated
-    penultimate: np.ndarray            # (B, total) after dropout
-    pooled: np.ndarray                 # (B, total) before dropout
+    X: np.ndarray                        # (B, T, dim) zero-padded input; backward gathers from it
+    feature_maps: dict[int, np.ndarray]  # h -> (B, P_h, F_h) activated; act(b) where wholly padded
+    penultimate: np.ndarray              # (B, total) after dropout
+    pooled: np.ndarray                   # (B, total) before dropout
     dropout_mask: np.ndarray | None
     activation: str
 
@@ -57,54 +75,54 @@ class CnnForwardCache:
         return {h: np.argmax(fmap, axis=1) for h, fmap in self.feature_maps.items()}
 
 
-def _im2col(X: np.ndarray, h: int) -> np.ndarray:
-    """All length-h windows of each row-matrix in the batch, flattened.
-
-    X is (B, L, dim); result is (B, L-h+1, h*dim). A copy is taken so
-    downstream writes never alias the input.
-    """
-    B, L, dim = X.shape
-    P = L - h + 1
-    s0, s1, s2 = X.strides
-    view = np.lib.stride_tricks.as_strided(X, shape=(B, P, h, dim), strides=(s0, s1, s1, s2))
-    return view.reshape(B, P, h * dim).copy()
-
-
 def cnn_forward_batch(
     X: np.ndarray,
     params: CnnParams,
     activation: str = "tanh",
     dropout_mask: np.ndarray | None = None,
+    lengths: np.ndarray | None = None,
 ) -> tuple[np.ndarray, CnnForwardCache]:
     """Forward over a zero-padded batch (B, T, dim); returns (logits, cache).
 
     dropout_mask, when given, is a (B, total_filters) matrix multiplied
     into the penultimate layer (inverted dropout: zeros and 1/(1-rate)
-    survivors). Prediction passes no mask.
+    survivors). Prediction passes no mask. lengths, when given, holds
+    each example's real token count; rows past it must be zero.
     """
     if X.ndim != 3:
         raise ArgumentError(f"X must be (batch, length, dim), got {X.shape}")
+    B, T, dim = X.shape
     max_h = max(params.window_sizes)
-    if X.shape[1] < max_h:
+    if T < max_h:
         raise ConfigurationError(
-            f"padded length {X.shape[1]} is below the largest window size {max_h}"
+            f"padded length {T} is below the largest window size {max_h}"
         )
-    windows: dict[int, np.ndarray] = {}
+    flat = X.reshape(B * T, dim)
+    starts = np.arange(T)
+    firsts = np.arange(B)[:, None] * T + starts   # (B, T) flat row of each window start
     maps: dict[int, np.ndarray] = {}
     pooled_parts = []
     for h in params.window_sizes:
         W = params.filters[h]                      # (F, h, dim)
         F = W.shape[0]
-        cols = _im2col(X, h)                       # (B, P, h*dim)
-        pre = cols @ W.reshape(F, -1).T + params.biases[h]
-        fmap = apply_activation(activation, pre)   # (B, P, F)
+        P = T - h + 1
+        real = np.ones((B, P), dtype=bool) if lengths is None else starts[:P] < lengths[:, None]
+        first = firsts[:, :P][real]                # (N,) in (example, position) order
+        N = first.size
+        cols = np.zeros((-(-N // ROW_ALIGN) * ROW_ALIGN, h * dim))
+        np.take(flat, first[:, None] + np.arange(h), axis=0, mode="clip",
+                out=cols[:N].reshape(N, h, dim))
+        pre = cols @ W.reshape(F, -1).T
+        pre += params.biases[h]
+        fmap = np.empty((B, P, F))
+        fmap[...] = apply_activation(activation, params.biases[h])
+        fmap[real] = apply_activation(activation, pre[:N])
         pooled_parts.append(fmap.max(axis=1))
-        windows[h] = cols
         maps[h] = fmap
     pooled = np.concatenate(pooled_parts, axis=1)  # (B, total)
     penult = pooled if dropout_mask is None else pooled * dropout_mask
     logits = penult @ params.V.T + params.b_y
-    cache = CnnForwardCache(windows=windows, feature_maps=maps, penultimate=penult,
+    cache = CnnForwardCache(X=X, feature_maps=maps, penultimate=penult,
                             pooled=pooled, dropout_mask=dropout_mask, activation=activation)
     return logits, cache
 
@@ -127,21 +145,23 @@ def cnn_backward_batch(
     dpenult = dlogits @ params.V                   # (B, total)
     if cache.dropout_mask is not None:
         dpenult = dpenult * cache.dropout_mask
+    B, T, dim = cache.X.shape
+    flat = cache.X.reshape(B * T, dim)
     dX = np.zeros(x_shape) if want_dx else None
+    dX_flat = dX.reshape(B * T, dim) if want_dx else None
 
     offset = 0
-    B = dlogits.shape[0]
-    rows = np.arange(B)[:, None]
+    row_starts = np.arange(B)[:, None] * T
     for h in params.window_sizes:
         W = params.filters[h]
         F = W.shape[0]
         dpool = dpenult[:, offset:offset + F]      # (B, F)
         y_at = cache.pooled[:, offset:offset + F]  # activation output at each argmax
         offset += F
-        am = cache.argmax[h]                       # (B, F)
         dpre = dpool * activation_grad_from_output(cache.activation, y_at)  # (B, F)
-        # gather windows: cols (B, P, h*dim) at am (B, F) -> (B, F, h*dim)
-        cols_at = cache.windows[h][rows, am]
+        # The flat rows of each argmax window: (B, F, h).
+        window_rows = (row_starts + cache.argmax[h])[:, :, None] + np.arange(h)
+        cols_at = flat[window_rows].reshape(B, F, h * dim)
         grads[f"filters_{h}"] += np.einsum("bf,bfk->fk", dpre, cols_at).reshape(F, h, -1)
         grads[f"bias_{h}"] += dpre.sum(axis=0)
         if want_dx:
@@ -149,7 +169,7 @@ def cnn_backward_batch(
             # rows, one filter at a time over the whole batch. An example's
             # window covers h distinct rows, so the fancy-index += sees no
             # repeated index within one filter.
-            window_rows = am[:, :, None] + np.arange(h)                    # (B, F, h)
+            by_filter = window_rows.transpose(1, 0, 2).reshape(F, B * h)
             for f in range(F):
-                dX[rows, window_rows[:, f]] += dpre[:, f, None, None] * W[f]
+                dX_flat[by_filter[f]] += (dpre[:, f, None, None] * W[f]).reshape(B * h, dim)
     return grads, dX

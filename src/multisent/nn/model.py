@@ -120,7 +120,7 @@ def loss_and_gradients(
         mask = dropout_mask(dropout_seed, (B, model.penultimate_dim), model.dropout_rate)
 
     if model.kind == "cnn":
-        logits, cache = cnn_forward_batch(X, model.params, model.activation, mask)
+        logits, cache = cnn_forward_batch(X, model.params, model.activation, mask, lengths)
     else:
         logits, cache = lstm_forward_batch(X, lengths, model.params,
                                            model.candidate_activation, mask)
@@ -143,7 +143,7 @@ def predict_proba_batch(model: NeuralModel, examples: list[np.ndarray]) -> np.nd
     batch = [(x, 0) for x in examples]
     X, lengths, _ = _assemble_batch(model, batch)
     if model.kind == "cnn":
-        logits, _ = cnn_forward_batch(X, model.params, model.activation, None)
+        logits, _ = cnn_forward_batch(X, model.params, model.activation, None, lengths)
     else:
         logits, _ = lstm_forward_batch(X, lengths, model.params,
                                        model.candidate_activation, None)

@@ -79,6 +79,17 @@ class TrainConfig:
             raise ArgumentError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 0:
             raise ArgumentError(f"patience must be >= 0, got {self.patience}")
+        if self.filters_per_window < 1:
+            raise ArgumentError(
+                f"filters_per_window must be >= 1, got {self.filters_per_window}")
+        if self.hidden_dim is not None and self.hidden_dim < 1:
+            raise ArgumentError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        if not 0.0 <= self.rho < 1.0:
+            raise ArgumentError(f"rho must be finite and in [0, 1), got {self.rho}")
+        if not 0.0 < self.eps < math.inf:
+            raise ArgumentError(f"eps must be finite and positive, got {self.eps}")
+        if not math.isfinite(self.forget_bias):
+            raise ArgumentError(f"forget_bias must be finite, got {self.forget_bias}")
         for key in ("candidate_activation", "cnn_activation"):
             if getattr(self, key) not in ACTIVATIONS:
                 raise ArgumentError(
@@ -238,13 +249,27 @@ def scatter_embedding_grad(
 
     batch_ids[b] holds the rows of example b's tokens; dX is the padded
     (B, T, dim) input gradient. Rows are added in (example, token) order.
-    np.add.at accumulates repeated rows, where `gE[ids] += ...` would keep
-    only one of them.
+    `gE[ids] += ...` keeps only one of a repeated row's additions, so the
+    tokens are cut into rank layers: the r-th occurrence of each row, in
+    (example, token) order, goes to layer r, and each layer, whose rows are
+    distinct, is one such `+=`.
     """
     gE = np.zeros(shape)
-    lengths = np.array([ids.size for ids in batch_ids])
-    real = np.arange(dX.shape[1]) < lengths[:, None]    # (B, T), row-major order
-    np.add.at(gE, np.concatenate(batch_ids), dX[real])
+    ids = np.concatenate(batch_ids)
+    lengths = np.array([b.size for b in batch_ids])
+    vals = dX[np.arange(dX.shape[1]) < lengths[:, None]]   # (n, dim), row-major order
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    new_run = np.ones(ids.size, dtype=bool)
+    new_run[1:] = sorted_ids[1:] != sorted_ids[:-1]
+    positions = np.arange(ids.size)
+    rank = positions - np.maximum.accumulate(np.where(new_run, positions, 0))
+    layered = order[np.argsort(rank, kind="stable")]    # layer by layer
+    ids, vals = ids[layered], vals[layered]
+    start = 0
+    for stop in np.cumsum(np.bincount(rank)):
+        gE[ids[start:stop]] += vals[start:stop]
+        start = stop
     return gE
 
 

@@ -57,6 +57,23 @@ class TestStateBehavior:
         assert state.accum_grad["w"][0] == 0.0
         assert state.accum_update["w"][0] == 0.0
 
+    @pytest.mark.parametrize("rho", [0.95, 0.5, 0.0])
+    def test_zero_gradient_decays_nonzero_state(self, rho):
+        # Two steps build a non-zero state; a zero gradient then leaves p
+        # bit-identical and scales both accumulators by exactly rho. This
+        # is why the embedding table keeps its dense update.
+        tensors = {"w": np.array([0.75, -2.5, 0.0, 1e-3])}
+        state = AdadeltaState.for_tensors(tensors)
+        for g in ([1.0, -0.5, 2.0, 3.0], [0.25, 4.0, -1.0, 1e-2]):
+            adadelta_step(tensors, {"w": np.array(g)}, state, rho=rho)
+        p = tensors["w"].copy()
+        Eg, Eu = state.accum_grad["w"].copy(), state.accum_update["w"].copy()
+        assert np.all(Eg > 0.0) and np.all(Eu > 0.0)
+        adadelta_step(tensors, {"w": np.zeros(4)}, state, rho=rho)
+        assert tensors["w"].tobytes() == p.tobytes()
+        assert state.accum_grad["w"].tobytes() == (rho * Eg).tobytes()
+        assert state.accum_update["w"].tobytes() == (rho * Eu).tobytes()
+
     def test_updates_apply_in_place(self):
         tensors, state = fresh(0.0)
         ref = tensors["w"]

@@ -208,7 +208,14 @@ class TestEvaluateAndCompare:
         ("cnn", "train.cnn_activation = Tanh",
          "train.cnn_activation must be one of tanh, sigmoid, relu, got 'Tanh'"),
         ("lstm", "train.batch_size = 0", "train.batch_size must be >= 1, got 0"),
-    ], ids=["candidate-softsign", "cnn-capitalised", "batch-size-zero"])
+        ("lstm", "train.hidden_dim = 0", "train.hidden_dim must be >= 1, got 0"),
+        ("cnn", "train.filters_per_window = 0", "train.filters_per_window must be >= 1, got 0"),
+        ("lstm", "train.rho = nan", "train.rho must be finite and in [0, 1), got nan"),
+        ("cnn", "train.rho = 1.5", "train.rho must be finite and in [0, 1), got 1.5"),
+        ("cnn", "train.eps = inf", "train.eps must be finite and positive, got inf"),
+        ("lstm", "train.forget_bias = nan", "train.forget_bias must be finite, got nan"),
+    ], ids=["candidate-softsign", "cnn-capitalised", "batch-size-zero", "hidden-dim-zero",
+            "filters-zero", "rho-nan", "rho-above-one", "eps-inf", "forget-bias-nan"])
     def test_bad_train_value_exits_2_before_reading_corpus(
         self, fixture_dir, tmp_path, capsys, spy_calls, kind, line, message
     ):

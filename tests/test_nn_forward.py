@@ -6,6 +6,8 @@ mismatch rather than a statistical drift.
 """
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from multisent.nn.activations import (
     apply_activation,
     sigmoid,
 )
+from multisent.nn.cnn import cnn_backward_batch
 from multisent.nn.lstm import GATES, LstmForwardCache, _cells, _stacked, lstm_backward_batch
 from multisent.nn.model import _assemble_batch
 
@@ -546,6 +549,164 @@ class TestCnnTrimmedPadding:
         assert _assemble_batch(model, long)[0].shape == (2, 10, 2)
         with pytest.raises(ConfigurationError, match="the model's max_len 10"):
             _assemble_batch(model, [(np.ones((11, 2)), 0)])
+
+
+# The kernel before packed windows, kept as the oracle: every window of the
+# padded batch convolved through im2col, one gemm per example, and the
+# input gradient scattered with a 2-D fancy index.
+@dataclass
+class OracleCnnCache:
+    windows: dict
+    feature_maps: dict
+    penultimate: np.ndarray
+    pooled: np.ndarray
+    dropout_mask: np.ndarray | None
+    activation: str
+
+    @cached_property
+    def argmax(self):
+        return {h: np.argmax(fmap, axis=1) for h, fmap in self.feature_maps.items()}
+
+
+def oracle_im2col(X, h):
+    B, L, dim = X.shape
+    s0, s1, s2 = X.strides
+    view = np.lib.stride_tricks.as_strided(X, shape=(B, L - h + 1, h, dim),
+                                           strides=(s0, s1, s1, s2))
+    return view.reshape(B, L - h + 1, h * dim).copy()
+
+
+def oracle_cnn_forward(X, params, activation="tanh", dropout_mask=None):
+    windows, maps, pooled_parts = {}, {}, []
+    for h in params.window_sizes:
+        W = params.filters[h]
+        cols = oracle_im2col(X, h)
+        fmap = apply_activation(activation, cols @ W.reshape(W.shape[0], -1).T + params.biases[h])
+        pooled_parts.append(fmap.max(axis=1))
+        windows[h], maps[h] = cols, fmap
+    pooled = np.concatenate(pooled_parts, axis=1)
+    penult = pooled if dropout_mask is None else pooled * dropout_mask
+    logits = penult @ params.V.T + params.b_y
+    return logits, OracleCnnCache(windows, maps, penult, pooled, dropout_mask, activation)
+
+
+def oracle_cnn_backward(dlogits, params, cache, want_dx, x_shape):
+    grads = {k: np.zeros_like(v) for k, v in params.tensors().items()}
+    grads["V"] += dlogits.T @ cache.penultimate
+    grads["b_y"] += dlogits.sum(axis=0)
+    dpenult = dlogits @ params.V
+    if cache.dropout_mask is not None:
+        dpenult = dpenult * cache.dropout_mask
+    dX = np.zeros(x_shape) if want_dx else None
+    offset = 0
+    rows = np.arange(dlogits.shape[0])[:, None]
+    for h in params.window_sizes:
+        W = params.filters[h]
+        F = W.shape[0]
+        y_at = cache.pooled[:, offset:offset + F]
+        dpre = dpenult[:, offset:offset + F] * activation_grad_from_output(cache.activation, y_at)
+        offset += F
+        am = cache.argmax[h]
+        cols_at = cache.windows[h][rows, am]
+        grads[f"filters_{h}"] += np.einsum("bf,bfk->fk", dpre, cols_at).reshape(F, h, -1)
+        grads[f"bias_{h}"] += dpre.sum(axis=0)
+        if want_dx:
+            window_rows = am[:, :, None] + np.arange(h)
+            for f in range(F):
+                dX[rows, window_rows[:, f]] += dpre[:, f, None, None] * W[f]
+    return grads, dX
+
+
+class TestCnnPackedAgainstOracle:
+    """Packed windows (only those that start on a real token go through the
+    gemm) against the all-window im2col kernel they replaced.
+
+    A row's gemm bits depend on the call it sits in, so the two agree to
+    within a tolerance fixed here: 256 * eps, relative to the larger of 1
+    and the oracle array's largest magnitude."""
+
+    TOL = 256 * np.finfo(np.float64).eps
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle(self, data):
+        window_sizes = tuple(sorted(data.draw(
+            st.sets(st.integers(1, 5), min_size=1, max_size=3), label="window_sizes")))
+        max_h = max(window_sizes)
+        longest = data.draw(st.integers(1, 12), label="longest")
+        lengths = np.array(data.draw(st.lists(st.integers(1, longest), min_size=0, max_size=6),
+                                     label="lengths") + [longest])
+        # T as _assemble_batch pads it: the longest tweet plus the largest
+        # window, capped at max_len.
+        max_len = data.draw(st.integers(max(longest, max_h), longest + max_h), label="max_len")
+        T = min(max_len, longest + max_h)
+        dim = data.draw(st.integers(1, 6), label="dim")
+        F = data.draw(st.integers(1, 4), label="F")
+        act = data.draw(st.sampled_from(ACTIVATIONS), label="act")
+        use_dropout = data.draw(st.booleans(), label="dropout")
+        want_dx = data.draw(st.booleans(), label="want_dx")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        params = CnnParams(
+            window_sizes=window_sizes,
+            filters={h: rng.normal(size=(F, h, dim)) for h in window_sizes},
+            biases={h: rng.normal(size=F) for h in window_sizes},
+            V=rng.normal(size=(3, F * len(window_sizes))),
+            b_y=rng.normal(size=3),
+        )
+        B = len(lengths)
+        X = np.zeros((B, T, dim))
+        for b, n in enumerate(lengths):
+            X[b, :n] = rng.normal(size=(n, dim))
+        mask = (rng.random((B, params.total_filters)) >= 0.5) * 2.0 if use_dropout else None
+        dlogits = rng.normal(size=(B, 3))
+
+        want, want_cache = oracle_cnn_forward(X, params, act, mask)
+        want_grads, want_dX = oracle_cnn_backward(dlogits, params, want_cache, want_dx, X.shape)
+        got, cache = cnn_forward_batch(X, params, act, mask, lengths)
+        grads, dX = cnn_backward_batch(dlogits, params, cache, want_dx, X.shape)
+
+        assert set(grads) == set(want_grads)
+        assert (dX is None) == (want_dX is None) == (not want_dx)
+        pairs = [("logits", got, want), ("pooled", cache.pooled, want_cache.pooled)]
+        pairs += [(name, grads[name], want_grads[name]) for name in want_grads]
+        if want_dx:
+            pairs.append(("dX", dX, want_dX))
+        for name, a, b in pairs:
+            assert a.shape == b.shape, name
+            bound = self.TOL * max(float(np.max(np.abs(b))), 1.0)
+            assert float(np.max(np.abs(a - b))) <= bound, name
+
+    @pytest.mark.parametrize("act", ACTIVATIONS)
+    def test_wholly_padded_window_is_act_of_bias(self, act):
+        params = init_cnn_params(input_dim=3, seed=4, window_sizes=(2, 3), filters_per_window=4)
+        for h in params.window_sizes:
+            params.biases[h] = np.array([-1.5, -0.25, 0.3, 2.0])
+        lengths = np.array([2, 5])
+        X = np.zeros((2, 8, 3))
+        X[0, :2] = [[1.0, -2.0, 0.5], [0.25, 0.75, -1.0]]
+        X[1, :5] = np.linspace(-1.0, 1.0, 15).reshape(5, 3)
+        _, cache = cnn_forward_batch(X, params, act, lengths=lengths)
+        for h in params.window_sizes:
+            want = apply_activation(act, params.biases[h])
+            fmap = cache.feature_maps[h]
+            for b, n in enumerate(lengths):
+                for i in range(n, fmap.shape[1]):
+                    assert fmap[b, i].tobytes() == want.tobytes(), (h, b, i)
+
+    def test_relu_tie_with_padding_picks_the_real_window(self):
+        # Negative weights on positive rows and a negative bias: every real
+        # window and every wholly padded one gives relu 0, and the argmax
+        # is the first window, which starts on a real token.
+        params = CnnParams(window_sizes=(2,), filters={2: -np.ones((1, 2, 2))},
+                           biases={2: np.array([-0.5])}, V=np.ones((3, 1)), b_y=np.zeros(3))
+        X = np.zeros((2, 6, 2))
+        X[0, :3] = 1.0
+        X[1, :1] = 2.0
+        _, cache = cnn_forward_batch(X, params, "relu", lengths=np.array([3, 1]))
+        fmap = cache.feature_maps[2][:, :, 0]
+        assert np.all(fmap == 0.0)
+        assert cache.argmax[2].tolist() == [[0], [0]]
+        assert float(apply_activation("relu", params.biases[2])[0]) == 0.0
 
 
 class TestSoftmaxAndPredict:
