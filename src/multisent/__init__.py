@@ -26,10 +26,8 @@ from .baselines import (
     NBModel,
     SVMModel,
     build_feature_space,
-    load_feature_space,
     predict_nb,
     predict_svm,
-    save_feature_space,
     train_nb,
     train_svm_ovo,
     vectorize,
@@ -119,7 +117,6 @@ __all__ = [
     "load_corpus",
     "load_dictionary",
     "load_embedding_table",
-    "load_feature_space",
     "load_translation_matrix",
     "make_folds",
     "normalize",
@@ -133,7 +130,6 @@ __all__ = [
     "run_experiment",
     "save_corpus",
     "save_embedding_table",
-    "save_feature_space",
     "save_translation_matrix",
     "select_pivot_pairs",
     "split_dev",

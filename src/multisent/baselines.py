@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .corpus import Polarity
-from .errors import ArgumentError, ConfigurationError, ParseError, read_text
+from .errors import ArgumentError, ConfigurationError
 from .preprocess import TokenizedTweet
 
 NGRAM_JOINER = "\x1f"
@@ -366,43 +365,3 @@ def predict_svm(model: SVMModel, vector: np.ndarray) -> Polarity:
         if votes[code] == best:
             return Polarity(code)
     raise ArgumentError("no votes")  # unreachable
-
-
-def svm_primal_objective(
-    vectors: list[np.ndarray], ys: np.ndarray, w: np.ndarray, C: float
-) -> float:
-    """0.5 ||w||^2 + C sum hinge; the quantity dual coordinate descent minimizes."""
-    total = 0.5 * float(w @ w)
-    for vec, y in zip(vectors, ys):
-        margin = y * (w[-1] + (float(w[vec].sum()) if vec.size else 0.0))
-        total += C * max(0.0, 1.0 - margin)
-    return total
-
-
-FEATURES_MAGIC = "multisent-features 2"
-
-
-def save_feature_space(space: FeatureSpace, path: str | Path) -> None:
-    """Text dump: the magic line, then "id<TAB>feature" rows in id order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(FEATURES_MAGIC + "\n")
-        for key, idx in sorted(space.index.items(), key=lambda kv: kv[1]):
-            fh.write(f"{idx}\t{key}\n")
-
-
-def load_feature_space(path: str | Path) -> FeatureSpace:
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != FEATURES_MAGIC:
-        raise ParseError(f"not a feature-space dump (want {FEATURES_MAGIC!r})", line=1)
-    index: dict[str, int] = {}
-    for i, raw in enumerate(lines[1:], start=2):
-        if not raw:
-            continue
-        idx_s, _, key = raw.partition("\t")
-        if not key:
-            raise ParseError(f"feature row {raw!r} has no feature name", line=i)
-        try:
-            index[key] = int(idx_s)
-        except ValueError:
-            raise ParseError(f"bad feature row {raw!r}", line=i) from None
-    return FeatureSpace(index)

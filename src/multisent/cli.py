@@ -22,7 +22,6 @@ from .align import (
     save_translation_matrix,
     select_pivot_pairs,
 )
-from .baselines import build_feature_space, save_feature_space
 from .corpus import load_corpus, make_folds, split_dev
 from .embeddings import (
     load_embedding_table,
@@ -32,8 +31,6 @@ from .embeddings import (
 from .errors import LeakageError, MultisentError, read_text
 from .experiment import (
     CVReport,
-    ExperimentConfig,
-    check_costs,
     compare_runs,
     compare_runs_csv,
     load_context,
@@ -129,33 +126,6 @@ def _cmd_train(args) -> int:
     if args.log:
         save_training_log(trained, args.log)
         print(f"wrote training log {args.log}")
-    return 0
-
-
-def _cmd_baseline(args) -> int:
-    check_costs(args.alpha, args.c)
-    records = load_corpus(args.infile)
-    languages = tuple(sorted({r.lang for r in records}))
-    config = ExperimentConfig(
-        name=f"{args.model}-baseline",
-        corpus=args.infile,
-        languages=languages,
-        kind=args.model,
-        folds=args.folds,
-        seed=args.seed,
-        alpha=args.alpha,
-        C=args.c,
-    )
-    report = run_experiment(config, records=records)
-    print(compare_runs([report]), end="")
-    if args.out:
-        Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
-        print(f"wrote report {args.out}")
-    if args.save_features:
-        tweets, _ = preprocess_corpus(records, default_rules(), "whitespace")
-        space, _ = build_feature_space(tweets)
-        save_feature_space(space, args.save_features)
-        print(f"wrote feature space ({space.dimension} columns) {args.save_features}")
     return 0
 
 
@@ -296,17 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", default=None, help="training log CSV path")
     p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("baseline", help="cross-validate an n-gram baseline")
-    p.add_argument("--model", choices=("nb", "svm"), required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--alpha", type=float, default=1.0, help="NB smoothing")
-    p.add_argument("--c", type=float, default=1.0, help="SVM cost")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="report JSON path")
-    p.add_argument("--save-features", default=None, help="feature space dump path")
-    p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("evaluate", help="run one cross-validation experiment")
     p.add_argument("--config", required=True)

@@ -144,11 +144,6 @@ class FoldPlan:
         }
         return json.dumps(payload, sort_keys=True, ensure_ascii=False)
 
-    @classmethod
-    def from_json(cls, text: str) -> "FoldPlan":
-        obj = json.loads(text)
-        return cls(k=obj["k"], assignments=dict(obj["assignments"]), seed=obj["seed"])
-
 
 def make_folds(
     records: Sequence[TweetRecord],

@@ -112,7 +112,9 @@ class ExperimentConfig:
             )
         if not self.languages:
             raise ConfigurationError("languages must be non-empty")
-        check_costs(self.alpha, self.C)
+        for key, value in (("alpha", self.alpha), ("C", self.C)):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{key} must be finite and positive, got {value}")
         if self.scope != "all" and self.scope not in self.languages:
             raise ConfigurationError(
                 f"scope {self.scope!r} is not in languages {self.languages}"
@@ -210,13 +212,6 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
     if raw:
         raise ConfigurationError(f"unknown config keys: {sorted(raw)}")
     return cfg
-
-
-def check_costs(alpha: float, C: float) -> None:
-    """Raise ConfigurationError unless NB's alpha and the SVM's C are finite and positive."""
-    for key, value in (("alpha", alpha), ("C", C)):
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigurationError(f"{key} must be finite and positive, got {value}")
 
 
 class IdAudit:

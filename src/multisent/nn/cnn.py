@@ -132,7 +132,6 @@ def cnn_backward_batch(
     params: CnnParams,
     cache: CnnForwardCache,
     want_dx: bool = False,
-    x_shape: tuple[int, int, int] | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """Gradients for all parameters given d loss / d logits.
 
@@ -147,7 +146,7 @@ def cnn_backward_batch(
         dpenult = dpenult * cache.dropout_mask
     B, T, dim = cache.X.shape
     flat = cache.X.reshape(B * T, dim)
-    dX = np.zeros(x_shape) if want_dx else None
+    dX = np.zeros(cache.X.shape) if want_dx else None
     dX_flat = dX.reshape(B * T, dim) if want_dx else None
 
     offset = 0

@@ -131,8 +131,7 @@ def loss_and_gradients(
     dlogits /= B
 
     if model.kind == "cnn":
-        grads, dX = cnn_backward_batch(dlogits, model.params, cache,
-                                       want_dx=want_dx, x_shape=X.shape)
+        grads, dX = cnn_backward_batch(dlogits, model.params, cache, want_dx=want_dx)
     else:
         grads, dX = lstm_backward_batch(dlogits, model.params, cache, want_dx=want_dx)
     return loss, grads, dX

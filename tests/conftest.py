@@ -73,3 +73,14 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     """max_i |a_i - b_i| / max(1, |a_i|, |b_i|)."""
     denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def svm_primal_objective(
+    vectors: list[np.ndarray], ys: np.ndarray, w: np.ndarray, C: float
+) -> float:
+    """0.5 ||w||^2 + C sum hinge; the quantity dual coordinate descent minimizes."""
+    total = 0.5 * float(w @ w)
+    for vec, y in zip(vectors, ys):
+        margin = y * (w[-1] + (float(w[vec].sum()) if vec.size else 0.0))
+        total += C * max(0.0, 1.0 - margin)
+    return total

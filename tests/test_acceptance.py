@@ -15,7 +15,6 @@ import multisent.experiment as experiment
 from multisent.align import alignment_report, fit_translation_matrix, resolve_pairs
 from multisent.baselines import (
     nb_posterior,
-    svm_primal_objective,
     train_binary_svm,
     train_nb,
 )
@@ -43,7 +42,13 @@ from multisent.preprocess import default_rules, preprocess_corpus
 from multisent.rng import SplitMix64, derive_stream
 from multisent.synth import SynthSpec, generate_fixture
 
-from conftest import finite_difference, marker_tweets, rel_err, toy_context
+from conftest import (
+    finite_difference,
+    marker_tweets,
+    rel_err,
+    svm_primal_objective,
+    toy_context,
+)
 
 
 def conclude(num: int, title: str, ok: bool, detail: str) -> None:

@@ -15,21 +15,20 @@ from multisent.baselines import (
     FeatureSpace,
     SVMModel,
     build_feature_space,
-    load_feature_space,
     nb_posterior,
     ngrams_of,
     predict_nb,
     predict_svm,
-    save_feature_space,
-    svm_primal_objective,
     train_binary_svm,
     train_nb,
     train_svm_ovo,
     vectorize,
 )
 from multisent.corpus import Polarity
-from multisent.errors import ArgumentError, ConfigurationError, ParseError
+from multisent.errors import ArgumentError, ConfigurationError
 from multisent.preprocess import TokenizedTweet
+
+from conftest import svm_primal_objective
 
 
 def _tw(tokens, lang="en", label=Polarity.NEUTRAL, id="t0"):
@@ -110,38 +109,6 @@ class TestFeatureSpace:
         with pytest.raises(ArgumentError):
             FeatureSpace(index={"a": 0, "b": 2})
 
-    def test_save_load_round_trip(self, tmp_path):
-        tweets = [_tw(["b", "a"], id="t1"), _tw(["tab\tless", "c"], id="t2")]
-        space, _ = build_feature_space(tweets)
-        path = tmp_path / "space.tsv"
-        save_feature_space(space, path)
-        assert path.read_text(encoding="utf-8").splitlines()[0] == "multisent-features 2"
-        back = load_feature_space(path)
-        assert back.index == space.index
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("who knows\n")
-        with pytest.raises(ParseError):
-            load_feature_space(path)
-
-    @pytest.mark.parametrize("row", ["0", "0\t"], ids=["no-tab", "empty-name"])
-    def test_load_rejects_a_row_without_a_feature_name(self, tmp_path, row):
-        path = tmp_path / "bad.tsv"
-        path.write_text(f"multisent-features 2\n{row}\n1\ten\x1fx\n", encoding="utf-8")
-        with pytest.raises(ParseError) as exc:
-            load_feature_space(path)
-        assert str(exc.value) == f"line 2: feature row {row!r} has no feature name"
-
-    @pytest.mark.parametrize("header", [
-        "multisent-features 1 cumulative_multilingual",
-        "multisent-features 1 per_language", "multisent-features 2 extra", "",
-    ], ids=["v1-cumulative", "v1-per-language", "v2-extra", "empty"])
-    def test_load_rejects_any_other_header(self, tmp_path, header):
-        path = tmp_path / "bad.tsv"
-        path.write_text(header + "\n0\ten\x1fa\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="^line 1: not a feature-space dump"):
-            load_feature_space(path)
 
 class TestNaiveBayes:
     # Two features; class 0 docs {f0} and {f0,f1}, class 2 docs {f1} twice.

@@ -1,13 +1,15 @@
 """Every subcommand driven in-process through main(argv)."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from multisent import cli, experiment
 from multisent.align import load_translation_matrix
 from multisent.cli import main
-from multisent.corpus import FoldPlan
 from multisent.experiment import CVReport
 from multisent.nn import load_checkpoint
 
@@ -20,6 +22,15 @@ def fixture_dir(tmp_path_factory):
                "--tweets", "36", "--dim", "8"])
     assert rc == 0
     return out
+
+
+def test_readme_subcommand_table_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\nSubcommands:\n", 1)[1].lstrip("\n").split("\n\n", 1)[0]
+    listed = re.findall(r"^\| `([^`]+)` ", table, re.M)
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert sorted(listed) == sorted(subparsers.choices)
 
 
 class TestSynth:
@@ -63,9 +74,9 @@ class TestFolds:
                    "--folds", "3", "--seed", "1", "--out", str(out)])
         assert rc == 0
         assert "3-fold plan for 36 records" in capsys.readouterr().out
-        plan = FoldPlan.from_json(out.read_text())
-        assert plan.k == 3
-        assert len(plan.assignments) == 36
+        plan = json.loads(out.read_text())
+        assert plan["k"] == 3
+        assert len(plan["assignments"]) == 36
 
 
 class TestAlign:
@@ -120,6 +131,7 @@ class TestEvaluateAndCompare:
         assert "per-language accuracy:" in printed
         report = CVReport.from_json(out.read_text())
         assert report.kind == "nb" and report.folds == 3
+        assert set(report.per_language) == {"en", "ja", "zh"}
 
     def test_compare_two_reports(self, fixture_dir, tmp_path, capsys):
         paths = []
@@ -240,59 +252,11 @@ class TestEvaluateAndCompare:
         report = CVReport.from_json(out.read_text())
         assert report.kind == "lstm" and len(report.fold_accuracies) == 3
 
-    def test_baseline_command_rejects_nan_c_before_any_fold(
-        self, fixture_dir, tmp_path, capsys, monkeypatch
-    ):
-        folds = []
-        monkeypatch.setattr(experiment, "_run_fold", lambda *a, **k: folds.append(a))
-        rc = main(["baseline", "--model", "svm", "--c", "nan",
-                   "--in", str(fixture_dir / "corpus.jsonl"), "--folds", "3"])
-        assert rc == 2
-        assert "C must be finite and positive, got nan" in capsys.readouterr().err
-        assert folds == []
-
-    @pytest.mark.parametrize("flags, message", [
-        (["--model", "svm", "--c", "nan"], "C must be finite and positive, got nan"),
-        (["--model", "nb", "--alpha", "0"], "alpha must be finite and positive, got 0.0"),
-    ], ids=["C-nan", "alpha-zero"])
-    def test_baseline_command_checks_costs_before_reading_corpus(
-        self, tmp_path, capsys, spy_calls, flags, message
-    ):
-        missing = tmp_path / "missing.jsonl"
-        rc = main(["baseline", *flags, "--in", str(missing)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert message in err
-        assert "missing.jsonl" not in err and "No such file" not in err
-        assert spy_calls == []
-
-
-class TestBaseline:
-    def test_nb_report(self, fixture_dir, tmp_path, capsys):
-        out = tmp_path / "base.json"
-        rc = main(["baseline", "--model", "nb",
-                   "--in", str(fixture_dir / "corpus.jsonl"),
-                   "--folds", "3", "--out", str(out)])
-        assert rc == 0
-        assert "nb-baseline" in capsys.readouterr().out
-        report = CVReport.from_json(out.read_text())
-        assert report.folds == 3
-        assert set(report.per_language) == {"en", "ja", "zh"}
-
-    def test_feature_space_dump(self, fixture_dir, tmp_path):
-        space_path = tmp_path / "space.tsv"
-        rc = main(["baseline", "--model", "nb",
-                   "--in", str(fixture_dir / "corpus.jsonl"),
-                   "--folds", "2", "--save-features", str(space_path)])
-        assert rc == 0
-        assert space_path.read_text().startswith("multisent-features 2\n")
-
-    def test_scheme_flag_is_gone(self, fixture_dir, capsys):
+    def test_baseline_command_is_gone(self, fixture_dir, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["baseline", "--model", "nb", "--in", str(fixture_dir / "corpus.jsonl"),
-                  "--scheme", "per_language"])
+            main(["baseline", "--model", "nb", "--in", str(fixture_dir / "corpus.jsonl")])
         assert exit_info.value.code == 2
-        assert "unrecognized arguments: --scheme" in capsys.readouterr().err
+        assert "invalid choice: 'baseline'" in capsys.readouterr().err
 
 
 class TestTrainAndPredict:

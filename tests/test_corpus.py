@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multisent.corpus import (
-    FoldPlan,
     Polarity,
     TweetRecord,
     load_corpus,
@@ -153,10 +152,10 @@ def test_fold_argument_errors():
 
 def test_fold_plan_json_round_trip():
     plan = make_folds(_records(12), 3, seed=9)
-    restored = FoldPlan.from_json(plan.to_json())
-    assert restored.k == plan.k
-    assert restored.assignments == plan.assignments
-    assert restored.to_json() == plan.to_json()
+    obj = json.loads(plan.to_json())
+    assert obj["k"] == plan.k
+    assert obj["seed"] == plan.seed
+    assert obj["assignments"] == plan.assignments
 
 
 @settings(max_examples=25, deadline=None)

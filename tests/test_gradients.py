@@ -201,5 +201,5 @@ class TestCnnInputGradientExact:
                 assert np.unique(cache.argmax[h][b]).size < F, (h, b)
         dlogits = rng.uniform_array(B * 3, -1.0, 1.0).reshape(B, 3)
 
-        _, dX = cnn_backward_batch(dlogits, params, cache, want_dx=True, x_shape=X.shape)
+        _, dX = cnn_backward_batch(dlogits, params, cache, want_dx=True)
         assert np.array_equal(dX, reference_cnn_dx(dlogits, params, cache, X.shape))

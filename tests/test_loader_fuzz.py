@@ -1,6 +1,6 @@
-"""Corrupted checkpoints, matrices, .vec files, feature-space dumps, report
-JSON, bilingual dictionaries, frequency TSVs and the packaged pattern,
-literal and mapping files fail with MultisentError or load.
+"""Corrupted checkpoints, matrices, .vec files, report JSON, bilingual
+dictionaries, frequency TSVs and the packaged pattern, literal and
+mapping files fail with MultisentError or load.
 
 Each example takes a file the package itself wrote (tiny dims) or ships,
 or for the two TSV inputs a small file in their documented format, and
@@ -25,8 +25,6 @@ from multisent.align import (
     load_translation_matrix,
     save_translation_matrix,
 )
-from multisent.baselines import build_feature_space, load_feature_space, save_feature_space
-from multisent.corpus import Polarity
 from multisent.embeddings import load_embedding_table, load_frequency_counts, save_embedding_table
 from multisent.errors import MultisentError, ParseError, read_text
 from multisent.experiment import CVReport, compare_runs, compare_runs_csv
@@ -35,7 +33,6 @@ from multisent.nn import load_checkpoint, save_checkpoint
 from multisent.nn.train import FineTunedEmbeddings
 from multisent.preprocess import (
     NormalizationRuleSet,
-    TokenizedTweet,
     load_literal_file,
     load_mapping_table,
     load_pattern_file,
@@ -78,12 +75,6 @@ def originals(tmp_path_factory):
     save_translation_matrix(fit_translation_matrix(X, X[::-1], src_lang="ja", tgt_lang="en"),
                             directory / "ja-en.mat")
     loaders["ja-en.mat"] = load_translation_matrix
-    tweets = [TokenizedTweet(id=str(i), lang=lang, label=Polarity.NEUTRAL, tokens=tokens)
-              for i, (lang, tokens) in enumerate([("en", ["good", "day", "good"]),
-                                                  ("ja", ["良い", "日"]), ("zh", ["好"])])]
-    space, _ = build_feature_space(tweets)
-    save_feature_space(space, directory / "features.tsv")
-    loaders["features.tsv"] = load_feature_space
     report = CVReport(name="run", kind="lstm", folds=2, seed=3, fold_accuracies=[0.5, 0.75],
                       mean_accuracy=0.625, overall_accuracy=0.625,
                       per_language={"en": {"correct": 5.0, "total": 8.0},
@@ -131,8 +122,7 @@ def _corrupt(data: bytes, draw) -> bytes:
     return b"\n".join(lines)
 
 
-@pytest.mark.parametrize("name", ["cnn.ckpt", "lstm.ckpt", "en.vec", "ja-en.mat", "features.tsv",
-                                  "report.json", "ja-en.tsv", "en.freq",
+@pytest.mark.parametrize("name", ["cnn.ckpt", "lstm.ckpt", "en.vec", "ja-en.mat", "report.json", "ja-en.tsv", "en.freq",
                                   "emoticon_patterns.txt", "emoticon_literals.txt", "zh_trad2simp.tsv"])
 @settings(max_examples=150, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])

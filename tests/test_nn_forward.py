@@ -663,7 +663,7 @@ class TestCnnPackedAgainstOracle:
         want, want_cache = oracle_cnn_forward(X, params, act, mask)
         want_grads, want_dX = oracle_cnn_backward(dlogits, params, want_cache, want_dx, X.shape)
         got, cache = cnn_forward_batch(X, params, act, mask, lengths)
-        grads, dX = cnn_backward_batch(dlogits, params, cache, want_dx, X.shape)
+        grads, dX = cnn_backward_batch(dlogits, params, cache, want_dx)
 
         assert set(grads) == set(want_grads)
         assert (dX is None) == (want_dX is None) == (not want_dx)
