@@ -131,7 +131,6 @@ class TestEvaluateAndCompare:
         assert "per-language accuracy:" in printed
         report = CVReport.from_json(out.read_text())
         assert report.kind == "nb" and report.folds == 3
-        assert set(report.per_language) == {"en", "ja", "zh"}
 
     def test_compare_two_reports(self, fixture_dir, tmp_path, capsys):
         paths = []
@@ -257,6 +256,19 @@ class TestEvaluateAndCompare:
             main(["baseline", "--model", "nb", "--in", str(fixture_dir / "corpus.jsonl")])
         assert exit_info.value.code == 2
         assert "invalid choice: 'baseline'" in capsys.readouterr().err
+
+
+class TestBaseline:
+    def test_nb_report(self, fixture_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "base.cfg", fixture_dir,
+                           ["name = nb-baseline", "kind = nb"])
+        out = tmp_path / "base.json"
+        rc = main(["evaluate", "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        assert "nb-baseline" in capsys.readouterr().out
+        report = CVReport.from_json(out.read_text())
+        assert report.name == "nb-baseline" and report.folds == 3
+        assert set(report.per_language) == {"en", "ja", "zh"}
 
 
 class TestTrainAndPredict:
