@@ -22,22 +22,33 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
         return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
+def apply_activation(name: str, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """act(x), written into out when given (out may be x)."""
     if name == "tanh":
-        return np.tanh(x)
+        return np.tanh(x, out=out)
     if name == "sigmoid":
-        return sigmoid(x)
+        if out is None:
+            return sigmoid(x)
+        out[...] = sigmoid(x)
+        return out
     if name == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=out)
     raise ArgumentError(f"unknown activation {name!r}")
 
 
-def activation_grad_from_output(name: str, y: np.ndarray) -> np.ndarray:
-    """d act / d preactivation, expressed through the output y = act(pre)."""
+def activation_grad_from_output(
+    name: str, y: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """d act / d preactivation, expressed through the output y = act(pre);
+    written into out when given."""
+    if name not in ACTIVATIONS:
+        raise ArgumentError(f"unknown activation {name!r}")
+    if out is None:
+        out = np.empty_like(y)
     if name == "tanh":
-        return 1.0 - y * y
+        np.multiply(y, y, out=out)
+        return np.subtract(1.0, out, out=out)
     if name == "sigmoid":
-        return y * (1.0 - y)
-    if name == "relu":
-        return (y > 0).astype(np.float64)
-    raise ArgumentError(f"unknown activation {name!r}")
+        np.subtract(1.0, y, out=out)
+        return np.multiply(y, out, out=out)
+    return np.greater(y, 0.0, out=out)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ArgumentError
+from .workspace import Workspace
 
 DEFAULT_RHO = 0.95
 DEFAULT_EPS = 1e-6
@@ -47,12 +48,19 @@ def adadelta_step(
     state: AdadeltaState,
     rho: float = DEFAULT_RHO,
     eps: float = DEFAULT_EPS,
+    workspace: Workspace | None = None,
 ) -> None:
-    """Apply one update in place to every tensor; state advances in place."""
+    """Apply one update in place to every tensor; state advances in place.
+
+    The temporaries live in two workspace slabs (a throwaway workspace
+    when None), computed with the same operations in the same order as
+    the formulas above.
+    """
     if set(tensors) != set(grads):
         raise ArgumentError(
             f"gradient keys {sorted(set(grads) ^ set(tensors))} do not match parameters"
         )
+    ws = Workspace() if workspace is None else workspace
     for name, p in tensors.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -61,9 +69,18 @@ def adadelta_step(
             )
         Eg = state.accum_grad[name]
         Eu = state.accum_update[name]
+        t = ws.get("adadelta_t", p.shape)
+        delta = ws.get("adadelta_delta", p.shape)
         Eg *= rho
-        Eg += (1.0 - rho) * g * g
-        delta = -np.sqrt(Eu + eps) / np.sqrt(Eg + eps) * g
+        np.multiply(1.0 - rho, g, out=t)
+        t *= g
+        Eg += t
+        # delta = -sqrt(Eu + eps) / sqrt(Eg + eps) * g
+        np.negative(np.sqrt(np.add(Eu, eps, out=delta), out=delta), out=delta)
+        np.divide(delta, np.sqrt(np.add(Eg, eps, out=t), out=t), out=delta)
+        delta *= g
         Eu *= rho
-        Eu += (1.0 - rho) * delta * delta
+        np.multiply(1.0 - rho, delta, out=t)
+        t *= delta
+        Eu += t
         p += delta

@@ -43,6 +43,14 @@ routes the feature's gradient to it (first index on ties, matching numpy
 argmax). The input gradient accumulates in filter order: every input row
 receives its additions filter by filter, window sizes in order, so it is
 bit-identical to a per-(example, filter) loop.
+
+Both passes write their per-batch arrays with `out=` into the slabs of a
+Workspace (see nn.workspace): one gather slab holds forward's packed
+windows and then backward's argmax windows, one the gemm output, one the
+feature maps of each window size, one dX. The slabs are reused across
+the batches of one train or predict call, so a forward cache and the dX
+backward returns are valid only until the next call on the same
+workspace.
 """
 
 from __future__ import annotations
@@ -55,6 +63,7 @@ import numpy as np
 from ..errors import ArgumentError, ConfigurationError
 from .activations import activation_grad_from_output, apply_activation
 from .params import CnnParams, zero_like_tensors
+from .workspace import Workspace
 
 # The packed window gemm's row count is a multiple of this (see the module docstring).
 ROW_ALIGN = 16
@@ -81,13 +90,16 @@ def cnn_forward_batch(
     activation: str = "tanh",
     dropout_mask: np.ndarray | None = None,
     lengths: np.ndarray | None = None,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, CnnForwardCache]:
     """Forward over a zero-padded batch (B, T, dim); returns (logits, cache).
 
     dropout_mask, when given, is a (B, total_filters) matrix multiplied
     into the penultimate layer (inverted dropout: zeros and 1/(1-rate)
     survivors). Prediction passes no mask. lengths, when given, holds
-    each example's real token count; rows past it must be zero.
+    each example's real token count; rows past it must be zero. The
+    feature maps live in the workspace (a throwaway one when None), so
+    the cache is valid only until the next call on it.
     """
     if X.ndim != 3:
         raise ArgumentError(f"X must be (batch, length, dim), got {X.shape}")
@@ -97,6 +109,7 @@ def cnn_forward_batch(
         raise ConfigurationError(
             f"padded length {T} is below the largest window size {max_h}"
         )
+    ws = Workspace() if workspace is None else workspace
     flat = X.reshape(B * T, dim)
     starts = np.arange(T)
     firsts = np.arange(B)[:, None] * T + starts   # (B, T) flat row of each window start
@@ -109,14 +122,16 @@ def cnn_forward_batch(
         real = np.ones((B, P), dtype=bool) if lengths is None else starts[:P] < lengths[:, None]
         first = firsts[:, :P][real]                # (N,) in (example, position) order
         N = first.size
-        cols = np.zeros((-(-N // ROW_ALIGN) * ROW_ALIGN, h * dim))
+        rows = -(-N // ROW_ALIGN) * ROW_ALIGN
+        cols = ws.get("gather", (rows, h * dim))
         np.take(flat, first[:, None] + np.arange(h), axis=0, mode="clip",
                 out=cols[:N].reshape(N, h, dim))
-        pre = cols @ W.reshape(F, -1).T
+        cols[N:] = 0.0
+        pre = np.matmul(cols, W.reshape(F, -1).T, out=ws.get("pre", (rows, F)))
         pre += params.biases[h]
-        fmap = np.empty((B, P, F))
+        fmap = ws.get(f"fmap_{h}", (B, P, F))
         fmap[...] = apply_activation(activation, params.biases[h])
-        fmap[real] = apply_activation(activation, pre[:N])
+        fmap[real] = apply_activation(activation, pre[:N], out=pre[:N])
         pooled_parts.append(fmap.max(axis=1))
         maps[h] = fmap
     pooled = np.concatenate(pooled_parts, axis=1)  # (B, total)
@@ -132,12 +147,16 @@ def cnn_backward_batch(
     params: CnnParams,
     cache: CnnForwardCache,
     want_dx: bool = False,
+    workspace: Workspace | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """Gradients for all parameters given d loss / d logits.
 
     The dropout mask is a constant multiplier. Each pooled feature's
-    gradient flows only to its argmax window position.
+    gradient flows only to its argmax window position. dX lives in the
+    workspace (a throwaway one when None): it is valid only until the
+    next call on it.
     """
+    ws = Workspace() if workspace is None else workspace
     grads = zero_like_tensors(params.tensors())
     grads["V"] += dlogits.T @ cache.penultimate
     grads["b_y"] += dlogits.sum(axis=0)
@@ -146,7 +165,7 @@ def cnn_backward_batch(
         dpenult = dpenult * cache.dropout_mask
     B, T, dim = cache.X.shape
     flat = cache.X.reshape(B * T, dim)
-    dX = np.zeros(cache.X.shape) if want_dx else None
+    dX = ws.zeros("dX", cache.X.shape) if want_dx else None
     dX_flat = dX.reshape(B * T, dim) if want_dx else None
 
     offset = 0
@@ -160,7 +179,8 @@ def cnn_backward_batch(
         dpre = dpool * activation_grad_from_output(cache.activation, y_at)  # (B, F)
         # The flat rows of each argmax window: (B, F, h).
         window_rows = (row_starts + cache.argmax[h])[:, :, None] + np.arange(h)
-        cols_at = flat[window_rows].reshape(B, F, h * dim)
+        cols_at = np.take(flat, window_rows, axis=0, mode="clip",
+                          out=ws.get("gather", (B, F, h, dim))).reshape(B, F, h * dim)
         grads[f"filters_{h}"] += np.einsum("bf,bfk->fk", dpre, cols_at).reshape(F, h, -1)
         grads[f"bias_{h}"] += dpre.sum(axis=0)
         if want_dx:

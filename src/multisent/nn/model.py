@@ -18,6 +18,7 @@ from ..errors import ArgumentError, ConfigurationError
 from ..rng import SplitMix64
 from .cnn import CnnParams, cnn_backward_batch, cnn_forward_batch
 from .lstm import LstmParams, lstm_backward_batch, lstm_forward_batch
+from .workspace import Workspace
 
 KINDS = ("lstm", "cnn")
 
@@ -70,7 +71,9 @@ def dropout_mask(seed: int, shape: tuple[int, ...], rate: float) -> np.ndarray:
     return (u >= rate).astype(np.float64) / (1.0 - rate)
 
 
-def _assemble_batch(model: NeuralModel, batch: list[tuple[np.ndarray, int]]):
+def _assemble_batch(
+    model: NeuralModel, batch: list[tuple[np.ndarray, int]], workspace: Workspace | None = None
+):
     """Zero-pad variable-length examples at the back into (B, T, dim), plus lengths.
 
     The LSTM pads to the batch's longest example. The CNN pads to that
@@ -93,7 +96,8 @@ def _assemble_batch(model: NeuralModel, batch: list[tuple[np.ndarray, int]]):
             raise ConfigurationError(
                 f"sequence length {longest} exceeds the model's max_len {model.max_len}")
         T = min(model.max_len, longest + max(model.params.window_sizes))
-    X = np.zeros((len(batch), T, batch[0][0].shape[1]))
+    ws = Workspace() if workspace is None else workspace
+    X = ws.zeros("X", (len(batch), T, batch[0][0].shape[1]))
     for b, (x, _) in enumerate(batch):
         X[b, :x.shape[0]] = x
     return X, lengths, labels
@@ -104,6 +108,7 @@ def loss_and_gradients(
     batch: list[tuple[np.ndarray, int]],
     dropout_seed: int | None = None,
     want_dx: bool = False,
+    workspace: Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray | None]:
     """Mean cross-entropy and parameter gradients for one batch.
 
@@ -112,18 +117,22 @@ def loss_and_gradients(
     rate is positive; prediction paths pass None. Returns (loss, grads,
     dX) where dX is per-example input gradients (padded shape) when
     want_dx is set, else None.
+
+    The batch's arrays live in the workspace (a throwaway one when None):
+    the returned grads and dX are valid only until the next call on it.
     """
-    X, lengths, labels = _assemble_batch(model, batch)
+    ws = Workspace() if workspace is None else workspace
+    X, lengths, labels = _assemble_batch(model, batch, ws)
     B = X.shape[0]
     mask = None
     if dropout_seed is not None and model.dropout_rate > 0.0:
         mask = dropout_mask(dropout_seed, (B, model.penultimate_dim), model.dropout_rate)
 
     if model.kind == "cnn":
-        logits, cache = cnn_forward_batch(X, model.params, model.activation, mask, lengths)
+        logits, cache = cnn_forward_batch(X, model.params, model.activation, mask, lengths, ws)
     else:
         logits, cache = lstm_forward_batch(X, lengths, model.params,
-                                           model.candidate_activation, mask)
+                                           model.candidate_activation, mask, ws)
     loss = cross_entropy(logits, labels)
     probs = softmax(logits)
     dlogits = probs.copy()
@@ -131,21 +140,27 @@ def loss_and_gradients(
     dlogits /= B
 
     if model.kind == "cnn":
-        grads, dX = cnn_backward_batch(dlogits, model.params, cache, want_dx=want_dx)
+        grads, dX = cnn_backward_batch(dlogits, model.params, cache, want_dx, ws)
     else:
-        grads, dX = lstm_backward_batch(dlogits, model.params, cache, want_dx=want_dx)
+        grads, dX = lstm_backward_batch(dlogits, model.params, cache, want_dx, ws)
     return loss, grads, dX
 
 
-def predict_proba_batch(model: NeuralModel, examples: list[np.ndarray]) -> np.ndarray:
-    """Class probabilities for each embedded example; dropout disabled."""
+def predict_proba_batch(
+    model: NeuralModel, examples: list[np.ndarray], workspace: Workspace | None = None
+) -> np.ndarray:
+    """Class probabilities for each embedded example; dropout disabled.
+
+    The batch's arrays live in the workspace (a throwaway one when None).
+    """
+    ws = Workspace() if workspace is None else workspace
     batch = [(x, 0) for x in examples]
-    X, lengths, _ = _assemble_batch(model, batch)
+    X, lengths, _ = _assemble_batch(model, batch, ws)
     if model.kind == "cnn":
-        logits, _ = cnn_forward_batch(X, model.params, model.activation, None, lengths)
+        logits, _ = cnn_forward_batch(X, model.params, model.activation, None, lengths, ws)
     else:
         logits, _ = lstm_forward_batch(X, lengths, model.params,
-                                       model.candidate_activation, None)
+                                       model.candidate_activation, None, ws)
     return softmax(logits)
 
 

@@ -14,6 +14,13 @@ one epoch.
 
 One parameter set serves all languages: batches may mix languages
 freely and update the same tensors.
+
+One Workspace (see nn.workspace) serves every batch of a train call, its
+dev scoring included, and one serves each prediction pass: the slabs
+that hold a batch's arrays are reused by the next batch. A forward
+cache and the grads and dX a batch returns are valid only until the next
+call on the same workspace; the loop consumes them (embedding scatter,
+Adadelta step) before it starts the next batch.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from .params import (
     init_cnn_params,
     init_lstm_params,
 )
+from .workspace import Workspace
 
 
 @dataclass
@@ -172,6 +180,7 @@ def train(
     epochs_since = 0
     history: list[tuple[int, float, float]] = []
 
+    ws = Workspace()
     n = len(train_tweets)
     for epoch in range(1, config.max_epochs + 1):
         order = list(range(n))
@@ -181,7 +190,7 @@ def train(
             chosen = order[start:start + config.batch_size]
             batch = [(table[train_ids[i]], train_y[i]) for i in chosen]
             dropout_seed = derive_stream(config.seed, "dropout", epoch, b_idx)
-            loss, grads, dX = loss_and_gradients(model, batch, dropout_seed, want_dx=fine_tune)
+            loss, grads, dX = loss_and_gradients(model, batch, dropout_seed, fine_tune, ws)
             if not math.isfinite(loss):
                 raise MultisentError(
                     f"training loss is {loss} in epoch {epoch}, batch {b_idx + 1}; "
@@ -190,10 +199,10 @@ def train(
             total_loss += loss * len(batch)
             if fine_tune:
                 grads["__embeddings__"] = scatter_embedding_grad(
-                    E.shape, [train_ids[i] for i in chosen], dX)
-            adadelta_step(tensors, grads, state, config.rho, config.eps)
+                    E.shape, [train_ids[i] for i in chosen], dX, ws)
+            adadelta_step(tensors, grads, state, config.rho, config.eps, ws)
         train_loss = total_loss / n
-        dev_acc = _accuracy(model, table, dev_ids, dev_y, config.batch_size)
+        dev_acc = _accuracy(model, table, dev_ids, dev_y, config.batch_size, ws)
         history.append((epoch, train_loss, dev_acc))
         if dev_acc > best_acc:
             best_acc = dev_acc
@@ -243,7 +252,10 @@ def encode_tweets(
 
 
 def scatter_embedding_grad(
-    shape: tuple[int, int], batch_ids: list[np.ndarray], dX: np.ndarray
+    shape: tuple[int, int],
+    batch_ids: list[np.ndarray],
+    dX: np.ndarray,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Sum each token's input gradient into its row of an E-shaped gradient.
 
@@ -252,9 +264,10 @@ def scatter_embedding_grad(
     `gE[ids] += ...` keeps only one of a repeated row's additions, so the
     tokens are cut into rank layers: the r-th occurrence of each row, in
     (example, token) order, goes to layer r, and each layer, whose rows are
-    distinct, is one such `+=`.
+    distinct, is one such `+=`. The result lives in the workspace (a
+    throwaway one when None) until the next call on it.
     """
-    gE = np.zeros(shape)
+    gE = (Workspace() if workspace is None else workspace).zeros("gE", shape)
     ids = np.concatenate(batch_ids)
     lengths = np.array([b.size for b in batch_ids])
     vals = dX[np.arange(dX.shape[1]) < lengths[:, None]]   # (n, dim), row-major order
@@ -274,26 +287,38 @@ def scatter_embedding_grad(
 
 
 def _predict_in_length_order(
-    model: NeuralModel, table: np.ndarray, ids: list[np.ndarray], batch_size: int
+    model: NeuralModel,
+    table: np.ndarray,
+    ids: list[np.ndarray],
+    batch_size: int,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Class probabilities for each example table[ids[i]], in input order.
 
     Batches are cut from the examples stably sorted by token count, so a
     CNN batch, padded to its longest example plus the largest window,
-    convolves little padding.
+    convolves little padding. One workspace (a fresh one when None) serves
+    every batch; the batches run longest first, so its slabs reach nearly
+    their full size on the first.
     """
     order = sorted(range(len(ids)), key=lambda i: ids[i].size)
     probs = np.empty((len(ids), N_CLASSES))
-    for start in range(0, len(order), batch_size):
+    ws = Workspace() if workspace is None else workspace
+    for start in reversed(range(0, len(order), batch_size)):
         chosen = order[start:start + batch_size]
-        probs[chosen] = predict_proba_batch(model, [table[ids[i]] for i in chosen])
+        probs[chosen] = predict_proba_batch(model, [table[ids[i]] for i in chosen], ws)
     return probs
 
 
 def _accuracy(
-    model: NeuralModel, table: np.ndarray, ids: list[np.ndarray], y: list[int], batch_size: int
+    model: NeuralModel,
+    table: np.ndarray,
+    ids: list[np.ndarray],
+    y: list[int],
+    batch_size: int,
+    workspace: Workspace | None = None,
 ) -> float:
-    probs = _predict_in_length_order(model, table, ids, batch_size)
+    probs = _predict_in_length_order(model, table, ids, batch_size, workspace)
     correct = sum(1 for row, label in zip(probs, y) if argmax_label(row) == label)
     return correct / len(ids)
 

@@ -123,6 +123,7 @@ _SPELLINGS = [repr, "{:.6f}".format, "{:.17g}".format, "{:e}".format]
 def test_written_doubles_load_as_float_reads_them(tmp_path, rows):
     texts = [[spell(x) for x, spell in row] for row in rows]
     p = tmp_path / "e.vec"
+    p.unlink(missing_ok=True)   # a fresh file per example: rewriting the last one is slow
     p.write_text(f"{len(rows)} 3\n" + "".join(
         f"w{i} {' '.join(fields)}\n" for i, fields in enumerate(texts)))
     table = load_embedding_table(p, "en")

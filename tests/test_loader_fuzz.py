@@ -1,6 +1,6 @@
 """Corrupted checkpoints, matrices, .vec files, report JSON, bilingual
-dictionaries, frequency TSVs and the packaged pattern, literal and
-mapping files fail with MultisentError or load.
+dictionaries, frequency TSVs, JSONL corpora, run configs and the packaged
+pattern, literal and mapping files fail with MultisentError or load.
 
 Each example takes a file the package itself wrote (tiny dims) or ships,
 or for the two TSV inputs a small file in their documented format, and
@@ -25,9 +25,10 @@ from multisent.align import (
     load_translation_matrix,
     save_translation_matrix,
 )
+from multisent.corpus import Polarity, TweetRecord, load_corpus, save_corpus
 from multisent.embeddings import load_embedding_table, load_frequency_counts, save_embedding_table
 from multisent.errors import MultisentError, ParseError, read_text
-from multisent.experiment import CVReport, compare_runs, compare_runs_csv
+from multisent.experiment import CVReport, compare_runs, compare_runs_csv, parse_config
 from multisent.nn import NeuralModel, TrainedModel, init_cnn_params, init_lstm_params
 from multisent.nn import load_checkpoint, save_checkpoint
 from multisent.nn.train import FineTunedEmbeddings
@@ -88,6 +89,19 @@ def originals(tmp_path_factory):
     (directory / "en.freq").write_text("good\t12\nday\t7\n# tail\n\nnight\t1\n",
                                        encoding="utf-8")
     loaders["en.freq"] = load_frequency_counts
+    save_corpus([TweetRecord("t1", "en", "good day :)", Polarity.POSITIVE),
+                 TweetRecord("t2", "ja", "今日は 雨", Polarity.NEGATIVE, tokens=["今日", "は", "雨"]),
+                 TweetRecord("t3", "zh", "說話", Polarity.NEUTRAL)], directory / "corpus.jsonl")
+    loaders["corpus.jsonl"] = load_corpus
+    (directory / "run.cfg").write_text(
+        "# a fine-tuned CNN over mapped embeddings\n"
+        "corpus = corpus.jsonl\nlanguages = en,ja\nkind = cnn\nfolds = 5\nseed = 3\n"
+        "alignment = translation_matrix\nrefit = per_fold\ntarget_language = en\n"
+        "pivot_count = 20\npivot_train_count = 16\nwindow_sizes = 2,3\n"
+        "embedding.en = en.vec\nembedding.ja = ja.vec\ndictionary.ja = ja-en.tsv\n"
+        "oov_scale = 0.25\ntrain.batch_size = 50\ntrain.dropout_rate = 0.5\n"
+        "train.hidden_dim = 8\ntrain.fine_tune_embeddings = true\n", encoding="utf-8")
+    loaders["run.cfg"] = lambda path: parse_config(read_text(path))
     for name, read, field in [("emoticon_patterns.txt", load_pattern_file, "emoticon_patterns"),
                               ("emoticon_literals.txt", load_literal_file, "emoticon_literals"),
                               ("zh_trad2simp.tsv", load_mapping_table, "trad2simp")]:
@@ -123,6 +137,7 @@ def _corrupt(data: bytes, draw) -> bytes:
 
 
 @pytest.mark.parametrize("name", ["cnn.ckpt", "lstm.ckpt", "en.vec", "ja-en.mat", "report.json", "ja-en.tsv", "en.freq",
+                                  "corpus.jsonl", "run.cfg",
                                   "emoticon_patterns.txt", "emoticon_literals.txt", "zh_trad2simp.tsv"])
 @settings(max_examples=150, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -130,6 +145,8 @@ def _corrupt(data: bytes, draw) -> bytes:
 def test_corrupted_file_loads_or_raises_multisent_error(originals, tmp_path, name, data):
     original, load = originals[name]
     path = tmp_path / name
+    # A fresh file per example: truncating and rewriting the last one is far slower.
+    path.unlink(missing_ok=True)
     path.write_bytes(_corrupt(original, data.draw))
     try:
         load(path)
@@ -150,6 +167,7 @@ def test_permuted_tensor_shape_is_rejected(originals, tmp_path, name, data):
     permuted = data.draw(st.permutations(dims))
     lines[at] = " ".join(["tensor", tensor, *permuted])
     path = tmp_path / name
+    path.unlink(missing_ok=True)
     path.write_text("\n".join(lines), encoding="utf-8")
     if permuted == dims:
         load(path)

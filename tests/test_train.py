@@ -171,9 +171,9 @@ class TestOneVectorPerToken:
             seen["train"].append([x[0].copy() for x, _ in batch])
             return real_loss(model, batch, *args, **kwargs)
 
-        def spy_predict(model, examples):
+        def spy_predict(model, examples, *args):
             seen["predict"].append([x[0].copy() for x in examples])
-            return real_predict(model, examples)
+            return real_predict(model, examples, *args)
 
         monkeypatch.setattr(train_module, "loss_and_gradients", spy_loss)
         monkeypatch.setattr(train_module, "predict_proba_batch", spy_predict)
