@@ -267,10 +267,11 @@ def alignment_report(X_test: np.ndarray, Z_test: np.ndarray, tm: TranslationMatr
 
 
 def save_translation_matrix(tm: TranslationMatrix, path: str | Path) -> None:
-    """Write a map as text: "src tgt dim" header, then one row per line."""
+    """Write a map as text: "src tgt dim" header, a "#" line of fit stats, one row per line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{tm.src_lang} {tm.tgt_lang} {tm.dim}\n")
-        fh.write(f"# fit_residual {tm.fit_residual:.17g} ridge_lambda {tm.ridge_lambda:.17g}\n")
+        fh.write(f"# fit_residual {tm.fit_residual:.17g} ridge_lambda {tm.ridge_lambda:.17g}"
+                 f" underdetermined {tm.underdetermined:d}\n")
         for row in tm.W:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
@@ -288,7 +289,8 @@ def load_translation_matrix(path: str | Path) -> TranslationMatrix:
         dim = int(header[2])
     except ValueError:
         raise ParseError(f"dim must be an integer, got {header[2]!r}", line=1) from None
-    stats = {"fit_residual": 0.0, "ridge_lambda": 0.0}
+    # each comment key's default, whose type is how its value is read
+    stats = {"fit_residual": 0.0, "ridge_lambda": 0.0, "underdetermined": 0}
     rows: list[list[float]] = []
     for i, raw in enumerate(lines[1:], start=2):
         if raw.startswith("#"):
@@ -297,7 +299,7 @@ def load_translation_matrix(path: str | Path) -> TranslationMatrix:
                 if key in parts:
                     # a key with no value after it reads as the empty string
                     value = parts[parts.index(key) + 1:][:1] or [""]
-                    stats[key], = parse_numbers(value, float, key, raw, i)
+                    stats[key], = parse_numbers(value, type(stats[key]), key, raw, i)
             continue
         if not raw.strip():
             continue
@@ -307,6 +309,7 @@ def load_translation_matrix(path: str | Path) -> TranslationMatrix:
         rows.append(parse_numbers(values, float, "matrix value", raw, i))
     if len(rows) != dim:
         raise ParseError(f"expected {dim} rows, got {len(rows)}", line=len(lines))
+    stats["underdetermined"] = bool(stats["underdetermined"])
     return TranslationMatrix(
         src_lang=src,
         tgt_lang=tgt,

@@ -28,13 +28,13 @@ from .embeddings import (
     load_frequency_counts,
     ranks_from_counts,
 )
-from .errors import LeakageError, MultisentError, read_text
+from .errors import ConfigurationError, LeakageError, MultisentError, read_text
 from .experiment import (
     CVReport,
     compare_runs,
     compare_runs_csv,
-    load_context,
     parse_config,
+    prepare_inputs,
     run_experiment,
 )
 from .nn import load_checkpoint, predict_batch, save_checkpoint, save_training_log, train
@@ -97,28 +97,19 @@ def _cmd_align(args) -> int:
 
 def _cmd_train(args) -> int:
     config = parse_config(read_text(args.config), name=Path(args.config).stem)
-    if args.kind:
-        config.kind = args.kind
-    if args.seed is not None:
-        config.seed = args.seed
     if config.kind not in ("lstm", "cnn"):
         raise MultisentError(f"train handles neural kinds only, got {config.kind!r}")
-    records = load_corpus(config.corpus)
-    active = set(config.active_languages())
-    records = [r for r in records if r.lang in active]
-    rules = default_rules()
-    tweets, _ = preprocess_corpus(records, rules, config.tokenize_mode)
-    context = load_context(config, tweets, rules.fingerprint())
-    ids = [tw.id for tw in tweets]
-    by_id = {tw.id: tw for tw in tweets}
-    train_ids, dev_ids = split_dev(ids, config.dev_fraction,
-                                   derive_stream(config.seed, "train-cli"))
+    if config.refit == "per_fold":
+        raise ConfigurationError(
+            "train cannot use refit=per_fold: per-fold maps are fit inside "
+            "evaluate's folds and never saved; use refit=global with matrix.* paths"
+        )
+    tweets, context = prepare_inputs(config)
+    train_tweets, dev_tweets = split_dev(
+        tweets, config.dev_fraction, derive_stream(config.seed, "train-cli")
+    )
     trained = train(
-        config.kind,
-        [by_id[i] for i in train_ids],
-        [by_id[i] for i in dev_ids],
-        context,
-        config.train_config(config.seed),
+        config.kind, train_tweets, dev_tweets, context, config.train_config(config.seed)
     )
     save_checkpoint(trained, args.out)
     print(f"trained {config.kind} for {len(trained.history)} epochs, "
@@ -261,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one neural model on a full corpus")
     p.add_argument("--config", required=True, help="flat key=value run config")
-    p.add_argument("--kind", choices=("lstm", "cnn"), default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", default=None, help="training log CSV path")
     p.set_defaults(func=_cmd_train)

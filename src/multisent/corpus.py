@@ -7,10 +7,12 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from .errors import ArgumentError, ParseError, SchemaError, read_text
 from .rng import SplitMix64, derive_stream
+
+T = TypeVar("T")
 
 
 class Polarity(enum.IntEnum):
@@ -186,21 +188,18 @@ def make_folds(
     return FoldPlan(k=k, assignments=ordered, seed=seed)
 
 
-def split_dev(
-    train_ids: Sequence[str],
-    fraction: float,
-    seed: int,
-) -> tuple[list[str], list[str]]:
-    """Split ids into (train, dev) with dev size round(fraction * n).
+def split_dev(items: Sequence[T], fraction: float, seed: int) -> tuple[list[T], list[T]]:
+    """Split items into (train, dev) with dev size round(fraction * n).
 
-    Rounding is half-up. Selection is a seeded shuffle; both outputs keep
-    the relative order of the input. Deterministic under the seed.
+    Rounding is half-up. Selection is a seeded shuffle of positions, so it
+    depends only on n and the seed; both outputs keep the relative order
+    of the input.
     """
-    if not train_ids:
+    if not items:
         raise ArgumentError("cannot split an empty id list")
     if not 0.0 < fraction < 1.0:
         raise ArgumentError("fraction must lie in (0, 1)")
-    n = len(train_ids)
+    n = len(items)
     if fraction * n < 1.0:
         raise ArgumentError(f"fraction {fraction} of {n} ids rounds below one dev example")
     dev_n = int(fraction * n + 0.5)
@@ -209,6 +208,6 @@ def split_dev(
     order = list(range(n))
     SplitMix64(derive_stream(seed, "dev-split", n)).shuffle(order)
     dev_idx = set(order[:dev_n])
-    train_out = [train_ids[i] for i in range(n) if i not in dev_idx]
-    dev_out = [train_ids[i] for i in range(n) if i in dev_idx]
+    train_out = [items[i] for i in range(n) if i not in dev_idx]
+    dev_out = [items[i] for i in range(n) if i in dev_idx]
     return train_out, dev_out

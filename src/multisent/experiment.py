@@ -41,7 +41,7 @@ from .embeddings import count_tokens, ranks_from_counts
 from .errors import ArgumentError, ConfigurationError, LeakageError, ParseError
 from .nn import TrainConfig, predict_batch, train
 from .pipeline import EmbeddingContext, corpus_max_len
-from .preprocess import default_rules, preprocess_corpus
+from .preprocess import TokenizedTweet, default_rules, preprocess_corpus
 from .rng import derive_stream
 
 KINDS = ("nb", "svm", "lstm", "cnn")
@@ -355,9 +355,27 @@ def _check_report_types(obj: dict) -> None:
                              f"got {reprlib.repr(obj[key])}")
 
 
-def load_context(config: ExperimentConfig, tweets, rules_version: str) -> EmbeddingContext:
-    """The config's tables and, under global alignment, its maps; max_len from tweets."""
+def prepare_inputs(
+    config: ExperimentConfig,
+    records=None,
+    context: EmbeddingContext | None = None,
+) -> tuple[list[TokenizedTweet], EmbeddingContext | None]:
+    """The config's in-scope tweets and, for a neural kind, its embedding context.
+
+    records and context, when given, stand in for the configured corpus
+    and embedding paths. The context holds the config's tables and, under
+    global alignment, its maps; its max_len comes from the tweets.
+    """
+    rules = default_rules()
+    if records is None:
+        records = load_corpus(config.corpus)
     active = config.active_languages()
+    records = [r for r in records if r.lang in active]
+    tweets, _dropped = preprocess_corpus(records, rules, config.tokenize_mode)
+    if not tweets:
+        raise ArgumentError("no usable records in scope")
+    if config.kind not in ("lstm", "cnn") or context is not None:
+        return tweets, context
     missing = [lang for lang in active if lang not in config.embeddings]
     if missing:
         raise ConfigurationError(f"no embedding path for languages: {missing}")
@@ -371,7 +389,7 @@ def load_context(config: ExperimentConfig, tweets, rules_version: str) -> Embedd
         oov_seed=config.oov_seed,
         oov_scale=config.oov_scale,
         max_len=corpus_max_len(tweets),
-        rules_version=rules_version,
+        rules_version=rules.fingerprint(),
     )
     if aligned:
         targets = {tm.tgt_lang for tm in context.translations.values()}
@@ -382,7 +400,7 @@ def load_context(config: ExperimentConfig, tweets, rules_version: str) -> Embedd
             raise ConfigurationError(
                 f"languages neither mapped nor the map target: {uncovered}"
             )
-    return context
+    return tweets, context
 
 
 def _refit_context(
@@ -435,18 +453,8 @@ def run_experiment(
     """
     if config.folds < 2:
         raise ArgumentError(f"cross-validation needs k >= 2 folds, got {config.folds}")
-    rules = default_rules()
-    rules_version = rules.fingerprint()
-    if records is None:
-        records = load_corpus(config.corpus)
-    active = set(config.active_languages())
-    records = [r for r in records if r.lang in active]
-    tweets, _dropped = preprocess_corpus(records, rules, config.tokenize_mode)
-    if not tweets:
-        raise ArgumentError("no usable records in scope")
-
-    if config.kind in ("lstm", "cnn") and context is None:
-        context = load_context(config, tweets, rules_version)
+    tweets, context = prepare_inputs(config, records, context)
+    active = config.active_languages()
     dictionaries = None
     if config.kind in ("lstm", "cnn") and config.refit == "per_fold":
         dictionaries = {

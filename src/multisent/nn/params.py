@@ -58,10 +58,6 @@ class LstmParams:
     b_y: np.ndarray
 
     @property
-    def input_dim(self) -> int:
-        return self.W_i.shape[1]
-
-    @property
     def hidden_dim(self) -> int:
         return self.W_i.shape[0]
 
@@ -98,11 +94,6 @@ class CnnParams:
             raise ArgumentError("at least one window size required")
         if sorted(set(self.window_sizes)) != sorted(self.window_sizes):
             raise ArgumentError("window sizes must be distinct")
-
-    @property
-    def input_dim(self) -> int:
-        h = self.window_sizes[0]
-        return self.filters[h].shape[2]
 
     @property
     def total_filters(self) -> int:

@@ -176,13 +176,27 @@ def test_resolve_with_oov_fallback():
 
 def test_matrix_round_trip(tmp_path):
     X, Z, _ = _pairs(5, 50, seed=8, noise=0.01)
-    tm = fit_translation_matrix(X, Z, src_lang="ja", tgt_lang="en")
+    rng = SplitMix64(1)
+    full = fit_translation_matrix(X, Z, src_lang="ja", tgt_lang="en")
+    deficient = fit_translation_matrix(np.tile(_gaussian(rng, 5), (20, 1)),
+                                       np.tile(_gaussian(rng, 5), (20, 1)))
+    assert deficient.underdetermined and not full.underdetermined
+    for i, tm in enumerate((full, deficient)):
+        p = tmp_path / f"w{i}.mat"
+        save_translation_matrix(tm, p)
+        back = load_translation_matrix(p)
+        assert (back.src_lang, back.tgt_lang) == (tm.src_lang, tm.tgt_lang)
+        assert np.array_equal(back.W, tm.W)
+        assert back.fit_residual == pytest.approx(tm.fit_residual, rel=1e-15)
+        assert back.ridge_lambda == tm.ridge_lambda
+        assert back.underdetermined is tm.underdetermined
+
+
+def test_matrix_without_underdetermined_field_loads(tmp_path):
     p = tmp_path / "w.mat"
-    save_translation_matrix(tm, p)
+    p.write_text("ja en 2\n# fit_residual 0.5 ridge_lambda 0\n1 0\n0 1\n")
     back = load_translation_matrix(p)
-    assert back.src_lang == "ja" and back.tgt_lang == "en"
-    assert np.array_equal(back.W, tm.W)
-    assert back.fit_residual == pytest.approx(tm.fit_residual, rel=1e-15)
+    assert back.fit_residual == 0.5 and back.underdetermined is False
 
 
 def test_matrix_load_rejects_garbage(tmp_path):

@@ -239,6 +239,21 @@ class TestEvaluateAndCompare:
         assert spy_calls == []
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.ckpt").exists()
 
+    def test_scope_without_usable_records_exits_2(self, fixture_dir, tmp_path, capsys):
+        lines = (fixture_dir / "corpus.jsonl").read_text().splitlines()
+        blank = json.dumps({"id": "blank", "lang": "ja", "text": "  ", "label": 0})
+        (tmp_path / "corpus.jsonl").write_text("\n".join(
+            [ln for ln in lines if json.loads(ln)["lang"] == "en"] + [blank]) + "\n")
+        cfg = write_config(tmp_path / "ja.cfg", tmp_path, [
+            "kind = cnn", "scope = ja", f"embedding.ja = {fixture_dir / 'ja.vec'}",
+        ])
+        for command in (["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r.json")],
+                        ["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]):
+            rc = main(command)
+            assert rc == 2
+            assert capsys.readouterr().err == "error: no usable records in scope\n"
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.ckpt").exists()
+
     def test_relu_candidate_still_evaluates(self, fixture_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "relu.cfg", fixture_dir, [
             "kind = lstm",
@@ -307,6 +322,53 @@ class TestTrainAndPredict:
         for row in rows:
             assert row["label"] in (0, 1, 2)
             assert abs(sum(row["probs"]) - 1.0) < 1e-9
+
+    def test_train_reads_the_inputs_evaluate_reads(self, fixture_dir, tmp_path):
+        for lang in ("ja", "zh"):
+            assert main(["align", "--src", str(fixture_dir / f"{lang}.vec"),
+                         "--tgt", str(fixture_dir / "en.vec"),
+                         "--dict", str(fixture_dir / f"{lang}-en.tsv"),
+                         "--src-lang", lang, "--tgt-lang", "en", "--k", "12", "--train", "9",
+                         "--out", str(tmp_path / f"{lang}-en.mat")]) == 0
+        cfg = write_config(tmp_path / "cnn.cfg", fixture_dir, [
+            "kind = cnn", "window_sizes = 2",
+            *(f"embedding.{lang} = {fixture_dir / f'{lang}.vec'}" for lang in ("en", "ja", "zh")),
+            "alignment = translation_matrix",
+            *(f"matrix.{lang} = {tmp_path / f'{lang}-en.mat'}" for lang in ("ja", "zh")),
+            "train.max_epochs = 1", "train.filters_per_window = 2",
+        ])
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
+        config = experiment.parse_config(cfg.read_text())
+        fingerprints = load_checkpoint(ckpt).fingerprints
+        assert fingerprints == experiment.prepare_inputs(config)[1].fingerprint()
+        assert fingerprints["alignment:ja"] != "none"
+
+    def test_per_fold_refit_rejected_before_reading_corpus(
+        self, fixture_dir, tmp_path, capsys, spy_calls
+    ):
+        cfg = write_config(tmp_path / "refit.cfg", fixture_dir, [
+            "kind = cnn",
+            *(f"embedding.{lang} = {fixture_dir / f'{lang}.vec'}" for lang in ("en", "ja", "zh")),
+            "alignment = translation_matrix", "refit = per_fold", "target_language = en",
+            *(f"dictionary.{lang} = {fixture_dir / f'{lang}-en.tsv'}" for lang in ("ja", "zh")),
+            "pivot_count = 12", "pivot_train_count = 9",
+        ])
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: train cannot use refit=per_fold")
+        assert "fit inside evaluate's folds and never saved" in err
+        assert spy_calls == []
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_kind_and_seed_flags_are_gone(self, fixture_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cnn.cfg", fixture_dir, ["kind = cnn"])
+        for flag in (["--kind", "lstm"], ["--seed", "1"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt"), *flag])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_skipped_records_are_counted(self, fixture_dir, tmp_path, capsys):
         lines = (fixture_dir / "corpus.jsonl").read_text().splitlines()
