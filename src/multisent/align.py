@@ -198,7 +198,6 @@ def fit_translation_matrix(
     Z: np.ndarray,
     src_lang: str = "src",
     tgt_lang: str = "tgt",
-    ridge_lambda: float = RIDGE_LAMBDA,
 ) -> TranslationMatrix:
     """Fit W minimizing the summed squared mapping error over row pairs.
 
@@ -223,8 +222,8 @@ def fit_translation_matrix(
         except np.linalg.LinAlgError:
             W = None
     if W is None or not np.all(np.isfinite(W)):
-        W = np.linalg.solve(XtX + ridge_lambda * np.eye(dim), XtZ)
-        used_lambda = ridge_lambda
+        W = np.linalg.solve(XtX + RIDGE_LAMBDA * np.eye(dim), XtZ)
+        used_lambda = RIDGE_LAMBDA
     return TranslationMatrix(
         src_lang=src_lang,
         tgt_lang=tgt_lang,

@@ -326,8 +326,6 @@ def train_svm_ovo(
     labels: list[int],
     dimension: int,
     C: float = 1.0,
-    tol: float = 1e-4,
-    max_sweeps: int = 1000,
 ) -> SVMModel:
     """Train one binary machine per class pair; every class must appear."""
     if not vectors:
@@ -347,9 +345,7 @@ def train_svm_ovo(
                    for v, y in zip(vectors, labels) if int(y) in (a, b)]
             svecs = [v for v, _ in sub]
             sys_ = np.array([y for _, y in sub])
-            machines[(a, b)] = train_binary_svm(
-                svecs, sys_, dimension, a, b, C=C, tol=tol, max_sweeps=max_sweeps
-            )
+            machines[(a, b)] = train_binary_svm(svecs, sys_, dimension, a, b, C=C)
     return SVMModel(dimension=dimension, C=C, machines=machines)
 
 

@@ -38,7 +38,7 @@ from .experiment import (
     run_experiment,
 )
 from .nn import load_checkpoint, predict_batch, save_checkpoint, save_training_log, train
-from .pipeline import EmbeddingContext
+from .pipeline import EmbeddingContext, oov_from_fingerprint
 from .preprocess import TokenizedTweet, default_rules, preprocess_corpus
 from .rng import derive_stream
 from .synth import SynthSpec, generate_fixture, write_fixture
@@ -59,7 +59,7 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_folds(args) -> int:
     records = load_corpus(args.infile)
-    plan = make_folds(records, args.folds, args.seed, stratify=args.stratify)
+    plan = make_folds(records, args.folds, args.seed)
     Path(args.outfile).write_text(plan.to_json() + "\n", encoding="utf-8")
     sizes = [len(plan.fold_ids(f)) for f in range(plan.k)]
     print(f"wrote {plan.k}-fold plan for {len(records)} records to {args.outfile} "
@@ -149,14 +149,15 @@ def _parse_lang_path(values: list[str], flag: str) -> dict[str, str]:
 
 def _cmd_predict(args) -> int:
     trained = load_checkpoint(args.model)
+    oov_seed, oov_scale = oov_from_fingerprint(trained.fingerprints)
     records = load_corpus(args.infile)
     rules = default_rules()
     tweets, empty = preprocess_corpus(records, rules, args.mode)
     context = EmbeddingContext.from_paths(
         _parse_lang_path(args.embedding, "--embedding"),
         _parse_lang_path(args.matrix, "--matrix"),
-        oov_seed=args.oov_seed,
-        oov_scale=args.oov_scale,
+        oov_seed=oov_seed,
+        oov_scale=oov_scale,
         max_len=trained.model.max_len,
         rules_version=rules.fingerprint(),
     )
@@ -231,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stratify", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=_cmd_folds)
 
@@ -269,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("whitespace", "pretokenized"), default="whitespace")
     p.add_argument("--embedding", action="append", default=[], metavar="LANG=PATH")
     p.add_argument("--matrix", action="append", default=[], metavar="LANG=PATH")
-    p.add_argument("--oov-seed", type=int, default=0)
-    p.add_argument("--oov-scale", type=float, default=None)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("compare", help="tabulate saved evaluation reports")

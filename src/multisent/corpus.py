@@ -151,15 +151,13 @@ def make_folds(
     records: Sequence[TweetRecord],
     k: int,
     seed: int,
-    stratify: bool = True,
 ) -> FoldPlan:
-    """Partition records into k folds whose sizes differ by at most one.
+    """Partition records into k stratified folds whose sizes differ by at most one.
 
-    With stratify=True (the default) each label's members are dealt
-    separately so per-fold label counts stay within one of the ideal
-    proportional share. The deal position is continuous across labels,
-    which keeps overall fold sizes balanced too. A pure function of
-    (records, k, seed, stratify).
+    Each label's members are dealt separately so per-fold label counts
+    stay within one of the ideal proportional share. The deal position is
+    continuous across labels, which keeps overall fold sizes balanced too.
+    A pure function of (records, k, seed).
     """
     if k <= 0:
         raise ArgumentError("k must be positive")
@@ -169,16 +167,12 @@ def make_folds(
     if len(set(ids)) != len(ids):
         raise ArgumentError("duplicate record ids; fold assignment requires unique ids")
 
-    rng = SplitMix64(derive_stream(seed, "folds", k, stratify))
+    # The trailing True is part of the stream name, so every saved plan depends on it.
+    rng = SplitMix64(derive_stream(seed, "folds", k, True))
     assignments: dict[str, int] = {}
     position = 0
-    if stratify:
-        groups = [
-            [rec.id for rec in records if rec.label == label] for label in sorted(Polarity)
-        ]
-    else:
-        groups = [list(ids)]
-    for group in groups:
+    for label in sorted(Polarity):
+        group = [rec.id for rec in records if rec.label == label]
         rng.shuffle(group)
         for rid in group:
             assignments[rid] = position % k

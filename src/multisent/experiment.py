@@ -461,7 +461,7 @@ def run_experiment(
             lang: load_dictionary(path) for lang, path in config.dictionaries.items()
         }
 
-    plan = make_folds(tweets, config.folds, config.seed, stratify=True)
+    plan = make_folds(tweets, config.folds, config.seed)
     by_id = {tw.id: tw for tw in tweets}
 
     fold_accuracies: list[float] = []

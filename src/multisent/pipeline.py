@@ -18,7 +18,7 @@ import numpy as np
 
 from .align import TranslationMatrix, load_translation_matrix
 from .embeddings import EmbeddingTable, check_dim_uniformity, load_embedding_table
-from .errors import ArgumentError, ConfigurationError
+from .errors import ArgumentError, ConfigurationError, ParseError
 from .preprocess import TokenizedTweet
 
 
@@ -126,3 +126,17 @@ class EmbeddingContext:
                 h.update(np.ascontiguousarray(tm.W, dtype=np.float64).tobytes())
                 out[f"alignment:{lang}"] = h.hexdigest()
         return out
+
+
+def oov_from_fingerprint(fingerprints: dict[str, str]) -> tuple[int, float | None]:
+    """(oov_seed, oov_scale) from the "SEED:SCALE" `EmbeddingContext.fingerprint` writes."""
+    text = fingerprints.get("oov")
+    if text is None:
+        raise ParseError("checkpoint lacks fingerprint 'oov'")
+    seed, _, scale = text.partition(":")
+    try:
+        return int(seed), None if scale == "None" else float(scale)
+    except ValueError:
+        raise ParseError(
+            f"checkpoint fingerprint 'oov' must read SEED:SCALE, got {text!r}"
+        ) from None

@@ -80,7 +80,18 @@ class CasingPolicy(enum.Enum):
     TRAD2SIMP = "trad2simp"    # traditional->simplified mapping, then lowercase
 
 
-DEFAULT_POLICIES = {"en": CasingPolicy.PLAIN, "ja": CasingPolicy.NFKC, "zh": CasingPolicy.TRAD2SIMP}
+POLICIES = {"en": CasingPolicy.PLAIN, "ja": CasingPolicy.NFKC, "zh": CasingPolicy.TRAD2SIMP}
+
+# Replacement tokens, and the rule-set version every fingerprint starts with.
+EMOJI_TOKEN_PREFIX = "EMOJI_"
+EMOTICON_TOKEN = "EMOTICON"
+URL_TOKEN = "URL"
+RULES_VERSION = "1"
+
+# Replacement tokens are protected from every stage.
+_GUARD = re.compile(
+    f"({re.escape(EMOJI_TOKEN_PREFIX)}[0-9A-F]+|{re.escape(EMOTICON_TOKEN)}|{re.escape(URL_TOKEN)})"
+)
 
 
 def load_pattern_file(path: str | Path) -> list[str]:
@@ -120,8 +131,9 @@ def _data_path(name: str) -> Path:
 
 @dataclass
 class NormalizationRuleSet:
-    """Replacement tokens, per-language policies, and detection pattern sets.
+    """Emoticon detection patterns and literals, and the trad->simp table.
 
+    The replacement tokens and per-language policies are module constants.
     Construction compiles `stages`, the ordered (regex, replacement) pairs
     that normalize applies; `screens`, aligned with `stages`, each None or
     a regex that finds something in every piece its stage could change;
@@ -129,19 +141,11 @@ class NormalizationRuleSet:
     An emoticon pattern that does not compile raises ConfigurationError.
     """
 
-    emoji_token_prefix: str = "EMOJI_"
-    emoticon_token: str = "EMOTICON"
-    url_token: str = "URL"
-    policies: dict[str, CasingPolicy] = field(default_factory=lambda: dict(DEFAULT_POLICIES))
     emoticon_patterns: list[str] = field(default_factory=list)
     emoticon_literals: list[str] = field(default_factory=list)
     trad2simp: dict[int, int] = field(default_factory=dict)
-    version: str = "1"
 
     def __post_init__(self):
-        for token in (self.emoji_token_prefix, self.emoticon_token, self.url_token):
-            if not token or any(ch.isspace() for ch in token):
-                raise ArgumentError(f"replacement token {token!r} must be non-empty and whitespace-free")
         # Literals are matched before patterns, longest first and
         # case-insensitively (casing runs before emoticon detection, so
         # each literal's NFKC form must match too). Bare-word literals
@@ -160,10 +164,11 @@ class NormalizationRuleSet:
             else:
                 screen_chars.add(symbol)
             parts.append(body)
-        prefix, emoticon = self.emoji_token_prefix, f" {self.emoticon_token} "
+        emoticon = f" {EMOTICON_TOKEN} "
         stages = [
-            (_URL_PATTERN, f" {self.url_token} "),
-            (_EMOJI_PATTERN, lambda m: "" if m[0] in _DROPPED else f" {prefix}{ord(m[0]):X} "),
+            (_URL_PATTERN, f" {URL_TOKEN} "),
+            (_EMOJI_PATTERN,
+             lambda m: "" if m[0] in _DROPPED else f" {EMOJI_TOKEN_PREFIX}{ord(m[0]):X} "),
         ]
         screens = [_URL_SCREEN, None]
         if parts:
@@ -184,31 +189,20 @@ class NormalizationRuleSet:
             screens.append(None)
         self.stages = tuple(stages)
         self.screens = tuple(screens)
-        # Replacement tokens are protected from every stage.
-        self.guard = re.compile(
-            "("
-            + "|".join(
-                [
-                    re.escape(self.emoji_token_prefix) + "[0-9A-F]+",
-                    re.escape(self.emoticon_token),
-                    re.escape(self.url_token),
-                ]
-            )
-            + ")"
-        )
+        self.guard = _GUARD
 
     def policy_for(self, lang: str) -> CasingPolicy:
-        return self.policies.get(lang, CasingPolicy.PLAIN)
+        return POLICIES.get(lang, CasingPolicy.PLAIN)
 
     def fingerprint_payload(self) -> str:
-        policies = {k: v.value for k, v in sorted(self.policies.items())}
+        policies = {k: v.value for k, v in sorted(POLICIES.items())}
         mapping = ",".join(f"{k:X}:{v:X}" for k, v in sorted(self.trad2simp.items()))
         return "\x1e".join(
             [
-                self.version,
-                self.emoji_token_prefix,
-                self.emoticon_token,
-                self.url_token,
+                RULES_VERSION,
+                EMOJI_TOKEN_PREFIX,
+                EMOTICON_TOKEN,
+                URL_TOKEN,
                 repr(policies),
                 "\x1f".join(self.emoticon_patterns),
                 "\x1f".join(self.emoticon_literals),
@@ -272,7 +266,7 @@ class TokenizedTweet:
     lang: str
     label: Polarity
     tokens: list[str]
-    length: int = 0
+    length: int = field(init=False)
 
     def __post_init__(self):
         self.length = len(self.tokens)

@@ -27,10 +27,15 @@ from .embeddings import EmbeddingTable, save_embedding_table
 from .errors import ArgumentError
 from .rng import SplitMix64, derive_stream
 
+MARKERS_PER_TWEET = 2
+MARKER_SCALE = 1.2
+MARKER_JITTER = 1.2
+FILLER_SCALE = 0.8
+
 
 @dataclass
 class SynthSpec:
-    """Shape and scale knobs for one generated fixture."""
+    """Size and shape knobs for one generated fixture."""
 
     languages: tuple[str, ...] = ("en", "ja", "zh")
     dim: int = 12
@@ -39,10 +44,6 @@ class SynthSpec:
     filler_vocab: int = 30
     min_len: int = 5
     max_len: int = 9
-    markers_per_tweet: int = 2
-    marker_scale: float = 1.2
-    marker_jitter: float = 1.2
-    filler_scale: float = 0.8
     seed: int = 0
 
     def __post_init__(self):
@@ -52,10 +53,8 @@ class SynthSpec:
             raise ArgumentError("duplicate language codes")
         if self.dim < 3:
             raise ArgumentError("dim must be at least 3 to hold the class axes")
-        if not 0 < self.min_len <= self.max_len:
-            raise ArgumentError("need 0 < min_len <= max_len")
-        if not 0 < self.markers_per_tweet <= self.min_len:
-            raise ArgumentError("markers_per_tweet must fit in the shortest tweet")
+        if not MARKERS_PER_TWEET <= self.min_len <= self.max_len:
+            raise ArgumentError(f"need {MARKERS_PER_TWEET} <= min_len <= max_len")
         if self.n_tweets < len(self.languages) * 3:
             raise ArgumentError("too few tweets to cover every language and label")
 
@@ -104,7 +103,7 @@ def _filler_word(lang: str, j: int) -> str:
 def generate_fixture(spec: SynthSpec) -> SynthFixture:
     """Build the corpus, per-language tables, and bilingual dictionaries.
 
-    Latent layout: label c markers sit at marker_scale * e_c plus
+    Latent layout: label c markers sit at MARKER_SCALE * e_c plus
     per-word jitter comparable in size, so class geometry is loose and
     marker identity carries most of the signal; fillers are isotropic
     low-norm noise shared across languages. Language L stores
@@ -116,12 +115,12 @@ def generate_fixture(spec: SynthSpec) -> SynthFixture:
     vec_rng = SplitMix64(derive_stream(spec.seed, "synth", "latent"))
     for c in range(3):
         axis = np.zeros(d)
-        axis[c] = spec.marker_scale
+        axis[c] = MARKER_SCALE
         for j in range(spec.markers_per_class):
-            jitter = _gaussian(vec_rng, d) * spec.marker_jitter
+            jitter = _gaussian(vec_rng, d) * MARKER_JITTER
             latent[f"m{c}n{j}"] = axis + jitter
     for j in range(spec.filler_vocab):
-        latent[f"f{j}"] = _gaussian(vec_rng, d) * spec.filler_scale / math.sqrt(d)
+        latent[f"f{j}"] = _gaussian(vec_rng, d) * FILLER_SCALE / math.sqrt(d)
 
     rotations: dict[str, np.ndarray] = {}
     tables: dict[str, EmbeddingTable] = {}
@@ -163,7 +162,7 @@ def generate_fixture(spec: SynthSpec) -> SynthFixture:
         ]
         positions = list(range(length))
         text_rng.shuffle(positions)
-        for pos in positions[: spec.markers_per_tweet]:
+        for pos in positions[:MARKERS_PER_TWEET]:
             tokens[pos] = _marker_word(lang, label, text_rng.next_below(spec.markers_per_class))
         records.append(
             TweetRecord(id=f"syn{i:04d}", lang=lang, text=" ".join(tokens), label=Polarity(label))

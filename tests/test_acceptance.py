@@ -318,7 +318,7 @@ def test_criterion_09_evaluation_hygiene(monkeypatch):
     fold_ok = True
     for n, k in ((30, 5), (31, 4), (45, 9)):
         tweets = marker_tweets(n)
-        plan = make_folds(tweets, k, seed=3, stratify=True)
+        plan = make_folds(tweets, k, seed=3)
         sizes = [len(plan.fold_ids(f)) for f in range(k)]
         fold_ok = fold_ok and max(sizes) - min(sizes) <= 1
         seen = [rid for f in range(k) for rid in plan.fold_ids(f)]

@@ -7,11 +7,16 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from multisent import cli, experiment
 from multisent.align import load_translation_matrix
 from multisent.cli import main
+from multisent.corpus import load_corpus
 from multisent.experiment import CVReport
-from multisent.nn import load_checkpoint
+from multisent.nn import load_checkpoint, predict_batch
+from multisent.pipeline import EmbeddingContext
+from multisent.preprocess import default_rules, preprocess_corpus
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +71,25 @@ class TestPreprocess:
         assert rc == 2
         assert "line 1: invalid UTF-8 byte 0xff" in capsys.readouterr().err
 
+    def test_pretokenized_mode_reads_tokens(self, tmp_path, capsys):
+        rows = [{"id": "a", "lang": "en", "text": "Good day", "tokens": ["Good", "day"],
+                 "label": 0},
+                {"id": "b", "lang": "en", "text": "", "tokens": ["Great", "http://x.y/z"],
+                 "label": 2}]
+        corpus = tmp_path / "in.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "out.jsonl"
+        kept = {}
+        for mode, dropped in (("whitespace", 1), ("pretokenized", 0)):
+            capsys.readouterr()
+            assert main(["preprocess", "--in", str(corpus), "--out", str(out),
+                         "--mode", mode]) == 0
+            assert f"({dropped} dropped)" in capsys.readouterr().out
+            rows = [json.loads(ln) for ln in out.read_text().splitlines()]
+            kept[mode] = {r["id"]: r["tokens"] for r in rows}
+        assert kept["whitespace"] == {"a": ["good", "day"]}
+        assert kept["pretokenized"] == {"a": ["good", "day"], "b": ["great", "URL"]}
+
 
 class TestFolds:
     def test_plan_round_trips(self, fixture_dir, tmp_path, capsys):
@@ -77,6 +101,14 @@ class TestFolds:
         plan = json.loads(out.read_text())
         assert plan["k"] == 3
         assert len(plan["assignments"]) == 36
+
+    def test_stratify_flags_are_gone(self, fixture_dir, tmp_path, capsys):
+        for flag in ("--stratify", "--no-stratify"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["folds", "--in", str(fixture_dir / "corpus.jsonl"),
+                      "--out", str(tmp_path / "plan.json"), flag])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestAlign:
@@ -95,6 +127,30 @@ class TestAlign:
         tm = load_translation_matrix(out)
         assert tm.src_lang == "ja" and tm.tgt_lang == "en"
         assert tm.W.shape == (8, 8)
+
+    def test_freq_and_seed_choose_the_pivots(self, fixture_dir, tmp_path):
+        # Five training pairs in eight dimensions leave the fit underdetermined,
+        # so the map depends on which pivots were picked.
+        entries = [ln.split(" ", 1)[0]
+                   for ln in (fixture_dir / "ja.vec").read_text().splitlines()[1:]]
+        n = len(entries)
+        for name, counts in (("table", range(n, 0, -1)), ("reversed", range(1, n + 1))):
+            (tmp_path / f"{name}.tsv").write_text(
+                "".join(f"{w}\t{c}\n" for w, c in zip(entries, counts)))
+        files = ["--src", str(fixture_dir / "ja.vec"), "--tgt", str(fixture_dir / "en.vec"),
+                 "--dict", str(fixture_dir / "ja-en.tsv"), "--k", "6", "--train", "5"]
+        table, rev = str(tmp_path / "table.tsv"), str(tmp_path / "reversed.tsv")
+        maps = {}
+        for name, argv in (("default", ["align", *files]),
+                           ("table", ["align", *files, "--freq", table]),
+                           ("reversed", ["align", *files, "--freq", rev]),
+                           ("seed", ["align", *files, "--seed", "1"])):
+            maps[name] = tmp_path / f"{name}.mat"
+            assert main([*argv, "--out", str(maps[name])]) == 0
+        assert maps["table"].read_bytes() == maps["default"].read_bytes()
+        default_W = load_translation_matrix(maps["default"]).W
+        for name in ("reversed", "seed"):
+            assert np.abs(load_translation_matrix(maps[name]).W - default_W).max() > 0.1
 
 
 @pytest.fixture
@@ -124,13 +180,17 @@ class TestEvaluateAndCompare:
     def test_nb_evaluate_writes_report(self, fixture_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "nb.cfg", fixture_dir, ["kind = nb"])
         out = tmp_path / "nb.json"
-        rc = main(["evaluate", "--config", str(cfg), "--out", str(out)])
+        csv_out = tmp_path / "nb.csv"
+        rc = main(["evaluate", "--config", str(cfg), "--out", str(out), "--csv", str(csv_out)])
         assert rc == 0
         printed = capsys.readouterr().out
         assert "mean_accuracy" in printed
         assert "per-language accuracy:" in printed
         report = CVReport.from_json(out.read_text())
         assert report.kind == "nb" and report.folds == 3
+        assert csv_out.read_text() == (
+            f"name,kind,folds,mean_accuracy\nnb,nb,3,{report.mean_accuracy:.6f}\n"
+        )
 
     def test_compare_two_reports(self, fixture_dir, tmp_path, capsys):
         paths = []
@@ -148,6 +208,17 @@ class TestEvaluateAndCompare:
         assert "baseline" in printed and "run-nb" in printed and "run-svm" in printed
         header = csv_out.read_text().splitlines()[0]
         assert header == "name,kind,folds,mean_accuracy,delta"
+
+        nb, svm = (CVReport.from_json(Path(p).read_text()) for p in paths)
+        rc = main(["compare", *paths, "--baseline", "run-svm", "--csv", str(csv_out)])
+        assert rc == 0
+        assert csv_out.read_text().splitlines()[1:] == [
+            f"run-nb,nb,3,{nb.mean_accuracy:.6f},{nb.mean_accuracy - svm.mean_accuracy:+.6f}",
+            f"run-svm,svm,3,{svm.mean_accuracy:.6f},baseline",
+        ]
+        capsys.readouterr()
+        assert main(["compare", *paths, "--baseline", "run-lstm"]) == 2
+        assert "baseline 'run-lstm' not among report names" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
         ('{"name": "x", "kind": "cnn"}', "report lacks key 'folds'"),
@@ -480,6 +551,79 @@ class TestTrainAndPredict:
         assert "line 3:" in err and "non-finite vector component" in err
 
 
+class TestPredictOptions:
+    @pytest.fixture(scope="class")
+    def ckpt(self, fixture_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("oov")
+        cfg = write_config(out / "cnn.cfg", fixture_dir, [
+            "kind = cnn", "window_sizes = 2",
+            *(f"embedding.{lang} = {fixture_dir / f'{lang}.vec'}" for lang in ("en", "ja", "zh")),
+            "oov_seed = 3", "oov_scale = 0.25",
+            "train.max_epochs = 1", "train.filters_per_window = 3",
+        ])
+        assert main(["train", "--config", str(cfg), "--out", str(out / "m.ckpt")]) == 0
+        return out / "m.ckpt"
+
+    def write_input(self, fixture_dir, path):
+        """The fixture corpus with tokens, a tokens-only record and one of unseen words."""
+        rows = [json.loads(ln) for ln in (fixture_dir / "corpus.jsonl").read_text().splitlines()]
+        rows = [dict(r, tokens=r["text"].split()) for r in rows]
+        rows.append(dict(rows[0], id="tokens-only", text=""))
+        rows.append(dict(rows[1], id="unseen", text="qqq zzz", tokens=["qqq", "zzz"]))
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        return len(rows)
+
+    def files(self, fixture_dir, tmp_path, ckpt):
+        """predict's file options: this model, in.jsonl to p.jsonl, every fixture table."""
+        return ["--model", str(ckpt), "--in", str(tmp_path / "in.jsonl"),
+                "--out", str(tmp_path / "p.jsonl"),
+                *[f"--embedding={lang}={fixture_dir / f'{lang}.vec'}"
+                  for lang in ("en", "ja", "zh")]]
+
+    def test_oov_seed_and_scale_come_from_the_checkpoint(self, fixture_dir, tmp_path, ckpt):
+        self.write_input(fixture_dir, tmp_path / "in.jsonl")
+        assert main(["predict", *self.files(fixture_dir, tmp_path, ckpt)]) == 0
+        trained = load_checkpoint(ckpt)
+        assert trained.fingerprints["oov"] == "3:0.25"
+        rules = default_rules()
+        context = EmbeddingContext.from_paths(
+            {lang: str(fixture_dir / f"{lang}.vec") for lang in ("en", "ja", "zh")}, {},
+            oov_seed=3, oov_scale=0.25, max_len=trained.model.max_len,
+            rules_version=rules.fingerprint(),
+        )
+        tweets, _ = preprocess_corpus(load_corpus(tmp_path / "in.jsonl"), rules)
+        expected = [{"id": tw.id, "label": int(label), "probs": [float(p) for p in probs]}
+                    for tw, (label, probs) in zip(tweets, predict_batch(trained, tweets, context))]
+        rows = [json.loads(ln) for ln in (tmp_path / "p.jsonl").read_text().splitlines()]
+        assert rows == expected
+        assert "unseen" in [row["id"] for row in rows]
+
+    def test_pretokenized_mode_classifies_tokens_only_records(
+        self, fixture_dir, tmp_path, ckpt, capsys
+    ):
+        n = self.write_input(fixture_dir, tmp_path / "in.jsonl")
+        ids = {}
+        for mode, written in (("whitespace", n - 1), ("pretokenized", n)):
+            capsys.readouterr()
+            assert main(["predict", *self.files(fixture_dir, tmp_path, ckpt), "--mode", mode]) == 0
+            printed = capsys.readouterr().out
+            assert f"wrote {written} predictions" in printed
+            assert ("skipped 1 record with no tokens after normalization" in printed) == \
+                (mode == "whitespace")
+            preds = (tmp_path / "p.jsonl").read_text().splitlines()
+            ids[mode] = [json.loads(ln)["id"] for ln in preds]
+        assert "tokens-only" not in ids["whitespace"]
+        assert ids["pretokenized"] == ids["whitespace"][:-1] + ["tokens-only", "unseen"]
+
+    def test_oov_flags_are_gone(self, fixture_dir, tmp_path, ckpt, capsys):
+        self.write_input(fixture_dir, tmp_path / "in.jsonl")
+        for flag in (["--oov-seed", "3"], ["--oov-scale", "0.25"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["predict", *self.files(fixture_dir, tmp_path, ckpt), *flag])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 class TestPredictRejectsBadCheckpoint:
     @pytest.fixture
     def ckpt_lines(self, fixture_dir, tmp_path):
@@ -543,6 +687,18 @@ class TestPredictRejectsBadCheckpoint:
         assert self.predict(fixture_dir, tmp_path, lines) == 2
         assert message in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("new", ["fingerprint oov x:y", None], ids=["malformed", "missing"])
+    def test_bad_oov_fingerprint_exits_2(self, fixture_dir, tmp_path, ckpt_lines, capsys, new):
+        at = ckpt_lines.index("fingerprint oov 0:None")
+        lines = list(ckpt_lines)
+        if new is None:
+            del lines[at]
+        else:
+            lines[at] = new
+        capsys.readouterr()
+        assert self.predict(fixture_dir, tmp_path, lines) == 2
+        assert "fingerprint 'oov'" in capsys.readouterr().err
 
     def test_tensor_shapes_that_disagree_exit_2(self, fixture_dir, tmp_path, ckpt_lines, capsys):
         at = ckpt_lines.index("tensor V 3 6")

@@ -122,7 +122,7 @@ def test_folds_partition_ids():
 
 def test_stratified_label_balance():
     records = _records(30)  # 10 per class
-    plan = make_folds(records, 5, seed=2, stratify=True)
+    plan = make_folds(records, 5, seed=2)
     by_id = {r.id: r for r in records}
     for f in range(5):
         labels = [by_id[rid].label for rid in plan.fold_ids(f)]
