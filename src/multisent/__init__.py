@@ -26,6 +26,7 @@ from .baselines import (
     NBModel,
     SVMModel,
     build_feature_space,
+    intern_ngrams,
     predict_nb,
     predict_svm,
     train_nb,
@@ -114,6 +115,7 @@ __all__ = [
     "derive_stream",
     "fit_translation_matrix",
     "generate_fixture",
+    "intern_ngrams",
     "load_corpus",
     "load_dictionary",
     "load_embedding_table",

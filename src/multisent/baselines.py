@@ -4,8 +4,10 @@ Features are unigrams and bigrams with no frequency cutoff, binarized
 (each n-gram counts once per tweet) and tagged with the tweet's
 language, so the same surface string in two languages occupies two
 columns and a multilingual space's dimensionality is exactly the sum of
-the per-language ones. Each training tweet's n-grams are computed once,
-for both the column index and the tweet's feature vector.
+the per-language ones. intern_ngrams computes every tweet's n-grams once
+and numbers them in sorted key order; a fold's feature space is then the
+ids its training tweets hold, renumbered in the same order, so both the
+columns and the vectors come from integer array operations.
 
 Naive Bayes is multinomial over the binary features with add-alpha
 smoothing.
@@ -47,48 +49,84 @@ def ngrams_of(tokens: list[str]) -> list[str]:
     return list(seen)
 
 
+def intern_ngrams(tweets: list[TokenizedTweet]) -> tuple[int, list[np.ndarray]]:
+    """Number the tweets' distinct language-tagged n-grams in sorted key order.
+
+    A key is lang + NGRAM_JOINER + n-gram. Returns the number of keys
+    and each tweet's key ids, strictly increasing int64. Keys sort by
+    their language tag first, so each language's keys take one run of
+    ids in the order of its plain n-grams; the languages are numbered one
+    at a time and the tagged strings are never built. Any subset of the
+    keys keeps its sorted order under the ids.
+    """
+    by_lang: dict[str, list[int]] = {}
+    for i, tw in enumerate(tweets):
+        by_lang.setdefault(tw.lang, []).append(i)
+    rows: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * len(tweets)
+    size = 0
+    for lang in sorted(by_lang, key=lambda lang: lang + NGRAM_JOINER):
+        if NGRAM_JOINER in lang:
+            raise ArgumentError(f"language {lang!r} contains the n-gram joiner")
+        members = by_lang[lang]
+        index: dict[str, int] = {}      # n-gram -> first-seen number
+        seen: list[int] = []
+        sizes: list[int] = []
+        for i in members:
+            grams = ngrams_of(tweets[i].tokens)
+            seen.extend([index.setdefault(g, len(index)) for g in grams])
+            sizes.append(len(grams))
+        rank = np.empty(len(index), dtype=np.int64)     # first-seen number -> id
+        order = np.fromiter(map(index.__getitem__, sorted(index)), np.int64, len(index))
+        rank[order] = np.arange(size, size + len(index))
+        size += len(index)
+        del index, order        # free the n-gram strings before the id arrays come
+        ids = rank[np.array(seen, dtype=np.int64)]
+        member = np.repeat(np.arange(len(members)), sizes)
+        ids = ids[np.lexsort((ids, member))]     # by tweet, then by id
+        for i, row in zip(members, np.split(ids, np.cumsum(sizes)[:-1])):
+            rows[i] = row
+    return size, rows
+
+
 @dataclass
 class FeatureSpace:
-    """Dense language-tagged n-gram -> column mapping built from a training split."""
+    """A fold's columns: remap[g] is the column of interned n-gram id g, or -1."""
 
-    index: dict[str, int]
+    remap: np.ndarray
+    dimension: int = field(init=False)
 
     def __post_init__(self):
-        ids = sorted(self.index.values())
-        if ids != list(range(len(ids))):
+        columns = self.remap[self.remap >= 0]
+        if not np.array_equal(columns, np.arange(columns.size)):
             raise ArgumentError("feature ids must be dense 0..V-1")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.index)
+        self.dimension = columns.size
 
 
-def _keys(tweet: TokenizedTweet) -> list[str]:
-    """The tweet's distinct n-grams, each prefixed by its language."""
-    prefix = tweet.lang + NGRAM_JOINER
-    return [prefix + ng for ng in ngrams_of(tweet.tokens)]
+def build_feature_space(
+    rows: list[np.ndarray], size: int
+) -> tuple[FeatureSpace, list[np.ndarray]]:
+    """One column per interned n-gram id the training rows hold, and each row's column ids.
 
-
-def _ids(keys: list[str], index: dict[str, int]) -> np.ndarray:
-    """Column ids of the keys the index knows, strictly increasing."""
-    return np.array(sorted(index[k] for k in keys if k in index), dtype=np.int64)
-
-
-def build_feature_space(tweets: list[TokenizedTweet]) -> tuple[FeatureSpace, list[np.ndarray]]:
-    """One column per distinct language-tagged n-gram, and each tweet's column ids.
-
-    Column ids are assigned lexicographically so the space is independent
-    of corpus order; on a one-language corpus that is the order of the
-    plain n-grams. The vectors equal vectorize(tweet, space) per tweet.
+    rows are training tweets' ids from intern_ngrams, over `size` keys.
+    Columns keep the ids' order, which is sorted key order, so the space
+    is independent of corpus order and is the one numbered from the
+    training tweets' own sorted keys; on a one-language corpus that is
+    the order of the plain n-grams. The vectors equal vectorize(row,
+    space) per row.
     """
-    keys = [_keys(tw) for tw in tweets]
-    index = {k: i for i, k in enumerate(sorted(set().union(*keys)))}
-    return FeatureSpace(index), [_ids(ks, index) for ks in keys]
+    ids, sizes = _joined_rows(rows, size)
+    present = np.zeros(size, dtype=bool)
+    present[ids] = True
+    columns = np.flatnonzero(present)
+    remap = np.full(size, -1, dtype=np.int64)
+    remap[columns] = np.arange(columns.size)
+    return FeatureSpace(remap), np.split(remap[ids], np.cumsum(sizes)[:-1])
 
 
-def vectorize(tweet: TokenizedTweet, space: FeatureSpace) -> np.ndarray:
-    """Active column ids for a tweet, strictly increasing; unknown n-grams drop."""
-    return _ids(_keys(tweet), space.index)
+def vectorize(row: np.ndarray, space: FeatureSpace) -> np.ndarray:
+    """Active column ids for a tweet's interned ids, strictly increasing; unknown n-grams drop."""
+    columns = space.remap[row]
+    return columns[columns >= 0]
 
 
 @dataclass
@@ -102,20 +140,27 @@ class NBModel:
     log_lik: np.ndarray            # (n_classes, V) log P(feature present | class)
 
 
-def _joined_ids(vectors: list[np.ndarray]) -> np.ndarray:
-    """All examples' feature ids end to end."""
-    return np.concatenate([v for v in vectors if v.size] or [np.empty(0, dtype=np.int64)])
+def _joined_rows(vectors: list[np.ndarray], dimension: int) -> tuple[np.ndarray, list[int]]:
+    """All examples' feature ids end to end, and each example's id count.
 
-
-def _check_ids(ids: np.ndarray, dimension: int) -> None:
-    """Raise unless every feature id is an integer in [0, dimension)."""
+    Raises unless every id is an integer in [0, dimension) and each
+    example's ids strictly increase.
+    """
+    sizes = [v.size for v in vectors]
+    ids = np.concatenate([v for v in vectors if v.size] or [np.empty(0, dtype=np.int64)])
     if not ids.size:
-        return
+        return ids, sizes
     if ids.dtype.kind not in "iu":
         raise ArgumentError(f"feature ids must be integers, got dtype {ids.dtype}")
     bad = ids[(ids < 0) | (ids >= dimension)]
     if bad.size:
         raise ArgumentError(f"feature id {int(bad[0])} outside [0, {dimension})")
+    rising = np.diff(ids) > 0
+    ends = np.cumsum(sizes)[:-1]
+    rising[ends[(ends > 0) & (ends < ids.size)] - 1] = True   # one example to the next
+    if not rising.all():
+        raise ArgumentError("the feature ids of each example must be strictly increasing")
+    return ids, sizes
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -135,16 +180,15 @@ def train_nb(
     if len(vectors) != len(labels):
         raise ArgumentError("vectors and labels differ in length")
     _check_positive("alpha", alpha)
-    _check_ids(_joined_ids(vectors), dimension)
+    ids, sizes = _joined_rows(vectors, dimension)
     classes = sorted(set(int(y) for y in labels))
-    n_by_class = np.zeros(len(classes))
-    present = np.zeros((len(classes), dimension))
     pos = {c: i for i, c in enumerate(classes)}
-    for vec, y in zip(vectors, labels):
-        ci = pos[int(y)]
-        n_by_class[ci] += 1
-        if vec.size:
-            present[ci, vec] += 1.0
+    codes = np.array([pos[int(y)] for y in labels], dtype=np.int64)
+    n_by_class = np.zeros(len(classes))
+    np.add.at(n_by_class, codes, 1.0)
+    # One scatter over (class, feature) cells; the counts are exact integers.
+    present = np.zeros((len(classes), dimension))
+    np.add.at(present.reshape(-1), np.repeat(codes * dimension, sizes) + ids, 1.0)
     log_prior = np.log(n_by_class / n_by_class.sum())
     totals = present.sum(axis=1, keepdims=True)
     return NBModel(
@@ -233,17 +277,11 @@ def train_binary_svm(
     if len(ys) != n:
         raise ArgumentError("vectors and labels differ in length")
     _check_positive("C", C)
-    ids = _joined_ids(vectors)
-    _check_ids(ids, dimension)
-    sizes = [v.size for v in vectors]
+    ids, sizes = _joined_rows(vectors, dimension)
     # Bias handled as a constant feature appended to every example.
     ids = np.insert(ids, np.cumsum(sizes), dimension)
     lengths = np.array(sizes) + 1
     starts = np.cumsum(lengths) - lengths
-    rising = np.diff(ids) > 0
-    rising[starts[1:] - 1] = True         # from one example's bias to the next example
-    if not rising.all():
-        raise ArgumentError("the feature ids of each example must be strictly increasing")
 
     ys = [float(y) for y in ys]
     q_diag = [s + 1.0 for s in sizes]     # Q_ii = |x_i| + 1 > 0

@@ -22,6 +22,8 @@ import reprlib
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 
+import numpy as np
+
 from .align import (
     fit_translation_matrix,
     load_dictionary,
@@ -30,6 +32,7 @@ from .align import (
 )
 from .baselines import (
     build_feature_space,
+    intern_ngrams,
     predict_nb,
     predict_svm,
     train_nb,
@@ -115,6 +118,12 @@ class ExperimentConfig:
         for key, value in (("alpha", self.alpha), ("C", self.C)):
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{key} must be finite and positive, got {value}")
+        if self.oov_scale is not None and not (
+            math.isfinite(self.oov_scale) and self.oov_scale >= 0
+        ):
+            raise ConfigurationError(
+                f"oov_scale must be finite and non-negative, got {self.oov_scale}"
+            )
         if self.scope != "all" and self.scope not in self.languages:
             raise ConfigurationError(
                 f"scope {self.scope!r} is not in languages {self.languages}"
@@ -446,10 +455,12 @@ def run_experiment(
 
     records and context may be passed directly (tests, library use);
     otherwise they load from the configured paths. The corpus maximum
-    length and the embedding tables are structural constants shared
-    across folds; everything derived from examples (feature spaces,
-    model parameters, early stopping) uses training-split ids only,
-    which the per-fold audit enforces.
+    length, the embedding tables and the numbering of the n-gram keys
+    are structural constants shared across folds; everything derived
+    from examples (feature spaces, model parameters, early stopping)
+    uses training-split ids only, which the per-fold audit enforces. A
+    fold's n-gram columns are the keys its training tweets hold, so a
+    key seen only in held-out tweets is numbered but never a column.
     """
     if config.folds < 2:
         raise ArgumentError(f"cross-validation needs k >= 2 folds, got {config.folds}")
@@ -463,6 +474,10 @@ def run_experiment(
 
     plan = make_folds(tweets, config.folds, config.seed)
     by_id = {tw.id: tw for tw in tweets}
+    ngrams = None
+    if config.kind in ("nb", "svm"):
+        size, rows = intern_ngrams(tweets)
+        ngrams = size, {tw.id: row for tw, row in zip(tweets, rows)}
 
     fold_accuracies: list[float] = []
     wall_clock: list[float] = []
@@ -476,7 +491,7 @@ def run_experiment(
         train_ids = [tw.id for tw in tweets if plan.assignments[tw.id] != fold]
         audit = IdAudit()
         predictions = _run_fold(
-            config, fold, train_ids, test_ids, by_id, context, dictionaries, audit
+            config, fold, train_ids, test_ids, by_id, context, dictionaries, ngrams, audit
         )
         audit.assert_disjoint(test_ids)
 
@@ -521,12 +536,14 @@ def _run_fold(
     by_id: dict,
     context: EmbeddingContext | None,
     dictionaries: dict[str, dict[str, str]] | None,
+    ngrams: tuple[int, dict[str, np.ndarray]] | None,
     audit: IdAudit,
 ) -> dict[str, Polarity]:
     test_tweets = [by_id[rid] for rid in test_ids]
     if config.kind in ("nb", "svm"):
+        size, rows = ngrams
         train_tweets = list(audit.use(by_id[rid] for rid in train_ids))
-        space, vecs = build_feature_space(train_tweets)
+        space, vecs = build_feature_space([rows[tw.id] for tw in train_tweets], size)
         labels = [int(tw.label) for tw in train_tweets]
         if config.kind == "nb":
             model = train_nb(vecs, labels, space.dimension, alpha=config.alpha)
@@ -534,7 +551,7 @@ def _run_fold(
         else:
             model = train_svm_ovo(vecs, labels, space.dimension, C=config.C)
             predict = predict_svm
-        return {tw.id: predict(model, vectorize(tw, space)) for tw in test_tweets}
+        return {tw.id: predict(model, vectorize(rows[tw.id], space)) for tw in test_tweets}
 
     # neural kinds
     fold_seed = derive_stream(config.seed, "fold", fold)

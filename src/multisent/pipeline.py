@@ -12,6 +12,7 @@ model/context pairings fail loudly instead of predicting garbage.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,8 +136,11 @@ def oov_from_fingerprint(fingerprints: dict[str, str]) -> tuple[int, float | Non
         raise ParseError("checkpoint lacks fingerprint 'oov'")
     seed, _, scale = text.partition(":")
     try:
-        return int(seed), None if scale == "None" else float(scale)
+        oov_seed, oov_scale = int(seed), None if scale == "None" else float(scale)
     except ValueError:
         raise ParseError(
             f"checkpoint fingerprint 'oov' must read SEED:SCALE, got {text!r}"
         ) from None
+    if oov_scale is not None and not math.isfinite(oov_scale):
+        raise ParseError(f"checkpoint fingerprint 'oov' has a non-finite scale, got {text!r}")
+    return oov_seed, oov_scale

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from multisent.baselines import NGRAM_JOINER, ngrams_of
 from multisent.corpus import Polarity, TweetRecord
 from multisent.embeddings import EmbeddingTable
 from multisent.pipeline import EmbeddingContext
@@ -84,3 +85,34 @@ def svm_primal_objective(
         margin = y * (w[-1] + (float(w[vec].sum()) if vec.size else 0.0))
         total += C * max(0.0, 1.0 - margin)
     return total
+
+
+# The string-indexed n-gram space: each call sorts the given tweets'
+# language-tagged n-gram strings into a fresh index and looks every
+# tweet's strings up in it. The interned path must give the same columns.
+def _keys(tweet: TokenizedTweet) -> list[str]:
+    """The tweet's distinct n-grams, each prefixed by its language."""
+    prefix = tweet.lang + NGRAM_JOINER
+    return [prefix + ng for ng in ngrams_of(tweet.tokens)]
+
+
+def _ids(keys: list[str], index: dict[str, int]) -> np.ndarray:
+    """Column ids of the keys the index knows, strictly increasing."""
+    return np.array(sorted(index[k] for k in keys if k in index), dtype=np.int64)
+
+
+def oracle_feature_space(tweets: list[TokenizedTweet]) -> tuple[dict[str, int], list[np.ndarray]]:
+    """One column per distinct language-tagged n-gram, and each tweet's column ids.
+
+    Column ids are assigned lexicographically so the space is independent
+    of corpus order; on a one-language corpus that is the order of the
+    plain n-grams. The vectors equal oracle_vectorize(tweet, index) per tweet.
+    """
+    keys = [_keys(tw) for tw in tweets]
+    index = {k: i for i, k in enumerate(sorted(set().union(*keys)))}
+    return index, [_ids(ks, index) for ks in keys]
+
+
+def oracle_vectorize(tweet: TokenizedTweet, index: dict[str, int]) -> np.ndarray:
+    """Active column ids for a tweet, strictly increasing; unknown n-grams drop."""
+    return _ids(_keys(tweet), index)

@@ -15,6 +15,7 @@ from multisent.baselines import (
     FeatureSpace,
     SVMModel,
     build_feature_space,
+    intern_ngrams,
     nb_posterior,
     ngrams_of,
     predict_nb,
@@ -24,11 +25,13 @@ from multisent.baselines import (
     train_svm_ovo,
     vectorize,
 )
-from multisent.corpus import Polarity
+from multisent.corpus import Polarity, make_folds
 from multisent.errors import ArgumentError, ConfigurationError
+from multisent.experiment import ExperimentConfig, prepare_inputs
 from multisent.preprocess import TokenizedTweet
+from multisent.synth import SynthSpec, generate_fixture
 
-from conftest import svm_primal_objective
+from conftest import oracle_feature_space, oracle_vectorize, svm_primal_objective
 
 
 def _tw(tokens, lang="en", label=Polarity.NEUTRAL, id="t0"):
@@ -48,66 +51,144 @@ class TestNgrams:
         assert ngrams_of(["only"]) == ["only"]
 
 
+def _fold_space(train, test=()):
+    """Intern train and test tweets together, as evaluate does; build the space from train.
+
+    Returns the space, the training vectors and the test vectors.
+    """
+    size, rows = intern_ngrams(list(train) + list(test))
+    space, vectors = build_feature_space(rows[:len(train)], size)
+    return space, vectors, [vectorize(row, space) for row in rows[len(train):]]
+
+
+def _sorted_key_vectors(tweets):
+    """Each tweet's column ids when columns number the tagged n-grams in sorted order."""
+    return [v.tolist() for v in oracle_feature_space(tweets)[1]]
+
+
 class TestFeatureSpace:
     def test_columns_are_lexicographic(self):
         tweets = [_tw(["b", "a"], id="t1"), _tw(["c"], id="t2")]
-        space, _ = build_feature_space(tweets)
-        ordered = sorted(space.index, key=space.index.get)
-        assert ordered == sorted(space.index)
-        assert space.dimension == 4  # a, b, c, b+a bigram
+        space, vectors, _ = _fold_space(tweets)
+        # columns: a, b, b+a bigram, c
+        assert [v.tolist() for v in vectors] == [[0, 1, 2], [3]]
+        assert [v.tolist() for v in vectors] == _sorted_key_vectors(tweets)
+        assert space.dimension == 4
 
     def test_corpus_order_does_not_matter(self):
         tweets = [_tw(["b", "a"], id="t1"), _tw(["c"], id="t2")]
-        a, _ = build_feature_space(tweets)
-        b, _ = build_feature_space(tweets[::-1])
-        assert a.index == b.index
+        a, a_vectors, _ = _fold_space(tweets)
+        b, b_vectors, _ = _fold_space(tweets[::-1])
+        assert a.remap.tolist() == b.remap.tolist()
+        assert [v.tolist() for v in a_vectors] == [v.tolist() for v in b_vectors[::-1]]
 
     def test_cumulative_scheme_namespaces_by_language(self):
         tweets = [_tw(["same"], lang="en", id="t1"), _tw(["same"], lang="ja", id="t2")]
-        space, _ = build_feature_space(tweets)
+        space, _, _ = _fold_space(tweets)
         assert space.dimension == 2
-        en_only, _ = build_feature_space([tweets[0]])
-        ja_only, _ = build_feature_space([tweets[1]])
+        en_only, _, _ = _fold_space([tweets[0]])
+        ja_only, _, _ = _fold_space([tweets[1]])
         assert space.dimension == en_only.dimension + ja_only.dimension
 
     def test_one_language_keeps_plain_ngram_order(self):
         tweets = [_tw(["b", "a", "Z"], lang="ja", id="t1"),
                   _tw(["c", "a", "b"], lang="ja", id="t2")]
-        space, _ = build_feature_space(tweets)
+        space, vectors, _ = _fold_space(tweets)
         plain = sorted({ng for tw in tweets for ng in ngrams_of(tw.tokens)})
-        prefix = "ja" + NGRAM_JOINER
-        assert list(space.index) == [prefix + ng for ng in plain]
-        assert list(space.index.values()) == list(range(len(plain)))
+        assert space.dimension == len(plain)
+        assert [v.tolist() for v in vectors] == [
+            sorted(plain.index(ng) for ng in ngrams_of(tw.tokens)) for tw in tweets]
 
     def test_returned_vectors_equal_vectorize(self):
         tweets = [_tw(["b", "a", "b"], id="t1"), _tw(["c", "a"], lang="ja", id="t2"),
                   _tw(["a", "c", "a", "c"], id="t3"), _tw(["c"], lang="en", id="t4")]
-        space, vectors = build_feature_space(tweets)
+        size, rows = intern_ngrams(tweets)
+        space, vectors = build_feature_space(rows, size)
         assert len(vectors) == len(tweets)
-        for tw, vec in zip(tweets, vectors):
-            want = vectorize(tw, space)
+        for row, vec in zip(rows, vectors):
+            want = vectorize(row, space)
             assert vec.dtype == want.dtype == np.int64
             assert vec.tolist() == want.tolist()
             assert all(a < b for a, b in zip(vec.tolist(), vec.tolist()[1:]))
 
     def test_vectorize_known_and_unknown(self):
-        tweets = [_tw(["a", "b"], id="t1")]
-        space, _ = build_feature_space(tweets)
-        vec = vectorize(_tw(["b", "zzz", "a"], id="q"), space)
+        train = [_tw(["a", "b"], id="t1")]
+        space, _, (vec,) = _fold_space(train, [_tw(["b", "zzz", "a"], id="q")])
         # Unknown token and the unseen bigrams drop; ids come back sorted.
-        prefix = "en" + NGRAM_JOINER
-        assert vec.tolist() == sorted([space.index[prefix + "a"], space.index[prefix + "b"]])
+        # columns: a, a+b bigram, b
+        assert vec.tolist() == [0, 2]
+        assert space.dimension == 3
 
     def test_vectorize_respects_language_namespacing(self):
         tweets = [_tw(["same"], lang="en", id="t1"), _tw(["same"], lang="ja", id="t2")]
-        space, _ = build_feature_space(tweets)
-        en_vec = vectorize(_tw(["same"], lang="en", id="q1"), space)
-        ja_vec = vectorize(_tw(["same"], lang="ja", id="q2"), space)
+        _, _, (en_vec, ja_vec) = _fold_space(
+            tweets, [_tw(["same"], lang="en", id="q1"), _tw(["same"], lang="ja", id="q2")])
         assert en_vec.tolist() != ja_vec.tolist()
 
     def test_dense_id_validation(self):
-        with pytest.raises(ArgumentError):
-            FeatureSpace(index={"a": 0, "b": 2})
+        for remap in ([0, -1, 2], [1, 0], [-1, 1]):
+            with pytest.raises(ArgumentError, match="dense"):
+                FeatureSpace(remap=np.array(remap))
+
+
+class TestInternNgrams:
+    def test_languages_follow_their_tagged_key_order(self):
+        # Sorted by code, "en" precedes "en\x01"; as a key prefix "en" + joiner
+        # sorts after "en\x01" + joiner, and the keys' order is what counts.
+        tweets = [_tw(["b", "a"], lang=lang, id=f"t{i}")
+                  for i, lang in enumerate(["en", "en\x01", "e", "zh-tw", "zh"])]
+        size, rows = intern_ngrams(tweets)
+        assert size == 15
+        assert [r.tolist() for r in rows] == _sorted_key_vectors(tweets)
+
+    def test_ids_are_dense_sorted_int64(self):
+        tweets = [_tw(["b", "a", "b", "a"], id="t1"), _tw(["a"], lang="ja", id="t2"),
+                  _tw(["c", "b"], id="t3")]
+        size, rows = intern_ngrams(tweets)
+        assert size == 7      # en: a, b, a+b, b+a, c, c+b; ja: a
+        assert sorted({i for r in rows for i in r.tolist()}) == list(range(size))
+        for row in rows:
+            assert row.dtype == np.int64
+            assert all(a < b for a, b in zip(row.tolist(), row.tolist()[1:]))
+
+    def test_language_with_the_joiner_is_rejected(self):
+        with pytest.raises(ArgumentError, match="n-gram joiner"):
+            intern_ngrams([_tw(["a"], lang="e" + NGRAM_JOINER + "n")])
+
+    def test_bad_rows_rejected(self):
+        with pytest.raises(ArgumentError, match="feature id 3 outside"):
+            build_feature_space([np.array([0, 3])], 3)
+        with pytest.raises(ArgumentError, match="strictly increasing"):
+            build_feature_space([np.array([1, 0])], 3)
+
+
+@pytest.fixture(scope="module")
+def synth_records():
+    return generate_fixture(SynthSpec(seed=3, n_tweets=150)).records
+
+
+@pytest.mark.parametrize("scope", ["all", "ja"])
+def test_fold_spaces_match_the_string_indexed_oracle(synth_records, scope):
+    cfg = ExperimentConfig(name="o", corpus="", languages=("en", "ja", "zh"), kind="svm",
+                           folds=5, seed=0, scope=scope)
+    tweets, _ = prepare_inputs(cfg, records=synth_records)
+    plan = make_folds(tweets, cfg.folds, cfg.seed)
+    size, rows = intern_ngrams(tweets)
+    for fold in range(cfg.folds):
+        train = [i for i, tw in enumerate(tweets) if plan.assignments[tw.id] != fold]
+        test = [i for i, tw in enumerate(tweets) if plan.assignments[tw.id] == fold]
+        index, want = oracle_feature_space([tweets[i] for i in train])
+        space, got = build_feature_space([rows[i] for i in train], size)
+        assert space.dimension == len(index)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            assert (np.diff(g) > 0).all()
+            assert g.tolist() == w.tolist()
+        for i in test:
+            g = vectorize(rows[i], space)
+            assert g.dtype == np.int64
+            assert g.tolist() == oracle_vectorize(tweets[i], index).tolist()
 
 
 class TestNaiveBayes:
@@ -166,6 +247,29 @@ class TestNaiveBayes:
         vectors = [np.array([0]), np.array([bad]), np.array([1])]
         with pytest.raises(ArgumentError, match=f"feature id {bad} outside"):
             train_nb(vectors, [0, 0, 2], dimension=dimension)
+
+    @pytest.mark.parametrize("bad", [[1, 1], [1, 0]], ids=["repeated", "unsorted"])
+    def test_ids_must_strictly_increase(self, bad):
+        # A repeated id would count twice; vectorize never returns one.
+        vectors = [np.array([0]), np.array(bad), np.array([1])]
+        with pytest.raises(ArgumentError, match="strictly increasing"):
+            train_nb(vectors, [0, 0, 2], dimension=2)
+
+    def test_counts_match_a_per_tweet_loop_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        dimension = 40
+        vectors = [np.flatnonzero(rng.random(dimension) < 0.2) for _ in range(60)]
+        labels = [int(y) for y in rng.integers(0, 3, len(vectors))]
+        model = train_nb(vectors, labels, dimension=dimension, alpha=0.5)
+        n_by_class = np.zeros(3)
+        present = np.zeros((3, dimension))
+        for vec, y in zip(vectors, labels):
+            n_by_class[y] += 1
+            present[y, vec] += 1.0
+        totals = present.sum(axis=1, keepdims=True)
+        assert model.log_prior.tobytes() == np.log(n_by_class / n_by_class.sum()).tobytes()
+        want = np.log((present + 0.5) / (totals + 0.5 * dimension))
+        assert model.log_lik.tobytes() == want.tobytes()
 
 
 def brute_force_primal(vectors, ys, dim, C, span=3.0, levels=6, points=13):

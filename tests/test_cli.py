@@ -274,6 +274,20 @@ class TestEvaluateAndCompare:
         assert spy_calls == []
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_oov_scale_exits_2_before_reading_corpus(
+        self, fixture_dir, tmp_path, capsys, spy_calls, value
+    ):
+        cfg = write_config(tmp_path / "bad.cfg", fixture_dir,
+                           ["kind = cnn", f"oov_scale = {value}"])
+        for command in (["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r.json")],
+                        ["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == (
+                f"error: oov_scale must be finite and non-negative, got {float(value)}\n")
+        assert spy_calls == []
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.ckpt").exists()
+
     def test_scheme_key_is_unknown_before_reading_corpus(
         self, fixture_dir, tmp_path, capsys, spy_calls
     ):
@@ -688,7 +702,9 @@ class TestPredictRejectsBadCheckpoint:
         assert message in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("new", ["fingerprint oov x:y", None], ids=["malformed", "missing"])
+    @pytest.mark.parametrize("new", ["fingerprint oov x:y", None, "fingerprint oov 0:nan",
+                                     "fingerprint oov 0:inf"],
+                             ids=["malformed", "missing", "nan", "inf"])
     def test_bad_oov_fingerprint_exits_2(self, fixture_dir, tmp_path, ckpt_lines, capsys, new):
         at = ckpt_lines.index("fingerprint oov 0:None")
         lines = list(ckpt_lines)

@@ -291,7 +291,7 @@ class TestRunExperiment:
 
     def test_leakage_in_fold_worker_is_fatal(self, monkeypatch):
         def dishonest(config, fold, train_ids, test_ids, by_id, context,
-                      dictionaries, audit):
+                      dictionaries, ngrams, audit):
             audit.touch(test_ids)  # peeks at held-out examples
             return {rid: Polarity.NEUTRAL for rid in test_ids}
 
