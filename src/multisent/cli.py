@@ -24,6 +24,7 @@ from .align import (
 )
 from .corpus import load_corpus, make_folds, split_dev
 from .embeddings import (
+    TrainedFile,
     load_embedding_table,
     load_frequency_counts,
     ranks_from_counts,
@@ -153,6 +154,10 @@ def _cmd_predict(args) -> int:
     records = load_corpus(args.infile)
     rules = default_rules()
     tweets, empty = preprocess_corpus(records, rules, args.mode)
+    words: dict[str, set[str]] = {lang: set() for lang in trained.sources}
+    for tw in tweets:
+        if tw.lang in words:
+            words[tw.lang].update(tw.tokens)
     context = EmbeddingContext.from_paths(
         _parse_lang_path(args.embedding, "--embedding"),
         _parse_lang_path(args.matrix, "--matrix"),
@@ -160,6 +165,8 @@ def _cmd_predict(args) -> int:
         oov_scale=oov_scale,
         max_len=trained.model.max_len,
         rules_version=rules.fingerprint(),
+        trained={lang: TrainedFile(sha256, trained.fingerprints[f"embeddings:{lang}"], words[lang])
+                 for lang, sha256 in trained.sources.items()},
     )
     skipped = Counter(tw.lang for tw in tweets if tw.lang not in context.tables)
     tweets = [tw for tw in tweets if tw.lang in context.tables]

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-import io
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, TypeVar
@@ -90,6 +90,11 @@ def _record_from_json(obj: dict, line: int) -> TweetRecord:
         raise
 
 
+# A line and its end: \n, \r\n or \r only. A raw U+2028 or U+0085 inside
+# a JSON string belongs to its record, so str.splitlines would be wrong.
+_LINE = re.compile(r"([^\r\n]*)(?:\r\n?|\n)?")
+
+
 def load_corpus(path: str | Path) -> list[TweetRecord]:
     """Load a labeled JSONL corpus, in file order.
 
@@ -98,11 +103,9 @@ def load_corpus(path: str | Path) -> list[TweetRecord]:
     the offending line.
     """
     records: list[TweetRecord] = []
-    # Lines end at \n, \r\n or \r only: a raw U+2028 or U+0085 inside a
-    # JSON string belongs to its record, so str.splitlines would be wrong.
-    lines = io.StringIO(read_text(path), newline=None)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
+    # Matches one line at a time, so no second copy of the text is made.
+    for lineno, match in enumerate(_LINE.finditer(read_text(path)), start=1):
+        line = match[1]
         if not line.strip():
             continue
         try:

@@ -15,10 +15,18 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Collection, NamedTuple
 
 import numpy as np
 
-from .errors import ArgumentError, ConfigurationError, ParseError, parse_numbers, read_text
+from .errors import (
+    ArgumentError,
+    ConfigurationError,
+    ParseError,
+    parse_numbers,
+    read_text,
+    read_text_sha256,
+)
 from .preprocess import TokenizedTweet
 from .rng import SplitMix64, derive_stream
 
@@ -40,6 +48,10 @@ class EmbeddingTable:
     dim: int
     entries: dict[str, np.ndarray]
     duplicate_count: int = 0
+    sha256: str | None = None   # of the file the table was parsed from
+    # Set when entries hold only some rows of a file whose bytes match a
+    # checkpoint's: the fingerprint of the whole file's table.
+    whole_fingerprint: str | None = None
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -63,6 +75,8 @@ class EmbeddingTable:
 
     def fingerprint(self) -> str:
         """Content hash covering language, dim, and every entry."""
+        if self.whole_fingerprint is not None:
+            return self.whole_fingerprint
         h = hashlib.sha256()
         h.update(f"{self.lang}\x1f{self.dim}".encode())
         for word in sorted(self.entries):
@@ -71,7 +85,18 @@ class EmbeddingTable:
         return h.hexdigest()
 
 
-def load_embedding_table(path: str | Path, lang: str) -> EmbeddingTable:
+class TrainedFile(NamedTuple):
+    """What a checkpoint records of the .vec file a table was trained from,
+    and the only words a caller will look up in that table."""
+
+    sha256: str
+    fingerprint: str
+    words: Collection[str]
+
+
+def load_embedding_table(
+    path: str | Path, lang: str, *, _trained: TrainedFile | None = None
+) -> EmbeddingTable:
     """Parse a word2vec text file.
 
     A value is anything Python float() accepts, with the same bits. The
@@ -79,8 +104,16 @@ def load_embedding_table(path: str | Path, lang: str) -> EmbeddingTable:
     words keep the last occurrence; the table records how many were
     overwritten. The first malformed line, including one with nan or
     infinite components, raises ParseError with its 1-based line number.
+
+    When the file's bytes hash to `_trained.sha256`, the file is the one a
+    model was trained on and parsed whole then, so only the rows whose word
+    is in `_trained.words` are parsed (duplicate_count then counts only
+    among those); the table reports `_trained.fingerprint`, the whole
+    table's, as its own.
     """
-    lines = read_text(path).splitlines()
+    text, sha256 = read_text_sha256(path)
+    lines = text.splitlines()
+    del text    # the lines hold their own copy
     if not lines:
         raise ParseError("empty embedding file", line=1)
     header = lines[0].split()
@@ -93,12 +126,20 @@ def load_embedding_table(path: str | Path, lang: str) -> EmbeddingTable:
     if dim <= 0 or vocab_size < 0:
         raise ParseError(f"invalid header values {vocab_size} {dim}", line=1)
 
-    body = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]
-    if len(body) != vocab_size:
-        lineno = body[-1][0] if body else 1
-        raise ParseError(
-            f"header promises {vocab_size} rows, file has {len(body)}", line=lineno
-        )
+    whole_fingerprint = None
+    if _trained is not None and _trained.sha256 == sha256:
+        # A row's word is the text before its first space, as below.
+        words = _trained.words
+        body = [(i, ln) for i, ln in enumerate(lines[1:], start=2)
+                if ln.partition(" ")[0] in words and ln.strip()]
+        whole_fingerprint = _trained.fingerprint
+    else:
+        body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
+        if len(body) != vocab_size:
+            lineno = body[-1][0] if body else 1
+            raise ParseError(
+                f"header promises {vocab_size} rows, file has {len(body)}", line=lineno
+            )
 
     rows = [ln.rstrip() for _, ln in body]
     M = np.empty((len(rows), dim), dtype=np.float64)
@@ -107,7 +148,8 @@ def load_embedding_table(path: str | Path, lang: str) -> EmbeddingTable:
     M.flags.writeable = False
     entries = dict(zip((row.partition(" ")[0] for row in rows), M))
     return EmbeddingTable(lang=lang, dim=dim, entries=entries,
-                          duplicate_count=len(rows) - len(entries))
+                          duplicate_count=len(rows) - len(entries), sha256=sha256,
+                          whole_fingerprint=whole_fingerprint)
 
 
 def _parse_rows(rows: list[str], dim: int, M: np.ndarray) -> bool:

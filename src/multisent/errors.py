@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the file-boundary helpers that raise them."""
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -58,7 +59,16 @@ class LeakageError(MultisentError):
 
 def read_text(path: str | Path) -> str:
     """A UTF-8 file's text; an undecodable byte raises ParseError naming its line."""
+    return _decode(Path(path).read_bytes())
+
+
+def read_text_sha256(path: str | Path) -> tuple[str, str]:
+    """read_text's result and the hex SHA-256 of the bytes it decoded."""
     data = Path(path).read_bytes()
+    return _decode(data), hashlib.sha256(data).hexdigest()
+
+
+def _decode(data: bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:

@@ -164,10 +164,11 @@ def predict_proba_batch(
     return softmax(logits)
 
 
-def argmax_label(probs: np.ndarray) -> int:
-    """Most probable class; exact ties go to the lowest label code."""
-    best = float(np.max(probs))
-    for code in range(probs.shape[-1]):
-        if float(probs[code]) == best:
-            return code
-    raise ArgumentError("probabilities contain no maximum")  # unreachable
+def argmax_label(probs: np.ndarray) -> int | np.ndarray:
+    """Most probable class of a (3,) row as an int, or of each row of an
+    (n, 3) array as an int array. Exact ties go to the lowest label code; a
+    row holding NaN has no maximum and raises ArgumentError."""
+    if np.isnan(probs).any():
+        raise ArgumentError("probabilities contain no maximum")
+    codes = np.argmax(probs, axis=-1)
+    return int(codes) if probs.ndim == 1 else codes

@@ -119,6 +119,7 @@ class TrainedModel:
     model: NeuralModel
     seed: int
     fingerprints: dict[str, str]
+    sources: dict[str, str]     # lang -> SHA-256 of the .vec file its table came from
     history: list[tuple[int, float, float]]  # (epoch, train_loss, dev_accuracy)
     best_epoch: int
     best_dev_accuracy: float
@@ -220,6 +221,7 @@ def train(
         model=replace(model, params=best_params),
         seed=config.seed,
         fingerprints=context.fingerprint(),
+        sources={lang: t.sha256 for lang, t in context.tables.items() if t.sha256 is not None},
         history=history,
         best_epoch=best_epoch,
         best_dev_accuracy=best_acc,
@@ -319,7 +321,7 @@ def _accuracy(
     workspace: Workspace | None = None,
 ) -> float:
     probs = _predict_in_length_order(model, table, ids, batch_size, workspace)
-    correct = sum(1 for row, label in zip(probs, y) if argmax_label(row) == label)
+    correct = int(np.count_nonzero(argmax_label(probs) == np.array(y)))
     return correct / len(ids)
 
 
@@ -343,7 +345,7 @@ def predict_batch(
     ids = encode_tweets(tweets, index, vectors, context)
     table = np.stack(vectors) if vectors else None
     probs = _predict_in_length_order(trained.model, table, ids, 256)
-    return [(Polarity(argmax_label(row)), row) for row in probs]
+    return [(Polarity(code), row) for code, row in zip(argmax_label(probs).tolist(), probs)]
 
 
 def save_training_log(trained: TrainedModel, path: str | Path) -> None:
@@ -378,6 +380,8 @@ def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
             fh.write(f"window_sizes {','.join(str(h) for h in model.params.window_sizes)}\n")
         for key in sorted(trained.fingerprints):
             fh.write(f"fingerprint {key} {trained.fingerprints[key]}\n")
+        for lang in sorted(trained.sources):
+            fh.write(f"source {lang} {trained.sources[lang]}\n")
         for epoch, loss, acc in trained.history:
             fh.write(f"history {epoch} {loss:.17g} {acc:.17g}\n")
         for name, tensor in tensors.items():
@@ -393,7 +397,7 @@ def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
 
 
 # How many space-separated parts each fixed-form checkpoint line has.
-_LINE_PARTS = {"fingerprint": 3, "history": 4, "vocab": 4}
+_LINE_PARTS = {"fingerprint": 3, "source": 3, "history": 4, "vocab": 4}
 
 
 def load_checkpoint(path: str | Path) -> TrainedModel:
@@ -408,6 +412,7 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
         raise ParseError("not a model checkpoint (bad magic line)", line=1)
     header: dict[str, int] = {}     # field name -> index of its line
     fingerprints: dict[str, str] = {}
+    sources: dict[str, str] = {}
     history: list[tuple[int, float, float]] = []
     tensors: dict[str, np.ndarray] = {}
     tensor_lines: dict[str, int] = {}   # tensor name -> 1-based line of its header
@@ -460,6 +465,13 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             )
         if parts[0] == "fingerprint":
             fingerprints[parts[1]] = parts[2]
+        elif parts[0] == "source":
+            if f"embeddings:{parts[1]}" not in fingerprints:   # source lines follow them
+                raise ParseError(
+                    f"source line for {parts[1]!r} has no embeddings:{parts[1]} fingerprint",
+                    line=i + 1,
+                )
+            sources[parts[1]] = parts[2]
         elif parts[0] == "history":
             epoch, = parse_numbers(parts[1:2], int, "history epoch", line, i + 1)
             loss, acc = parse_numbers(parts[2:], float, "history value", line, i + 1)
@@ -544,6 +556,7 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
         ),
         seed=field("seed", int),
         fingerprints=fingerprints,
+        sources=sources,
         history=history,
         best_epoch=field("best_epoch", int),
         best_dev_accuracy=field("best_dev_accuracy", float),

@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .align import TranslationMatrix, load_translation_matrix
-from .embeddings import EmbeddingTable, check_dim_uniformity, load_embedding_table
+from .embeddings import (
+    EmbeddingTable,
+    TrainedFile,
+    check_dim_uniformity,
+    load_embedding_table,
+)
 from .errors import ArgumentError, ConfigurationError, ParseError
 from .preprocess import TokenizedTweet
 
@@ -74,10 +79,17 @@ class EmbeddingContext:
         oov_scale: float | None,
         max_len: int,
         rules_version: str,
+        trained: dict[str, TrainedFile] | None = None,
     ) -> "EmbeddingContext":
-        """Load one table per language and one map per mapped language."""
+        """Load one table per language and one map per mapped language.
+
+        A language in `trained` whose file is the one recorded there, byte
+        for byte, gets only the rows of the words recorded with it.
+        """
+        trained = trained or {}
         return cls(
-            tables={lang: load_embedding_table(path, lang) for lang, path in embeddings.items()},
+            tables={lang: load_embedding_table(path, lang, _trained=trained.get(lang))
+                    for lang, path in embeddings.items()},
             translations={lang: load_translation_matrix(path) for lang, path in matrices.items()},
             oov_seed=oov_seed,
             oov_scale=oov_scale,

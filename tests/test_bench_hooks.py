@@ -1,4 +1,7 @@
-"""The traced benchmark's hooks still name functions the package defines."""
+"""The traced benchmark's hooks still name plain functions the package defines.
+
+A hooked method that became a property or cached_property would be
+wrapped as a function and break the traced run."""
 
 import os
 import subprocess
@@ -13,14 +16,22 @@ PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 # install() patches modules process-wide, so it runs in its own interpreter.
 CHECK = """
 import importlib
+import inspect
 from spans import HOOKS, Tracer
 
-Tracer().install()
-for name, module, attr, _ in HOOKS:
+def resolve(module, attr):
     target = importlib.import_module(module)
     for part in attr.split("."):
-        target = getattr(target, part)
-    assert hasattr(target, "__wrapped__"), f"{name}: {module}.{attr} is not traced"
+        target = inspect.getattr_static(target, part)
+    return target
+
+for name, module, attr, _ in HOOKS:
+    target = resolve(module, attr)
+    assert inspect.isfunction(target), (
+        f"{name}: {module}.{attr} is a {type(target).__name__}, not a plain function")
+Tracer().install()
+for name, module, attr, _ in HOOKS:
+    assert hasattr(resolve(module, attr), "__wrapped__"), f"{name}: {module}.{attr} is not traced"
 print(len(HOOKS))
 """
 

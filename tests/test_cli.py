@@ -1,6 +1,7 @@
 """Every subcommand driven in-process through main(argv)."""
 
 import argparse
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 import numpy as np
 
-from multisent import cli, experiment
+from multisent import cli, experiment, pipeline
 from multisent.align import load_translation_matrix
 from multisent.cli import main
 from multisent.corpus import load_corpus
@@ -778,3 +779,109 @@ class TestPredictRejectsBadInputs:
             self.predict(fixture_dir, tmp_path, ckpt, "--max-len", "9")
         assert exit_.value.code == 2
         assert "unrecognized arguments: --max-len 9" in capsys.readouterr().err
+
+
+class TestPredictParsesOnlyTheUsedRows:
+    """predict parses only the rows its tweets use of a .vec file whose bytes
+    hash to the SHA-256 the checkpoint records, and the whole file otherwise."""
+
+    WORDS = {"en": ["good", "bad", "day", "night", "fine", "rain", "sun"],
+             "ja": ["良い", "悪い", "日", "夜", "雨"],
+             "zh": ["好", "坏", "天", "夜", "雨"]}
+    USED = {"en": ["bad", "day", "fine", "good", "night"], "ja": ["夜", "悪い", "良い"]}
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("verified")
+        rng = np.random.default_rng(4)
+        for lang, words in self.WORDS.items():
+            rows = [f"{w} " + " ".join(f"{v:.4f}" for v in rng.uniform(-1, 1, 4)) for w in words]
+            end = "\n"
+            if lang == "en":
+                # an earlier "good" row the later one overwrites, a word holding
+                # U+001F, an unused word holding 0.5, and CRLF line ends
+                rows = ["good 0.9 0.9 0.9 0.9", *rows, "odd\x1fword 0.25 1 2 3",
+                        "spare 0.5 -0.5 0.125 1"]
+                end = "\r\n"
+            (d / f"{lang}.vec").write_bytes(
+                end.join([f"{len(rows)} 4", *rows, ""]).encode("utf-8"))
+        records = []
+        for i in range(45):
+            lang = ("en", "ja", "zh")[i % 3]
+            words = rng.choice(self.WORDS[lang], size=3)
+            records.append({"id": f"t{i}", "lang": lang, "text": " ".join(words), "label": i % 3})
+        (d / "corpus.jsonl").write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
+        # the input holds no zh tweet, and one word no table holds
+        unseen = [{"id": f"u{i}", "lang": lang, "text": " ".join(words), "label": i % 3}
+                  for i, (lang, words) in enumerate([
+                      ("en", ["good", "day"]), ("en", ["bad", "night", "zzz"]),
+                      ("en", ["fine", "good"]), ("ja", ["良い", "夜"]), ("ja", ["悪い"])])]
+        (d / "unseen.jsonl").write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in unseen), encoding="utf-8")
+        cfg = write_config(d / "cnn.cfg", d, [
+            "kind = cnn", "window_sizes = 2",
+            *(f"embedding.{lang} = {d / f'{lang}.vec'}" for lang in ("en", "ja", "zh")),
+            "train.max_epochs = 2", "train.filters_per_window = 3",
+        ])
+        assert main(["train", "--config", str(cfg), "--out", str(d / "model.ckpt")]) == 0
+        lines = (d / "model.ckpt").read_text(encoding="utf-8").splitlines(keepends=True)
+        (d / "old.ckpt").write_text("".join(ln for ln in lines if not ln.startswith("source ")),
+                                    encoding="utf-8")
+        return d
+
+    @pytest.fixture
+    def loaded(self, monkeypatch):
+        """lang -> the table predict loaded last for it."""
+        tables = {}
+        real = pipeline.load_embedding_table
+
+        def record(path, lang, **kwargs):
+            tables[lang] = real(path, lang, **kwargs)
+            return tables[lang]
+
+        monkeypatch.setattr(pipeline, "load_embedding_table", record)
+        return tables
+
+    def predict(self, d, ckpt, out, en=None):
+        return main(["predict", "--model", str(d / ckpt), "--in", str(d / "unseen.jsonl"),
+                     "--out", str(out), "--embedding", f"en={en or d / 'en.vec'}",
+                     "--embedding", f"ja={d / 'ja.vec'}", "--embedding", f"zh={d / 'zh.vec'}"])
+
+    def test_used_rows_give_the_bytes_the_whole_file_gives(self, files, tmp_path, loaded):
+        checkpoint = (files / "model.ckpt").read_text(encoding="utf-8")
+        for lang in ("en", "ja", "zh"):
+            digest = hashlib.sha256((files / f"{lang}.vec").read_bytes()).hexdigest()
+            assert f"\nsource {lang} {digest}\n" in checkpoint
+        assert self.predict(files, "model.ckpt", tmp_path / "used.jsonl") == 0
+        used = dict(loaded)
+        assert {lang: sorted(t.entries) for lang, t in used.items()} == {**self.USED, "zh": []}
+        assert used["en"].duplicate_count == 1          # both "good" rows, the last kept
+        assert used["en"].entries["good"].tolist() != [0.9] * 4
+
+        # Without source lines, as checkpoints were written before them.
+        assert self.predict(files, "old.ckpt", tmp_path / "whole.jsonl") == 0
+        assert {lang: len(t.entries) for lang, t in loaded.items()} == {"en": 9, "ja": 5, "zh": 5}
+        assert all(t.whole_fingerprint is None for t in loaded.values())
+        for lang, table in used.items():
+            assert table.fingerprint() == loaded[lang].fingerprint()
+            for word, vec in table.entries.items():
+                assert vec.tobytes() == loaded[lang].entries[word].tobytes()
+        assert (tmp_path / "used.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+
+    def test_respelled_unused_value_loads_the_whole_file(self, files, tmp_path, loaded):
+        assert self.predict(files, "model.ckpt", tmp_path / "used.jsonl") == 0
+        text = (files / "en.vec").read_bytes().decode("utf-8")
+        respelled = tmp_path / "en.vec"
+        respelled.write_bytes(text.replace("spare 0.5 ", "spare 0.50 ").encode("utf-8"))
+        assert self.predict(files, "model.ckpt", tmp_path / "p.jsonl", en=respelled) == 0
+        assert len(loaded["en"].entries) == 9 and loaded["en"].whole_fingerprint is None
+        assert (tmp_path / "p.jsonl").read_bytes() == (tmp_path / "used.jsonl").read_bytes()
+
+    def test_changed_unused_value_exits_2(self, files, tmp_path, capsys):
+        text = (files / "en.vec").read_bytes().decode("utf-8")
+        changed = tmp_path / "en.vec"
+        changed.write_bytes(text.replace("spare 0.5 ", "spare 0.25 ").encode("utf-8"))
+        capsys.readouterr()
+        assert self.predict(files, "model.ckpt", tmp_path / "p.jsonl", en=changed) == 2
+        assert "differs: ['embeddings:en']" in capsys.readouterr().err

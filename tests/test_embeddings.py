@@ -1,5 +1,6 @@
 """Embedding table IO and OOV policy."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from multisent.corpus import Polarity
 from multisent.embeddings import (
     _LOAD_CHUNK_ROWS,
     EmbeddingTable,
+    TrainedFile,
     _parse_each_line,
     _parse_rows,
     check_dim_uniformity,
@@ -227,6 +229,40 @@ def test_fingerprint_bytes_are_pinned(tmp_path):
         "alpha": np.array([0.5, -1.25]), "beta": np.array([3, 4e-3]),
         "gamma": np.array([-0.0, 1e10])})
     assert built.fingerprint() == digest
+
+
+# A file a checkpoint recorded: CRLF line ends, a blank line, a word
+# holding U+001F, duplicate words (the last wins) and a `1_0` that float()
+# reads and loadtxt does not.
+_RECORDED = ("7 2\r\nbeta 3 4e-3\r\nalpha 0.5 -1.25\r\n\r\nodd\x1fword 1 2\r\n"
+             "beta 1_0 2\r\ngamma -0.0 1e10\r\nalpha 7 8\r\ndelta 0.1 0.2\r\n")
+
+
+@pytest.mark.parametrize("words", [set(), {"alpha"}, {"alpha", "beta"}, {"delta", "gamma"},
+                                   {"odd\x1fword", "gamma", "zeta"}])
+def test_recorded_file_parses_only_the_rows_of_the_given_words(tmp_path, words):
+    p = tmp_path / "e.vec"
+    p.write_bytes(_RECORDED.encode())
+    whole = load_embedding_table(p, "en")
+    assert whole.sha256 == hashlib.sha256(_RECORDED.encode()).hexdigest()
+    assert whole.entries["alpha"].tolist() == [7.0, 8.0] and whole.duplicate_count == 2
+    part = load_embedding_table(p, "en", _trained=TrainedFile(whole.sha256, "pinned", words))
+    assert part.fingerprint() == "pinned" and part.dim == 2 and part.sha256 == whole.sha256
+    assert sorted(part.entries) == sorted(words & set(whole.entries))
+    for word, vec in part.entries.items():
+        assert vec.tobytes() == whole.entries[word].tobytes(), word
+
+
+def test_recorded_file_with_other_bytes_loads_whole(tmp_path):
+    p = tmp_path / "e.vec"
+    p.write_bytes(_RECORDED.encode())
+    whole = load_embedding_table(p, "en")
+    p.write_bytes(_RECORDED.replace("0.5", "0.50").encode())
+    respelled = load_embedding_table(p, "en", _trained=TrainedFile(whole.sha256, "pinned",
+                                                                   {"alpha"}))
+    assert respelled.sha256 != whole.sha256
+    assert sorted(respelled.entries) == sorted(whole.entries)
+    assert respelled.fingerprint() == whole.fingerprint()
 
 
 def test_loaded_rows_are_read_only(tmp_path):

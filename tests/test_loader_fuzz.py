@@ -53,7 +53,9 @@ def _checkpoint(kind: str) -> TrainedModel:
     return TrainedModel(
         model=NeuralModel(kind=kind, params=params, max_len=4),
         seed=3,
-        fingerprints={"max_len": "4", "oov": "0:None"},
+        fingerprints={"max_len": "4", "oov": "0:None",
+                      "embeddings:en": "1e" * 32, "embeddings:ja": "2f" * 32},
+        sources={"en": "3a" * 32, "ja": "4b" * 32},
         history=[(1, 1.25, 0.5), (2, 0.75, 0.625)],
         best_epoch=2,
         best_dev_accuracy=0.625,
@@ -148,6 +150,25 @@ def test_corrupted_file_loads_or_raises_multisent_error(originals, tmp_path, nam
     # A fresh file per example: truncating and rewriting the last one is far slower.
     path.unlink(missing_ok=True)
     path.write_bytes(_corrupt(original, data.draw))
+    try:
+        load(path)
+    except MultisentError:
+        pass
+
+
+@pytest.mark.parametrize("name", ["cnn.ckpt", "lstm.ckpt"])
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupted_source_line_loads_or_raises_multisent_error(originals, tmp_path, name, data):
+    """A `source LANG SHA256` line with any other text after `source`."""
+    original, load = originals[name]
+    lines = original.decode("utf-8").split("\n")
+    at = data.draw(st.sampled_from([i for i, ln in enumerate(lines) if ln.startswith("source ")]))
+    lines[at] = "source" + data.draw(_line_text)
+    path = tmp_path / name
+    path.unlink(missing_ok=True)
+    path.write_text("\n".join(lines), encoding="utf-8")
     try:
         load(path)
     except MultisentError:

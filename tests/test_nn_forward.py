@@ -725,6 +725,26 @@ class TestSoftmaxAndPredict:
         assert argmax_label(np.array([0.4, 0.4, 0.2])) == 0
         assert argmax_label(np.array([0.2, 0.4, 0.4])) == 1
 
+    def test_argmax_label_over_rows_matches_the_per_row_rule(self):
+        def per_row(row):
+            best = float(np.max(row))
+            return next(code for code in range(3) if float(row[code]) == best)
+
+        rng = np.random.default_rng(5)
+        ties = rng.integers(0, 3, size=(300, 3)) / 2.0   # many exact ties, some all-equal
+        signed = np.array([[0.0, -0.0, -1.0], [-0.0, 0.0, -1.0], [-np.inf, -np.inf, -np.inf]])
+        for rows in (ties, signed, softmax(rng.normal(scale=3.0, size=(500, 3)))):
+            codes = argmax_label(rows)
+            assert codes.tolist() == [per_row(row) for row in rows]
+            assert [argmax_label(row) for row in rows] == codes.tolist()
+        assert argmax_label(np.empty((0, 3))).tolist() == []
+
+    @pytest.mark.parametrize("probs", [np.array([0.2, np.nan, 0.5]),
+                                       np.array([[0.2, 0.3, 0.5], [np.nan] * 3])])
+    def test_argmax_label_rejects_nan(self, probs):
+        with pytest.raises(ArgumentError, match="probabilities contain no maximum"):
+            argmax_label(probs)
+
     def test_predict_proba_batch_both_kinds(self):
         for kind in ("cnn", "lstm"):
             if kind == "cnn":

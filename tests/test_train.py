@@ -1,6 +1,7 @@
 """End-to-end behavior of the mini-batch training loop."""
 
 import csv
+import hashlib
 import importlib
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from multisent.align import TranslationMatrix
 from multisent.corpus import Polarity
+from multisent.embeddings import save_embedding_table
 from multisent.errors import ArgumentError, ConfigurationError, MultisentError, ParseError
 from multisent.nn import (
     TrainConfig,
@@ -262,6 +264,36 @@ class TestCheckpointAndLog:
         b = predict_batch(back, dev, ctx)
         for (_, pa), (_, pb) in zip(a, b):
             assert np.array_equal(pa, pb)
+
+    def test_source_lines_record_each_vec_file(self, tmp_path, toy):
+        tr, dev, ctx = toy
+        trained = train("cnn", tr, dev, ctx, quick_config(max_epochs=1))
+        save_checkpoint(trained, tmp_path / "built.txt")
+        assert trained.sources == {}
+        assert "\nsource " not in (tmp_path / "built.txt").read_text()
+
+        tweets = [TokenizedTweet(tw.id, lang, tw.label, tw.tokens)
+                  for lang in ("zh", "en") for tw in tr + dev]
+        for lang in ("zh", "en"):
+            save_embedding_table(seeded_table(lang, sorted(ctx.tables["en"].entries), 6),
+                                 tmp_path / f"{lang}.vec")
+        files = EmbeddingContext.from_paths(
+            {lang: str(tmp_path / f"{lang}.vec") for lang in ("zh", "en")}, {},
+            oov_seed=0, oov_scale=None, max_len=ctx.max_len, rules_version="-")
+        trained = train("cnn", tweets[:48], tweets[48:], files, quick_config(max_epochs=1))
+        path = tmp_path / "files.txt"
+        save_checkpoint(trained, path)
+        lines = path.read_text().splitlines()
+        digests = {lang: hashlib.sha256((tmp_path / f"{lang}.vec").read_bytes()).hexdigest()
+                   for lang in ("en", "zh")}
+        last_fingerprint = max(i for i, ln in enumerate(lines) if ln.startswith("fingerprint "))
+        assert lines[last_fingerprint + 1:last_fingerprint + 3] == [
+            f"source en {digests['en']}", f"source zh {digests['zh']}"]
+        assert load_checkpoint(path).sources == digests
+        del lines[next(i for i, ln in enumerate(lines) if ln.startswith("fingerprint embeddings:zh"))]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="source line for 'zh' has no embeddings:zh"):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.txt"
