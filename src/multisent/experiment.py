@@ -43,6 +43,7 @@ from .corpus import Polarity, load_corpus, make_folds, split_dev
 from .embeddings import count_tokens, ranks_from_counts
 from .errors import ArgumentError, ConfigurationError, LeakageError, ParseError
 from .nn import TrainConfig, predict_batch, train
+from .nn.workspace import Workspace
 from .pipeline import EmbeddingContext, corpus_max_len
 from .preprocess import TokenizedTweet, default_rules, preprocess_corpus
 from .rng import derive_stream
@@ -461,6 +462,7 @@ def run_experiment(
     uses training-split ids only, which the per-fold audit enforces. A
     fold's n-gram columns are the keys its training tweets hold, so a
     key seen only in held-out tweets is numbered but never a column.
+    One workspace serves every fold's neural training and prediction.
     """
     if config.folds < 2:
         raise ArgumentError(f"cross-validation needs k >= 2 folds, got {config.folds}")
@@ -484,6 +486,7 @@ def run_experiment(
     lang_correct: dict[str, int] = {lang: 0 for lang in sorted(active)}
     lang_total: dict[str, int] = {lang: 0 for lang in sorted(active)}
     total_correct = 0
+    workspace = Workspace()
 
     for fold in range(config.folds):
         start = time.perf_counter()
@@ -491,7 +494,8 @@ def run_experiment(
         train_ids = [tw.id for tw in tweets if plan.assignments[tw.id] != fold]
         audit = IdAudit()
         predictions = _run_fold(
-            config, fold, train_ids, test_ids, by_id, context, dictionaries, ngrams, audit
+            config, fold, train_ids, test_ids, by_id, context, dictionaries, ngrams, audit,
+            workspace,
         )
         audit.assert_disjoint(test_ids)
 
@@ -538,6 +542,7 @@ def _run_fold(
     dictionaries: dict[str, dict[str, str]] | None,
     ngrams: tuple[int, dict[str, np.ndarray]] | None,
     audit: IdAudit,
+    workspace: Workspace,
 ) -> dict[str, Polarity]:
     test_tweets = [by_id[rid] for rid in test_ids]
     if config.kind in ("nb", "svm"):
@@ -562,9 +567,10 @@ def _run_fold(
     train_tweets = list(audit.use(by_id[rid] for rid in sub_train_ids))
     dev_tweets = list(audit.use(by_id[rid] for rid in dev_ids))
     trained = train(
-        config.kind, train_tweets, dev_tweets, context, config.train_config(fold_seed)
+        config.kind, train_tweets, dev_tweets, context, config.train_config(fold_seed),
+        workspace,
     )
-    preds = predict_batch(trained, test_tweets, context)
+    preds = predict_batch(trained, test_tweets, context, workspace)
     return {tw.id: pred for tw, (pred, _probs) in zip(test_tweets, preds)}
 
 

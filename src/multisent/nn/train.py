@@ -16,11 +16,12 @@ One parameter set serves all languages: batches may mix languages
 freely and update the same tensors.
 
 One Workspace (see nn.workspace) serves every batch of a train call, its
-dev scoring included, and one serves each prediction pass: the slabs
-that hold a batch's arrays are reused by the next batch. A forward
-cache and the grads and dX a batch returns are valid only until the next
-call on the same workspace; the loop consumes them (embedding scatter,
-Adadelta step) before it starts the next batch.
+dev scoring included, and of a predict_batch call; `evaluate` passes
+one workspace to every fold's training, dev scoring and test prediction.
+The slabs that hold a batch's arrays are reused by the next batch. A
+forward cache and the grads and dX a batch returns are valid only until
+the next call on the same workspace; the loop consumes them (embedding
+scatter, Adadelta step) before it starts the next batch.
 """
 
 from __future__ import annotations
@@ -132,8 +133,12 @@ def train(
     dev_tweets: list[TokenizedTweet],
     context: EmbeddingContext,
     config: TrainConfig,
+    workspace: Workspace | None = None,
 ) -> TrainedModel:
-    """Fit one classifier over all languages at once; returns the best-dev model."""
+    """Fit one classifier over all languages at once; returns the best-dev model.
+
+    Every batch runs on workspace (a fresh one when None).
+    """
     if not train_tweets:
         raise ArgumentError("empty training set")
     if not dev_tweets:
@@ -181,7 +186,7 @@ def train(
     epochs_since = 0
     history: list[tuple[int, float, float]] = []
 
-    ws = Workspace()
+    ws = Workspace() if workspace is None else workspace
     n = len(train_tweets)
     for epoch in range(1, config.max_epochs + 1):
         order = list(range(n))
@@ -326,9 +331,15 @@ def _accuracy(
 
 
 def predict_batch(
-    trained: TrainedModel, tweets: list[TokenizedTweet], context: EmbeddingContext
+    trained: TrainedModel,
+    tweets: list[TokenizedTweet],
+    context: EmbeddingContext,
+    workspace: Workspace | None = None,
 ) -> list[tuple[Polarity, np.ndarray]]:
-    """Classify tweets after checking the context matches the model."""
+    """Classify tweets after checking the context matches the model.
+
+    Every batch runs on workspace (a fresh one when None).
+    """
     current = context.fingerprint()
     if current != trained.fingerprints:
         changed = sorted(
@@ -344,7 +355,7 @@ def predict_batch(
     vectors = list(ft.E) if ft is not None else []
     ids = encode_tweets(tweets, index, vectors, context)
     table = np.stack(vectors) if vectors else None
-    probs = _predict_in_length_order(trained.model, table, ids, 256)
+    probs = _predict_in_length_order(trained.model, table, ids, 256, workspace)
     return [(Polarity(code), row) for code, row in zip(argmax_label(probs).tolist(), probs)]
 
 

@@ -18,8 +18,11 @@ Lifetime: a view stays valid until the next request for the same name,
 and every call of a kernel requests the same names. So a forward cache,
 and the gradients and input gradient a backward pass returns, are valid
 only until the next call on the same workspace. One workspace serves
-the batches of one `train` call or one prediction pass, whose every
-batch is consumed before the next begins.
+one `evaluate`: every fold's training, dev scoring and test prediction
+run on it in turn, and each batch is consumed before the next begins.
+Outside `evaluate`, a `train` or `predict_batch` call makes its own.
+Since slabs pass from one call to the next, no kernel reads an entry
+of a slab before it writes it.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ space, the OOV policy, and the corpus maximum length used for padding.
 It maps each (language, token) once and keeps the result, so a token has
 one vector per context.
 Its fingerprint ties a trained model to exactly these inputs so stale
-model/context pairings fail loudly instead of predicting garbage.
+model/context pairings fail loudly instead of predicting garbage. Like
+its vectors, a context's fingerprint is taken once and kept: a context's
+tables, maps and settings do not change after it is built.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ class EmbeddingContext:
     rules_version: str = "-"
     _vectors: dict[tuple[str, str], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
+    )
+    _fingerprint: dict[str, str] | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
@@ -121,7 +126,15 @@ class EmbeddingContext:
         return np.stack([self.vector(tweet.lang, tok) for tok in tweet.tokens])
 
     def fingerprint(self) -> dict[str, str]:
-        """Stable hashes of everything that shapes model inputs."""
+        """Stable hashes of everything that shapes model inputs.
+
+        They are computed on the first call; each call returns its own copy.
+        """
+        if self._fingerprint is None:
+            self._fingerprint = self._hashes()
+        return dict(self._fingerprint)
+
+    def _hashes(self) -> dict[str, str]:
         out: dict[str, str] = {
             "rules": self.rules_version,
             "oov": f"{self.oov_seed}:{self.oov_scale}",

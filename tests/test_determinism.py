@@ -39,6 +39,8 @@ def _canonical_report(path: Path) -> bytes:
     pytest.param("train", ["kind = lstm"], _checkpoint, b"tensor W_i", id="lstm-checkpoint"),
     pytest.param("evaluate", ["kind = lstm", "folds = 2"], _canonical_report, b'"kind": "lstm"',
                  id="lstm-evaluate-report"),
+    pytest.param("evaluate", ["kind = cnn", "train.fine_tune_embeddings = true", "folds = 2"],
+                 _canonical_report, b'"kind": "cnn"', id="fine-tuned-cnn-evaluate-report"),
     pytest.param("evaluate", ["kind = svm", "folds = 2"], _canonical_report, b'"kind": "svm"',
                  id="svm-evaluate-report"),
 ])

@@ -1,12 +1,15 @@
 """Cross-validation driver: config plumbing, audits, reports, comparisons."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import multisent.experiment as experiment
+from multisent.align import TranslationMatrix, save_translation_matrix
 from multisent.corpus import Polarity, TweetRecord
+from multisent.embeddings import EmbeddingTable
 from multisent.errors import ArgumentError, ConfigurationError, LeakageError
 from multisent.experiment import (
     CVReport,
@@ -17,6 +20,7 @@ from multisent.experiment import (
     parse_config,
     run_experiment,
 )
+from multisent.nn.workspace import Workspace
 from multisent.synth import SynthSpec, generate_fixture, write_fixture
 
 from conftest import marker_tweets, toy_context
@@ -291,7 +295,7 @@ class TestRunExperiment:
 
     def test_leakage_in_fold_worker_is_fatal(self, monkeypatch):
         def dishonest(config, fold, train_ids, test_ids, by_id, context,
-                      dictionaries, ngrams, audit):
+                      dictionaries, ngrams, audit, *_):
             audit.touch(test_ids)  # peeks at held-out examples
             return {rid: Polarity.NEUTRAL for rid in test_ids}
 
@@ -378,3 +382,68 @@ class TestPerFoldRefit:
         assert all(0.0 <= acc <= 1.0 for acc in report.fold_accuracies)
         totals = sum(s["total"] for s in report.per_language.values())
         assert totals == 36.0
+
+
+class TestSharedPerEvaluate:
+    """One workspace and one fingerprint per context serve a whole evaluate."""
+
+    SPEC = SynthSpec(n_tweets=36, dim=8, markers_per_class=6, filler_vocab=12, seed=4)
+
+    def config(self, tmp_path, kind: str, refit: str, **over) -> ExperimentConfig:
+        fixture = generate_fixture(self.SPEC)
+        paths = write_fixture(fixture, tmp_path)
+        mapped = [lang for lang in self.SPEC.languages if lang != self.SPEC.target]
+        matrices = {}
+        for lang in mapped:
+            matrices[lang] = tmp_path / f"{lang}.mat"
+            tm = TranslationMatrix(lang, self.SPEC.target, fixture.rotations[lang].T.copy())
+            save_translation_matrix(tm, matrices[lang])
+        return ExperimentConfig(
+            name="shared", corpus=paths["corpus"], languages=self.SPEC.languages,
+            kind=kind, folds=2, seed=0, alignment="translation_matrix", refit=refit,
+            target_language=self.SPEC.target, pivot_count=8, pivot_train_count=6,
+            embeddings={lang: paths[f"embedding.{lang}"] for lang in self.SPEC.languages},
+            matrices=matrices if refit == "global" else {},
+            dictionaries={lang: paths[f"dictionary.{lang}"] for lang in mapped},
+            window_sizes=(2, 3),
+            train_overrides=dict(batch_size=8, max_epochs=2, patience=2,
+                                 filters_per_window=4, **over),
+        )
+
+    @staticmethod
+    def count_calls(monkeypatch, cls, name: str, key) -> Counter:
+        calls = Counter()
+        original = getattr(cls, name)
+
+        def counted(self, *args, **kwargs):
+            calls[key(self)] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("kind, over", [
+        ("cnn", dict(fine_tune_embeddings=True)), ("lstm", {}),
+    ])
+    def test_neural_evaluate_builds_one_workspace(self, tmp_path, monkeypatch, kind, over):
+        built = self.count_calls(monkeypatch, Workspace, "__init__", lambda ws: "built")
+        run_experiment(self.config(tmp_path, kind, "global", **over))
+        assert built == {"built": 1}
+
+    def test_global_map_evaluate_hashes_each_table_once(self, tmp_path, monkeypatch):
+        hashed = self.count_calls(monkeypatch, EmbeddingTable, "fingerprint", lambda t: t.lang)
+        run_experiment(self.config(tmp_path, "cnn", "global"))
+        assert hashed == {lang: 1 for lang in self.SPEC.languages}
+
+    def test_per_fold_evaluate_hashes_each_table_once_per_fold(self, tmp_path, monkeypatch):
+        hashed = self.count_calls(monkeypatch, EmbeddingTable, "fingerprint", lambda t: t.lang)
+        run_experiment(self.config(tmp_path, "lstm", "per_fold"))
+        assert hashed == {lang: 2 for lang in self.SPEC.languages}
+
+    def test_mutating_a_returned_fingerprint_leaves_the_context_alone(self):
+        ctx = toy_context(marker_tweets(12))
+        first = ctx.fingerprint()
+        kept = dict(first)
+        first["embeddings:en"] = "0" * 64
+        first["extra"] = "x"
+        assert ctx.fingerprint() == kept

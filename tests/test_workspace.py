@@ -4,12 +4,15 @@ The kernels write their per-batch arrays into a workspace's slabs; a
 batch run on a workspace that earlier, larger or smaller batches used
 must give the loss, gradients, input gradient and probabilities of the
 same batch run on a fresh one. Training twice in one process must write
-the checkpoint a fresh process writes.
+the checkpoint a fresh process writes. Since one workspace passes from a
+fold's training to its test prediction and on to the next fold, no
+kernel may read a slab entry it has not written in the same call.
 """
 
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +22,11 @@ import multisent
 from multisent.cli import main
 from multisent.nn import NeuralModel, init_cnn_params, init_lstm_params
 from multisent.nn.model import loss_and_gradients, predict_proba_batch
+from multisent.nn.train import TrainConfig, predict_batch, save_checkpoint, train
 from multisent.nn.workspace import Workspace
 from multisent.rng import SplitMix64, derive_stream
+
+from conftest import marker_tweets, toy_context
 
 SRC = str(Path(multisent.__file__).resolve().parent.parent)
 
@@ -119,3 +125,39 @@ def test_training_twice_in_one_process_writes_a_fresh_process_checkpoint(tmp_pat
                         "--config", str(tmp_path / f"{name}.cfg"), "--out", str(out)],
                        env=env, check=True, capture_output=True, timeout=300)
         assert first[name] == second[name] == out.read_bytes(), name
+
+
+def _poison(ws: Workspace) -> None:
+    assert ws._slabs
+    for slab in ws._slabs.values():
+        slab.fill(np.nan)
+
+
+@pytest.mark.parametrize("kind, over", [
+    ("cnn", dict(fine_tune_embeddings=True, window_sizes=(2, 3), filters_per_window=4)),
+    ("lstm", dict(hidden_dim=5)),
+])
+def test_nan_filled_slabs_change_no_prediction_or_checkpoint(tmp_path, kind, over):
+    # Lengths 2 to 5, so batches hold padding rows, which must read as zeros.
+    tweets = [replace(tw, tokens=tw.tokens[:2 + i % 4])
+              for i, tw in enumerate(marker_tweets(30, tokens_per_tweet=6))]
+    ctx = toy_context(tweets, dim=DIM)
+    train_tweets, dev_tweets, test_tweets = tweets[:18], tweets[18:24], tweets[24:]
+    config = TrainConfig(batch_size=4, max_epochs=2, patience=2, dropout_rate=0.2, **over)
+
+    def checkpoint(trained, name: str) -> bytes:
+        save_checkpoint(trained, tmp_path / name)
+        return (tmp_path / name).read_bytes()
+
+    ws = Workspace()
+    trained = train(kind, train_tweets, dev_tweets, ctx, config, ws)
+    _poison(ws)
+    got = predict_batch(trained, test_tweets, ctx, ws)
+    fresh = predict_batch(trained, test_tweets, ctx)
+    assert [label for label, _ in got] == [label for label, _ in fresh]
+    assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, fresh))
+
+    _poison(ws)
+    again = train(kind, train_tweets, dev_tweets, ctx, config, ws)
+    fresh_model = train(kind, train_tweets, dev_tweets, ctx, config)
+    assert checkpoint(again, "again.ckpt") == checkpoint(fresh_model, "fresh.ckpt")
