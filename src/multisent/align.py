@@ -44,10 +44,6 @@ class PivotPairSet:
         if overlap:
             raise ArgumentError(f"train/test overlap: {sorted(overlap)[:3]}")
 
-    @property
-    def K(self) -> int:
-        return len(self.pairs)
-
 
 @dataclass
 class TranslationMatrix:

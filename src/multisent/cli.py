@@ -132,9 +132,6 @@ def _cmd_evaluate(args) -> int:
     if args.out:
         Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
         print(f"wrote report {args.out}")
-    if args.csv:
-        Path(args.csv).write_text(compare_runs_csv([report]), encoding="utf-8")
-        print(f"wrote CSV {args.csv}")
     return 0
 
 
@@ -266,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run one cross-validation experiment")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="report JSON path")
-    p.add_argument("--csv", default=None)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("predict", help="classify tweets with a saved checkpoint")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, NamedTuple
 
@@ -42,16 +42,14 @@ def default_oov_scale(dim: int) -> float:
 
 @dataclass
 class EmbeddingTable:
-    """One language's word vectors."""
+    """One language's word vectors. A table does not change after it is built."""
 
     lang: str
     dim: int
     entries: dict[str, np.ndarray]
     duplicate_count: int = 0
     sha256: str | None = None   # of the file the table was parsed from
-    # Set when entries hold only some rows of a file whose bytes match a
-    # checkpoint's: the fingerprint of the whole file's table.
-    whole_fingerprint: str | None = None
+    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -74,15 +72,14 @@ class EmbeddingTable:
         return oov_vector(oov_seed, self.lang, token, self.dim, scale)
 
     def fingerprint(self) -> str:
-        """Content hash covering language, dim, and every entry."""
-        if self.whole_fingerprint is not None:
-            return self.whole_fingerprint
-        h = hashlib.sha256()
-        h.update(f"{self.lang}\x1f{self.dim}".encode())
-        for word in sorted(self.entries):
-            h.update(b"\x1e" + word.encode() + b"\x1f")
-            h.update(np.ascontiguousarray(self.entries[word], dtype=np.float64).tobytes())
-        return h.hexdigest()
+        """Content hash covering language, dim, and every entry; taken once and kept."""
+        if self._fingerprint is None:
+            h = hashlib.sha256(f"{self.lang}\x1f{self.dim}".encode())
+            for word in sorted(self.entries):
+                h.update(b"\x1e" + word.encode() + b"\x1f")
+                h.update(np.ascontiguousarray(self.entries[word], dtype=np.float64).tobytes())
+            self._fingerprint = h.hexdigest()
+        return self._fingerprint
 
 
 class TrainedFile(NamedTuple):
@@ -126,13 +123,12 @@ def load_embedding_table(
     if dim <= 0 or vocab_size < 0:
         raise ParseError(f"invalid header values {vocab_size} {dim}", line=1)
 
-    whole_fingerprint = None
-    if _trained is not None and _trained.sha256 == sha256:
+    partial = _trained is not None and _trained.sha256 == sha256
+    if partial:
         # A row's word is the text before its first space, as below.
         words = _trained.words
         body = [(i, ln) for i, ln in enumerate(lines[1:], start=2)
                 if ln.partition(" ")[0] in words and ln.strip()]
-        whole_fingerprint = _trained.fingerprint
     else:
         body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
         if len(body) != vocab_size:
@@ -147,9 +143,10 @@ def load_embedding_table(
         _parse_each_line(body, dim, M)
     M.flags.writeable = False
     entries = dict(zip((row.partition(" ")[0] for row in rows), M))
-    return EmbeddingTable(lang=lang, dim=dim, entries=entries,
-                          duplicate_count=len(rows) - len(entries), sha256=sha256,
-                          whole_fingerprint=whole_fingerprint)
+    table = EmbeddingTable(lang=lang, dim=dim, entries=entries,
+                           duplicate_count=len(rows) - len(entries), sha256=sha256)
+    table._fingerprint = _trained.fingerprint if partial else None
+    return table
 
 
 def _parse_rows(rows: list[str], dim: int, M: np.ndarray) -> bool:

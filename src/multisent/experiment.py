@@ -119,6 +119,12 @@ class ExperimentConfig:
         for key, value in (("alpha", self.alpha), ("C", self.C)):
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{key} must be finite and positive, got {value}")
+        if not 0.0 < self.dev_fraction < 1.0:
+            raise ConfigurationError(f"dev_fraction must lie in (0, 1), got {self.dev_fraction}")
+        sizes = self.window_sizes
+        if not sizes or min(sizes) < 1 or len(set(sizes)) != len(sizes):
+            raise ConfigurationError(
+                f"window_sizes must be distinct sizes of at least 1, got {sizes}")
         if self.oov_scale is not None and not (
             math.isfinite(self.oov_scale) and self.oov_scale >= 0
         ):

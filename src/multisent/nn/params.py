@@ -94,6 +94,8 @@ class CnnParams:
             raise ArgumentError("at least one window size required")
         if sorted(set(self.window_sizes)) != sorted(self.window_sizes):
             raise ArgumentError("window sizes must be distinct")
+        if min(self.window_sizes) < 1:
+            raise ArgumentError(f"window sizes must be at least 1, got {self.window_sizes}")
 
     @property
     def total_filters(self) -> int:

@@ -6,8 +6,9 @@ space, the OOV policy, and the corpus maximum length used for padding.
 It maps each (language, token) once and keeps the result, so a token has
 one vector per context.
 Its fingerprint ties a trained model to exactly these inputs so stale
-model/context pairings fail loudly instead of predicting garbage. Like
-its vectors, a context's fingerprint is taken once and kept: a context's
+model/context pairings fail loudly instead of predicting garbage. Each
+table hashes its own content once and keeps the digest, so contexts that
+share tables, such as one per fold, share those hashes; a context's
 tables, maps and settings do not change after it is built.
 """
 
@@ -49,9 +50,6 @@ class EmbeddingContext:
     rules_version: str = "-"
     _vectors: dict[tuple[str, str], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
-    )
-    _fingerprint: dict[str, str] | None = field(
-        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
@@ -126,15 +124,7 @@ class EmbeddingContext:
         return np.stack([self.vector(tweet.lang, tok) for tok in tweet.tokens])
 
     def fingerprint(self) -> dict[str, str]:
-        """Stable hashes of everything that shapes model inputs.
-
-        They are computed on the first call; each call returns its own copy.
-        """
-        if self._fingerprint is None:
-            self._fingerprint = self._hashes()
-        return dict(self._fingerprint)
-
-    def _hashes(self) -> dict[str, str]:
+        """Stable hashes of everything that shapes model inputs, in a new dict."""
         out: dict[str, str] = {
             "rules": self.rules_version,
             "oov": f"{self.oov_seed}:{self.oov_scale}",

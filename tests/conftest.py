@@ -1,8 +1,13 @@
 """Shared builders for the test suite."""
 
+import hashlib
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from multisent import embeddings
 from multisent.baselines import NGRAM_JOINER, ngrams_of
 from multisent.corpus import Polarity, TweetRecord
 from multisent.embeddings import EmbeddingTable
@@ -116,3 +121,19 @@ def oracle_feature_space(tweets: list[TokenizedTweet]) -> tuple[dict[str, int], 
 def oracle_vectorize(tweet: TokenizedTweet, index: dict[str, int]) -> np.ndarray:
     """Active column ids for a tweet, strictly increasing; unknown n-grams drop."""
     return _ids(_keys(tweet), index)
+
+
+@pytest.fixture
+def table_hashes(monkeypatch) -> Counter:
+    """Counts the content hashes embedding tables take, by language.
+
+    A table's hash starts from "LANG\x1fDIM", so its first bytes name the table.
+    """
+    hashed: Counter = Counter()
+
+    def sha256(head: bytes):
+        hashed[head.decode().partition("\x1f")[0]] += 1
+        return hashlib.sha256(head)
+
+    monkeypatch.setattr(embeddings, "hashlib", SimpleNamespace(sha256=sha256))
+    return hashed

@@ -130,7 +130,7 @@ def test_pivot_split_partitions():
     ranks = {f"w{i}": i + 1 for i in range(30)}
     dictionary = {f"w{i}": f"t{i}" for i in range(30)}
     pairs = select_pivot_pairs(ranks, dictionary, K=20, train_count=15, seed=3)
-    assert pairs.K == 20
+    assert len(pairs.pairs) == 20
     assert len(pairs.train_pairs) == 15 and len(pairs.test_pairs) == 5
     assert set(pairs.train_pairs) | set(pairs.test_pairs) == set(pairs.pairs)
     again = select_pivot_pairs(ranks, dictionary, K=20, train_count=15, seed=3)

@@ -181,17 +181,26 @@ class TestEvaluateAndCompare:
     def test_nb_evaluate_writes_report(self, fixture_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "nb.cfg", fixture_dir, ["kind = nb"])
         out = tmp_path / "nb.json"
-        csv_out = tmp_path / "nb.csv"
-        rc = main(["evaluate", "--config", str(cfg), "--out", str(out), "--csv", str(csv_out)])
+        rc = main(["evaluate", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         printed = capsys.readouterr().out
         assert "mean_accuracy" in printed
         assert "per-language accuracy:" in printed
         report = CVReport.from_json(out.read_text())
         assert report.kind == "nb" and report.folds == 3
+        csv_out = tmp_path / "nb.csv"
+        assert main(["compare", str(out), "--csv", str(csv_out)]) == 0
         assert csv_out.read_text() == (
             f"name,kind,folds,mean_accuracy\nnb,nb,3,{report.mean_accuracy:.6f}\n"
         )
+
+    def test_csv_flag_is_gone(self, fixture_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "nb.cfg", fixture_dir, ["kind = nb"])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "--config", str(cfg), "--csv", str(tmp_path / "nb.csv")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --csv" in capsys.readouterr().err
+        assert not (tmp_path / "nb.csv").exists()
 
     def test_compare_two_reports(self, fixture_dir, tmp_path, capsys):
         paths = []
@@ -286,6 +295,25 @@ class TestEvaluateAndCompare:
             assert main(command) == 2
             assert capsys.readouterr().err == (
                 f"error: oov_scale must be finite and non-negative, got {float(value)}\n")
+        assert spy_calls == []
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("window_sizes = 0,2", "window_sizes must be distinct sizes of at least 1, got (0, 2)"),
+        ("window_sizes = -1,2", "window_sizes must be distinct sizes of at least 1, got (-1, 2)"),
+        ("window_sizes = 2,2", "window_sizes must be distinct sizes of at least 1, got (2, 2)"),
+        ("dev_fraction = 1.5", "dev_fraction must lie in (0, 1), got 1.5"),
+        ("dev_fraction = nan", "dev_fraction must lie in (0, 1), got nan"),
+    ], ids=["window-zero", "window-negative", "window-repeated", "dev-above-one", "dev-nan"])
+    def test_bad_run_value_exits_2_before_reading_anything(
+        self, fixture_dir, tmp_path, capsys, spy_calls, line, message
+    ):
+        cfg = write_config(tmp_path / "bad.cfg", fixture_dir,
+                           ["kind = cnn", line, f"corpus = {tmp_path / 'absent.jsonl'}"])
+        for command in (["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r.json")],
+                        ["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
         assert spy_calls == []
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.ckpt").exists()
 
@@ -848,7 +876,8 @@ class TestPredictParsesOnlyTheUsedRows:
                      "--out", str(out), "--embedding", f"en={en or d / 'en.vec'}",
                      "--embedding", f"ja={d / 'ja.vec'}", "--embedding", f"zh={d / 'zh.vec'}"])
 
-    def test_used_rows_give_the_bytes_the_whole_file_gives(self, files, tmp_path, loaded):
+    def test_used_rows_give_the_bytes_the_whole_file_gives(self, files, tmp_path, loaded,
+                                                           table_hashes):
         checkpoint = (files / "model.ckpt").read_text(encoding="utf-8")
         for lang in ("en", "ja", "zh"):
             digest = hashlib.sha256((files / f"{lang}.vec").read_bytes()).hexdigest()
@@ -858,24 +887,27 @@ class TestPredictParsesOnlyTheUsedRows:
         assert {lang: sorted(t.entries) for lang, t in used.items()} == {**self.USED, "zh": []}
         assert used["en"].duplicate_count == 1          # both "good" rows, the last kept
         assert used["en"].entries["good"].tolist() != [0.9] * 4
+        assert table_hashes == {}       # the checkpoint's fingerprints stand for the tables
 
         # Without source lines, as checkpoints were written before them.
         assert self.predict(files, "old.ckpt", tmp_path / "whole.jsonl") == 0
         assert {lang: len(t.entries) for lang, t in loaded.items()} == {"en": 9, "ja": 5, "zh": 5}
-        assert all(t.whole_fingerprint is None for t in loaded.values())
+        assert table_hashes == {"en": 1, "ja": 1, "zh": 1}
         for lang, table in used.items():
             assert table.fingerprint() == loaded[lang].fingerprint()
             for word, vec in table.entries.items():
                 assert vec.tobytes() == loaded[lang].entries[word].tobytes()
         assert (tmp_path / "used.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
 
-    def test_respelled_unused_value_loads_the_whole_file(self, files, tmp_path, loaded):
+    def test_respelled_unused_value_loads_the_whole_file(self, files, tmp_path, loaded,
+                                                         table_hashes):
         assert self.predict(files, "model.ckpt", tmp_path / "used.jsonl") == 0
         text = (files / "en.vec").read_bytes().decode("utf-8")
         respelled = tmp_path / "en.vec"
         respelled.write_bytes(text.replace("spare 0.5 ", "spare 0.50 ").encode("utf-8"))
         assert self.predict(files, "model.ckpt", tmp_path / "p.jsonl", en=respelled) == 0
-        assert len(loaded["en"].entries) == 9 and loaded["en"].whole_fingerprint is None
+        assert len(loaded["en"].entries) == 9 and len(loaded["ja"].entries) == 3
+        assert table_hashes == {"en": 1}
         assert (tmp_path / "p.jsonl").read_bytes() == (tmp_path / "used.jsonl").read_bytes()
 
     def test_changed_unused_value_exits_2(self, files, tmp_path, capsys):

@@ -9,7 +9,6 @@ import pytest
 import multisent.experiment as experiment
 from multisent.align import TranslationMatrix, save_translation_matrix
 from multisent.corpus import Polarity, TweetRecord
-from multisent.embeddings import EmbeddingTable
 from multisent.errors import ArgumentError, ConfigurationError, LeakageError
 from multisent.experiment import (
     CVReport,
@@ -111,6 +110,16 @@ class TestConfigValidation:
                       refit="per_fold", languages=("en", "ja"),
                       target_language="en", dictionaries={"ja": "d.tsv"},
                       pivot_count=10, pivot_train_count=11)
+
+    @pytest.mark.parametrize("over, message", [
+        (dict(window_sizes=()), "window_sizes must be distinct sizes of at least 1, got ()"),
+        (dict(dev_fraction=0.0), "dev_fraction must lie in (0, 1), got 0.0"),
+        (dict(dev_fraction=1.0), "dev_fraction must lie in (0, 1), got 1.0"),
+    ])
+    def test_run_values_checked_at_construction(self, over, message):
+        with pytest.raises(ConfigurationError) as err:
+            nb_config(kind="cnn", **over)
+        assert str(err.value) == message
 
     def test_fingerprint_tracks_content_not_insertion_order(self):
         a = nb_config(embeddings={"en": "x", "ja": "y"})
@@ -385,7 +394,7 @@ class TestPerFoldRefit:
 
 
 class TestSharedPerEvaluate:
-    """One workspace and one fingerprint per context serve a whole evaluate."""
+    """One workspace and one content hash per table serve a whole evaluate."""
 
     SPEC = SynthSpec(n_tweets=36, dim=8, markers_per_class=6, filler_vocab=12, seed=4)
 
@@ -430,15 +439,13 @@ class TestSharedPerEvaluate:
         run_experiment(self.config(tmp_path, kind, "global", **over))
         assert built == {"built": 1}
 
-    def test_global_map_evaluate_hashes_each_table_once(self, tmp_path, monkeypatch):
-        hashed = self.count_calls(monkeypatch, EmbeddingTable, "fingerprint", lambda t: t.lang)
+    def test_global_map_evaluate_hashes_each_table_once(self, tmp_path, table_hashes):
         run_experiment(self.config(tmp_path, "cnn", "global"))
-        assert hashed == {lang: 1 for lang in self.SPEC.languages}
+        assert table_hashes == {lang: 1 for lang in self.SPEC.languages}
 
-    def test_per_fold_evaluate_hashes_each_table_once_per_fold(self, tmp_path, monkeypatch):
-        hashed = self.count_calls(monkeypatch, EmbeddingTable, "fingerprint", lambda t: t.lang)
+    def test_per_fold_evaluate_hashes_each_table_once(self, tmp_path, table_hashes):
         run_experiment(self.config(tmp_path, "lstm", "per_fold"))
-        assert hashed == {lang: 2 for lang in self.SPEC.languages}
+        assert table_hashes == {lang: 1 for lang in self.SPEC.languages}
 
     def test_mutating_a_returned_fingerprint_leaves_the_context_alone(self):
         ctx = toy_context(marker_tweets(12))

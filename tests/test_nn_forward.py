@@ -474,6 +474,11 @@ class TestCnnBatch:
         with pytest.raises(ConfigurationError):
             cnn_forward_batch(np.zeros((1, 2, 4)), params)
 
+    @pytest.mark.parametrize("sizes", [(0, 2), (-1, 2)])
+    def test_window_size_below_one_rejected(self, sizes):
+        with pytest.raises(ArgumentError, match=r"window sizes must be at least 1"):
+            init_cnn_params(input_dim=4, seed=5, window_sizes=sizes, filters_per_window=2)
+
     def test_batch_padding_validation(self):
         params = init_cnn_params(input_dim=3, seed=5, window_sizes=(2,), filters_per_window=2)
         model = NeuralModel(kind="cnn", params=params, max_len=5)
