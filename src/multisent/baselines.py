@@ -133,9 +133,7 @@ def vectorize(row: np.ndarray, space: FeatureSpace) -> np.ndarray:
 class NBModel:
     """Smoothed class-conditional log-likelihoods over binary features."""
 
-    alpha: float
     classes: list[int]
-    dimension: int
     log_prior: np.ndarray          # (n_classes,)
     log_lik: np.ndarray            # (n_classes, V) log P(feature present | class)
 
@@ -192,9 +190,7 @@ def train_nb(
     log_prior = np.log(n_by_class / n_by_class.sum())
     totals = present.sum(axis=1, keepdims=True)
     return NBModel(
-        alpha=alpha,
         classes=classes,
-        dimension=dimension,
         log_prior=log_prior,
         log_lik=np.log((present + alpha) / (totals + alpha * dimension)),
     )
@@ -218,12 +214,7 @@ def nb_posterior(model: NBModel, vector: np.ndarray) -> np.ndarray:
 
 def predict_nb(model: NBModel, vector: np.ndarray) -> Polarity:
     """Highest-posterior class; exact ties go to the lowest label code."""
-    scores = nb_log_posterior(model, vector)
-    best = scores.max()
-    for code, score in zip(model.classes, scores):
-        if score == best:
-            return Polarity(code)
-    raise ArgumentError("no maximum score")  # unreachable
+    return Polarity(model.classes[int(np.argmax(nb_log_posterior(model, vector)))])
 
 
 @dataclass
@@ -233,7 +224,6 @@ class BinarySVM:
     pos_code: int
     neg_code: int
     w: np.ndarray                  # (V + 1,)
-    C: float
     sweeps: int
     converged: bool
     dual_objective_history: list[float] = field(default_factory=list)
@@ -343,7 +333,6 @@ def train_binary_svm(
         pos_code=pos_code,
         neg_code=neg_code,
         w=w,
-        C=C,
         sweeps=sweeps,
         converged=converged,
         dual_objective_history=history,
@@ -354,8 +343,6 @@ def train_binary_svm(
 class SVMModel:
     """One-vs-one ensemble over the three polarity classes."""
 
-    dimension: int
-    C: float
     machines: dict[tuple[int, int], BinarySVM]
 
 
@@ -384,7 +371,7 @@ def train_svm_ovo(
             svecs = [v for v, _ in sub]
             sys_ = np.array([y for _, y in sub])
             machines[(a, b)] = train_binary_svm(svecs, sys_, dimension, a, b, C=C)
-    return SVMModel(dimension=dimension, C=C, machines=machines)
+    return SVMModel(machines=machines)
 
 
 def predict_svm(model: SVMModel, vector: np.ndarray) -> Polarity:
@@ -394,8 +381,4 @@ def predict_svm(model: SVMModel, vector: np.ndarray) -> Polarity:
         d = m.decision(vector)
         # d >= 0 sides with the pair's lower code (the machine's +1 class)
         votes[a if d >= 0.0 else b] += 1
-    best = max(votes.values())
-    for code in sorted(votes):
-        if votes[code] == best:
-            return Polarity(code)
-    raise ArgumentError("no votes")  # unreachable
+    return Polarity(max(votes, key=votes.__getitem__))     # keys run in code order

@@ -60,6 +60,17 @@ _PREFIXES = {
     "train_overrides": "train.",
 }
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _read_bool(value: str) -> bool:
+    """A case-insensitive 1/true/yes or 0/false/no; any other word is a ValueError."""
+    try:
+        return _BOOLS[value.lower()]
+    except KeyError:
+        raise ValueError(f"expected 1/true/yes or 0/false/no, got {value!r}") from None
+
+
 # How a config value is read, by the field's annotation.
 _PARSERS = {
     "str": str,
@@ -70,7 +81,7 @@ _PARSERS = {
     "tuple[str, ...]": lambda v: tuple(filter(None, v.split(","))),
     "tuple[int, ...]": lambda v: tuple(int(w) for w in v.split(",")),
     "int | None": int,
-    "bool": lambda v: v.lower() in ("1", "true", "yes"),
+    "bool": _read_bool,
 }
 
 # The TrainConfig fields a train.* key may set; seed and window_sizes come from the run.
@@ -196,7 +207,10 @@ class ExperimentConfig:
 
 
 def parse_config(text: str, name: str = "run") -> ExperimentConfig:
-    """Parse flat key=value lines ('#' starts a comment); a missing key takes its default."""
+    """Parse flat key=value lines ('#' starts a comment); a missing key takes its default.
+
+    corpus, languages and kind have no default: each must be given a value.
+    """
     raw: dict[str, str] = {"name": name}
     for i, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -208,26 +222,34 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
         raw[key.strip()] = value.strip()
 
     kwargs: dict[str, object] = {}
-    try:
-        for f in fields(ExperimentConfig):
-            prefix = _PREFIXES.get(f.name)
-            if prefix is None:
-                if f.name in raw or f.default is MISSING:
-                    kwargs[f.name] = _PARSERS[f.type](raw.pop(f.name, ""))
-                continue
-            values = {}
-            for key in [k for k in raw if k.startswith(prefix)]:
-                sub = key[len(prefix):]
-                read = _TRAIN_KEYS.get(sub) if prefix == "train." else str
-                if read is not None:
-                    values[sub] = read(raw.pop(key))
-            kwargs[f.name] = values
-        cfg = ExperimentConfig(**kwargs)
-    except ValueError as err:
-        raise ConfigurationError(f"bad config value: {err}") from None
+    for f in fields(ExperimentConfig):
+        prefix = _PREFIXES.get(f.name)
+        if prefix is None:
+            if f.name in raw:
+                kwargs[f.name] = _read_value(f.name, _PARSERS[f.type], raw.pop(f.name))
+            continue
+        values = {}
+        for key in [k for k in raw if k.startswith(prefix)]:
+            sub = key[len(prefix):]
+            read = _TRAIN_KEYS.get(sub) if prefix == "train." else str
+            if read is not None:
+                values[sub] = _read_value(key, read, raw.pop(key))
+        kwargs[f.name] = values
     if raw:
         raise ConfigurationError(f"unknown config keys: {sorted(raw)}")
-    return cfg
+    missing = [f.name for f in fields(ExperimentConfig)
+               if f.default is f.default_factory is MISSING and not kwargs.get(f.name)]
+    if missing:
+        raise ConfigurationError(f"missing or empty required config keys: {missing}")
+    return ExperimentConfig(**kwargs)
+
+
+def _read_value(key: str, read, value: str):
+    """value as read's type; a value it cannot read raises an error naming the key."""
+    try:
+        return read(value)
+    except ValueError as err:
+        raise ConfigurationError(f"bad config value for {key}: {err}") from None
 
 
 class IdAudit:
@@ -473,25 +495,20 @@ def run_experiment(
     if config.folds < 2:
         raise ArgumentError(f"cross-validation needs k >= 2 folds, got {config.folds}")
     tweets, context = prepare_inputs(config, records, context)
-    active = config.active_languages()
-    dictionaries = None
-    if config.kind in ("lstm", "cnn") and config.refit == "per_fold":
-        dictionaries = {
-            lang: load_dictionary(path) for lang, path in config.dictionaries.items()
-        }
-
-    plan = make_folds(tweets, config.folds, config.seed)
-    by_id = {tw.id: tw for tw in tweets}
-    ngrams = None
+    ngrams = dictionaries = None
     if config.kind in ("nb", "svm"):
         size, rows = intern_ngrams(tweets)
         ngrams = size, {tw.id: row for tw, row in zip(tweets, rows)}
+    elif config.refit == "per_fold":
+        dictionaries = {
+            lang: load_dictionary(path) for lang, path in config.dictionaries.items()
+        }
+    plan = make_folds(tweets, config.folds, config.seed)
+    by_id = {tw.id: tw for tw in tweets}
 
+    right: dict[str, bool] = {}     # test id -> predicted its label
     fold_accuracies: list[float] = []
     wall_clock: list[float] = []
-    lang_correct: dict[str, int] = {lang: 0 for lang in sorted(active)}
-    lang_total: dict[str, int] = {lang: 0 for lang in sorted(active)}
-    total_correct = 0
     workspace = Workspace()
 
     for fold in range(config.folds):
@@ -504,26 +521,18 @@ def run_experiment(
             workspace,
         )
         audit.assert_disjoint(test_ids)
-
-        correct = 0
-        for rid, pred in predictions.items():
-            tw = by_id[rid]
-            lang_total[tw.lang] += 1
-            if pred == tw.label:
-                correct += 1
-                lang_correct[tw.lang] += 1
-        total_correct += correct
-        fold_accuracies.append(correct / len(test_ids))
+        right.update((rid, pred == by_id[rid].label) for rid, pred in predictions.items())
+        fold_accuracies.append(sum(right[rid] for rid in predictions) / len(test_ids))
         wall_clock.append(time.perf_counter() - start)
 
-    per_language = {
-        lang: {
-            "correct": float(lang_correct[lang]),
-            "total": float(lang_total[lang]),
-            "accuracy": (lang_correct[lang] / lang_total[lang]) if lang_total[lang] else 0.0,
+    per_language = {}
+    for lang in sorted(config.active_languages()):
+        marks = [ok for rid, ok in right.items() if by_id[rid].lang == lang]
+        per_language[lang] = {
+            "correct": float(sum(marks)),
+            "total": float(len(marks)),
+            "accuracy": sum(marks) / len(marks) if marks else 0.0,
         }
-        for lang in sorted(active)
-    }
     return CVReport(
         name=config.name,
         kind=config.kind,
@@ -531,7 +540,7 @@ def run_experiment(
         seed=config.seed,
         fold_accuracies=fold_accuracies,
         mean_accuracy=sum(fold_accuracies) / len(fold_accuracies),
-        overall_accuracy=total_correct / len(tweets),
+        overall_accuracy=sum(right.values()) / len(tweets),
         per_language=per_language,
         config_fingerprint=config.fingerprint(),
         wall_clock_per_fold=wall_clock,

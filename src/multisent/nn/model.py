@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import ArgumentError, ConfigurationError
 from ..rng import SplitMix64
+from .activations import ACTIVATIONS
 from .cnn import CnnParams, cnn_backward_batch, cnn_forward_batch
 from .lstm import LstmParams, lstm_backward_batch, lstm_forward_batch
 from .workspace import Workspace
@@ -41,6 +42,10 @@ class NeuralModel:
             raise ArgumentError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.max_len < 1:
             raise ArgumentError(f"max_len must be >= 1, got {self.max_len}")
+        for key in ("candidate_activation", "activation"):
+            if getattr(self, key) not in ACTIVATIONS:
+                raise ArgumentError(
+                    f"{key} must be one of {', '.join(ACTIVATIONS)}, got {getattr(self, key)!r}")
 
     @property
     def penultimate_dim(self) -> int:

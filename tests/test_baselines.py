@@ -327,7 +327,7 @@ class TestBinarySvm:
 
     def test_decision_uses_bias(self):
         m = BinarySVM(pos_code=0, neg_code=2,
-                      w=np.array([0.5, -0.25, 0.1]), C=1.0,
+                      w=np.array([0.5, -0.25, 0.1]),
                       sweeps=0, converged=True)
         assert abs(m.decision(np.array([0, 1])) - 0.35) < 1e-15
         assert abs(m.decision(np.array([], dtype=np.int64)) - 0.1) < 1e-15
@@ -503,10 +503,10 @@ class TestOneVsOne:
     def test_circular_votes_tie_to_lowest_code(self):
         def stub(pos, neg, bias):
             return BinarySVM(pos_code=pos, neg_code=neg,
-                             w=np.array([bias]), C=1.0, sweeps=0, converged=True)
+                             w=np.array([bias]), sweeps=0, converged=True)
 
         # (0,1) votes 0, (1,2) votes 1, (0,2) votes 2: one vote each.
-        model = SVMModel(dimension=0, C=1.0, machines={
+        model = SVMModel(machines={
             (0, 1): stub(0, 1, 1.0),
             (1, 2): stub(1, 2, 1.0),
             (0, 2): stub(0, 2, -1.0),
@@ -517,9 +517,9 @@ class TestOneVsOne:
     def test_zero_decision_sides_with_lower_code(self):
         def stub(pos, neg, bias):
             return BinarySVM(pos_code=pos, neg_code=neg,
-                             w=np.array([bias]), C=1.0, sweeps=0, converged=True)
+                             w=np.array([bias]), sweeps=0, converged=True)
 
-        model = SVMModel(dimension=0, C=1.0, machines={
+        model = SVMModel(machines={
             (0, 1): stub(0, 1, 0.0),
             (0, 2): stub(0, 2, 0.0),
             (1, 2): stub(1, 2, 0.0),

@@ -304,18 +304,40 @@ class TestEvaluateAndCompare:
         ("window_sizes = 2,2", "window_sizes must be distinct sizes of at least 1, got (2, 2)"),
         ("dev_fraction = 1.5", "dev_fraction must lie in (0, 1), got 1.5"),
         ("dev_fraction = nan", "dev_fraction must lie in (0, 1), got nan"),
-    ], ids=["window-zero", "window-negative", "window-repeated", "dev-above-one", "dev-nan"])
+        ("train.fine_tune_embeddings = ture", "bad config value for "
+         "train.fine_tune_embeddings: expected 1/true/yes or 0/false/no, got 'ture'"),
+        ("folds = five", "bad config value for folds: "
+         "invalid literal for int() with base 10: 'five'"),
+        ("corpus =", "missing or empty required config keys: ['corpus']"),
+    ], ids=["window-zero", "window-negative", "window-repeated", "dev-above-one", "dev-nan",
+            "bool-typo", "int-word", "corpus-empty"])
     def test_bad_run_value_exits_2_before_reading_anything(
         self, fixture_dir, tmp_path, capsys, spy_calls, line, message
     ):
         cfg = write_config(tmp_path / "bad.cfg", fixture_dir,
-                           ["kind = cnn", line, f"corpus = {tmp_path / 'absent.jsonl'}"])
+                           ["kind = cnn", f"corpus = {tmp_path / 'absent.jsonl'}", line])
         for command in (["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r.json")],
                         ["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]):
             assert main(command) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
         assert spy_calls == []
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.ckpt").exists()
+
+    def test_pretokenized_evaluate_keeps_tokens_only_records(self, fixture_dir, tmp_path):
+        rows = [json.loads(ln) for ln in (fixture_dir / "corpus.jsonl").read_text().splitlines()]
+        rows = [dict(r, tokens=r["text"].split()) for r in rows]
+        rows += [dict(r, id=f"tokens-only-{i}", text="") for i, r in enumerate(rows[:6])]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        totals = {}
+        for mode in ("whitespace", "pretokenized"):
+            cfg = write_config(tmp_path / f"{mode}.cfg", tmp_path,
+                               ["kind = nb", f"tokenize_mode = {mode}"])
+            assert main(["evaluate", "--config", str(cfg),
+                         "--out", str(tmp_path / f"{mode}.json")]) == 0
+            report = json.loads((tmp_path / f"{mode}.json").read_text())
+            totals[mode] = sum(stats["total"] for stats in report["per_language"].values())
+        assert totals == {"whitespace": len(rows) - 6, "pretokenized": len(rows)}
 
     def test_scheme_key_is_unknown_before_reading_corpus(
         self, fixture_dir, tmp_path, capsys, spy_calls
@@ -753,6 +775,24 @@ class TestPredictRejectsBadCheckpoint:
         assert self.predict(fixture_dir, tmp_path, lines) == 2
         err = capsys.readouterr().err
         assert f"line {at + 1}: tensor V has shape (6, 3), the model needs (3, 6)" in err
+
+    @pytest.mark.parametrize("key", ["activation", "candidate_activation"])
+    def test_unknown_activation_exits_2_before_reading_embeddings(
+        self, fixture_dir, tmp_path, ckpt_lines, capsys, key
+    ):
+        at = next(i for i, ln in enumerate(ckpt_lines) if ln.startswith(f"{key} "))
+        lines = list(ckpt_lines)
+        lines[at] = f"{key} softsign"
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(ckpt),
+                     "--in", str(fixture_dir / "corpus.jsonl"),
+                     "--out", str(tmp_path / "p.jsonl"),
+                     "--embedding", f"en={tmp_path / 'absent.vec'}"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {key} must be one of tanh, sigmoid, relu, got 'softsign'\n")
+        assert not (tmp_path / "p.jsonl").exists()
 
 
 class TestPredictRejectsBadInputs:

@@ -1,4 +1,4 @@
-"""Same inputs give the same bytes, whatever the BLAS thread count."""
+"""Same inputs give the same bytes, whatever the BLAS thread count or hash seed."""
 
 import os
 import subprocess
@@ -45,6 +45,28 @@ def _canonical_report(path: Path) -> bytes:
                  id="svm-evaluate-report"),
 ])
 def test_bytes_ignore_blas_threads(tmp_path, command, config, read, marker):
+    cfg = _write_fixture(tmp_path, config)
+    outputs = _outputs_per_thread_count(tmp_path, [command, "--config", str(cfg)], read)
+    assert marker in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+def test_predictions_ignore_blas_threads(tmp_path):
+    cfg = _write_fixture(tmp_path, [
+        "kind = cnn", "train.filters_per_window = 8", "alignment = translation_matrix",
+        "matrix.ja = {dir}/ja-en.mat", "matrix.zh = {dir}/zh-en.mat"])
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 0
+    outputs = _outputs_per_thread_count(tmp_path, [
+        "predict", "--model", str(tmp_path / "m.ckpt"), "--in", str(tmp_path / "corpus.jsonl"),
+        *[f"--embedding={lang}={tmp_path / f'{lang}.vec'}" for lang in ("en", "ja", "zh")],
+        *[f"--matrix={lang}={tmp_path / f'{lang}-en.mat'}" for lang in ("ja", "zh")],
+    ], Path.read_bytes)
+    assert b'"probs"' in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+def _write_fixture(tmp_path: Path, config: list[str]) -> Path:
+    """The synth fixture, its ja/zh maps and a run config ending in config's lines."""
     assert main(["synth", "--out", str(tmp_path), "--seed", "2", "--tweets", "36"]) == 0
     for lang in ("ja", "zh"):
         assert main(["align", "--src", str(tmp_path / f"{lang}.vec"),
@@ -63,14 +85,21 @@ def test_bytes_ignore_blas_threads(tmp_path, command, config, read, marker):
         "train.patience = 3",
         *[line.format(dir=tmp_path) for line in config],
     ]) + "\n")
+    return cfg
+
+
+def _outputs_per_thread_count(tmp_path: Path, argv: list[str], read) -> list[bytes]:
+    """read(out) after `multisent ARGV --out out` at 1 and at 2 BLAS threads.
+
+    Each subprocess gets its own explicit hash seed, so no output may
+    depend on the iteration order of a set or dict of strings either.
+    """
     outputs = []
-    for threads in ("1", "2"):
+    for threads, hash_seed in (("1", "1"), ("2", "2")):
         out = tmp_path / f"out-{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-        subprocess.run([sys.executable, "-m", "multisent.cli", command,
-                        "--config", str(cfg), "--out", str(out)],
+        subprocess.run([sys.executable, "-m", "multisent.cli", *argv, "--out", str(out)],
                        env=env, check=True, capture_output=True, timeout=300)
         outputs.append(read(out))
-    assert marker in outputs[0]
-    assert outputs[0] == outputs[1]
+    return outputs

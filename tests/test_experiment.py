@@ -81,6 +81,37 @@ window_sizes = 2,3
             parse_config("kind = nb\njust words\n")
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("word, value", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("No", False),
+    ])
+    def test_bool_reads_each_spelling(self, word, value):
+        cfg = parse_config("corpus = c.jsonl\nlanguages = en\nkind = cnn\n"
+                           f"train.fine_tune_embeddings = {word}\n")
+        assert cfg.train_overrides == {"fine_tune_embeddings": value}
+
+    @pytest.mark.parametrize("line, message", [
+        ("train.fine_tune_embeddings =", "bad config value for "
+         "train.fine_tune_embeddings: expected 1/true/yes or 0/false/no, got ''"),
+        ("window_sizes = 2,x", "bad config value for window_sizes: "
+         "invalid literal for int() with base 10: 'x'"),
+        ("train.rho = fast", "bad config value for train.rho: "
+         "could not convert string to float: 'fast'"),
+    ], ids=["bool-empty", "int-tuple", "train-float"])
+    def test_unreadable_value_names_its_key(self, line, message):
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(f"corpus = c.jsonl\nlanguages = en\nkind = cnn\n{line}\n")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, missing", [
+        ("languages = en\nkind = nb\n", ["corpus"]),
+        ("corpus =\nlanguages = en\nkind = nb\n", ["corpus"]),
+        ("corpus = c.jsonl\n", ["languages", "kind"]),
+    ], ids=["corpus-absent", "corpus-empty", "two-absent"])
+    def test_missing_required_key_is_named(self, text, missing):
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(text)
+        assert str(err.value) == f"missing or empty required config keys: {missing}"
+
 
 class TestConfigValidation:
     def test_unknown_kind(self):
@@ -283,6 +314,13 @@ class TestRunExperiment:
         report = run_experiment(cfg, records=records)
         assert list(report.per_language) == ["ja"]
         assert report.per_language["ja"]["total"] == 15.0
+
+    def test_language_without_usable_records_reports_zeros(self):
+        cfg = nb_config(languages=("en", "ja"), folds=3)
+        report = run_experiment(cfg, records=marker_records(15, lang="en"))
+        assert report.per_language["ja"] == {"correct": 0.0, "total": 0.0, "accuracy": 0.0}
+        assert report.per_language["en"]["total"] == 15.0
+        assert report.overall_accuracy == report.per_language["en"]["accuracy"]
 
     def test_svm_kind_runs(self):
         cfg = nb_config(kind="svm", folds=3)
