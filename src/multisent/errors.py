@@ -6,7 +6,21 @@ from pathlib import Path
 
 
 class MultisentError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Every instance pickles with its class, message and attributes, so an
+    error raised in a worker process reaches the caller as it was raised.
+    """
+
+    def __reduce__(self):
+        # Rebuilt without __init__: a subclass's parameters differ from its args.
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls: type, args: tuple, state: dict) -> MultisentError:
+    err = cls.__new__(cls, *args)
+    err.__dict__.update(state)
+    return err
 
 
 class ParseError(MultisentError):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import reprlib
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -41,7 +42,13 @@ from .baselines import (
 )
 from .corpus import Polarity, load_corpus, make_folds, split_dev
 from .embeddings import count_tokens, ranks_from_counts
-from .errors import ArgumentError, ConfigurationError, LeakageError, ParseError
+from .errors import (
+    ArgumentError,
+    ConfigurationError,
+    LeakageError,
+    MultisentError,
+    ParseError,
+)
 from .nn import TrainConfig, predict_batch, train
 from .nn.workspace import Workspace
 from .pipeline import EmbeddingContext, corpus_max_len
@@ -406,6 +413,8 @@ def prepare_inputs(
     """
     rules = default_rules()
     if records is None:
+        if not config.corpus:
+            raise ConfigurationError("corpus is empty: give the corpus path, or pass records")
         records = load_corpus(config.corpus)
     active = config.active_languages()
     records = [r for r in records if r.lang in active]
@@ -490,7 +499,14 @@ def run_experiment(
     uses training-split ids only, which the per-fold audit enforces. A
     fold's n-gram columns are the keys its training tweets hold, so a
     key seen only in held-out tweets is numbered but never a column.
-    One workspace serves every fold's neural training and prediction.
+
+    The folds are dealt round-robin into one share per usable CPU, at
+    most one per fold. This process runs share 0 and a forked worker
+    runs each other share; with one usable CPU nothing is forked. Each
+    share runs its folds in order on its own workspace and stops at its
+    first failing fold. The report merges the shares in fold order, and
+    a failure raises the error of the lowest failing fold, so neither
+    depends on the number of CPUs.
     """
     if config.folds < 2:
         raise ArgumentError(f"cross-validation needs k >= 2 folds, got {config.folds}")
@@ -499,31 +515,51 @@ def run_experiment(
     if config.kind in ("nb", "svm"):
         size, rows = intern_ngrams(tweets)
         ngrams = size, {tw.id: row for tw, row in zip(tweets, rows)}
-    elif config.refit == "per_fold":
-        dictionaries = {
-            lang: load_dictionary(path) for lang, path in config.dictionaries.items()
-        }
+    else:
+        context.fingerprint()   # hashes each table here, before any worker inherits it
+        if config.refit == "per_fold":
+            dictionaries = {
+                lang: load_dictionary(path) for lang, path in config.dictionaries.items()
+            }
     plan = make_folds(tweets, config.folds, config.seed)
     by_id = {tw.id: tw for tw in tweets}
+    # one share per CPU this process may run on; outside Linux the OS cannot say
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    shares = min(config.folds, cpus)
+
+    def run_share(share: int) -> tuple[list, tuple[int, MultisentError] | None]:
+        """(fold, predictions, seconds) per fold run, and (fold, error) if one failed."""
+        workspace = Workspace()
+        done = []
+        for fold in range(share, config.folds, shares):
+            start = time.perf_counter()
+            test_ids = plan.fold_ids(fold)
+            train_ids = [tw.id for tw in tweets if plan.assignments[tw.id] != fold]
+            audit = IdAudit()
+            try:
+                predictions = _run_fold(
+                    config, fold, train_ids, test_ids, by_id, context, dictionaries, ngrams,
+                    audit, workspace,
+                )
+                audit.assert_disjoint(test_ids)
+            except MultisentError as err:
+                return done, (fold, err)
+            done.append((fold, predictions, time.perf_counter() - start))
+        return done, None
+
+    outcomes = _run_shares(run_share, shares)
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
 
     right: dict[str, bool] = {}     # test id -> predicted its label
     fold_accuracies: list[float] = []
     wall_clock: list[float] = []
-    workspace = Workspace()
-
-    for fold in range(config.folds):
-        start = time.perf_counter()
-        test_ids = plan.fold_ids(fold)
-        train_ids = [tw.id for tw in tweets if plan.assignments[tw.id] != fold]
-        audit = IdAudit()
-        predictions = _run_fold(
-            config, fold, train_ids, test_ids, by_id, context, dictionaries, ngrams, audit,
-            workspace,
-        )
-        audit.assert_disjoint(test_ids)
+    runs = sorted((run for done, _ in outcomes for run in done), key=lambda run: run[0])
+    for fold, predictions, seconds in runs:
         right.update((rid, pred == by_id[rid].label) for rid, pred in predictions.items())
-        fold_accuracies.append(sum(right[rid] for rid in predictions) / len(test_ids))
-        wall_clock.append(time.perf_counter() - start)
+        fold_accuracies.append(sum(right[rid] for rid in predictions) / len(plan.fold_ids(fold)))
+        wall_clock.append(seconds)
 
     per_language = {}
     for lang in sorted(config.active_languages()):
@@ -545,6 +581,38 @@ def run_experiment(
         config_fingerprint=config.fingerprint(),
         wall_clock_per_fold=wall_clock,
     )
+
+
+def _run_shares(run_share, shares: int) -> list:
+    """[run_share(0), ..., run_share(shares - 1)]: share 0 here, each other in a forked worker.
+
+    A worker inherits run_share and everything it reads by the fork, so
+    only the share number goes to it and only the share's result comes
+    back. Every worker has exited when this returns or raises.
+    """
+    if shares == 1:
+        return [run_share(0)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        shares - 1, mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_share_runner, initargs=(run_share,),
+    ) as pool:
+        futures = [pool.submit(_run_adopted_share, share) for share in range(1, shares)]
+        return [run_share(0)] + [future.result() for future in futures]
+
+
+_share_runner = None   # set only in a forked worker, by _adopt_share_runner
+
+
+def _adopt_share_runner(run_share) -> None:
+    global _share_runner
+    _share_runner = run_share
+
+
+def _run_adopted_share(share: int):
+    return _share_runner(share)
 
 
 def _run_fold(

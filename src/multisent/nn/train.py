@@ -17,7 +17,8 @@ freely and update the same tensors.
 
 One Workspace (see nn.workspace) serves every batch of a train call, its
 dev scoring included, and of a predict_batch call; `evaluate` passes
-one workspace to every fold's training, dev scoring and test prediction.
+one workspace to the training, dev scoring and test prediction of every
+fold in a share (the folds one process runs).
 The slabs that hold a batch's arrays are reused by the next batch. A
 forward cache and the grads and dX a batch returns are valid only until
 the next call on the same workspace; the loop consumes them (embedding

@@ -17,10 +17,14 @@ heap that later slabs may not fit.
 Lifetime: a view stays valid until the next request for the same name,
 and every call of a kernel requests the same names. So a forward cache,
 and the gradients and input gradient a backward pass returns, are valid
-only until the next call on the same workspace. One workspace serves
-one `evaluate`: every fold's training, dev scoring and test prediction
-run on it in turn, and each batch is consumed before the next begins.
-Outside `evaluate`, a `train` or `predict_batch` call makes its own.
+only until the next call on the same workspace. `evaluate` deals its
+folds into one share per usable CPU, each run by its own process, and
+makes one workspace per share: the training, dev scoring and test
+prediction of every fold in the share run on it in turn, and each batch
+is consumed before the next begins. Slabs are shared maps, so a slab
+made before a fork would be written by both processes; no workspace
+passes from one process to another. Outside `evaluate`, a `train` or
+`predict_batch` call makes its own.
 Since slabs pass from one call to the next, no kernel reads an entry
 of a slab before it writes it.
 """

@@ -3,6 +3,8 @@
 import argparse
 import hashlib
 import json
+import multiprocessing
+import os
 import re
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from multisent import cli, experiment, pipeline
 from multisent.align import load_translation_matrix
 from multisent.cli import main
 from multisent.corpus import load_corpus
+from multisent.errors import CoverageError, LeakageError
 from multisent.experiment import CVReport
 from multisent.nn import load_checkpoint, predict_batch
 from multisent.pipeline import EmbeddingContext
@@ -389,6 +392,34 @@ class TestEvaluateAndCompare:
             assert rc == 2
             assert capsys.readouterr().err == "error: no usable records in scope\n"
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("error, code, printed", [
+        (CoverageError("dictionary covers 16 of 20 pivots", shortfall=4), 2,
+         "error: dictionary covers 16 of 20 pivots\n"),
+        (LeakageError("training artifacts consulted 1 held-out ids"), 3,
+         "leakage assertion failed: training artifacts consulted 1 held-out ids\n"),
+    ], ids=["coverage-exits-2", "leakage-exits-3"])
+    def test_worker_fold_error_sets_the_exit_code(
+        self, fixture_dir, tmp_path, capsys, monkeypatch, error, code, printed
+    ):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity on this platform, so evaluate never forks")
+        # two usable CPUs: fold 1 runs in a forked worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        real = experiment._run_fold
+
+        def run_fold(config, fold, *args):
+            if fold == 1:
+                raise error
+            return real(config, fold, *args)
+
+        monkeypatch.setattr(experiment, "_run_fold", run_fold)
+        cfg = write_config(tmp_path / "nb.cfg", fixture_dir, ["kind = nb"])
+        out = tmp_path / "nb.json"
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == code
+        assert capsys.readouterr().err == printed
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     def test_relu_candidate_still_evaluates(self, fixture_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "relu.cfg", fixture_dir, [

@@ -1,4 +1,4 @@
-"""Same inputs give the same bytes, whatever the BLAS thread count or hash seed."""
+"""Same inputs give the same bytes, whatever the BLAS thread count, hash seed or CPU count."""
 
 import os
 import subprocess
@@ -103,3 +103,49 @@ def _outputs_per_thread_count(tmp_path: Path, argv: list[str], read) -> list[byt
                        env=env, check=True, capture_output=True, timeout=300)
         outputs.append(read(out))
     return outputs
+
+
+# `multisent ARGV` that prints the number of forks it made as its last line;
+# under "pinned" it first limits its own process to one CPU.
+COUNT_FORKS = """
+import os, sys
+from multisent.cli import main
+
+forks = []
+os.register_at_fork(before=lambda: forks.append(1))
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+code = main(sys.argv[2:])
+print(len(forks))
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity (Linux)")
+@pytest.mark.parametrize("config", [
+    pytest.param(["kind = nb"], id="nb"),
+    pytest.param(["kind = svm"], id="svm"),
+    pytest.param(["kind = cnn", "train.fine_tune_embeddings = true",
+                  "alignment = translation_matrix",
+                  "matrix.ja = {dir}/ja-en.mat", "matrix.zh = {dir}/zh-en.mat"],
+                 id="fine-tuned-cnn-global-maps"),
+    pytest.param(["kind = lstm", "alignment = translation_matrix", "refit = per_fold",
+                  "target_language = en", "pivot_count = 20", "pivot_train_count = 16",
+                  "dictionary.ja = {dir}/ja-en.tsv", "dictionary.zh = {dir}/zh-en.tsv"],
+                 id="lstm-per-fold-refit"),
+])
+def test_report_bytes_ignore_the_cpu_count(tmp_path, config):
+    cfg = _write_fixture(tmp_path, ["folds = 3", *config])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    reports, forks = [], []
+    for mode in ("pinned", "default"):
+        out = tmp_path / f"{mode}.json"
+        done = subprocess.run(
+            [sys.executable, "-c", COUNT_FORKS, mode, "evaluate", "--config", str(cfg),
+             "--out", str(out)],
+            env=env, check=True, capture_output=True, text=True, timeout=300)
+        reports.append(_canonical_report(out))
+        forks.append(int(done.stdout.split()[-1]))
+    assert reports[0] == reports[1]
+    # one worker per share but the first
+    assert forks == [0, min(3, len(os.sched_getaffinity(0))) - 1]

@@ -1,6 +1,8 @@
 """Cross-validation driver: config plumbing, audits, reports, comparisons."""
 
 import json
+import multiprocessing
+import os
 from collections import Counter
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 import multisent.experiment as experiment
 from multisent.align import TranslationMatrix, save_translation_matrix
 from multisent.corpus import Polarity, TweetRecord
-from multisent.errors import ArgumentError, ConfigurationError, LeakageError
+from multisent.errors import ArgumentError, ConfigurationError, CoverageError, LeakageError
 from multisent.experiment import (
     CVReport,
     ExperimentConfig,
@@ -294,6 +296,10 @@ class TestRunExperiment:
         with pytest.raises(ArgumentError):
             run_experiment(nb_config(folds=1), records=marker_records(10))
 
+    def test_empty_corpus_without_records_names_corpus(self):
+        with pytest.raises(ConfigurationError, match="corpus is empty"):
+            run_experiment(nb_config())
+
     def test_nb_on_marker_corpus(self):
         report = run_experiment(nb_config(), records=marker_records(30))
         assert report.folds == 5
@@ -492,3 +498,58 @@ class TestSharedPerEvaluate:
         first["embeddings:en"] = "0" * 64
         first["extra"] = "x"
         assert ctx.fingerprint() == kept
+
+
+class TestShares:
+    """Folds dealt into shares by usable CPU: with two, share 0 (folds 0, 2, ...)
+    runs in this process and share 1 (folds 1, 3, ...) in a forked worker."""
+
+    @staticmethod
+    def cpus(monkeypatch, count: int) -> None:
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity on this platform, so evaluate never forks")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    @staticmethod
+    def fail_folds(monkeypatch, errors: dict) -> None:
+        """_run_fold, except that fold f raises errors[f](pid of the process running it)."""
+        real = experiment._run_fold
+
+        def run_fold(config, fold, *args):
+            if fold in errors:
+                raise errors[fold](os.getpid())
+            return real(config, fold, *args)
+
+        monkeypatch.setattr(experiment, "_run_fold", run_fold)
+
+    def test_report_bytes_ignore_the_share_count(self, monkeypatch):
+        reports = []
+        for count in (1, 2, 3):
+            self.cpus(monkeypatch, count)
+            reports.append(run_experiment(nb_config(folds=3), records=marker_records(30)))
+            assert multiprocessing.active_children() == []
+        assert len({r.canonical_json() for r in reports}) == 1
+        assert all(len(r.wall_clock_per_fold) == 3 for r in reports)
+
+    def test_worker_error_keeps_its_class_and_attributes(self, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        self.fail_folds(monkeypatch, {
+            1: lambda pid: CoverageError(f"short in {pid}", shortfall=4),
+        })
+        with pytest.raises(CoverageError) as caught:
+            run_experiment(nb_config(folds=3), records=marker_records(30))
+        assert caught.value.shortfall == 4
+        assert str(caught.value).startswith("short in ")
+        assert int(str(caught.value).split()[-1]) != os.getpid()   # raised in the worker
+        assert multiprocessing.active_children() == []
+
+    def test_lowest_failing_fold_raises_as_with_one_share(self, monkeypatch):
+        self.fail_folds(monkeypatch, {
+            1: lambda pid: ConfigurationError("fold 1"),   # in the worker
+            2: lambda pid: LeakageError("fold 2"),         # here, after fold 0
+        })
+        for count in (1, 2):
+            self.cpus(monkeypatch, count)
+            with pytest.raises(ConfigurationError, match="fold 1"):
+                run_experiment(nb_config(folds=3), records=marker_records(30))
+            assert multiprocessing.active_children() == []
