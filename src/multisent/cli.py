@@ -22,7 +22,7 @@ from .align import (
     save_translation_matrix,
     select_pivot_pairs,
 )
-from .corpus import load_corpus, make_folds, split_dev
+from .corpus import load_corpus, split_dev
 from .embeddings import (
     TrainedFile,
     load_embedding_table,
@@ -55,16 +55,6 @@ def _cmd_preprocess(args) -> int:
                 ensure_ascii=False,
             ) + "\n")
     print(f"wrote {len(tweets)} tweets to {args.outfile} ({len(dropped)} dropped)")
-    return 0
-
-
-def _cmd_folds(args) -> int:
-    records = load_corpus(args.infile)
-    plan = make_folds(records, args.folds, args.seed)
-    Path(args.outfile).write_text(plan.to_json() + "\n", encoding="utf-8")
-    sizes = [len(plan.fold_ids(f)) for f in range(plan.k)]
-    print(f"wrote {plan.k}-fold plan for {len(records)} records to {args.outfile} "
-          f"(fold sizes {sizes})")
     return 0
 
 
@@ -231,13 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--mode", choices=("whitespace", "pretokenized"), default="whitespace")
     p.set_defaults(func=_cmd_preprocess)
-
-    p = sub.add_parser("folds", help="write a cross-validation fold plan")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", dest="outfile", required=True)
-    p.set_defaults(func=_cmd_folds)
 
     p = sub.add_parser("align", help="fit a translation matrix between two spaces")
     p.add_argument("--src", required=True, help="source-language .vec file")

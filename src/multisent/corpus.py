@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, TypeVar
 
@@ -132,22 +132,11 @@ def save_corpus(records: Iterable[TweetRecord], path: str | Path) -> None:
 class FoldPlan:
     """Deterministic assignment of record ids to k folds."""
 
-    k: int
-    assignments: dict[str, int] = field(default_factory=dict)
-    seed: int = 0
+    assignments: dict[str, int]
 
     def fold_ids(self, fold: int) -> list[str]:
         """Ids assigned to one fold, in assignment-map order."""
         return [rid for rid, f in self.assignments.items() if f == fold]
-
-    def to_json(self) -> str:
-        """Canonical serialization; identical plans give identical bytes."""
-        payload = {
-            "k": self.k,
-            "seed": self.seed,
-            "assignments": {rid: self.assignments[rid] for rid in sorted(self.assignments)},
-        }
-        return json.dumps(payload, sort_keys=True, ensure_ascii=False)
 
 
 def make_folds(
@@ -170,7 +159,7 @@ def make_folds(
     if len(set(ids)) != len(ids):
         raise ArgumentError("duplicate record ids; fold assignment requires unique ids")
 
-    # The trailing True is part of the stream name, so every saved plan depends on it.
+    # The trailing True is part of the stream name, so every fold plan depends on it.
     rng = SplitMix64(derive_stream(seed, "folds", k, True))
     assignments: dict[str, int] = {}
     position = 0
@@ -182,7 +171,7 @@ def make_folds(
             position += 1
     # Restore corpus order for a stable, input-independent map layout.
     ordered = {rid: assignments[rid] for rid in ids}
-    return FoldPlan(k=k, assignments=ordered, seed=seed)
+    return FoldPlan(ordered)
 
 
 def split_dev(items: Sequence[T], fraction: float, seed: int) -> tuple[list[T], list[T]]:

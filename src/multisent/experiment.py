@@ -1,7 +1,7 @@
 """Cross-validation experiment driver and run comparison.
 
 A run is declared by a flat key=value config naming the corpus, the
-language scope, a classifier kind, and (for the neural kinds) embedding
+languages, a classifier kind, and (for the neural kinds) embedding
 tables plus optional translation matrices. The driver executes k-fold
 cross-validation where every per-fold artifact (feature space, neural
 model, early-stopping decision) is built from the fold's training split
@@ -107,7 +107,6 @@ class ExperimentConfig:
     kind: str
     folds: int = 10
     seed: int = 0
-    scope: str = "all"                      # "all" or one language code
     alignment: str = "none"
     refit: str = "global"                   # per_fold refits maps from fold train splits
     target_language: str | None = None      # shared space for per_fold refit
@@ -132,8 +131,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"alignment must be one of {ALIGNMENTS}, got {self.alignment!r}"
             )
-        if not self.languages:
-            raise ConfigurationError("languages must be non-empty")
+        if not self.languages or len(set(self.languages)) != len(self.languages):
+            raise ConfigurationError(
+                f"languages must be distinct and non-empty, got {self.languages}")
         for key, value in (("alpha", self.alpha), ("C", self.C)):
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{key} must be finite and positive, got {value}")
@@ -149,25 +149,27 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"oov_scale must be finite and non-negative, got {self.oov_scale}"
             )
-        if self.scope != "all" and self.scope not in self.languages:
-            raise ConfigurationError(
-                f"scope {self.scope!r} is not in languages {self.languages}"
-            )
         if self.refit not in REFIT_MODES:
             raise ConfigurationError(
                 f"refit must be one of {REFIT_MODES}, got {self.refit!r}"
+            )
+        if self.matrices and (self.alignment, self.refit) != ("translation_matrix", "global"):
+            keys = ", ".join(f"matrix.{lang}" for lang in sorted(self.matrices))
+            raise ConfigurationError(
+                f"{keys} would be unused: matrices apply only with "
+                f"alignment = translation_matrix and refit = global"
             )
         if self.refit == "per_fold":
             if self.alignment != "translation_matrix":
                 raise ConfigurationError("refit=per_fold needs alignment=translation_matrix")
             if self.target_language is None:
                 raise ConfigurationError("refit=per_fold needs a target_language")
-            if self.target_language not in self.active_languages():
+            if self.target_language not in self.languages:
                 raise ConfigurationError(
-                    f"target_language {self.target_language!r} is out of scope"
+                    f"target_language {self.target_language!r} is not in languages"
                 )
             missing = [
-                lang for lang in self.active_languages()
+                lang for lang in self.languages
                 if lang != self.target_language and lang not in self.dictionaries
             ]
             if missing:
@@ -189,9 +191,6 @@ class ExperimentConfig:
             self.train_config(self.seed)
         except ArgumentError as err:
             raise ConfigurationError(f"train.{err}") from None
-
-    def active_languages(self) -> tuple[str, ...]:
-        return self.languages if self.scope == "all" else (self.scope,)
 
     def canonical_text(self) -> str:
         """Sorted key=value lines; the basis of the config fingerprint."""
@@ -405,7 +404,7 @@ def prepare_inputs(
     records=None,
     context: EmbeddingContext | None = None,
 ) -> tuple[list[TokenizedTweet], EmbeddingContext | None]:
-    """The config's in-scope tweets and, for a neural kind, its embedding context.
+    """The tweets of the config's languages and, for a neural kind, its embedding context.
 
     records and context, when given, stand in for the configured corpus
     and embedding paths. The context holds the config's tables and, under
@@ -416,32 +415,36 @@ def prepare_inputs(
         if not config.corpus:
             raise ConfigurationError("corpus is empty: give the corpus path, or pass records")
         records = load_corpus(config.corpus)
-    active = config.active_languages()
-    records = [r for r in records if r.lang in active]
+    languages = config.languages
+    records = [r for r in records if r.lang in languages]
     tweets, _dropped = preprocess_corpus(records, rules, config.tokenize_mode)
     if not tweets:
-        raise ArgumentError("no usable records in scope")
+        raise ArgumentError(f"no usable records in languages {languages}")
     if config.kind not in ("lstm", "cnn") or context is not None:
         return tweets, context
-    missing = [lang for lang in active if lang not in config.embeddings]
+    max_len = corpus_max_len(tweets)
+    if config.kind == "cnn" and max(config.window_sizes) > max_len:
+        raise ConfigurationError(
+            f"window_sizes holds {max(config.window_sizes)}, longer than the longest "
+            f"tweet ({max_len} tokens)"
+        )
+    missing = [lang for lang in languages if lang not in config.embeddings]
     if missing:
         raise ConfigurationError(f"no embedding path for languages: {missing}")
-    aligned = config.alignment == "translation_matrix" and config.refit == "global"
-    matrices = {}
-    if aligned:
-        matrices = {lang: path for lang, path in config.matrices.items() if lang in active}
+    # matrices are set only under global alignment, which __post_init__ checks
     context = EmbeddingContext.from_paths(
-        {lang: config.embeddings[lang] for lang in active},
-        matrices,
+        {lang: config.embeddings[lang] for lang in languages},
+        {lang: path for lang, path in config.matrices.items() if lang in languages},
         oov_seed=config.oov_seed,
         oov_scale=config.oov_scale,
-        max_len=corpus_max_len(tweets),
+        max_len=max_len,
         rules_version=rules.fingerprint(),
     )
-    if aligned:
+    if config.matrices:
         targets = {tm.tgt_lang for tm in context.translations.values()}
         uncovered = [
-            lang for lang in active if lang not in context.translations and lang not in targets
+            lang for lang in languages
+            if lang not in context.translations and lang not in targets
         ]
         if uncovered:
             raise ConfigurationError(
@@ -460,7 +463,7 @@ def _refit_context(
     """Fit fold-local translation maps from training-split frequency ranks."""
     target = config.target_language
     translations = {}
-    for lang in config.active_languages():
+    for lang in config.languages:
         if lang == target:
             continue
         ranks = ranks_from_counts(count_tokens(train_tweets, lang))
@@ -562,7 +565,7 @@ def run_experiment(
         wall_clock.append(seconds)
 
     per_language = {}
-    for lang in sorted(config.active_languages()):
+    for lang in sorted(config.languages):
         marks = [ok for rid, ok in right.items() if by_id[rid].lang == lang]
         per_language[lang] = {
             "correct": float(sum(marks)),

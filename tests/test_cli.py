@@ -22,6 +22,8 @@ from multisent.nn import load_checkpoint, predict_batch
 from multisent.pipeline import EmbeddingContext
 from multisent.preprocess import default_rules, preprocess_corpus
 
+from test_option_coverage import invocations_in_readme
+
 
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
@@ -31,6 +33,24 @@ def fixture_dir(tmp_path_factory):
                "--tweets", "36", "--dim", "8"])
     assert rc == 0
     return out
+
+
+def test_readme_commands_and_configs_parse():
+    """Each README `multisent` command parses, and each "Command line" config block loads."""
+    parser = cli.build_parser()
+    commands = invocations_in_readme()
+    assert commands
+    for words in commands:
+        parser.parse_args(words)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    names = []
+    for lang, body in re.findall(r"```(\w*)\n(.*?)```", section, re.S):
+        name = body.splitlines()[0].lstrip("# ")
+        if lang == "" and name.endswith(".cfg"):
+            experiment.parse_config(body, name=Path(name).stem)
+            names.append(name)
+    assert names == ["demo/nb.cfg", "demo/cnn.cfg"]
 
 
 def test_readme_subcommand_table_matches_parser():
@@ -95,24 +115,13 @@ class TestPreprocess:
         assert kept["pretokenized"] == {"a": ["good", "day"], "b": ["great", "URL"]}
 
 
-class TestFolds:
-    def test_plan_round_trips(self, fixture_dir, tmp_path, capsys):
-        out = tmp_path / "plan.json"
-        rc = main(["folds", "--in", str(fixture_dir / "corpus.jsonl"),
-                   "--folds", "3", "--seed", "1", "--out", str(out)])
-        assert rc == 0
-        assert "3-fold plan for 36 records" in capsys.readouterr().out
-        plan = json.loads(out.read_text())
-        assert plan["k"] == 3
-        assert len(plan["assignments"]) == 36
-
-    def test_stratify_flags_are_gone(self, fixture_dir, tmp_path, capsys):
-        for flag in ("--stratify", "--no-stratify"):
-            with pytest.raises(SystemExit) as exit_info:
-                main(["folds", "--in", str(fixture_dir / "corpus.jsonl"),
-                      "--out", str(tmp_path / "plan.json"), flag])
-            assert exit_info.value.code == 2
-            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+def test_folds_is_an_invalid_choice(fixture_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["folds", "--in", str(fixture_dir / "corpus.jsonl"),
+              "--out", str(tmp_path / "plan.json")])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'folds'" in capsys.readouterr().err
+    assert not (tmp_path / "plan.json").exists()
 
 
 class TestAlign:
@@ -312,8 +321,11 @@ class TestEvaluateAndCompare:
         ("folds = five", "bad config value for folds: "
          "invalid literal for int() with base 10: 'five'"),
         ("corpus =", "missing or empty required config keys: ['corpus']"),
+        ("languages = en,en,ja",
+         "languages must be distinct and non-empty, got ('en', 'en', 'ja')"),
+        ("scope = ja", "unknown config keys: ['scope']"),
     ], ids=["window-zero", "window-negative", "window-repeated", "dev-above-one", "dev-nan",
-            "bool-typo", "int-word", "corpus-empty"])
+            "bool-typo", "int-word", "corpus-empty", "language-repeated", "scope-key"])
     def test_bad_run_value_exits_2_before_reading_anything(
         self, fixture_dir, tmp_path, capsys, spy_calls, line, message
     ):
@@ -341,6 +353,47 @@ class TestEvaluateAndCompare:
             report = json.loads((tmp_path / f"{mode}.json").read_text())
             totals[mode] = sum(stats["total"] for stats in report["per_language"].values())
         assert totals == {"whitespace": len(rows) - 6, "pretokenized": len(rows)}
+
+    @pytest.mark.parametrize("lines, unused", [
+        (["matrix.ja = ja-en.mat", "matrix.zh = zh-en.mat"], "matrix.ja, matrix.zh"),
+        (["alignment = translation_matrix", "refit = per_fold", "target_language = en",
+          "dictionary.ja = ja-en.tsv", "dictionary.zh = zh-en.tsv", "matrix.zh = zh-en.mat"],
+         "matrix.zh"),
+    ], ids=["alignment-none", "per-fold-refit"])
+    def test_unused_matrices_exit_2_before_reading_corpus(
+        self, fixture_dir, tmp_path, capsys, spy_calls, lines, unused
+    ):
+        cfg = write_config(tmp_path / "bad.cfg", fixture_dir, ["kind = cnn", *lines])
+        for command in (["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r.json")],
+                        ["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == (
+                f"error: {unused} would be unused: matrices apply only with "
+                f"alignment = translation_matrix and refit = global\n")
+        assert spy_calls == []
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.ckpt").exists()
+
+    def test_window_longer_than_every_tweet_exits_2_before_reading_vec(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        tweets, _ = preprocess_corpus(load_corpus(fixture_dir / "corpus.jsonl"),
+                                      default_rules(), "whitespace")
+        longest = max(tw.length for tw in tweets)
+        absent = [f"embedding.{lang} = {tmp_path / f'absent-{lang}.vec'}"
+                  for lang in ("en", "ja", "zh")]
+        for window in (longest + 1, longest):
+            cfg = write_config(tmp_path / "cnn.cfg", fixture_dir,
+                               ["kind = cnn", f"window_sizes = 2,{window}", *absent])
+            for command in (["evaluate", "--config", str(cfg)],
+                            ["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]):
+                assert main(command) == 2
+                err = capsys.readouterr().err
+                if window > longest:
+                    assert err == (f"error: window_sizes holds {window}, longer than the "
+                                   f"longest tweet ({longest} tokens)\n")
+                else:   # a window as long as the longest tweet fits; the .vec read fails
+                    assert "absent-en.vec" in err and "window_sizes" not in err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_scheme_key_is_unknown_before_reading_corpus(
         self, fixture_dir, tmp_path, capsys, spy_calls
@@ -384,13 +437,13 @@ class TestEvaluateAndCompare:
         (tmp_path / "corpus.jsonl").write_text("\n".join(
             [ln for ln in lines if json.loads(ln)["lang"] == "en"] + [blank]) + "\n")
         cfg = write_config(tmp_path / "ja.cfg", tmp_path, [
-            "kind = cnn", "scope = ja", f"embedding.ja = {fixture_dir / 'ja.vec'}",
+            "kind = cnn", "languages = ja", f"embedding.ja = {fixture_dir / 'ja.vec'}",
         ])
         for command in (["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r.json")],
                         ["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]):
             rc = main(command)
             assert rc == 2
-            assert capsys.readouterr().err == "error: no usable records in scope\n"
+            assert capsys.readouterr().err == "error: no usable records in languages ('ja',)\n"
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.ckpt").exists()
 
     @pytest.mark.parametrize("error, code, printed", [

@@ -177,14 +177,6 @@ def test_fold_argument_errors():
         make_folds(dup, 2, seed=0)
 
 
-def test_fold_plan_json_round_trip():
-    plan = make_folds(_records(12), 3, seed=9)
-    obj = json.loads(plan.to_json())
-    assert obj["k"] == plan.k
-    assert obj["seed"] == plan.seed
-    assert obj["assignments"] == plan.assignments
-
-
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(6, 60), k=st.integers(2, 6), seed=st.integers(0, 99))
 def test_fold_invariants_hold_generically(n, k, seed):

@@ -120,10 +120,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             nb_config(kind="transformer")
 
-    def test_scope_must_be_listed(self):
-        with pytest.raises(ConfigurationError):
-            nb_config(languages=("en", "ja"), scope="zh")
-
     def test_alignment_needs_a_matrix(self):
         with pytest.raises(ConfigurationError):
             nb_config(kind="cnn", alignment="translation_matrix")
@@ -136,6 +132,10 @@ class TestConfigValidation:
             nb_config(kind="cnn", alignment="translation_matrix",
                       refit="per_fold", languages=("en", "ja"),
                       target_language="en")  # ja dictionary missing
+        with pytest.raises(ConfigurationError, match="target_language 'zh' is not in languages"):
+            nb_config(kind="cnn", alignment="translation_matrix",
+                      refit="per_fold", languages=("en", "ja"),
+                      target_language="zh", dictionaries={"en": "d.tsv", "ja": "d.tsv"})
 
     def test_pivot_budget_ordering(self):
         with pytest.raises(ConfigurationError):
@@ -316,7 +316,7 @@ class TestRunExperiment:
 
     def test_scope_filters_languages(self):
         records = marker_records(15, lang="en") + marker_records(15, lang="ja")
-        cfg = nb_config(languages=("en", "ja"), scope="ja", folds=3)
+        cfg = nb_config(languages=("ja",), folds=3)
         report = run_experiment(cfg, records=records)
         assert list(report.per_language) == ["ja"]
         assert report.per_language["ja"]["total"] == 15.0
@@ -357,32 +357,38 @@ class TestRunExperiment:
             run_experiment(nb_config(), records=marker_records(20))
 
 
-# Canonical NB and SVM reports on SynthSpec(seed=3, n_tweets=150), 5 folds:
-# (fold accuracies, mean, overall, {lang: (correct, total, accuracy)}). They
-# were captured while a one-language scope still built its n-gram space
-# without language tags, so they pin that tagging every n-gram changes no
-# prediction.
+# Canonical NB and SVM reports on SynthSpec(seed=3, n_tweets=150), 5 folds, by
+# (kind, languages): (fold accuracies, mean, overall, {lang: (correct, total,
+# accuracy)}). They were captured while a one-language run still built its
+# n-gram space without language tags, so they pin that tagging every n-gram
+# changes no prediction.
 SCOPE_REPORTS = {
-    ("nb", "all"): ([0.7, 0.7666666666666667, 0.7, 0.6, 0.7333333333333333],
-                    0.7000000000000001, 0.7,
-                    {"en": (32, 51, 0.6274509803921569), "ja": (35, 51, 0.6862745098039216),
-                     "zh": (38, 48, 0.7916666666666666)}),
-    ("nb", "en"): ([0.45454545454545453, 0.7, 0.8, 0.8, 0.9],
-                   0.730909090909091, 0.7254901960784313,
-                   {"en": (37, 51, 0.7254901960784313)}),
-    ("nb", "ja"): ([0.7272727272727273, 0.8, 0.9, 0.7, 0.7],
-                   0.7654545454545454, 0.7647058823529411,
-                   {"ja": (39, 51, 0.7647058823529411)}),
-    ("svm", "all"): ([0.7333333333333333, 0.7333333333333333, 0.7, 0.6, 0.7333333333333333],
-                     0.7, 0.7,
-                     {"en": (36, 51, 0.7058823529411765), "ja": (36, 51, 0.7058823529411765),
-                      "zh": (33, 48, 0.6875)}),
-    ("svm", "en"): ([0.6363636363636364, 0.8, 0.7, 0.8, 0.5],
-                    0.6872727272727273, 0.6862745098039216,
-                    {"en": (35, 51, 0.6862745098039216)}),
-    ("svm", "ja"): ([0.6363636363636364, 0.7, 0.7, 0.7, 0.7],
-                    0.6872727272727273, 0.6862745098039216,
-                    {"ja": (35, 51, 0.6862745098039216)}),
+    ("nb", ("en", "ja", "zh")):
+        ([0.7, 0.7666666666666667, 0.7, 0.6, 0.7333333333333333],
+         0.7000000000000001, 0.7,
+         {"en": (32, 51, 0.6274509803921569), "ja": (35, 51, 0.6862745098039216),
+          "zh": (38, 48, 0.7916666666666666)}),
+    ("nb", ("en",)):
+        ([0.45454545454545453, 0.7, 0.8, 0.8, 0.9],
+         0.730909090909091, 0.7254901960784313,
+         {"en": (37, 51, 0.7254901960784313)}),
+    ("nb", ("ja",)):
+        ([0.7272727272727273, 0.8, 0.9, 0.7, 0.7],
+         0.7654545454545454, 0.7647058823529411,
+         {"ja": (39, 51, 0.7647058823529411)}),
+    ("svm", ("en", "ja", "zh")):
+        ([0.7333333333333333, 0.7333333333333333, 0.7, 0.6, 0.7333333333333333],
+         0.7, 0.7,
+         {"en": (36, 51, 0.7058823529411765), "ja": (36, 51, 0.7058823529411765),
+          "zh": (33, 48, 0.6875)}),
+    ("svm", ("en",)):
+        ([0.6363636363636364, 0.8, 0.7, 0.8, 0.5],
+         0.6872727272727273, 0.6862745098039216,
+         {"en": (35, 51, 0.6862745098039216)}),
+    ("svm", ("ja",)):
+        ([0.6363636363636364, 0.7, 0.7, 0.7, 0.7],
+         0.6872727272727273, 0.6862745098039216,
+         {"ja": (35, 51, 0.6862745098039216)}),
 }
 
 
@@ -392,14 +398,18 @@ def scope_fixture():
     return spec, generate_fixture(spec).records
 
 
-@pytest.mark.parametrize("kind, scope", sorted(SCOPE_REPORTS))
-def test_ngram_reports_per_scope_are_pinned(scope_fixture, kind, scope):
+@pytest.mark.parametrize("kind, languages", [
+    pytest.param(kind, languages, id=f"{kind}-{languages[0] if len(languages) == 1 else 'all'}")
+    for kind, languages in sorted(SCOPE_REPORTS)
+])
+def test_ngram_reports_per_scope_are_pinned(scope_fixture, kind, languages):
     spec, records = scope_fixture
-    cfg = ExperimentConfig(name="fx", corpus="", languages=spec.languages, kind=kind,
-                           folds=5, seed=0, scope=scope)
+    assert spec.languages == ("en", "ja", "zh")
+    cfg = ExperimentConfig(name="fx", corpus="", languages=languages, kind=kind,
+                           folds=5, seed=0)
     got = run_experiment(cfg, records=records).canonical_dict()
     del got["config_fingerprint"]
-    folds, mean, overall, per_language = SCOPE_REPORTS[(kind, scope)]
+    folds, mean, overall, per_language = SCOPE_REPORTS[(kind, languages)]
     assert got == {
         "name": "fx", "kind": kind, "folds": 5, "seed": 0,
         "fold_accuracies": folds, "mean_accuracy": mean, "overall_accuracy": overall,
