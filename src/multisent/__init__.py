@@ -67,6 +67,7 @@ from .experiment import (
 )
 from .nn import TrainConfig, TrainedModel, predict_batch, train
 from .pipeline import EmbeddingContext
+from .predict import predict_records
 from .preprocess import (
     NormalizationRuleSet,
     TokenizedTweet,
@@ -126,6 +127,7 @@ __all__ = [
     "parse_label",
     "predict_batch",
     "predict_nb",
+    "predict_records",
     "predict_svm",
     "preprocess_corpus",
     "preprocess_record",

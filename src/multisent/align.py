@@ -18,7 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import ArgumentError, CoverageError, ParseError, parse_numbers, read_text
+from .errors import (
+    ArgumentError,
+    CoverageError,
+    ParseError,
+    parse_numbers,
+    read_text,
+    write_output,
+)
 from .rng import SplitMix64, derive_stream
 
 RIDGE_LAMBDA = 1e-8
@@ -263,12 +270,13 @@ def alignment_report(X_test: np.ndarray, Z_test: np.ndarray, tm: TranslationMatr
 
 def save_translation_matrix(tm: TranslationMatrix, path: str | Path) -> None:
     """Write a map as text: "src tgt dim" header, a "#" line of fit stats, one row per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{tm.src_lang} {tm.tgt_lang} {tm.dim}\n")
-        fh.write(f"# fit_residual {tm.fit_residual:.17g} ridge_lambda {tm.ridge_lambda:.17g}"
-                 f" underdetermined {tm.underdetermined:d}\n")
-        for row in tm.W:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    lines = [
+        f"{tm.src_lang} {tm.tgt_lang} {tm.dim}\n",
+        f"# fit_residual {tm.fit_residual:.17g} ridge_lambda {tm.ridge_lambda:.17g}"
+        f" underdetermined {tm.underdetermined:d}\n",
+    ]
+    lines += [" ".join(f"{v:.17g}" for v in row) + "\n" for row in tm.W]
+    write_output(path, "".join(lines))
 
 
 def load_translation_matrix(path: str | Path) -> TranslationMatrix:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 from .align import (
@@ -24,12 +23,17 @@ from .align import (
 )
 from .corpus import load_corpus, split_dev
 from .embeddings import (
-    TrainedFile,
     load_embedding_table,
     load_frequency_counts,
     ranks_from_counts,
 )
-from .errors import ConfigurationError, LeakageError, MultisentError, read_text
+from .errors import (
+    ConfigurationError,
+    LeakageError,
+    MultisentError,
+    read_text,
+    write_output,
+)
 from .experiment import (
     CVReport,
     compare_runs,
@@ -38,9 +42,9 @@ from .experiment import (
     prepare_inputs,
     run_experiment,
 )
-from .nn import load_checkpoint, predict_batch, save_checkpoint, save_training_log, train
-from .pipeline import EmbeddingContext, oov_from_fingerprint
-from .preprocess import TokenizedTweet, default_rules, preprocess_corpus
+from .nn import load_checkpoint, save_checkpoint, save_training_log, train
+from .predict import predict_records
+from .preprocess import default_rules, preprocess_corpus
 from .rng import derive_stream
 from .synth import SynthSpec, generate_fixture, write_fixture
 
@@ -48,12 +52,11 @@ from .synth import SynthSpec, generate_fixture, write_fixture
 def _cmd_preprocess(args) -> int:
     records = load_corpus(args.infile)
     tweets, dropped = preprocess_corpus(records, default_rules(), args.mode)
-    with open(args.outfile, "w", encoding="utf-8") as fh:
-        for tw in tweets:
-            fh.write(json.dumps(
-                {"id": tw.id, "lang": tw.lang, "label": int(tw.label), "tokens": tw.tokens},
-                ensure_ascii=False,
-            ) + "\n")
+    write_output(args.outfile, "".join(
+        json.dumps({"id": tw.id, "lang": tw.lang, "label": int(tw.label), "tokens": tw.tokens},
+                   ensure_ascii=False) + "\n"
+        for tw in tweets
+    ))
     print(f"wrote {len(tweets)} tweets to {args.outfile} ({len(dropped)} dropped)")
     return 0
 
@@ -120,7 +123,7 @@ def _cmd_evaluate(args) -> int:
     )
     print(f"per-language accuracy: {per_lang}")
     if args.out:
-        Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
+        write_output(args.out, report.to_json() + "\n")
         print(f"wrote report {args.out}")
     return 0
 
@@ -137,49 +140,26 @@ def _parse_lang_path(values: list[str], flag: str) -> dict[str, str]:
 
 def _cmd_predict(args) -> int:
     trained = load_checkpoint(args.model)
-    oov_seed, oov_scale = oov_from_fingerprint(trained.fingerprints)
-    records = load_corpus(args.infile)
-    rules = default_rules()
-    tweets, empty = preprocess_corpus(records, rules, args.mode)
-    words: dict[str, set[str]] = {lang: set() for lang in trained.sources}
-    for tw in tweets:
-        if tw.lang in words:
-            words[tw.lang].update(tw.tokens)
-    context = EmbeddingContext.from_paths(
+    result = predict_records(
+        trained,
+        load_corpus(args.infile),
         _parse_lang_path(args.embedding, "--embedding"),
         _parse_lang_path(args.matrix, "--matrix"),
-        oov_seed=oov_seed,
-        oov_scale=oov_scale,
-        max_len=trained.model.max_len,
-        rules_version=rules.fingerprint(),
-        trained={lang: TrainedFile(sha256, trained.fingerprints[f"embeddings:{lang}"], words[lang])
-                 for lang, sha256 in trained.sources.items()},
+        args.mode,
     )
-    skipped = Counter(tw.lang for tw in tweets if tw.lang not in context.tables)
-    tweets = [tw for tw in tweets if tw.lang in context.tables]
-    # The CNN cannot pad past the max_len it was trained with, so a longer
-    # tweet is cut to its first max_len tokens; the LSTM takes any length.
-    max_len = trained.model.max_len
-    truncated = 0
-    if trained.model.kind == "cnn":
-        truncated = sum(1 for tw in tweets if tw.length > max_len)
-        tweets = [tw if tw.length <= max_len else
-                  TokenizedTweet(tw.id, tw.lang, tw.label, tw.tokens[:max_len])
-                  for tw in tweets]
-    preds = predict_batch(trained, tweets, context)
-    with open(args.outfile, "w", encoding="utf-8") as fh:
-        for tw, (label, probs) in zip(tweets, preds):
-            fh.write(json.dumps(
-                {"id": tw.id, "label": int(label), "probs": [float(p) for p in probs]},
-            ) + "\n")
-    print(f"wrote {len(preds)} predictions to {args.outfile}")
-    if skipped:
-        by_lang = ", ".join(f"{lang}: {k}" for lang, k in sorted(skipped.items()))
-        print(f"skipped {_records(sum(skipped.values()))} with no --embedding ({by_lang})")
-    if empty:
-        print(f"skipped {_records(len(empty))} with no tokens after normalization")
-    if truncated:
-        print(f"truncated {_records(truncated)} to the model's max_len of {max_len} tokens")
+    write_output(args.outfile, "".join(
+        json.dumps({"id": tw.id, "label": int(label), "probs": [float(p) for p in probs]}) + "\n"
+        for tw, (label, probs) in zip(result.tweets, result.predictions)
+    ))
+    print(f"wrote {len(result.predictions)} predictions to {args.outfile}")
+    if result.skipped:
+        by_lang = ", ".join(f"{lang}: {k}" for lang, k in sorted(result.skipped.items()))
+        print(f"skipped {_records(sum(result.skipped.values()))} with no --embedding ({by_lang})")
+    if result.empty:
+        print(f"skipped {_records(result.empty)} with no tokens after normalization")
+    if result.truncated:
+        print(f"truncated {_records(result.truncated)} to the model's max_len of "
+              f"{trained.model.max_len} tokens")
     return 0
 
 
@@ -191,9 +171,7 @@ def _cmd_compare(args) -> int:
     reports = [CVReport.from_json(read_text(p)) for p in args.reports]
     print(compare_runs(reports, baseline=args.baseline), end="")
     if args.csv:
-        Path(args.csv).write_text(
-            compare_runs_csv(reports, baseline=args.baseline), encoding="utf-8"
-        )
+        write_output(args.csv, compare_runs_csv(reports, baseline=args.baseline))
         print(f"wrote CSV {args.csv}")
     return 0
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, TypeVar
 
-from .errors import ArgumentError, ParseError, SchemaError, read_text
+from .errors import ArgumentError, ParseError, SchemaError, read_text, write_output
 from .rng import SplitMix64, derive_stream
 
 T = TypeVar("T")
@@ -120,12 +120,13 @@ def load_corpus(path: str | Path) -> list[TweetRecord]:
 
 def save_corpus(records: Iterable[TweetRecord], path: str | Path) -> None:
     """Write records as JSONL (the inverse of load_corpus)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            obj = {"id": rec.id, "lang": rec.lang, "text": rec.text, "label": int(rec.label)}
-            if rec.tokens is not None:
-                obj["tokens"] = rec.tokens
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    lines = []
+    for rec in records:
+        obj = {"id": rec.id, "lang": rec.lang, "text": rec.text, "label": int(rec.label)}
+        if rec.tokens is not None:
+            obj["tokens"] = rec.tokens
+        lines.append(json.dumps(obj, ensure_ascii=False) + "\n")
+    write_output(path, "".join(lines))
 
 
 @dataclass

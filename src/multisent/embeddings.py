@@ -26,6 +26,7 @@ from .errors import (
     parse_numbers,
     read_text,
     read_text_sha256,
+    write_output,
 )
 from .preprocess import TokenizedTweet
 from .rng import SplitMix64, derive_stream
@@ -187,11 +188,11 @@ def _parse_each_line(body: list[tuple[int, str]], dim: int, M: np.ndarray) -> No
 
 def save_embedding_table(table: EmbeddingTable, path: str | Path) -> None:
     """Write a table in word2vec text format (word order is lexicographic)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table.entries)} {table.dim}\n")
-        for word in sorted(table.entries):
-            values = " ".join(f"{v:.17g}" for v in table.entries[word])
-            fh.write(f"{word} {values}\n")
+    lines = [f"{len(table.entries)} {table.dim}\n"]
+    for word in sorted(table.entries):
+        values = " ".join(f"{v:.17g}" for v in table.entries[word])
+        lines.append(f"{word} {values}\n")
+    write_output(path, "".join(lines))
 
 
 def oov_vector(seed: int, lang: str, token: str, dim: int, scale: float) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 from pathlib import Path
 
 
@@ -74,6 +75,34 @@ class LeakageError(MultisentError):
 def read_text(path: str | Path) -> str:
     """A UTF-8 file's text; an undecodable byte raises ParseError naming its line."""
     return _decode(Path(path).read_bytes())
+
+
+def write_output(path: str | Path, text: str) -> None:
+    """Replace the file at path with text as UTF-8, whole or not at all.
+
+    The text goes to a new temporary file beside the target, then the
+    target is unlinked and the temporary file renamed into its place.
+    If anything raises, the temporary file is removed and an existing
+    target keeps its bytes; an OSError names the target. Nothing is
+    fsynced, so the new bytes are not crash-durable.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            # unlinking first spares the filesystem flushing the old bytes on rename-over
+            path.unlink(missing_ok=True)
+            os.rename(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as err:
+        if err.errno is None:
+            raise
+        raise type(err)(err.errno, err.strerror, os.fspath(path)) from None
 
 
 def read_text_sha256(path: str | Path) -> tuple[str, str]:

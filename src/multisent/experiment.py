@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import reprlib
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -54,6 +53,7 @@ from .nn.workspace import Workspace
 from .pipeline import EmbeddingContext, corpus_max_len
 from .preprocess import TokenizedTweet, default_rules, preprocess_corpus
 from .rng import derive_stream
+from .shares import run_shares, usable_cpus
 
 KINDS = ("nb", "svm", "lstm", "cnn")
 ALIGNMENTS = ("none", "translation_matrix")
@@ -134,6 +134,16 @@ class ExperimentConfig:
         if not self.languages or len(set(self.languages)) != len(self.languages):
             raise ConfigurationError(
                 f"languages must be distinct and non-empty, got {self.languages}")
+        unlisted = [
+            f"{_PREFIXES[attr]}{lang}"
+            for attr in ("embeddings", "matrices", "dictionaries")
+            for lang in sorted(getattr(self, attr)) if lang not in self.languages
+        ]
+        if unlisted:
+            raise ConfigurationError(
+                f"{', '.join(unlisted)} would be unused: their languages are not in "
+                f"languages {self.languages}"
+            )
         for key, value in (("alpha", self.alpha), ("C", self.C)):
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{key} must be finite and positive, got {value}")
@@ -431,10 +441,11 @@ def prepare_inputs(
     missing = [lang for lang in languages if lang not in config.embeddings]
     if missing:
         raise ConfigurationError(f"no embedding path for languages: {missing}")
-    # matrices are set only under global alignment, which __post_init__ checks
+    # matrices are set only under global alignment and for listed languages,
+    # which __post_init__ checks
     context = EmbeddingContext.from_paths(
         {lang: config.embeddings[lang] for lang in languages},
-        {lang: path for lang, path in config.matrices.items() if lang in languages},
+        config.matrices,
         oov_seed=config.oov_seed,
         oov_scale=config.oov_scale,
         max_len=max_len,
@@ -526,9 +537,7 @@ def run_experiment(
             }
     plan = make_folds(tweets, config.folds, config.seed)
     by_id = {tw.id: tw for tw in tweets}
-    # one share per CPU this process may run on; outside Linux the OS cannot say
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    shares = min(config.folds, cpus)
+    shares = min(config.folds, usable_cpus())
 
     def run_share(share: int) -> tuple[list, tuple[int, MultisentError] | None]:
         """(fold, predictions, seconds) per fold run, and (fold, error) if one failed."""
@@ -550,7 +559,7 @@ def run_experiment(
             done.append((fold, predictions, time.perf_counter() - start))
         return done, None
 
-    outcomes = _run_shares(run_share, shares)
+    outcomes = run_shares(run_share, shares)
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
@@ -584,38 +593,6 @@ def run_experiment(
         config_fingerprint=config.fingerprint(),
         wall_clock_per_fold=wall_clock,
     )
-
-
-def _run_shares(run_share, shares: int) -> list:
-    """[run_share(0), ..., run_share(shares - 1)]: share 0 here, each other in a forked worker.
-
-    A worker inherits run_share and everything it reads by the fork, so
-    only the share number goes to it and only the share's result comes
-    back. Every worker has exited when this returns or raises.
-    """
-    if shares == 1:
-        return [run_share(0)]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(
-        shares - 1, mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt_share_runner, initargs=(run_share,),
-    ) as pool:
-        futures = [pool.submit(_run_adopted_share, share) for share in range(1, shares)]
-        return [run_share(0)] + [future.result() for future in futures]
-
-
-_share_runner = None   # set only in a forked worker, by _adopt_share_runner
-
-
-def _adopt_share_runner(run_share) -> None:
-    global _share_runner
-    _share_runner = run_share
-
-
-def _run_adopted_share(share: int):
-    return _share_runner(share)
 
 
 def _run_fold(

@@ -16,9 +16,11 @@ One parameter set serves all languages: batches may mix languages
 freely and update the same tensors.
 
 One Workspace (see nn.workspace) serves every batch of a train call, its
-dev scoring included, and of a predict_batch call; `evaluate` passes
-one workspace to the training, dev scoring and test prediction of every
-fold in a share (the folds one process runs).
+dev scoring included, and of each share of a predict_batch call
+(`predict` deals its batches to one share per usable CPU); `evaluate`
+passes one workspace to the training, dev scoring and test prediction
+of every fold in a share (the folds one process runs), and that
+prediction forks no further share.
 The slabs that hold a batch's arrays are reused by the next batch. A
 forward cache and the grads and dX a batch returns are valid only until
 the next call on the same workspace; the loop consumes them (embedding
@@ -28,6 +30,7 @@ scatter, Adadelta step) before it starts the next batch.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -42,10 +45,12 @@ from ..errors import (
     ParseError,
     parse_numbers,
     read_text,
+    write_output,
 )
 from ..pipeline import EmbeddingContext
 from ..preprocess import TokenizedTweet
 from ..rng import SplitMix64, derive_stream
+from ..shares import run_shares
 from .activations import ACTIVATIONS
 from .adadelta import DEFAULT_EPS, DEFAULT_RHO, AdadeltaState, adadelta_step
 from .model import NeuralModel, argmax_label, loss_and_gradients, predict_proba_batch
@@ -300,21 +305,35 @@ def _predict_in_length_order(
     ids: list[np.ndarray],
     batch_size: int,
     workspace: Workspace | None = None,
+    shares: int = 1,
 ) -> np.ndarray:
     """Class probabilities for each example table[ids[i]], in input order.
 
     Batches are cut from the examples stably sorted by token count, so a
     CNN batch, padded to its longest example plus the largest window,
-    convolves little padding. One workspace (a fresh one when None) serves
-    every batch; the batches run longest first, so its slabs reach nearly
-    their full size on the first.
+    convolves little padding. They run longest first, so a workspace's
+    slabs reach nearly their full size on the first batch.
+
+    The batches are dealt round-robin, longest first, to min(shares,
+    batches) shares (multisent.shares). Share 0 runs here on workspace (a
+    fresh one when None); each other share runs in a forked worker on a
+    workspace of its own. A share runs whole batches, so every
+    probability keeps its bits whatever the share count.
     """
     order = sorted(range(len(ids)), key=lambda i: ids[i].size)
+    batches = [order[start:start + batch_size]
+               for start in reversed(range(0, len(order), batch_size))]
+    shares = min(shares, len(batches))
+
+    def run_share(share: int) -> list[np.ndarray]:
+        ws = workspace if share == 0 and workspace is not None else Workspace()
+        return [predict_proba_batch(model, [table[ids[i]] for i in chosen], ws)
+                for chosen in batches[share::shares]]
+
     probs = np.empty((len(ids), N_CLASSES))
-    ws = Workspace() if workspace is None else workspace
-    for start in reversed(range(0, len(order), batch_size)):
-        chosen = order[start:start + batch_size]
-        probs[chosen] = predict_proba_batch(model, [table[ids[i]] for i in chosen], ws)
+    for share, results in enumerate(run_shares(run_share, shares)):
+        for chosen, rows in zip(batches[share::shares], results):
+            probs[chosen] = rows
     return probs
 
 
@@ -336,10 +355,13 @@ def predict_batch(
     tweets: list[TokenizedTweet],
     context: EmbeddingContext,
     workspace: Workspace | None = None,
+    shares: int = 1,
 ) -> list[tuple[Polarity, np.ndarray]]:
     """Classify tweets after checking the context matches the model.
 
-    Every batch runs on workspace (a fresh one when None).
+    The tweets are encoded here; their batches are dealt to at most
+    `shares` shares, the first of which runs on workspace (see
+    _predict_in_length_order).
     """
     current = context.fingerprint()
     if current != trained.fingerprints:
@@ -356,17 +378,18 @@ def predict_batch(
     vectors = list(ft.E) if ft is not None else []
     ids = encode_tweets(tweets, index, vectors, context)
     table = np.stack(vectors) if vectors else None
-    probs = _predict_in_length_order(trained.model, table, ids, 256, workspace)
+    probs = _predict_in_length_order(trained.model, table, ids, 256, workspace, shares)
     return [(Polarity(code), row) for code, row in zip(argmax_label(probs).tolist(), probs)]
 
 
 def save_training_log(trained: TrainedModel, path: str | Path) -> None:
     """Write the per-epoch history as CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "dev_accuracy"])
-        for epoch, loss, acc in trained.history:
-            writer.writerow([epoch, f"{loss:.17g}", f"{acc:.17g}"])
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["epoch", "train_loss", "dev_accuracy"])
+    for epoch, loss, acc in trained.history:
+        writer.writerow([epoch, f"{loss:.17g}", f"{acc:.17g}"])
+    write_output(path, buffer.getvalue())
 
 
 CHECKPOINT_MAGIC = "multisent-model 1"
@@ -378,34 +401,35 @@ def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
     tensors = model.params.tensors()
     if trained.fine_tuned is not None:
         tensors["__embeddings__"] = trained.fine_tuned.E
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CHECKPOINT_MAGIC + "\n")
-        fh.write(f"kind {model.kind}\n")
-        fh.write(f"max_len {model.max_len}\n")
-        fh.write(f"candidate_activation {model.candidate_activation}\n")
-        fh.write(f"activation {model.activation}\n")
-        fh.write(f"dropout_rate {model.dropout_rate:.17g}\n")
-        fh.write(f"best_epoch {trained.best_epoch}\n")
-        fh.write(f"best_dev_accuracy {trained.best_dev_accuracy:.17g}\n")
-        fh.write(f"seed {trained.seed}\n")
-        if model.kind == "cnn":
-            fh.write(f"window_sizes {','.join(str(h) for h in model.params.window_sizes)}\n")
-        for key in sorted(trained.fingerprints):
-            fh.write(f"fingerprint {key} {trained.fingerprints[key]}\n")
-        for lang in sorted(trained.sources):
-            fh.write(f"source {lang} {trained.sources[lang]}\n")
-        for epoch, loss, acc in trained.history:
-            fh.write(f"history {epoch} {loss:.17g} {acc:.17g}\n")
-        for name, tensor in tensors.items():
-            shape = " ".join(str(s) for s in tensor.shape)
-            fh.write(f"tensor {name} {shape}\n")
-            flat = tensor.ravel()
-            for start in range(0, flat.size, 8):
-                fh.write(" ".join(f"{v:.17g}" for v in flat[start:start + 8]) + "\n")
-        if trained.fine_tuned is not None:
-            for (lang, tok), row in sorted(trained.fine_tuned.index.items(), key=lambda kv: kv[1]):
-                fh.write(f"vocab {lang} {tok} {row}\n")
-        fh.write("end\n")
+    fh = io.StringIO()
+    fh.write(CHECKPOINT_MAGIC + "\n")
+    fh.write(f"kind {model.kind}\n")
+    fh.write(f"max_len {model.max_len}\n")
+    fh.write(f"candidate_activation {model.candidate_activation}\n")
+    fh.write(f"activation {model.activation}\n")
+    fh.write(f"dropout_rate {model.dropout_rate:.17g}\n")
+    fh.write(f"best_epoch {trained.best_epoch}\n")
+    fh.write(f"best_dev_accuracy {trained.best_dev_accuracy:.17g}\n")
+    fh.write(f"seed {trained.seed}\n")
+    if model.kind == "cnn":
+        fh.write(f"window_sizes {','.join(str(h) for h in model.params.window_sizes)}\n")
+    for key in sorted(trained.fingerprints):
+        fh.write(f"fingerprint {key} {trained.fingerprints[key]}\n")
+    for lang in sorted(trained.sources):
+        fh.write(f"source {lang} {trained.sources[lang]}\n")
+    for epoch, loss, acc in trained.history:
+        fh.write(f"history {epoch} {loss:.17g} {acc:.17g}\n")
+    for name, tensor in tensors.items():
+        shape = " ".join(str(s) for s in tensor.shape)
+        fh.write(f"tensor {name} {shape}\n")
+        flat = tensor.ravel()
+        for start in range(0, flat.size, 8):
+            fh.write(" ".join(f"{v:.17g}" for v in flat[start:start + 8]) + "\n")
+    if trained.fine_tuned is not None:
+        for (lang, tok), row in sorted(trained.fine_tuned.index.items(), key=lambda kv: kv[1]):
+            fh.write(f"vocab {lang} {tok} {row}\n")
+    fh.write("end\n")
+    write_output(path, fh.getvalue())
 
 
 # How many space-separated parts each fixed-form checkpoint line has.

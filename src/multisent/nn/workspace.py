@@ -21,10 +21,12 @@ only until the next call on the same workspace. `evaluate` deals its
 folds into one share per usable CPU, each run by its own process, and
 makes one workspace per share: the training, dev scoring and test
 prediction of every fold in the share run on it in turn, and each batch
-is consumed before the next begins. Slabs are shared maps, so a slab
-made before a fork would be written by both processes; no workspace
-passes from one process to another. Outside `evaluate`, a `train` or
-`predict_batch` call makes its own.
+is consumed before the next begins. `predict` deals its batches into
+one share per usable CPU the same way, and each share makes its own
+workspace after the fork. Slabs are shared maps, so a slab made before
+a fork would be written by both processes; no workspace passes from
+one process to another. Outside `evaluate`, a `train` call makes its
+own.
 Since slabs pass from one call to the next, no kernel reads an entry
 of a slab before it writes it.
 """

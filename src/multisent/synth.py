@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import Polarity, TweetRecord, save_corpus
 from .embeddings import EmbeddingTable, save_embedding_table
-from .errors import ArgumentError
+from .errors import ArgumentError, write_output
 from .rng import SplitMix64, derive_stream
 
 MARKERS_PER_TWEET = 2
@@ -196,6 +196,6 @@ def write_fixture(fixture: SynthFixture, outdir: str | Path) -> dict[str, Path]:
     for lang, mapping in fixture.dictionaries.items():
         dict_path = out / f"{lang}-{target}.tsv"
         lines = [f"{src}\t{tgt}" for src, tgt in sorted(mapping.items())]
-        dict_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_output(dict_path, "\n".join(lines) + "\n")
         paths[f"dictionary.{lang}"] = dict_path
     return paths

@@ -12,11 +12,11 @@ import pytest
 
 import numpy as np
 
-from multisent import cli, experiment, pipeline
+from multisent import cli, experiment, pipeline, predict
 from multisent.align import load_translation_matrix
 from multisent.cli import main
 from multisent.corpus import load_corpus
-from multisent.errors import CoverageError, LeakageError
+from multisent.errors import CoverageError, LeakageError, MultisentError
 from multisent.experiment import CVReport
 from multisent.nn import load_checkpoint, predict_batch
 from multisent.pipeline import EmbeddingContext
@@ -370,6 +370,26 @@ class TestEvaluateAndCompare:
             assert capsys.readouterr().err == (
                 f"error: {unused} would be unused: matrices apply only with "
                 f"alignment = translation_matrix and refit = global\n")
+        assert spy_calls == []
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("lines, unlisted", [
+        (["kind = nb", "embedding.zh = no-such.vec", "dictionary.zh = no-such.tsv"],
+         "embedding.zh, dictionary.zh"),
+        (["kind = cnn", "alignment = translation_matrix", "matrix.ja = ja-en.mat",
+          "matrix.zh = no-such.mat",
+          *(f"embedding.{lang} = {lang}.vec" for lang in ("en", "ja"))], "matrix.zh"),
+    ], ids=["nb", "cnn-global-maps"])
+    def test_keys_of_unlisted_languages_exit_2_before_reading_corpus(
+        self, fixture_dir, tmp_path, capsys, spy_calls, lines, unlisted
+    ):
+        cfg = write_config(tmp_path / "bad.cfg", fixture_dir, ["languages = en,ja", *lines])
+        for command in (["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r.json")],
+                        ["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == (
+                f"error: {unlisted} would be unused: their languages are not in "
+                f"languages ('en', 'ja')\n")
         assert spy_calls == []
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.ckpt").exists()
 
@@ -771,6 +791,39 @@ class TestPredictOptions:
                 main(["predict", *self.files(fixture_dir, tmp_path, ckpt), *flag])
             assert exit_info.value.code == 2
             assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_worker_that_dies_exits_2(self, fixture_dir, tmp_path, ckpt, capsys, monkeypatch):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity on this platform, so predict never forks")
+        # two usable CPUs: the second half of the records is preprocessed in a forked worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent, real = os.getpid(), predict.preprocess_corpus
+
+        def preprocess(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(*args)
+
+        monkeypatch.setattr(predict, "preprocess_corpus", preprocess)
+        self.write_input(fixture_dir, tmp_path / "in.jsonl")
+        message = "a worker process exited with code 1 before returning its share"
+        with pytest.raises(MultisentError, match=message):
+            predict.predict_records(
+                load_checkpoint(ckpt), load_corpus(tmp_path / "in.jsonl"),
+                {lang: str(fixture_dir / f"{lang}.vec") for lang in ("en", "ja", "zh")}, {})
+        assert multiprocessing.active_children() == []
+        assert main(["predict", *self.files(fixture_dir, tmp_path, ckpt)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "p.jsonl").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_unwritable_out_exits_2_naming_it(self, fixture_dir, tmp_path, ckpt, capsys):
+        self.write_input(fixture_dir, tmp_path / "in.jsonl")
+        out = tmp_path / "no-such-dir" / "p.jsonl"
+        files = self.files(fixture_dir, tmp_path, ckpt)
+        files[files.index("--out") + 1] = str(out)
+        assert main(["predict", *files]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 class TestPredictRejectsBadCheckpoint:

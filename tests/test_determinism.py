@@ -1,5 +1,6 @@
 """Same inputs give the same bytes, whatever the BLAS thread count, hash seed or CPU count."""
 
+import json
 import os
 import subprocess
 import sys
@@ -149,3 +150,43 @@ def test_report_bytes_ignore_the_cpu_count(tmp_path, config):
     assert reports[0] == reports[1]
     # one worker per share but the first
     assert forks == [0, min(3, len(os.sched_getaffinity(0))) - 1]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity (Linux)")
+def test_predictions_ignore_the_cpu_count(tmp_path):
+    cfg = _write_fixture(tmp_path, [
+        "kind = cnn", "train.filters_per_window = 8", "alignment = translation_matrix",
+        "matrix.ja = {dir}/ja-en.mat", "matrix.zh = {dir}/zh-en.mat"])
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 0
+    rows = [json.loads(line) for line in (tmp_path / "corpus.jsonl").read_text().splitlines()]
+    # (records, usable tweets): copies of the corpus with an empty record among them,
+    # the corpus alone, and only records that normalize to no tokens
+    copies = [dict(row, id=f"{row['id']}-{k}") for k in range(12) for row in rows]
+    copies.insert(len(copies) // 2, dict(rows[0], id="blank", text="  "))
+    inputs = {
+        "batches": (copies, len(copies) - 1),
+        "one-batch": (rows, len(rows)),
+        "no-tweet": ([dict(rows[0], id=f"blank-{k}", text="  ") for k in range(3)], 0),
+    }
+    assert inputs["batches"][1] > 256 > inputs["one-batch"][1]   # predict's batch size
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    cpus = len(os.sched_getaffinity(0))
+    for name, (records, usable) in inputs.items():
+        (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        outputs, forks = [], []
+        for mode in ("pinned", "default"):
+            out = tmp_path / f"{name}-{mode}.jsonl"
+            done = subprocess.run(
+                [sys.executable, "-c", COUNT_FORKS, mode, "predict",
+                 "--model", str(tmp_path / "m.ckpt"), "--in", str(tmp_path / f"{name}.jsonl"),
+                 "--out", str(out),
+                 *[f"--embedding={lang}={tmp_path / f'{lang}.vec'}" for lang in ("en", "ja", "zh")],
+                 *[f"--matrix={lang}={tmp_path / f'{lang}-en.mat'}" for lang in ("ja", "zh")]],
+                env=env, check=True, capture_output=True, text=True, timeout=300)
+            outputs.append(out.read_bytes())
+            forks.append(int(done.stdout.split()[-1]))
+        assert outputs[0] == outputs[1], name
+        assert outputs[0].count(b"\n") == usable, name
+        # one worker per share but the first: of the records, then of the 256-tweet batches
+        batches = -(-usable // 256)
+        assert forks == [0, min(cpus, len(records)) - 1 + max(min(cpus, batches) - 1, 0)], name

@@ -11,7 +11,13 @@ import pytest
 import multisent.experiment as experiment
 from multisent.align import TranslationMatrix, save_translation_matrix
 from multisent.corpus import Polarity, TweetRecord
-from multisent.errors import ArgumentError, ConfigurationError, CoverageError, LeakageError
+from multisent.errors import (
+    ArgumentError,
+    ConfigurationError,
+    CoverageError,
+    LeakageError,
+    MultisentError,
+)
 from multisent.experiment import (
     CVReport,
     ExperimentConfig,
@@ -155,8 +161,8 @@ class TestConfigValidation:
         assert str(err.value) == message
 
     def test_fingerprint_tracks_content_not_insertion_order(self):
-        a = nb_config(embeddings={"en": "x", "ja": "y"})
-        b = nb_config(embeddings={"ja": "y", "en": "x"})
+        a = nb_config(languages=("en", "ja"), embeddings={"en": "x", "ja": "y"})
+        b = nb_config(languages=("en", "ja"), embeddings={"ja": "y", "en": "x"})
         assert a.fingerprint() == b.fingerprint()
         c = nb_config(seed=1)
         assert c.fingerprint() != a.fingerprint()
@@ -563,3 +569,11 @@ class TestShares:
             with pytest.raises(ConfigurationError, match="fold 1"):
                 run_experiment(nb_config(folds=3), records=marker_records(30))
             assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_raises_naming_its_exit_code(self, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        self.fail_folds(monkeypatch, {1: lambda pid: os._exit(1)})   # fold 1 is the worker's
+        with pytest.raises(MultisentError,
+                           match="a worker process exited with code 1 before returning its share"):
+            run_experiment(nb_config(folds=3), records=marker_records(30))
+        assert multiprocessing.active_children() == []
