@@ -49,6 +49,7 @@ from .errors import (
     ParseError,
 )
 from .nn import TrainConfig, predict_batch, train
+from .nn.train import NumberedTokens
 from .nn.workspace import Workspace
 from .pipeline import EmbeddingContext, corpus_max_len
 from .preprocess import TokenizedTweet, default_rules, preprocess_corpus
@@ -508,11 +509,14 @@ def run_experiment(
     records and context may be passed directly (tests, library use);
     otherwise they load from the configured paths. The corpus maximum
     length, the embedding tables and the numbering of the n-gram keys
-    are structural constants shared across folds; everything derived
-    from examples (feature spaces, model parameters, early stopping)
-    uses training-split ids only, which the per-fold audit enforces. A
-    fold's n-gram columns are the keys its training tweets hold, so a
-    key seen only in held-out tweets is numbered but never a column.
+    and of the (language, token) keys are structural constants shared
+    across folds; everything derived from examples (feature spaces,
+    model parameters, early stopping) uses training-split ids only, which
+    the per-fold audit enforces. A fold's n-gram columns are the keys its
+    training tweets hold, so a key seen only in held-out tweets is
+    numbered but never a column. Each token key's vector is taken once,
+    and mapped once under global alignment; a fold's embedding tables
+    are integer remaps of those rows.
 
     The folds are dealt round-robin into one share per usable CPU, at
     most one per fold. This process runs share 0 and a forked worker
@@ -525,16 +529,19 @@ def run_experiment(
     if config.folds < 2:
         raise ArgumentError(f"cross-validation needs k >= 2 folds, got {config.folds}")
     tweets, context = prepare_inputs(config, records, context)
-    ngrams = dictionaries = None
+    dictionaries = None
     if config.kind in ("nb", "svm"):
         size, rows = intern_ngrams(tweets)
-        ngrams = size, {tw.id: row for tw, row in zip(tweets, rows)}
+        numbering = size, {tw.id: row for tw, row in zip(tweets, rows)}
     else:
-        context.fingerprint()   # hashes each table here, before any worker inherits it
         if config.refit == "per_fold":
             dictionaries = {
                 lang: load_dictionary(path) for lang, path in config.dictionaries.items()
             }
+            context = replace(context, translations={})     # each fold fits its own maps
+        context.fingerprint()   # hashes each table here, before any worker inherits it
+        numbered = NumberedTokens.of(tweets, context)
+        numbering = numbered, {tw.id: ids for tw, ids in zip(tweets, numbered.ids)}
     plan = make_folds(tweets, config.folds, config.seed)
     by_id = {tw.id: tw for tw in tweets}
     shares = min(config.folds, usable_cpus())
@@ -550,8 +557,8 @@ def run_experiment(
             audit = IdAudit()
             try:
                 predictions = _run_fold(
-                    config, fold, train_ids, test_ids, by_id, context, dictionaries, ngrams,
-                    audit, workspace,
+                    config, fold, train_ids, test_ids, by_id, context, dictionaries,
+                    numbering, audit, workspace,
                 )
                 audit.assert_disjoint(test_ids)
             except MultisentError as err:
@@ -603,13 +610,18 @@ def _run_fold(
     by_id: dict,
     context: EmbeddingContext | None,
     dictionaries: dict[str, dict[str, str]] | None,
-    ngrams: tuple[int, dict[str, np.ndarray]] | None,
+    numbering: tuple[int | NumberedTokens, dict[str, np.ndarray]],
     audit: IdAudit,
     workspace: Workspace,
 ) -> dict[str, Polarity]:
+    """The fold's predictions by test id.
+
+    numbering is the n-gram key count (n-gram kinds) or the numbered
+    tokens (neural kinds), with each tweet's key numbers by tweet id.
+    """
     test_tweets = [by_id[rid] for rid in test_ids]
     if config.kind in ("nb", "svm"):
-        size, rows = ngrams
+        size, rows = numbering
         train_tweets = list(audit.use(by_id[rid] for rid in train_ids))
         space, vecs = build_feature_space([rows[tw.id] for tw in train_tweets], size)
         labels = [int(tw.label) for tw in train_tweets]
@@ -629,11 +641,17 @@ def _run_fold(
     sub_train_ids, dev_ids = split_dev(train_ids, config.dev_fraction, fold_seed)
     train_tweets = list(audit.use(by_id[rid] for rid in sub_train_ids))
     dev_tweets = list(audit.use(by_id[rid] for rid in dev_ids))
+    numbered, ids = numbering
+
+    def numbered_as(tweets: list[TokenizedTweet]) -> NumberedTokens:
+        return replace(numbered, ids=[ids[tw.id] for tw in tweets])
+
     trained = train(
         config.kind, train_tweets, dev_tweets, context, config.train_config(fold_seed),
-        workspace,
+        workspace, numbered=numbered_as(train_tweets + dev_tweets),
     )
-    preds = predict_batch(trained, test_tweets, context, workspace)
+    preds = predict_batch(trained, test_tweets, context, workspace,
+                          numbered=numbered_as(test_tweets))
     return {tw.id: pred for tw, (pred, _probs) in zip(test_tweets, preds)}
 
 

@@ -140,15 +140,26 @@ def train(
     context: EmbeddingContext,
     config: TrainConfig,
     workspace: Workspace | None = None,
+    *,
+    numbered: NumberedTokens | None = None,
 ) -> TrainedModel:
     """Fit one classifier over all languages at once; returns the best-dev model.
 
-    Every batch runs on workspace (a fresh one when None).
+    Every batch runs on workspace (a fresh one when None). numbered, when
+    given, numbers train_tweets then dev_tweets against context (see
+    NumberedTokens.table); without it they are numbered here.
     """
     if not train_tweets:
         raise ArgumentError("empty training set")
     if not dev_tweets:
         raise ArgumentError("empty dev set")
+    if numbered is None:
+        numbered = NumberedTokens.of(train_tweets + dev_tweets, context)
+    elif len(numbered.ids) != len(train_tweets) + len(dev_tweets):
+        raise ArgumentError(
+            f"numbered holds {len(numbered.ids)} tweets, train and dev hold "
+            f"{len(train_tweets) + len(dev_tweets)}"
+        )
     dim = context.dim
     if kind == "lstm":
         hidden = config.hidden_dim if config.hidden_dim is not None else dim
@@ -166,16 +177,19 @@ def train(
         dropout_rate=config.dropout_rate,
     )
 
-    # Each tweet is encoded once as rows of one table: the training
-    # vocabulary first (E, which fine-tuning updates through a view), then
-    # the tokens only dev tweets hold. Every batch is table[ids].
-    index: dict[tuple[str, str], int] = {}
-    vectors: list[np.ndarray] = []
-    train_ids = encode_tweets(train_tweets, index, vectors, context)
-    vocab = dict(index)
-    dev_ids = encode_tweets(dev_tweets, index, vectors, context)
-    table = np.stack(vectors)
-    E = table[:len(vocab)]
+    # One table holds a row per key, gathered from numbered's rows: the
+    # training vocabulary first, in first-seen order (E, which fine-tuning
+    # updates through a view), then the keys only dev tweets hold, in
+    # first-seen order. The tweets are renumbered into it; every batch is
+    # table[ids].
+    n = len(train_tweets)
+    vocab_keys = _first_seen(numbered.ids[:n])
+    dev_keys = _first_seen(numbered.ids[n:])
+    table_keys = np.concatenate([vocab_keys, dev_keys[~np.isin(dev_keys, vocab_keys)]])
+    ids = _renumber(numbered.ids, table_keys, np.arange(table_keys.size), len(numbered.keys))
+    train_ids, dev_ids = ids[:n], ids[n:]
+    table = numbered.table(table_keys, context)
+    E = table[:vocab_keys.size]
     train_y = [int(tw.label) for tw in train_tweets]
     dev_y = [int(tw.label) for tw in dev_tweets]
 
@@ -193,7 +207,6 @@ def train(
     history: list[tuple[int, float, float]] = []
 
     ws = Workspace() if workspace is None else workspace
-    n = len(train_tweets)
     for epoch in range(1, config.max_epochs + 1):
         order = list(range(n))
         SplitMix64(derive_stream(config.seed, "shuffle", epoch)).shuffle(order)
@@ -236,32 +249,93 @@ def train(
         history=history,
         best_epoch=best_epoch,
         best_dev_accuracy=best_acc,
-        fine_tuned=FineTunedEmbeddings(vocab, best_E) if fine_tune else None,
+        fine_tuned=FineTunedEmbeddings(
+            {numbered.keys[k]: row for row, k in enumerate(vocab_keys.tolist())}, best_E
+        ) if fine_tune else None,
     )
 
 
-def encode_tweets(
+def number_tokens(
     tweets: list[TokenizedTweet],
     index: dict[tuple[str, str], int],
-    vectors: list[np.ndarray],
-    context: EmbeddingContext,
-) -> list[np.ndarray]:
-    """Each tweet's tokens as row ids into vectors, one row per (lang, token).
+    start: int = 0,
+) -> tuple[list[np.ndarray], list[tuple[str, str]]]:
+    """Each tweet's tokens as (lang, token) key numbers, and the keys this added.
 
-    A token index already holds keeps its row; any other token is given the
-    next row, which holds its context vector. index and vectors grow in place.
+    A key index already holds keeps its number; any other key gets the
+    next number from start, in first-seen order. index grows in place.
+    Tweets are numbered by position, so two tweets with one id each get
+    their own array.
     """
     encoded = []
+    added: list[tuple[str, str]] = []
+    get = index.get
     for tw in tweets:
+        lang = tw.lang
         ids = []
         for tok in tw.tokens:
-            row = index.get((tw.lang, tok))
-            if row is None:
-                row = index[(tw.lang, tok)] = len(vectors)
-                vectors.append(context.vector(tw.lang, tok))
-            ids.append(row)
+            number = get((lang, tok))
+            if number is None:
+                number = index[(lang, tok)] = start + len(added)
+                added.append((lang, tok))
+            ids.append(number)
         encoded.append(np.array(ids, dtype=np.intp))
-    return encoded
+    return encoded, added
+
+
+@dataclass
+class NumberedTokens:
+    """Tweets as (lang, token) key numbers, and each key's vector, taken once.
+
+    `evaluate` numbers every tweet once, before its folds fork, so a fold
+    gathers its tables from these rows by integer remaps.
+    """
+
+    ids: list[np.ndarray]           # per tweet, by position: its tokens' key numbers
+    keys: list[tuple[str, str]]     # key k is keys[k]
+    rows: np.ndarray                # (K, dim): row k is context.vector(*keys[k])
+    context: EmbeddingContext
+
+    @classmethod
+    def of(cls, tweets: list[TokenizedTweet], context: EmbeddingContext) -> "NumberedTokens":
+        ids, keys = number_tokens(tweets, {})
+        return cls(ids, keys, context.vectors(keys), context)
+
+    def table(self, keys: np.ndarray, context: EmbeddingContext) -> np.ndarray:
+        """The vectors of key numbers keys under context, as a new (len(keys), dim) array.
+
+        context is the one the rows were taken under, or one that adds its
+        own maps to that context's tables when it has none (a fold's context
+        under `refit = per_fold`); the latter maps each row on its own.
+        """
+        rows = self.rows[keys]
+        if context is not self.context:
+            own = self.context
+            if (own.translations or context.tables is not own.tables
+                    or (context.oov_seed, context.oov_scale) != (own.oov_seed, own.oov_scale)):
+                raise ArgumentError(
+                    "tokens were numbered under another context; only one that adds "
+                    "maps to the same unmapped tables may share its rows"
+                )
+            context.map_rows([self.keys[k] for k in keys.tolist()], rows)
+        return rows
+
+
+def _first_seen(ids: list[np.ndarray]) -> np.ndarray:
+    """The distinct numbers of ids, in the order they first appear."""
+    if not ids:
+        return np.empty(0, dtype=np.intp)
+    unique, first = np.unique(np.concatenate(ids), return_index=True)
+    return unique[np.argsort(first)]
+
+
+def _renumber(
+    ids: list[np.ndarray], old: np.ndarray, new: np.ndarray, size: int
+) -> list[np.ndarray]:
+    """ids with each number old[i] replaced by new[i]; every number lies in [0, size)."""
+    remap = np.empty(size, dtype=np.intp)
+    remap[old] = new
+    return [remap[row] for row in ids]
 
 
 def scatter_embedding_grad(
@@ -356,12 +430,15 @@ def predict_batch(
     context: EmbeddingContext,
     workspace: Workspace | None = None,
     shares: int = 1,
+    *,
+    numbered: NumberedTokens | None = None,
 ) -> list[tuple[Polarity, np.ndarray]]:
     """Classify tweets after checking the context matches the model.
 
-    The tweets are encoded here; their batches are dealt to at most
-    `shares` shares, the first of which runs on workspace (see
-    _predict_in_length_order).
+    numbered, when given, numbers the tweets against context (see
+    NumberedTokens.table); without it they are numbered here. Their
+    batches are dealt to at most `shares` shares, the first of which runs
+    on workspace (see _predict_in_length_order).
     """
     current = context.fingerprint()
     if current != trained.fingerprints:
@@ -372,12 +449,26 @@ def predict_batch(
         raise ConfigurationError(
             f"context does not match the model's training inputs (differs: {changed})"
         )
-    # A token takes its fine-tuned row when it has one, its context vector otherwise.
+    # A token takes its fine-tuned row when it has one; the other keys
+    # follow E, in first-seen order, each with its context vector.
     ft = trained.fine_tuned
-    index = dict(ft.index) if ft is not None else {}
-    vectors = list(ft.E) if ft is not None else []
-    ids = encode_tweets(tweets, index, vectors, context)
-    table = np.stack(vectors) if vectors else None
+    E = np.empty((0, context.dim)) if ft is None else ft.E
+    if numbered is None:
+        ids, added = number_tokens(tweets, {} if ft is None else dict(ft.index), len(E))
+        rows = context.vectors(added)
+    else:
+        if len(numbered.ids) != len(tweets):
+            raise ArgumentError(
+                f"numbered holds {len(numbered.ids)} tweets, not the {len(tweets)} given"
+            )
+        keys = _first_seen(numbered.ids)
+        held = np.array([-1 if ft is None else ft.index.get(numbered.keys[k], -1)
+                         for k in keys.tolist()], dtype=np.intp)
+        added = keys[held < 0]
+        held[held < 0] = len(E) + np.arange(added.size)
+        ids = _renumber(numbered.ids, keys, held, len(numbered.keys))
+        rows = numbered.table(added, context)
+    table = np.concatenate([E, rows])
     probs = _predict_in_length_order(trained.model, table, ids, 256, workspace, shares)
     return [(Polarity(code), row) for code, row in zip(argmax_label(probs).tolist(), probs)]
 

@@ -3,8 +3,10 @@
 An EmbeddingContext bundles the per-language embedding tables, optional
 translation matrices mapping each language into the shared target
 space, the OOV policy, and the corpus maximum length used for padding.
-It maps each (language, token) once and keeps the result, so a token has
-one vector per context.
+A token's vector is its table row, or its seeded OOV vector, then its
+language's map, if any; `vectors` gives many tokens' vectors at once, in
+the bits `vector` gives each. Nothing is cached: callers number their
+tokens and take each vector once (nn.train.NumberedTokens).
 Its fingerprint ties a trained model to exactly these inputs so stale
 model/context pairings fail loudly instead of predicting garbage. Each
 table hashes its own content once and keeps the digest, so contexts that
@@ -48,9 +50,6 @@ class EmbeddingContext:
     oov_scale: float | None = None
     max_len: int = 1
     rules_version: str = "-"
-    _vectors: dict[tuple[str, str], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if not self.tables:
@@ -101,23 +100,38 @@ class EmbeddingContext:
         )
 
     def vector(self, lang: str, token: str) -> np.ndarray:
-        """A token's vector in the shared space: lookup then optional map.
+        """A token's vector in the shared space: lookup then optional map."""
+        vec = np.asarray(self._table(lang).lookup(token, self.oov_seed, self.oov_scale),
+                         np.float64)
+        tm = self.translations.get(lang)
+        return vec if tm is None else vec @ tm.W
 
-        Each (lang, token) is computed once and cached, so a token gets
-        the same bytes whichever tweet holds it.
+    def vectors(self, keys: list[tuple[str, str]]) -> np.ndarray:
+        """Row k is vector(*keys[k]): a new (K, dim) array."""
+        rows = np.empty((len(keys), self.dim))
+        for k, (lang, token) in enumerate(keys):
+            rows[k] = self._table(lang).lookup(token, self.oov_seed, self.oov_scale)
+        self.map_rows(keys, rows)
+        return rows
+
+    def map_rows(self, keys: list[tuple[str, str]], rows: np.ndarray) -> None:
+        """Map row k of rows, in place, by the map of keys[k]'s language, if it has one.
+
+        Each row is mapped on its own, as `vector` maps it: a stacked product
+        may sum in another order and change the bits.
         """
-        key = (lang, token)
-        vec = self._vectors.get(key)
-        if vec is None:
-            table = self.tables.get(lang)
-            if table is None:
-                raise ConfigurationError(f"no embedding table for language {lang!r}")
-            vec = np.asarray(table.lookup(token, self.oov_seed, self.oov_scale), np.float64)
+        if not self.translations:
+            return
+        for k, (lang, _token) in enumerate(keys):
             tm = self.translations.get(lang)
             if tm is not None:
-                vec = vec @ tm.W
-            self._vectors[key] = vec
-        return vec
+                rows[k] = rows[k] @ tm.W
+
+    def _table(self, lang: str) -> EmbeddingTable:
+        table = self.tables.get(lang)
+        if table is None:
+            raise ConfigurationError(f"no embedding table for language {lang!r}")
+        return table
 
     def embed(self, tweet: TokenizedTweet) -> np.ndarray:
         """Embed one tweet into the shared space; row t is token t's vector."""

@@ -7,9 +7,9 @@ rounds of shares (multisent.shares), one share per usable CPU:
    preprocessed; the tweets are merged in share order, which is input
    order.
 2. This process then builds the embedding context once, because the
-   partial `.vec` parse needs the words of every share, and encodes the
-   tweets. `predict_batch` deals its length-sorted batches, whole and
-   longest first, round-robin to the shares.
+   partial `.vec` parse needs the words of every share, and numbers the
+   tweets' tokens. `predict_batch` deals its length-sorted batches,
+   whole and longest first, round-robin to the shares.
 
 No share re-cuts a batch, so the predictions keep their bits whatever
 the CPU count; with one usable CPU nothing is forked.

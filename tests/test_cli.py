@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib
 import json
 import multiprocessing
 import os
@@ -824,6 +825,53 @@ class TestPredictOptions:
         files[files.index("--out") + 1] = str(out)
         assert main(["predict", *files]) == 2
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+class TestPredictNumbersByPosition:
+    def test_duplicate_ids_and_unseen_tokens(self, fixture_dir, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "ft.cfg", fixture_dir, [
+            "kind = cnn", "window_sizes = 2",
+            *(f"embedding.{lang} = {fixture_dir / f'{lang}.vec'}" for lang in ("en", "ja", "zh")),
+            "train.max_epochs = 1", "train.filters_per_window = 3",
+            "train.fine_tune_embeddings = true",
+        ])
+        ckpt = tmp_path / "ft.ckpt"
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
+        records = [json.loads(ln) for ln in (fixture_dir / "corpus.jsonl").read_text().splitlines()]
+        # first, so its two words are the first keys the model's vocabulary lacks
+        records.insert(0, dict(records[0], id="unseen", text="qqq zzz"))
+        seen = []   # (table, ids) of each prediction
+        train_module = importlib.import_module("multisent.nn.train")
+        real = train_module._predict_in_length_order
+        monkeypatch.setattr(train_module, "_predict_in_length_order",
+                            lambda model, table, ids, *a: seen.append((table, ids))
+                            or real(model, table, ids, *a))
+        preds = {}
+        for name, ids in (("unique", [r["id"] for r in records]),
+                          ("repeated", ["a", "b"] * (len(records) // 2) + ["a"] * (len(records) % 2))):
+            (tmp_path / f"{name}.jsonl").write_text(
+                "".join(json.dumps(dict(r, id=i)) + "\n" for r, i in zip(records, ids)))
+            assert main(["predict", "--model", str(ckpt), "--in", str(tmp_path / f"{name}.jsonl"),
+                         "--out", str(tmp_path / f"{name}.preds.jsonl"),
+                         *(f"--embedding={lang}={fixture_dir / f'{lang}.vec'}"
+                           for lang in ("en", "ja", "zh"))]) == 0
+            preds[name] = [json.loads(ln) for ln in
+                           (tmp_path / f"{name}.preds.jsonl").read_text().splitlines()]
+        unique, repeated = preds["unique"], preds["repeated"]
+        assert [dict(row, id=u["id"]) for row, u in zip(repeated, unique)] == unique
+        assert len({row["id"] for row in repeated}) == 2
+
+        E = load_checkpoint(ckpt).fine_tuned.E
+        context = EmbeddingContext.from_paths(
+            {lang: str(fixture_dir / f"{lang}.vec") for lang in ("en", "ja", "zh")}, {},
+            oov_seed=0, oov_scale=None, max_len=1, rules_version="-")
+        lang = records[0]["lang"]
+        for table, ids in seen:
+            assert ids[0].tolist() == [len(E), len(E) + 1]
+            assert table[:len(E)].tobytes() == E.tobytes()
+            assert table[len(E)].tobytes() == context.vector(lang, "qqq").tobytes()
+            assert table[len(E) + 1].tobytes() == context.vector(lang, "zzz").tobytes()
+        assert len(seen) == 2
 
 
 class TestPredictRejectsBadCheckpoint:

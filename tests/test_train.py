@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,12 @@ from multisent.nn import (
     save_training_log,
     train,
 )
-from multisent.nn.train import _accuracy, encode_tweets, scatter_embedding_grad
+from multisent.nn.train import (
+    NumberedTokens,
+    _accuracy,
+    number_tokens,
+    scatter_embedding_grad,
+)
 from multisent.pipeline import EmbeddingContext
 from multisent.preprocess import TokenizedTweet
 from multisent.rng import SplitMix64, derive_stream
@@ -132,6 +138,136 @@ class TestFineTuning:
         assert probs.shape == (3,)
         assert abs(probs.sum() - 1.0) < 1e-9
         assert int(label) in (0, 1, 2)
+
+
+def _first_seen_reference(tweets, context, index, rows):
+    """Number each (lang, token) in first-seen order, one context.vector per new key.
+
+    index and rows grow in place; rows[index[key]] is the key's vector.
+    """
+    for tw in tweets:
+        for tok in tw.tokens:
+            if (tw.lang, tok) not in index:
+                index[(tw.lang, tok)] = len(rows)
+                rows.append(context.vector(tw.lang, tok))
+
+
+class TestSharedNumbering:
+    """Tables gathered from one numbering of every tweet, as `evaluate` builds
+    them, equal a reference that numbers and looks up token by token."""
+
+    DIM = 5
+
+    @pytest.fixture(scope="class")
+    def split(self):
+        # "cat" is a word of both tables; "oov*" are in neither, and oov1
+        # occurs in both languages, so it is two keys with two OOV vectors.
+        def tw(i, lang, toks):
+            return TokenizedTweet(id=f"n{i}", lang=lang, label=Polarity(i % 3), tokens=toks)
+
+        train_tweets = [tw(0, "en", ["cat", "dog", "oov1"]), tw(1, "ja", ["neko", "cat"]),
+                        tw(2, "en", ["sun", "cat", "cat"]), tw(3, "ja", ["inu", "oov1"]),
+                        tw(4, "en", ["dog", "sun"]), tw(5, "ja", ["cat", "neko", "inu"])]
+        dev_tweets = [tw(6, "en", ["dog", "oov2"]), tw(7, "ja", ["oov3", "cat"])]
+        test_tweets = [tw(8, "ja", ["oov4", "neko"]), tw(9, "en", ["oov5", "cat", "oov2"]),
+                       tw(10, "ja", ["oov1", "oov4"])]
+        return train_tweets, dev_tweets, test_tweets
+
+    @pytest.fixture(scope="class", params=["global", "per_fold"])
+    def contexts(self, request):
+        """(context the numbering is taken under, context the fold trains with)."""
+        rng = SplitMix64(derive_stream(11, "numbering-map"))
+        W = rng.uniform_array(self.DIM * self.DIM, -1.0, 1.0).reshape(self.DIM, self.DIM)
+        base = EmbeddingContext(
+            tables={"en": seeded_table("en", ["cat", "dog", "sun"], self.DIM, seed=1),
+                    "ja": seeded_table("ja", ["cat", "inu", "neko"], self.DIM, seed=2)},
+            oov_seed=4, max_len=3,
+        )
+        maps = {"ja": TranslationMatrix(src_lang="ja", tgt_lang="en", W=W)}
+        if request.param == "global":
+            ctx = replace(base, translations=maps)
+            return ctx, ctx
+        return base, replace(base, translations=maps)
+
+    def numbered(self, split, under):
+        """Every tweet numbered once, in an order unlike the one train and
+        predict take them in, as train-then-dev and test views."""
+        train_tweets, dev_tweets, test_tweets = split
+        everything = dev_tweets + test_tweets[::-1] + train_tweets[::-1]
+        whole = NumberedTokens.of(everything, under)
+        ids = {tw.id: row for tw, row in zip(everything, whole.ids)}
+        return tuple(replace(whole, ids=[ids[tw.id] for tw in tweets])
+                     for tweets in (train_tweets + dev_tweets, test_tweets))
+
+    @pytest.mark.parametrize("fine_tune", [False, True])
+    def test_tables_equal_the_first_seen_reference(self, split, contexts, monkeypatch,
+                                                   fine_tune):
+        train_tweets, dev_tweets, test_tweets = split
+        under, ctx = contexts
+        train_module = importlib.import_module("multisent.nn.train")
+        tables = []     # each table as gathered, before training updates it
+        real_table = NumberedTokens.table
+
+        def table(self, keys, context):
+            out = real_table(self, keys, context)
+            tables.append(out.copy())
+            return out
+
+        monkeypatch.setattr(NumberedTokens, "table", table)
+        predicted = []
+        real_predict = train_module._predict_in_length_order
+        monkeypatch.setattr(train_module, "_predict_in_length_order",
+                            lambda model, table, ids, *a: predicted.append((table, ids))
+                            or real_predict(model, table, ids, *a))
+        for_train, for_test = self.numbered(split, under)
+        cfg = quick_config(batch_size=2, max_epochs=2, window_sizes=(2,),
+                           filters_per_window=2, fine_tune_embeddings=fine_tune)
+        trained = train("cnn", train_tweets, dev_tweets, ctx, cfg, numbered=for_train)
+
+        index, rows = {}, []
+        _first_seen_reference(train_tweets, ctx, index, rows)
+        vocab = dict(index)
+        _first_seen_reference(dev_tweets, ctx, index, rows)
+        assert tables[0].tobytes() == np.stack(rows).tobytes()
+        if fine_tune:
+            assert list(trained.fine_tuned.index.items()) == list(vocab.items())
+            assert tables[0][:len(vocab)].tobytes() == np.stack(rows[:len(vocab)]).tobytes()
+
+        predicted.clear()
+        out = predict_batch(trained, test_tweets, ctx, numbered=for_test)
+        [(table, ids)] = predicted[-1:]
+        if fine_tune:
+            index, rows = dict(trained.fine_tuned.index), list(trained.fine_tuned.E)
+        else:
+            index, rows = {}, []
+        _first_seen_reference(test_tweets, ctx, index, rows)
+        assert table.tobytes() == np.stack(rows).tobytes()
+        assert [row.tolist() for row in ids] == [
+            [index[(tw.lang, tok)] for tok in tw.tokens] for tw in test_tweets]
+        alone = predict_batch(trained, test_tweets, ctx)
+        assert [(int(a), p.tobytes()) for a, p in out] == [(int(a), p.tobytes()) for a, p in alone]
+
+    def test_checkpoint_bytes_ignore_who_numbered(self, split, contexts, tmp_path):
+        train_tweets, dev_tweets, _ = split
+        under, ctx = contexts
+        cfg = quick_config(batch_size=2, max_epochs=2, window_sizes=(2,),
+                           filters_per_window=2, fine_tune_embeddings=True)
+        shared = train("cnn", train_tweets, dev_tweets, ctx, cfg,
+                       numbered=self.numbered(split, under)[0])
+        own = train("cnn", train_tweets, dev_tweets, ctx, cfg)
+        save_checkpoint(shared, tmp_path / "shared.ckpt")
+        save_checkpoint(own, tmp_path / "own.ckpt")
+        assert (tmp_path / "shared.ckpt").read_bytes() == (tmp_path / "own.ckpt").read_bytes()
+
+    def test_numbering_of_other_tweets_or_tables_is_rejected(self, split, contexts):
+        train_tweets, dev_tweets, test_tweets = split
+        under, ctx = contexts
+        for_train, for_test = self.numbered(split, under)
+        with pytest.raises(ArgumentError, match="numbered holds 3 tweets"):
+            train("cnn", train_tweets, dev_tweets, ctx, quick_config(), numbered=for_test)
+        other = replace(ctx, tables=dict(ctx.tables))
+        with pytest.raises(ArgumentError, match="numbered under another context"):
+            for_train.table(np.arange(2), other)
 
 
 class TestOneVectorPerToken:
@@ -480,9 +616,8 @@ class TestLengthOrder:
 
     def test_accuracy_matches_unsorted_loop(self, mixed, trained):
         ctx, tweets = mixed
-        index, vectors = {}, []
-        ids = encode_tweets(tweets, index, vectors, ctx)
-        table = np.stack(vectors)
+        ids, keys = number_tokens(tweets, {})
+        table = ctx.vectors(keys)
         y = [int(tw.label) for tw in tweets]
         correct = 0
         for start in range(0, len(ids), 7):
