@@ -134,19 +134,17 @@ def _parse_lang_path(values: list[str], flag: str) -> dict[str, str]:
         if "=" not in item:
             raise MultisentError(f"{flag} expects LANG=PATH, got {item!r}")
         lang, _, path = item.partition("=")
+        if lang in out:
+            raise MultisentError(f"{flag} names language {lang!r} twice")
         out[lang] = path
     return out
 
 
 def _cmd_predict(args) -> int:
+    embeddings = _parse_lang_path(args.embedding, "--embedding")
+    matrices = _parse_lang_path(args.matrix, "--matrix")
     trained = load_checkpoint(args.model)
-    result = predict_records(
-        trained,
-        load_corpus(args.infile),
-        _parse_lang_path(args.embedding, "--embedding"),
-        _parse_lang_path(args.matrix, "--matrix"),
-        args.mode,
-    )
+    result = predict_records(trained, load_corpus(args.infile), embeddings, matrices, args.mode)
     write_output(args.outfile, "".join(
         json.dumps({"id": tw.id, "label": int(label), "probs": [float(p) for p in probs]}) + "\n"
         for tw, (label, probs) in zip(result.tweets, result.predictions)

@@ -45,7 +45,6 @@ from .errors import (
     ArgumentError,
     ConfigurationError,
     LeakageError,
-    MultisentError,
     ParseError,
 )
 from .nn import TrainConfig, predict_batch, train
@@ -54,7 +53,7 @@ from .nn.workspace import Workspace
 from .pipeline import EmbeddingContext, corpus_max_len
 from .preprocess import TokenizedTweet, default_rules, preprocess_corpus
 from .rng import derive_stream
-from .shares import run_shares, usable_cpus
+from .shares import run_shares, share_run, usable_cpus
 
 KINDS = ("nb", "svm", "lstm", "cnn")
 ALIGNMENTS = ("none", "translation_matrix")
@@ -227,8 +226,10 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
     """Parse flat key=value lines ('#' starts a comment); a missing key takes its default.
 
     corpus, languages and kind have no default: each must be given a value.
+    A key set on two lines raises ConfigurationError naming both.
     """
     raw: dict[str, str] = {"name": name}
+    set_on: dict[str, int] = {}     # key -> line that set it
     for i, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -236,7 +237,12 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigurationError(f"line {i}: expected key=value, got {line!r}")
         key, _, value = stripped.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in set_on:
+            raise ConfigurationError(f"line {i}: config key {key} is already set on line "
+                                     f"{set_on[key]}")
+        set_on[key] = i
+        raw[key] = value.strip()
 
     kwargs: dict[str, object] = {}
     for f in fields(ExperimentConfig):
@@ -518,13 +524,11 @@ def run_experiment(
     and mapped once under global alignment; a fold's embedding tables
     are integer remaps of those rows.
 
-    The folds are dealt round-robin into one share per usable CPU, at
-    most one per fold. This process runs share 0 and a forked worker
-    runs each other share; with one usable CPU nothing is forked. Each
-    share runs its folds in order on its own workspace and stops at its
-    first failing fold. The report merges the shares in fold order, and
-    a failure raises the error of the lowest failing fold, so neither
-    depends on the number of CPUs.
+    The folds are dealt in contiguous runs to one share per usable CPU
+    (multisent.shares): this process runs share 0, a forked worker each
+    other. Each share runs its folds in order on its own workspace and
+    stops at its first failing fold, so the report, in fold order, and
+    the error of the lowest failing fold do not depend on the CPU count.
     """
     if config.folds < 2:
         raise ArgumentError(f"cross-validation needs k >= 2 folds, got {config.folds}")
@@ -546,38 +550,29 @@ def run_experiment(
     by_id = {tw.id: tw for tw in tweets}
     shares = min(config.folds, usable_cpus())
 
-    def run_share(share: int) -> tuple[list, tuple[int, MultisentError] | None]:
-        """(fold, predictions, seconds) per fold run, and (fold, error) if one failed."""
+    def run_share(share: int) -> list[tuple[dict[str, Polarity], float]]:
+        """(predictions, seconds) for each fold of the share's run, in fold order."""
         workspace = Workspace()
         done = []
-        for fold in range(share, config.folds, shares):
+        for fold in share_run(share, shares, config.folds):
             start = time.perf_counter()
             test_ids = plan.fold_ids(fold)
             train_ids = [tw.id for tw in tweets if plan.assignments[tw.id] != fold]
             audit = IdAudit()
-            try:
-                predictions = _run_fold(
-                    config, fold, train_ids, test_ids, by_id, context, dictionaries,
-                    numbering, audit, workspace,
-                )
-                audit.assert_disjoint(test_ids)
-            except MultisentError as err:
-                return done, (fold, err)
-            done.append((fold, predictions, time.perf_counter() - start))
-        return done, None
-
-    outcomes = run_shares(run_share, shares)
-    failures = [failure for _, failure in outcomes if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+            predictions = _run_fold(
+                config, fold, train_ids, test_ids, by_id, context, dictionaries,
+                numbering, audit, workspace,
+            )
+            audit.assert_disjoint(test_ids)
+            done.append((predictions, time.perf_counter() - start))
+        return done
 
     right: dict[str, bool] = {}     # test id -> predicted its label
     fold_accuracies: list[float] = []
     wall_clock: list[float] = []
-    runs = sorted((run for done, _ in outcomes for run in done), key=lambda run: run[0])
-    for fold, predictions, seconds in runs:
+    for predictions, seconds in (run for done in run_shares(run_share, shares) for run in done):
         right.update((rid, pred == by_id[rid].label) for rid, pred in predictions.items())
-        fold_accuracies.append(sum(right[rid] for rid in predictions) / len(plan.fold_ids(fold)))
+        fold_accuracies.append(sum(right[rid] for rid in predictions) / len(predictions))
         wall_clock.append(seconds)
 
     per_language = {}

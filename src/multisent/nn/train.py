@@ -532,7 +532,8 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
 
     Malformed input (a bad number, a missing header field or tensor, a
     short line, a truncated tensor block, a tensor shape that does not fit
-    the architecture) raises ParseError.
+    the architecture, vocab lines that do not number each __embeddings__
+    row exactly once) raises ParseError.
     """
     lines = read_text(path).splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
@@ -544,6 +545,7 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     tensors: dict[str, np.ndarray] = {}
     tensor_lines: dict[str, int] = {}   # tensor name -> 1-based line of its header
     vocab: dict[tuple[str, str], int] = {}
+    vocab_rows: set[int] = set()
     i = 1
     while i < len(lines):
         line = lines[i]
@@ -612,7 +614,15 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
                     f"{n_rows} __embeddings__ rows",
                     line=i + 1,
                 )
-            vocab[(parts[1], parts[2])] = row
+            key = parts[1], parts[2]
+            if key in vocab or row in vocab_rows:
+                raise ParseError(
+                    f"vocab key {parts[1]} {parts[2]!r} is listed twice" if key in vocab
+                    else f"vocab row {row} is given to two keys",
+                    line=i + 1,
+                )
+            vocab[key] = row
+            vocab_rows.add(row)
         else:
             header[parts[0]] = i
         i += 1
@@ -672,6 +682,10 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             for f in fields(LstmParams)
         })
     E = tensor("__embeddings__", (None, d)) if "__embeddings__" in tensors else None
+    if E is not None and len(vocab) < len(E):
+        unnumbered = min(set(range(len(E))) - vocab_rows)
+        raise ParseError(f"__embeddings__ row {unnumbered} has no vocab line",
+                         line=tensor_lines["__embeddings__"])
     return TrainedModel(
         model=NeuralModel(
             kind=kind,

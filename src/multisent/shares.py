@@ -1,11 +1,15 @@
 """Run a job's shares at once: share 0 in this process, each other share in a forked worker.
 
-`evaluate` deals its folds, and `predict` its records and then its
-batches, into one share per usable CPU. A worker is a fork-context
-`multiprocessing.Process` whose target is its share, so it starts at
-once and inherits everything the share reads by the fork: only the
-share's result, or its exception, comes back, through one `Pipe` per
-worker. With one usable CPU nothing is forked.
+`evaluate` deals its folds, and `predict` its records, into one share
+per usable CPU in contiguous runs (`share_run`): results in share order
+are in item order, and the lowest share that raises holds the lowest
+failing item. `predict`'s length-sorted batches are the one exception,
+dealt round-robin because contiguous runs would put every long batch in
+one share. A worker is a fork-context `multiprocessing.Process` whose
+target is its share, so it starts at once and inherits everything the
+share reads by the fork: only the share's result, or its exception,
+comes back, through one `Pipe` per worker. With one usable CPU nothing
+is forked.
 
 A worker inherits this process's memory, workspace slabs included, and
 slabs are shared maps (`nn.workspace`): a share that runs in a worker
@@ -22,6 +26,12 @@ from .errors import MultisentError
 def usable_cpus() -> int:
     """The CPUs this process may run on (its affinity); 1 where the OS cannot say."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def share_run(share: int, shares: int, items: int) -> range:
+    """share's items: one contiguous run, as many as round-robin dealing gives it."""
+    size, extra = divmod(items, shares)
+    return range(share * size + min(share, extra), (share + 1) * size + min(share + 1, extra))
 
 
 def run_shares(run_share, shares: int) -> list:

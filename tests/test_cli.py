@@ -63,6 +63,17 @@ def test_readme_subcommand_table_matches_parser():
     assert sorted(listed) == sorted(subparsers.choices)
 
 
+def test_readme_library_use_runs(capsys):
+    """The README "Library use" block runs and prints one mean accuracy."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    block, = re.findall(r"```python\n(.*?)```", section, re.S)
+    capsys.readouterr()
+    exec(compile(block, "README.md", "exec"), {})
+    assert 0.0 <= float(capsys.readouterr().out) <= 1.0
+    assert multiprocessing.active_children() == []
+
+
 class TestSynth:
     def test_writes_all_roles(self, fixture_dir):
         names = {p.name for p in fixture_dir.iterdir()}
@@ -180,13 +191,18 @@ def spy_calls(monkeypatch):
 
 
 def write_config(path, fixture_dir, lines):
-    base = [
+    """A config of the base keys and lines, one line per key: a line replaces
+    the base line, or an earlier line, that sets its key."""
+    by_key = {}
+    for line in [
         f"corpus = {fixture_dir / 'corpus.jsonl'}",
         "languages = en,ja,zh",
         "folds = 3",
         "seed = 0",
-    ]
-    path.write_text("\n".join(base + lines) + "\n", encoding="utf-8")
+        *lines,
+    ]:
+        by_key[line.partition("=")[0].strip()] = line
+    path.write_text("\n".join(by_key.values()) + "\n", encoding="utf-8")
     return path
 
 
@@ -206,6 +222,18 @@ class TestEvaluateAndCompare:
         assert csv_out.read_text() == (
             f"name,kind,folds,mean_accuracy\nnb,nb,3,{report.mean_accuracy:.6f}\n"
         )
+
+    def test_key_set_twice_exits_2_naming_both_lines(self, fixture_dir, tmp_path, capsys,
+                                                      spy_calls):
+        cfg = write_config(tmp_path / "twice.cfg", fixture_dir, ["kind = nb"])
+        cfg.write_text(cfg.read_text(encoding="utf-8") + "kind = svm\n", encoding="utf-8")
+        for command in (["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r.json")],
+                        ["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == (
+                "error: line 6: config key kind is already set on line 5\n")
+        assert spy_calls == []
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.ckpt").exists()
 
     def test_csv_flag_is_gone(self, fixture_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "nb.cfg", fixture_dir, ["kind = nb"])
@@ -478,12 +506,12 @@ class TestEvaluateAndCompare:
     ):
         if not hasattr(os, "sched_getaffinity"):
             pytest.skip("no CPU affinity on this platform, so evaluate never forks")
-        # two usable CPUs: fold 1 runs in a forked worker
+        # two usable CPUs and 3 folds: fold 2 runs in a forked worker
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         real = experiment._run_fold
 
         def run_fold(config, fold, *args):
-            if fold == 1:
+            if fold == 2:
                 raise error
             return real(config, fold, *args)
 
@@ -919,6 +947,18 @@ class TestPredictRejectsBadCheckpoint:
         err = capsys.readouterr().err
         assert f"line {at + 1}:" in err and "vocab row 999999" in err
 
+    def test_vocab_keys_sharing_a_row_exit_2(self, fixture_dir, tmp_path, ckpt_lines, capsys):
+        # two keys on row 0 and the last vocab line gone: every key is inside
+        # __embeddings__, but one row has two keys and another none
+        vocab = [i for i, ln in enumerate(ckpt_lines) if ln.startswith("vocab ")]
+        lines = list(ckpt_lines)
+        lines[vocab[1]] = " ".join(lines[vocab[1]].split(" ")[:3] + ["0"])
+        del lines[vocab[-1]]
+        capsys.readouterr()
+        assert self.predict(fixture_dir, tmp_path, lines) == 2
+        err = capsys.readouterr().err
+        assert f"line {vocab[1] + 1}:" in err and "vocab row 0 is given to two keys" in err
+
     @pytest.mark.parametrize("prefix, new, message", [
         ("history ", "history 1 x1.49 0.5", "non-numeric history value"),
         ("dropout_rate ", None, "checkpoint lacks the 'dropout_rate' header field"),
@@ -1026,6 +1066,16 @@ class TestPredictRejectsBadInputs:
         capsys.readouterr()
         assert self.predict(fixture_dir, tmp_path, ckpt, "--matrix", f"ja={mat}") == 2
         assert "line 2: non-numeric fit_residual" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--embedding", "--matrix"])
+    def test_language_named_twice_exits_2(self, fixture_dir, tmp_path, ckpt, capsys, flag):
+        capsys.readouterr()
+        repeated = [flag, f"ja={fixture_dir / 'ja.vec'}", flag, f"ja={fixture_dir / 'zh.vec'}"]
+        if flag == "--embedding":
+            repeated = repeated[2:]     # predict already passes --embedding ja=...
+        assert self.predict(fixture_dir, tmp_path, ckpt, *repeated) == 2
+        assert capsys.readouterr().err == f"error: {flag} names language 'ja' twice\n"
+        assert not (tmp_path / "p.jsonl").exists()
 
     def test_max_len_flag_is_gone(self, fixture_dir, tmp_path, ckpt, capsys):
         with pytest.raises(SystemExit) as exit_:

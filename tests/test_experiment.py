@@ -89,6 +89,16 @@ window_sizes = 2,3
             parse_config("kind = nb\njust words\n")
         assert "line 2" in str(err.value)
 
+    def test_key_set_twice_names_both_lines(self):
+        with pytest.raises(ConfigurationError) as err:
+            parse_config("kind = nb\nlanguages = en\n# kind = lstm\n\nkind= svm\n")
+        assert str(err.value) == "line 5: config key kind is already set on line 1"
+
+    def test_name_line_is_not_a_repeat_of_the_default(self):
+        config = parse_config("name = mine\ncorpus = c\nlanguages = en\nkind = nb\n",
+                              name="from-file")
+        assert config.name == "mine"
+
     @pytest.mark.parametrize("word, value", [
         ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("No", False),
     ])
@@ -517,8 +527,9 @@ class TestSharedPerEvaluate:
 
 
 class TestShares:
-    """Folds dealt into shares by usable CPU: with two, share 0 (folds 0, 2, ...)
-    runs in this process and share 1 (folds 1, 3, ...) in a forked worker."""
+    """Folds dealt into shares by usable CPU, one contiguous run each: with two
+    shares and 3 folds, share 0 (folds 0 and 1) runs in this process and share 1
+    (fold 2) in a forked worker."""
 
     @staticmethod
     def cpus(monkeypatch, count: int) -> None:
@@ -547,10 +558,36 @@ class TestShares:
         assert len({r.canonical_json() for r in reports}) == 1
         assert all(len(r.wall_clock_per_fold) == 3 for r in reports)
 
+    @pytest.mark.parametrize("count, runs", [
+        (2, [[0, 1, 2], [3, 4]]),
+        (3, [[0, 1], [2, 3], [4]]),
+    ])
+    def test_each_share_runs_one_contiguous_run_of_folds(self, monkeypatch, tmp_path,
+                                                         count, runs):
+        # as many folds per share as round-robin dealing gives it, in fold order
+        assert [len(run) for run in runs] == [len(range(share, 5, count))
+                                              for share in range(count)]
+        self.cpus(monkeypatch, count)
+        real = experiment._run_fold
+
+        def run_fold(config, fold, *args):
+            with open(tmp_path / "folds.txt", "a", encoding="utf-8") as log:
+                log.write(f"{os.getpid()} {fold}\n")
+            return real(config, fold, *args)
+
+        monkeypatch.setattr(experiment, "_run_fold", run_fold)
+        run_experiment(nb_config(folds=5), records=marker_records(50))
+        by_pid: dict[int, list[int]] = {}
+        for line in (tmp_path / "folds.txt").read_text(encoding="utf-8").splitlines():
+            pid, fold = map(int, line.split())
+            by_pid.setdefault(pid, []).append(fold)
+        assert by_pid[os.getpid()] == runs[0]
+        assert sorted(by_pid.values()) == runs
+
     def test_worker_error_keeps_its_class_and_attributes(self, monkeypatch):
         self.cpus(monkeypatch, 2)
         self.fail_folds(monkeypatch, {
-            1: lambda pid: CoverageError(f"short in {pid}", shortfall=4),
+            2: lambda pid: CoverageError(f"short in {pid}", shortfall=4),
         })
         with pytest.raises(CoverageError) as caught:
             run_experiment(nb_config(folds=3), records=marker_records(30))
@@ -559,20 +596,36 @@ class TestShares:
         assert int(str(caught.value).split()[-1]) != os.getpid()   # raised in the worker
         assert multiprocessing.active_children() == []
 
-    def test_lowest_failing_fold_raises_as_with_one_share(self, monkeypatch):
+    def raises_lowest_failing_fold(self, monkeypatch, failing: dict, raised: type) -> None:
+        """4 folds at 1, 2 and 3 CPUs raise failing's lowest fold's error, of class raised.
+
+        At 2 CPUs folds 0-1 run here and 2-3 in the worker; at 3 CPUs folds
+        0-1 run here, fold 2 in the first worker and fold 3 in the second.
+        """
         self.fail_folds(monkeypatch, {
-            1: lambda pid: ConfigurationError("fold 1"),   # in the worker
-            2: lambda pid: LeakageError("fold 2"),         # here, after fold 0
+            fold: lambda pid, error=error, fold=fold: error(f"fold {fold}")
+            for fold, error in failing.items()
         })
-        for count in (1, 2):
+        for count in (1, 2, 3):
             self.cpus(monkeypatch, count)
-            with pytest.raises(ConfigurationError, match="fold 1"):
-                run_experiment(nb_config(folds=3), records=marker_records(30))
+            with pytest.raises(raised, match=f"fold {min(failing)}") as caught:
+                run_experiment(nb_config(folds=4), records=marker_records(40))
+            assert type(caught.value) is raised
             assert multiprocessing.active_children() == []
+
+    def test_lowest_failing_fold_raises_as_with_one_share(self, monkeypatch):
+        # one failing fold per share: fold 1 here, folds 2 and 3 in the workers
+        self.raises_lowest_failing_fold(
+            monkeypatch, {1: ConfigurationError, 2: LeakageError, 3: LeakageError},
+            ConfigurationError)
+
+    def test_lowest_failing_fold_in_a_worker_raises_as_with_one_share(self, monkeypatch):
+        self.raises_lowest_failing_fold(
+            monkeypatch, {2: ArgumentError, 3: LeakageError}, ArgumentError)
 
     def test_worker_that_dies_raises_naming_its_exit_code(self, monkeypatch):
         self.cpus(monkeypatch, 2)
-        self.fail_folds(monkeypatch, {1: lambda pid: os._exit(1)})   # fold 1 is the worker's
+        self.fail_folds(monkeypatch, {2: lambda pid: os._exit(1)})   # fold 2 is the worker's
         with pytest.raises(MultisentError,
                            match="a worker process exited with code 1 before returning its share"):
             run_experiment(nb_config(folds=3), records=marker_records(30))

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from multisent.errors import CoverageError
-from multisent.shares import run_shares
+from multisent.shares import run_shares, share_run
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
 
@@ -47,3 +47,12 @@ def test_share_0_raising_ends_every_worker():
     with pytest.raises(ValueError, match="share 0"):
         run_shares(run_share, 3)
     assert multiprocessing.active_children() == []
+
+
+def test_share_runs_are_contiguous_and_as_long_as_round_robin_gives():
+    for items in (0, 1, 2, 5, 6, 10, 13):
+        for shares in (1, 2, 3, 4, 7):
+            runs = [share_run(share, shares, items) for share in range(shares)]
+            assert [i for run in runs for i in run] == list(range(items))
+            assert [len(run) for run in runs] == [len(range(share, items, shares))
+                                                  for share in range(shares)]

@@ -472,6 +472,34 @@ class TestCheckpointAndLog:
         assert err.value.line == at + 1
         assert f"outside the {rows} __embeddings__ rows" in str(err.value)
 
+    @pytest.mark.parametrize("edit, message", [
+        ("repeated-key", "is listed twice"),
+        ("missing-row", "has no vocab line"),
+    ])
+    def test_vocab_rows_must_number_each_embedding_row_once(self, tmp_path, toy, edit,
+                                                            message):
+        tr, dev, ctx = toy
+        trained = train("cnn", tr, dev, ctx, quick_config(max_epochs=1,
+                                                         fine_tune_embeddings=True))
+        path = tmp_path / "model.txt"
+        save_checkpoint(trained, path)
+        lines = path.read_text().splitlines()
+        vocab = [i for i, ln in enumerate(lines) if ln.startswith("vocab ")]
+        first, second, last = vocab[0], vocab[1], vocab[-1]
+        assert [int(lines[i].split(" ")[3]) for i in vocab] == list(range(len(vocab)))
+        if edit == "repeated-key":    # row 1's line names row 0's key
+            lines[second] = " ".join(lines[first].split(" ")[:3] + ["1"])
+            at = second + 1
+        else:   # the last row left without a key (two keys on one row: test_cli.py)
+            del lines[last]
+            at = next(i for i, ln in enumerate(lines)
+                      if ln.startswith("tensor __embeddings__ ")) + 1
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert err.value.line == at
+        assert message in str(err.value)
+
     @pytest.mark.parametrize("bad", ["nan", "-inf", "1e999"])
     def test_non_finite_tensor_value_rejected(self, tmp_path, toy, bad):
         tr, dev, ctx = toy
