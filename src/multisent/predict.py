@@ -3,9 +3,8 @@
 `predict_records` is `multisent predict` without its files. It runs two
 rounds of shares (multisent.shares), one share per usable CPU:
 
-1. The records are dealt to the shares in contiguous runs
-   (multisent.shares) and preprocessed; the tweets are merged in share
-   order, which is input order.
+1. `preprocess_corpus` deals the records to the shares in contiguous
+   runs and merges their tweets in input order.
 2. This process then builds the embedding context once, because the
    partial `.vec` parse needs the words of every share, and numbers the
    tweets' tokens. `predict_batch` deals its length-sorted batches,
@@ -27,7 +26,7 @@ from .embeddings import TrainedFile
 from .nn import TrainedModel, predict_batch
 from .pipeline import EmbeddingContext, oov_from_fingerprint
 from .preprocess import TokenizedTweet, default_rules, preprocess_corpus
-from .shares import run_shares, share_run, usable_cpus
+from .shares import usable_cpus
 
 
 @dataclass
@@ -58,11 +57,7 @@ def predict_records(
     """
     oov_seed, oov_scale = oov_from_fingerprint(trained.fingerprints)
     rules = default_rules()
-    shares = min(usable_cpus(), len(records))
-    parts = run_shares(lambda share: preprocess_corpus(
-        [records[i] for i in share_run(share, shares, len(records))], rules, mode), shares)
-    tweets = [tw for kept, _ in parts for tw in kept]
-    empty = sum(len(dropped) for _, dropped in parts)
+    tweets, dropped = preprocess_corpus(records, rules, mode)
     words: dict[str, set[str]] = {lang: set() for lang in trained.sources}
     for tw in tweets:
         if tw.lang in words:
@@ -89,4 +84,4 @@ def predict_records(
                   TokenizedTweet(tw.id, tw.lang, tw.label, tw.tokens[:max_len])
                   for tw in tweets]
     predictions = predict_batch(trained, tweets, context, shares=usable_cpus())
-    return PredictResult(tweets, predictions, dict(skipped), empty, truncated)
+    return PredictResult(tweets, predictions, dict(skipped), len(dropped), truncated)

@@ -28,6 +28,11 @@ and joining for every stage.
 Emoticon detection ships as a versioned pattern file (one regex per line)
 plus a literal exception list for rare faces; both live in the package
 data directory and can be replaced by the caller.
+
+`preprocess_record` reads one record; `preprocess_corpus`, which
+`evaluate`, `train`, `preprocess` and `predict` all call, runs it over
+a corpus on every usable CPU (multisent.shares), in contiguous runs
+merged in input order.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from pathlib import Path
 
 from .corpus import Polarity, TweetRecord
 from .errors import ArgumentError, ConfigurationError, ParseError, RecordDropError, read_text
+from .shares import run_shares, share_run, usable_cpus
 
 # Codepoint ranges replaced by emoji tokens (inclusive).
 EMOJI_RANGES: tuple[tuple[int, int], ...] = (
@@ -308,12 +314,27 @@ def preprocess_corpus(
     rules: NormalizationRuleSet,
     mode: str = "whitespace",
 ) -> tuple[list[TokenizedTweet], list[str]]:
-    """Preprocess a corpus, returning kept tweets and dropped record ids."""
-    kept: list[TokenizedTweet] = []
-    dropped: list[str] = []
-    for rec in records:
-        try:
-            kept.append(preprocess_record(rec, rules, mode))
-        except RecordDropError:
-            dropped.append(rec.id)
+    """Preprocess a corpus on every usable CPU, returning kept tweets and dropped record ids.
+
+    The records are dealt in contiguous runs to one share per usable CPU
+    (multisent.shares), and each share's tweets and drops are merged in
+    share order, which is input order. So the result, and the first
+    record to raise, are those of one CPU whatever the CPU count.
+    """
+    shares = min(usable_cpus(), len(records))
+
+    def run_share(share: int) -> tuple[list[TokenizedTweet], list[str]]:
+        kept: list[TokenizedTweet] = []
+        dropped: list[str] = []
+        for i in share_run(share, shares, len(records)):
+            try:
+                kept.append(preprocess_record(records[i], rules, mode))
+            except RecordDropError:
+                dropped.append(records[i].id)
+        return kept, dropped
+
+    kept, dropped = [], []
+    for share_kept, share_dropped in run_shares(run_share, shares):
+        kept += share_kept
+        dropped += share_dropped
     return kept, dropped

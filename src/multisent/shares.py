@@ -1,26 +1,32 @@
 """Run a job's shares at once: share 0 in this process, each other share in a forked worker.
 
-`evaluate` deals its folds, and `predict` its records, into one share
-per usable CPU in contiguous runs (`share_run`): results in share order
-are in item order, and the lowest share that raises holds the lowest
-failing item. `predict`'s length-sorted batches are the one exception,
-dealt round-robin because contiguous runs would put every long batch in
-one share. A worker is a fork-context `multiprocessing.Process` whose
-target is its share, so it starts at once and inherits everything the
-share reads by the fork: only the share's result, or its exception,
-comes back, through one `Pipe` per worker. With one usable CPU nothing
-is forked.
+`preprocess_corpus` deals its records, and `evaluate` its folds, into
+one share per usable CPU in contiguous runs (`share_run`): results in
+share order are in item order, and the lowest share that raises holds
+the lowest failing item. `predict`'s length-sorted batches are the one
+exception, dealt round-robin because contiguous runs would put every
+long batch in one share. A worker is a bare `os.fork` that runs its
+share at once and inherits everything the share reads by the fork:
+only the share's result, or its exception, comes back, pickled, through
+one pipe per worker. With one usable CPU nothing is forked.
 
 A worker inherits this process's memory, workspace slabs included, and
 slabs are shared maps (`nn.workspace`): a share that runs in a worker
-makes its own workspace. No share forks again.
+makes its own workspace. No share forks again: `run_shares` called from
+inside a share, here or in a worker, runs all its shares in that
+process.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
+from typing import NoReturn
 
 from .errors import MultisentError
+
+_in_share = False   # True while this process runs a share; a worker never clears it
 
 
 def usable_cpus() -> int:
@@ -37,61 +43,91 @@ def share_run(share: int, shares: int, items: int) -> range:
 def run_shares(run_share, shares: int) -> list:
     """[run_share(0), ..., run_share(shares - 1)]: share 0 here, each other in a forked worker.
 
-    With fewer than two shares nothing is forked. A share that raises
-    makes this raise its exception, the lowest such share's, so a
-    MultisentError keeps its class and attributes; a worker that exits
-    without a result raises a MultisentError naming its exit code.
-    Every worker has been joined and every pipe closed when this
-    returns or raises; on a raise, workers still running are
-    terminated first.
+    With fewer than two shares, or when called from inside a share,
+    nothing is forked. A share that raises makes this raise its
+    exception, the lowest such share's, so a MultisentError keeps its
+    class and attributes; a result that cannot be pickled raises the
+    pickling error instead. A worker that ends without a result raises a
+    MultisentError naming its exit code, negative for a signal. Every
+    worker has been reaped and every pipe closed when this returns or
+    raises; on a raise, workers still running are sent SIGTERM first.
     """
-    if shares < 2:
-        return [run_share(share) for share in range(shares)]
-    import multiprocessing
-
-    fork = multiprocessing.get_context("fork")
-    workers, readers = [], []   # by share, from share 1
-    finished = False
+    if shares < 2 or _in_share:
+        return _run_here(run_share, range(shares))
+    readers: list[int] = []     # by share, from share 1
+    running: list[int] = []     # pids of the workers not yet reaped
     try:
         for share in range(1, shares):
-            reader, writer = fork.Pipe(duplex=False)
+            reader, writer = os.pipe()
             readers.append(reader)
-            with writer:    # closed here before the next fork, so a dead worker's pipe reads EOF
-                process = fork.Process(target=_send_share, args=(run_share, share, writer),
-                                       daemon=True)
-                process.start()
-                workers.append(process)
-        results = [run_share(0)]
-        for process, reader in zip(workers, readers):
-            # read before joining: a result larger than the pipe's buffer blocks its writer
             try:
-                ok, value = reader.recv()
-            except (EOFError, OSError):
-                process.join()
+                pid = os.fork()
+                if pid == 0:
+                    _work(run_share, share, readers, writer)
+            finally:
+                os.close(writer)    # before the next fork, so a dead worker's pipe reads EOF
+            running.append(pid)
+        results = _run_here(run_share, range(1))
+        for pid, reader in zip(list(running), readers):
+            # read before reaping: a result larger than the pipe's buffer blocks its writer
+            chunks = []
+            while chunk := os.read(reader, 1 << 16):
+                chunks.append(chunk)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.remove(pid)
+            if code != 0 or not chunks:
                 raise MultisentError(
-                    f"a worker process exited with code {process.exitcode} "
-                    f"before returning its share"
-                ) from None
+                    f"a worker process exited with code {code} before returning its share"
+                )
+            ok, value = pickle.loads(b"".join(chunks))
             if not ok:
                 raise value
             results.append(value)
-        finished = True
         return results
+    except BaseException:
+        for pid in running:
+            os.kill(pid, signal.SIGTERM)
+        raise
     finally:
         for reader in readers:
-            reader.close()
-        for process in workers:
-            if not finished:
-                process.terminate()
-            process.join()
-            process.close()
+            os.close(reader)
+        for pid in running:
+            os.waitpid(pid, 0)
 
 
-def _send_share(run_share, share: int, conn) -> None:
-    """A worker's target: run its share and send back (True, result) or (False, exception)."""
+def _run_here(run_share, shares: range) -> list:
+    """[run_share(share) for share in shares], in this process: no share forks a worker."""
+    global _in_share
+    outer, _in_share = _in_share, True
     try:
-        message = (True, run_share(share))
-    except Exception as err:  # sent to the parent, which raises it
-        message = (False, err)
-    with conn:
-        conn.send(message)
+        return [run_share(share) for share in shares]
+    finally:
+        _in_share = outer
+
+
+def _work(run_share, share: int, readers: list[int], writer: int) -> NoReturn:
+    """A worker's whole life: run its share, write back its message, leave through os._exit.
+
+    The message is (True, result) or (False, exception), pickled; the
+    exit code is 0 only once every byte of it is written.
+    """
+    global _in_share
+    code = 1
+    try:
+        _in_share = True
+        for reader in readers:      # its own pipe's and the earlier workers'
+            os.close(reader)
+        try:
+            message = (True, run_share(share))
+        except Exception as err:  # sent to the parent, which raises it
+            message = (False, err)
+        try:
+            data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        except Exception as err:  # a result or exception that cannot be pickled
+            data = pickle.dumps((False, err), pickle.HIGHEST_PROTOCOL)
+        view = memoryview(data)
+        while view:
+            view = view[os.write(writer, view):]
+        code = 0
+    finally:
+        os._exit(code)

@@ -1,6 +1,9 @@
 """Shared builders for the test suite."""
 
+import contextlib
 import hashlib
+import os
+import signal
 from collections import Counter
 from types import SimpleNamespace
 
@@ -54,6 +57,34 @@ def tiny_records() -> list[TweetRecord]:
         TweetRecord(id="a2", lang="en", text="bad stuff here", label=Polarity.NEGATIVE),
         TweetRecord(id="a3", lang="en", text="plain stuff here", label=Polarity.NEUTRAL),
     ]
+
+
+def _open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+def _time_out(signum, frame):
+    raise TimeoutError("the body outlived its alarm")
+
+
+@contextlib.contextmanager
+def no_worker_left(seconds: int = 60):
+    """Run the body, then assert that it left no child process and no open fd behind.
+
+    A body that runs longer than seconds raises TimeoutError, so a pipe
+    whose write end stays open fails the test instead of hanging it.
+    """
+    fds = _open_fds()
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
 
 
 def finite_difference(f, params: dict[str, np.ndarray], step: float = 1e-5) -> dict[str, np.ndarray]:

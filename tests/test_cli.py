@@ -4,7 +4,6 @@ import argparse
 import hashlib
 import importlib
 import json
-import multiprocessing
 import os
 import re
 from pathlib import Path
@@ -13,7 +12,7 @@ import pytest
 
 import numpy as np
 
-from multisent import cli, experiment, pipeline, predict
+from multisent import cli, experiment, pipeline, predict, preprocess
 from multisent.align import load_translation_matrix
 from multisent.cli import main
 from multisent.corpus import load_corpus
@@ -23,6 +22,7 @@ from multisent.nn import load_checkpoint, predict_batch
 from multisent.pipeline import EmbeddingContext
 from multisent.preprocess import default_rules, preprocess_corpus
 
+from conftest import no_worker_left
 from test_option_coverage import invocations_in_readme
 
 
@@ -69,9 +69,9 @@ def test_readme_library_use_runs(capsys):
     section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
     block, = re.findall(r"```python\n(.*?)```", section, re.S)
     capsys.readouterr()
-    exec(compile(block, "README.md", "exec"), {})
+    with no_worker_left():
+        exec(compile(block, "README.md", "exec"), {})
     assert 0.0 <= float(capsys.readouterr().out) <= 1.0
-    assert multiprocessing.active_children() == []
 
 
 class TestSynth:
@@ -518,10 +518,10 @@ class TestEvaluateAndCompare:
         monkeypatch.setattr(experiment, "_run_fold", run_fold)
         cfg = write_config(tmp_path / "nb.cfg", fixture_dir, ["kind = nb"])
         out = tmp_path / "nb.json"
-        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == code
+        with no_worker_left():
+            assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == code
         assert capsys.readouterr().err == printed
         assert not out.exists()
-        assert multiprocessing.active_children() == []
 
     def test_relu_candidate_still_evaluates(self, fixture_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "relu.cfg", fixture_dir, [
@@ -826,25 +826,24 @@ class TestPredictOptions:
             pytest.skip("no CPU affinity on this platform, so predict never forks")
         # two usable CPUs: the second half of the records is preprocessed in a forked worker
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        parent, real = os.getpid(), predict.preprocess_corpus
+        parent, real = os.getpid(), preprocess.preprocess_record
 
-        def preprocess(*args):
+        def preprocess_record(*args):
             if os.getpid() != parent:
                 os._exit(1)
             return real(*args)
 
-        monkeypatch.setattr(predict, "preprocess_corpus", preprocess)
+        monkeypatch.setattr(preprocess, "preprocess_record", preprocess_record)
         self.write_input(fixture_dir, tmp_path / "in.jsonl")
         message = "a worker process exited with code 1 before returning its share"
-        with pytest.raises(MultisentError, match=message):
+        with no_worker_left(), pytest.raises(MultisentError, match=message):
             predict.predict_records(
                 load_checkpoint(ckpt), load_corpus(tmp_path / "in.jsonl"),
                 {lang: str(fixture_dir / f"{lang}.vec") for lang in ("en", "ja", "zh")}, {})
-        assert multiprocessing.active_children() == []
-        assert main(["predict", *self.files(fixture_dir, tmp_path, ckpt)]) == 2
+        with no_worker_left():
+            assert main(["predict", *self.files(fixture_dir, tmp_path, ckpt)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "p.jsonl").exists()
-        assert multiprocessing.active_children() == []
 
     def test_unwritable_out_exits_2_naming_it(self, fixture_dir, tmp_path, ckpt, capsys):
         self.write_input(fixture_dir, tmp_path / "in.jsonl")

@@ -148,8 +148,34 @@ def test_report_bytes_ignore_the_cpu_count(tmp_path, config):
         reports.append(_canonical_report(out))
         forks.append(int(done.stdout.split()[-1]))
     assert reports[0] == reports[1]
-    # one worker per share but the first
-    assert forks == [0, min(3, len(os.sched_getaffinity(0))) - 1]
+    # one worker per share but the first: of the records, then of the 3 folds
+    cpus = len(os.sched_getaffinity(0))
+    records = len((tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines())
+    assert forks == [0, min(cpus, records) - 1 + min(cpus, 3) - 1]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity (Linux)")
+def test_preprocess_bytes_ignore_the_cpu_count(tmp_path):
+    assert main(["synth", "--out", str(tmp_path), "--seed", "2", "--tweets", "36"]) == 0
+    rows = [json.loads(line) for line in (tmp_path / "corpus.jsonl").read_text().splitlines()]
+    # drops spread over the input, so every share of the records has some
+    for k in range(0, len(rows), 7):
+        rows[k] = dict(rows[k], text=" \u200d ")
+    (tmp_path / "in.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    outputs, forks = [], []
+    for mode in ("pinned", "default"):
+        out = tmp_path / f"{mode}.jsonl"
+        done = subprocess.run(
+            [sys.executable, "-c", COUNT_FORKS, mode, "preprocess",
+             "--in", str(tmp_path / "in.jsonl"), "--out", str(out)],
+            env=env, check=True, capture_output=True, text=True, timeout=300)
+        outputs.append(out.read_bytes())
+        forks.append(int(done.stdout.split()[-1]))
+        assert f"({len(range(0, len(rows), 7))} dropped)" in done.stdout
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == len(rows) - len(range(0, len(rows), 7))
+    assert forks == [0, min(len(os.sched_getaffinity(0)), len(rows)) - 1]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity (Linux)")

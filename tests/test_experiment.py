@@ -1,7 +1,6 @@
 """Cross-validation driver: config plumbing, audits, reports, comparisons."""
 
 import json
-import multiprocessing
 import os
 from collections import Counter
 
@@ -30,7 +29,7 @@ from multisent.experiment import (
 from multisent.nn.workspace import Workspace
 from multisent.synth import SynthSpec, generate_fixture, write_fixture
 
-from conftest import marker_tweets, toy_context
+from conftest import marker_tweets, no_worker_left, toy_context
 
 
 def nb_config(**over) -> ExperimentConfig:
@@ -553,8 +552,8 @@ class TestShares:
         reports = []
         for count in (1, 2, 3):
             self.cpus(monkeypatch, count)
-            reports.append(run_experiment(nb_config(folds=3), records=marker_records(30)))
-            assert multiprocessing.active_children() == []
+            with no_worker_left():
+                reports.append(run_experiment(nb_config(folds=3), records=marker_records(30)))
         assert len({r.canonical_json() for r in reports}) == 1
         assert all(len(r.wall_clock_per_fold) == 3 for r in reports)
 
@@ -589,12 +588,11 @@ class TestShares:
         self.fail_folds(monkeypatch, {
             2: lambda pid: CoverageError(f"short in {pid}", shortfall=4),
         })
-        with pytest.raises(CoverageError) as caught:
+        with no_worker_left(), pytest.raises(CoverageError) as caught:
             run_experiment(nb_config(folds=3), records=marker_records(30))
         assert caught.value.shortfall == 4
         assert str(caught.value).startswith("short in ")
         assert int(str(caught.value).split()[-1]) != os.getpid()   # raised in the worker
-        assert multiprocessing.active_children() == []
 
     def raises_lowest_failing_fold(self, monkeypatch, failing: dict, raised: type) -> None:
         """4 folds at 1, 2 and 3 CPUs raise failing's lowest fold's error, of class raised.
@@ -608,10 +606,9 @@ class TestShares:
         })
         for count in (1, 2, 3):
             self.cpus(monkeypatch, count)
-            with pytest.raises(raised, match=f"fold {min(failing)}") as caught:
+            with no_worker_left(), pytest.raises(raised, match=f"fold {min(failing)}") as caught:
                 run_experiment(nb_config(folds=4), records=marker_records(40))
             assert type(caught.value) is raised
-            assert multiprocessing.active_children() == []
 
     def test_lowest_failing_fold_raises_as_with_one_share(self, monkeypatch):
         # one failing fold per share: fold 1 here, folds 2 and 3 in the workers
@@ -626,7 +623,7 @@ class TestShares:
     def test_worker_that_dies_raises_naming_its_exit_code(self, monkeypatch):
         self.cpus(monkeypatch, 2)
         self.fail_folds(monkeypatch, {2: lambda pid: os._exit(1)})   # fold 2 is the worker's
-        with pytest.raises(MultisentError,
-                           match="a worker process exited with code 1 before returning its share"):
+        with no_worker_left(), pytest.raises(
+                MultisentError,
+                match="a worker process exited with code 1 before returning its share"):
             run_experiment(nb_config(folds=3), records=marker_records(30))
-        assert multiprocessing.active_children() == []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multisent import preprocess
 from multisent.corpus import Polarity, TweetRecord
 from multisent.errors import ArgumentError, ConfigurationError, ParseError, RecordDropError
 from multisent.preprocess import (
@@ -21,6 +22,8 @@ from multisent.preprocess import (
     preprocess_corpus,
     preprocess_record,
 )
+
+from conftest import no_worker_left
 
 RULES = default_rules()
 
@@ -306,6 +309,28 @@ def test_corpus_collects_drops():
     tweets, dropped = preprocess_corpus(records, RULES, "whitespace")
     assert [tw.id for tw in tweets] == ["ok"]
     assert dropped == ["gone"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_corpus_result_ignores_the_cpu_count(monkeypatch, cpus):
+    # 3 records to a share at 3 CPUs, 5 and 4 at 2: a drop in every share
+    records = [_rec("  " if k in (1, 4, 7) else f"word{k} :-)", rid=f"r{k}") for k in range(9)]
+    monkeypatch.setattr(preprocess, "usable_cpus", lambda: cpus)
+    with no_worker_left():
+        tweets, dropped = preprocess_corpus(records, RULES, "whitespace")
+    assert dropped == ["r1", "r4", "r7"]
+    assert tweets == [preprocess_record(records[k], RULES, "whitespace")
+                      for k in (0, 2, 3, 5, 6, 8)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_first_record_without_tokens_raises_whatever_the_cpu_count(monkeypatch, cpus):
+    # r4 is in the second share at 2 and at 3 CPUs; r5 fails too, later
+    records = [_rec("text", rid=f"r{k}", tokens=None if k in (4, 5) else ["tok"]) for k in range(6)]
+    monkeypatch.setattr(preprocess, "usable_cpus", lambda: cpus)
+    with no_worker_left(), pytest.raises(
+            ConfigurationError, match="^record 'r4' has no tokens for pretokenized mode$"):
+        preprocess_corpus(records, RULES, "pretokenized")
 
 
 def test_pretokenized_requires_tokens():
