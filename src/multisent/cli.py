@@ -134,6 +134,9 @@ def _parse_lang_path(values: list[str], flag: str) -> dict[str, str]:
         if "=" not in item:
             raise MultisentError(f"{flag} expects LANG=PATH, got {item!r}")
         lang, _, path = item.partition("=")
+        if not lang or not path:
+            raise MultisentError(
+                f"{flag} expects LANG=PATH with neither empty, got {item!r}")
         if lang in out:
             raise MultisentError(f"{flag} names language {lang!r} twice")
         out[lang] = path

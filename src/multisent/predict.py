@@ -1,14 +1,18 @@
 """Classify a corpus with a saved checkpoint, on every usable CPU.
 
-`predict_records` is `multisent predict` without its files. It runs two
+`predict_records` is `multisent predict` without its files. It runs three
 rounds of shares (multisent.shares), one share per usable CPU:
 
 1. `preprocess_corpus` deals the records to the shares in contiguous
    runs and merges their tweets in input order.
-2. This process then builds the embedding context once, because the
-   partial `.vec` parse needs the words of every share, and numbers the
-   tweets' tokens. `predict_batch` deals its length-sorted batches,
-   whole and longest first, round-robin to the shares.
+2. `EmbeddingContext.from_paths` deals the `.vec` tables to the shares.
+   Of a file whose bytes are the ones the checkpoint recorded it parses
+   only the rows of the words the model will look up: those of the
+   tweets as classified (in a language with a table, cut to a CNN's
+   max_len) that the checkpoint's fine-tuned rows do not hold.
+3. This process numbers the tweets' tokens, and `predict_batch` deals
+   its length-sorted batches, whole and longest first, round-robin to
+   the shares.
 
 No share re-cuts a batch, so the predictions keep their bits whatever
 the CPU count; with one usable CPU nothing is forked.
@@ -58,22 +62,8 @@ def predict_records(
     oov_seed, oov_scale = oov_from_fingerprint(trained.fingerprints)
     rules = default_rules()
     tweets, dropped = preprocess_corpus(records, rules, mode)
-    words: dict[str, set[str]] = {lang: set() for lang in trained.sources}
-    for tw in tweets:
-        if tw.lang in words:
-            words[tw.lang].update(tw.tokens)
-    context = EmbeddingContext.from_paths(
-        embeddings,
-        matrices,
-        oov_seed=oov_seed,
-        oov_scale=oov_scale,
-        max_len=trained.model.max_len,
-        rules_version=rules.fingerprint(),
-        trained={lang: TrainedFile(sha256, trained.fingerprints[f"embeddings:{lang}"], words[lang])
-                 for lang, sha256 in trained.sources.items()},
-    )
-    skipped = Counter(tw.lang for tw in tweets if tw.lang not in context.tables)
-    tweets = [tw for tw in tweets if tw.lang in context.tables]
+    skipped = Counter(tw.lang for tw in tweets if tw.lang not in embeddings)
+    tweets = [tw for tw in tweets if tw.lang in embeddings]
     # The CNN cannot pad past the max_len it was trained with, so a longer
     # tweet is cut to its first max_len tokens; the LSTM takes any length.
     max_len = trained.model.max_len
@@ -83,5 +73,21 @@ def predict_records(
         tweets = [tw if tw.length <= max_len else
                   TokenizedTweet(tw.id, tw.lang, tw.label, tw.tokens[:max_len])
                   for tw in tweets]
+    # predict_batch looks up only the tokens the fine-tuned rows lack
+    held = {} if trained.fine_tuned is None else trained.fine_tuned.index
+    words: dict[str, set[str]] = {lang: set() for lang in trained.sources}
+    for tw in tweets:
+        if tw.lang in words:
+            words[tw.lang].update(tok for tok in tw.tokens if (tw.lang, tok) not in held)
+    context = EmbeddingContext.from_paths(
+        embeddings,
+        matrices,
+        oov_seed=oov_seed,
+        oov_scale=oov_scale,
+        max_len=max_len,
+        rules_version=rules.fingerprint(),
+        trained={lang: TrainedFile(sha256, trained.fingerprints[f"embeddings:{lang}"], words[lang])
+                 for lang, sha256 in trained.sources.items()},
+    )
     predictions = predict_batch(trained, tweets, context, shares=usable_cpus())
     return PredictResult(tweets, predictions, dict(skipped), len(dropped), truncated)

@@ -1,7 +1,8 @@
 """Run a job's shares at once: share 0 in this process, each other share in a forked worker.
 
-`preprocess_corpus` deals its records, and `evaluate` its folds, into
-one share per usable CPU in contiguous runs (`share_run`): results in
+`preprocess_corpus` deals its records, `EmbeddingContext.from_paths`
+its `.vec` tables and `evaluate` its folds into one share per usable
+CPU in contiguous runs (`share_run`): results in
 share order are in item order, and the lowest share that raises holds
 the lowest failing item. `predict`'s length-sorted batches are the one
 exception, dealt round-robin because contiguous runs would put every

@@ -1076,6 +1076,16 @@ class TestPredictRejectsBadInputs:
         assert capsys.readouterr().err == f"error: {flag} names language 'ja' twice\n"
         assert not (tmp_path / "p.jsonl").exists()
 
+    @pytest.mark.parametrize("flag, item", [("--embedding", "en="), ("--embedding", "=en.vec"),
+                                            ("--matrix", "ja="), ("--matrix", "=ja-en.mat")])
+    def test_empty_language_or_path_exits_2(self, fixture_dir, tmp_path, capsys, flag, item):
+        # the model path does not exist: the flag is checked before the checkpoint is read
+        capsys.readouterr()
+        assert self.predict(fixture_dir, tmp_path, tmp_path / "absent.ckpt", flag, item) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} expects LANG=PATH with neither empty, got {item!r}\n")
+        assert not (tmp_path / "p.jsonl").exists()
+
     def test_max_len_flag_is_gone(self, fixture_dir, tmp_path, ckpt, capsys):
         with pytest.raises(SystemExit) as exit_:
             self.predict(fixture_dir, tmp_path, ckpt, "--max-len", "9")
@@ -1121,20 +1131,36 @@ class TestPredictParsesOnlyTheUsedRows:
                       ("en", ["fine", "good"]), ("ja", ["良い", "夜"]), ("ja", ["悪い"])])]
         (d / "unseen.jsonl").write_text(
             "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in unseen), encoding="utf-8")
-        cfg = write_config(d / "cnn.cfg", d, [
-            "kind = cnn", "window_sizes = 2",
-            *(f"embedding.{lang} = {d / f'{lang}.vec'}" for lang in ("en", "ja", "zh")),
-            "train.max_epochs = 2", "train.filters_per_window = 3",
-        ])
-        assert main(["train", "--config", str(cfg), "--out", str(d / "model.ckpt")]) == 0
-        lines = (d / "model.ckpt").read_text(encoding="utf-8").splitlines(keepends=True)
-        (d / "old.ckpt").write_text("".join(ln for ln in lines if not ln.startswith("source ")),
-                                    encoding="utf-8")
+        # tweets longer than the model's max_len of 3, each with a word only past the cut;
+        # and the input with a word of en.vec that no training tweet holds
+        long = [{"id": "l0", "lang": "en", "text": "good day fine sun", "label": 0},
+                {"id": "l1", "lang": "ja", "text": "良い 夜 悪い 雨", "label": 1}]
+        (d / "long.jsonl").write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in long), encoding="utf-8")
+        spare = {"id": "s0", "lang": "en", "text": "spare good zzz", "label": 2}
+        (d / "spare.jsonl").write_text(
+            (d / "unseen.jsonl").read_text(encoding="utf-8")
+            + json.dumps(spare, ensure_ascii=False) + "\n", encoding="utf-8")
+        for name, tune in (("model", "false"), ("ft", "true")):
+            cfg = write_config(d / f"{name}.cfg", d, [
+                "kind = cnn", "window_sizes = 2",
+                *(f"embedding.{lang} = {d / f'{lang}.vec'}" for lang in ("en", "ja", "zh")),
+                "train.max_epochs = 2", "train.filters_per_window = 3",
+                f"train.fine_tune_embeddings = {tune}",
+            ])
+            assert main(["train", "--config", str(cfg), "--out", str(d / f"{name}.ckpt")]) == 0
+            lines = (d / f"{name}.ckpt").read_text(encoding="utf-8").splitlines(keepends=True)
+            old = "old.ckpt" if name == "model" else f"{name}-old.ckpt"
+            (d / old).write_text("".join(ln for ln in lines if not ln.startswith("source ")),
+                                 encoding="utf-8")
         return d
 
     @pytest.fixture
     def loaded(self, monkeypatch):
-        """lang -> the table predict loaded last for it."""
+        """lang -> the table predict loaded last for it.
+
+        The tables load on one CPU, so that the spy sees every call.
+        """
         tables = {}
         real = pipeline.load_embedding_table
 
@@ -1143,10 +1169,11 @@ class TestPredictParsesOnlyTheUsedRows:
             return tables[lang]
 
         monkeypatch.setattr(pipeline, "load_embedding_table", record)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
         return tables
 
-    def predict(self, d, ckpt, out, en=None):
-        return main(["predict", "--model", str(d / ckpt), "--in", str(d / "unseen.jsonl"),
+    def predict(self, d, ckpt, out, en=None, infile="unseen.jsonl"):
+        return main(["predict", "--model", str(d / ckpt), "--in", str(d / infile),
                      "--out", str(out), "--embedding", f"en={en or d / 'en.vec'}",
                      "--embedding", f"ja={d / 'ja.vec'}", "--embedding", f"zh={d / 'zh.vec'}"])
 
@@ -1171,6 +1198,30 @@ class TestPredictParsesOnlyTheUsedRows:
             assert table.fingerprint() == loaded[lang].fingerprint()
             for word, vec in table.entries.items():
                 assert vec.tobytes() == loaded[lang].entries[word].tobytes()
+        assert (tmp_path / "used.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+
+    def test_tokens_past_a_cnns_max_len_are_not_parsed(self, files, tmp_path, loaded):
+        assert load_checkpoint(files / "model.ckpt").model.max_len == 3
+        assert self.predict(files, "model.ckpt", tmp_path / "used.jsonl", infile="long.jsonl") == 0
+        assert {lang: sorted(t.entries) for lang, t in loaded.items()} == {
+            "en": ["day", "fine", "good"], "ja": ["夜", "悪い", "良い"], "zh": []}
+        assert self.predict(files, "old.ckpt", tmp_path / "whole.jsonl", infile="long.jsonl") == 0
+        assert (tmp_path / "used.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+
+    def test_fine_tuned_rows_are_not_parsed(self, files, tmp_path, loaded, table_hashes):
+        held = load_checkpoint(files / "ft.ckpt").fine_tuned.index
+        assert ("en", "good") in held and ("en", "spare") not in held
+        assert self.predict(files, "ft.ckpt", tmp_path / "used.jsonl", infile="spare.jsonl") == 0
+        # of the words the tweets use, only those the checkpoint's rows lack
+        used = {lang: sorted(t.entries) for lang, t in loaded.items()}
+        assert used == {
+            "en": sorted(["spare", *(w for w in self.USED["en"] if ("en", w) not in held)]),
+            "ja": sorted(w for w in self.USED["ja"] if ("ja", w) not in held), "zh": []}
+        assert "spare" in used["en"] and "good" not in used["en"]
+        assert table_hashes == {}
+        assert self.predict(files, "ft-old.ckpt", tmp_path / "whole.jsonl",
+                            infile="spare.jsonl") == 0
+        assert {lang: len(t.entries) for lang, t in loaded.items()} == {"en": 9, "ja": 5, "zh": 5}
         assert (tmp_path / "used.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
 
     def test_respelled_unused_value_loads_the_whole_file(self, files, tmp_path, loaded,

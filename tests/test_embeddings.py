@@ -1,6 +1,7 @@
 """Embedding table IO and OOV policy."""
 
 import hashlib
+import pickle
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from multisent import pipeline
 from multisent.corpus import Polarity
 from multisent.embeddings import (
     _LOAD_CHUNK_ROWS,
@@ -28,7 +30,7 @@ from multisent.errors import ArgumentError, ConfigurationError, ParseError
 from multisent.pipeline import EmbeddingContext
 from multisent.preprocess import TokenizedTweet
 
-from conftest import seeded_table
+from conftest import no_worker_left, seeded_table
 
 
 def _tw(tokens, lang="en"):
@@ -272,6 +274,91 @@ def test_loaded_rows_are_read_only(tmp_path):
     with pytest.raises(ValueError):
         table.entries["a"][0] = 9.0
     assert table.entries["b"].tolist() == [3.0, 4.0]
+
+
+@pytest.mark.parametrize("words", [[], ["a", "b", "c"]])
+def test_pickled_table_has_read_only_rows_of_one_matrix(words):
+    built = seeded_table("en", words, 3)
+    built.duplicate_count, built.sha256 = 2, "f" * 64
+    copy = pickle.loads(pickle.dumps(built, pickle.HIGHEST_PROTOCOL))
+    assert (copy.lang, copy.dim, copy.duplicate_count, copy.sha256) == ("en", 3, 2, "f" * 64)
+    assert copy.fingerprint() == built.fingerprint()
+    assert list(copy.entries) == words
+    for word, row in copy.entries.items():
+        assert row.tobytes() == built.entries[word].tobytes()
+        assert not row.flags.writeable
+        assert row.base is copy.entries[words[0]].base is not None
+
+
+# Four languages, so that at 3 CPUs the shares hold 2, 1 and 1 tables and
+# at 2 CPUs 2 and 2; ja holds a duplicate word.
+_LANGS = ("en", "es", "ja", "zh")
+
+
+def _vec_files(tmp_path) -> dict[str, str]:
+    paths = {}
+    for k, lang in enumerate(_LANGS):
+        rows = [f"w{i} {i + k}.5 -{i}e-3" for i in range(5)] + (["w1 7 8"] if lang == "ja" else [])
+        paths[lang] = str(tmp_path / f"{lang}.vec")
+        (tmp_path / f"{lang}.vec").write_text(f"{len(rows)} 2\n" + "\n".join(rows) + "\n")
+    return paths
+
+
+def _context(monkeypatch, cpus: int, paths: dict[str, str], trained=None) -> EmbeddingContext:
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+    return EmbeddingContext.from_paths(paths, {}, oov_seed=0, oov_scale=None, max_len=1,
+                                       rules_version="-", trained=trained)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_tables_load_alike_whatever_the_cpu_count(monkeypatch, tmp_path, cpus):
+    paths = _vec_files(tmp_path)
+    # zh is a recorded file: two of its rows parsed, the recorded fingerprint kept
+    recorded = load_embedding_table(paths["zh"], "zh")
+    trained = {"zh": TrainedFile(recorded.sha256, "pinned", {"w0", "w3"})}
+    expected = _context(monkeypatch, 1, paths, trained).tables
+    with no_worker_left():
+        tables = _context(monkeypatch, cpus, paths, trained).tables
+    assert list(tables) == list(_LANGS)
+    assert tables["ja"].duplicate_count == 1 and sorted(tables["zh"].entries) == ["w0", "w3"]
+    for lang, table in tables.items():
+        want = expected[lang]
+        assert (table.lang, table.dim, table.duplicate_count, table.sha256, table.fingerprint()) \
+            == (want.lang, want.dim, want.duplicate_count, want.sha256, want.fingerprint())
+        assert list(table.entries) == list(want.entries)
+        first = next(iter(table.entries.values()))
+        for word, row in table.entries.items():
+            assert row.tobytes() == want.entries[word].tobytes()
+            assert not row.flags.writeable
+            assert row.base is first.base is not None
+    assert tables["zh"].fingerprint() == "pinned"
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("bad", [1, 2])
+@pytest.mark.parametrize("fault", ["malformed", "missing"])
+def test_first_failing_table_raises_as_on_one_cpu(monkeypatch, tmp_path, cpus, bad, fault):
+    # the 2nd language loads in this process at every CPU count, the 3rd in a
+    # worker at 2 and 3; zh, which fails too, comes later
+    paths = _vec_files(tmp_path)
+    lang = _LANGS[bad]
+    if fault == "missing":
+        paths[lang] = str(tmp_path / "absent.vec")
+    else:
+        (tmp_path / f"{lang}.vec").write_text("2 2\nw0 1 2\nw1 1 x\n")
+    (tmp_path / "zh.vec").write_text("1 2\nw0 1\n")
+    kind = OSError if fault == "missing" else ParseError
+    with pytest.raises(kind) as one:
+        _context(monkeypatch, 1, paths)
+    with no_worker_left(), pytest.raises(kind) as many:
+        _context(monkeypatch, cpus, paths)
+    assert type(many.value) is type(one.value)
+    assert str(many.value) == str(one.value)
+    assert vars(many.value) == vars(one.value)
+    if fault == "missing":
+        assert (many.value.errno, many.value.filename) == (one.value.errno, paths[lang])
+    else:
+        assert many.value.line == 3
 
 
 def test_frequency_counts_sidecar(tmp_path):
