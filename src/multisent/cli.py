@@ -44,7 +44,7 @@ from .experiment import (
 )
 from .nn import load_checkpoint, save_checkpoint, save_training_log, train
 from .predict import predict_records
-from .preprocess import default_rules, preprocess_corpus
+from .preprocess import TOKENIZE_MODES, default_rules, preprocess_corpus
 from .rng import derive_stream
 from .synth import SynthSpec, generate_fixture, write_fixture
 
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="normalize and tokenize a JSONL corpus")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--mode", choices=("whitespace", "pretokenized"), default="whitespace")
+    p.add_argument("--mode", choices=TOKENIZE_MODES, default="whitespace")
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("align", help="fit a translation matrix between two spaces")
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--mode", choices=("whitespace", "pretokenized"), default="whitespace")
+    p.add_argument("--mode", choices=TOKENIZE_MODES, default="whitespace")
     p.add_argument("--embedding", action="append", default=[], metavar="LANG=PATH")
     p.add_argument("--matrix", action="append", default=[], metavar="LANG=PATH")
     p.set_defaults(func=_cmd_predict)

@@ -51,7 +51,7 @@ from .nn import TrainConfig, predict_batch, train
 from .nn.train import NumberedTokens
 from .nn.workspace import Workspace
 from .pipeline import EmbeddingContext, corpus_max_len
-from .preprocess import TokenizedTweet, default_rules, preprocess_corpus
+from .preprocess import TOKENIZE_MODES, TokenizedTweet, default_rules, preprocess_corpus
 from .rng import derive_stream
 from .shares import run_shares, share_run, usable_cpus
 
@@ -99,7 +99,8 @@ _TRAIN_KEYS = {
 
 @dataclass
 class ExperimentConfig:
-    """Everything one cross-validation run depends on; each field is one config key."""
+    """Everything one cross-validation run depends on; each field is one config key,
+    whose rule (its value test and the runs that read it) is one row of _RULES."""
 
     name: str
     corpus: str
@@ -125,82 +126,41 @@ class ExperimentConfig:
     train_overrides: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigurationError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.alignment not in ALIGNMENTS:
-            raise ConfigurationError(
-                f"alignment must be one of {ALIGNMENTS}, got {self.alignment!r}"
-            )
-        if not self.languages or len(set(self.languages)) != len(self.languages):
-            raise ConfigurationError(
-                f"languages must be distinct and non-empty, got {self.languages}")
-        unlisted = [
-            f"{_PREFIXES[attr]}{lang}"
-            for attr in ("embeddings", "matrices", "dictionaries")
-            for lang in sorted(getattr(self, attr)) if lang not in self.languages
-        ]
-        if unlisted:
-            raise ConfigurationError(
-                f"{', '.join(unlisted)} would be unused: their languages are not in "
-                f"languages {self.languages}"
-            )
-        for key, value in (("alpha", self.alpha), ("C", self.C)):
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigurationError(f"{key} must be finite and positive, got {value}")
-        if not 0.0 < self.dev_fraction < 1.0:
-            raise ConfigurationError(f"dev_fraction must lie in (0, 1), got {self.dev_fraction}")
-        sizes = self.window_sizes
-        if not sizes or min(sizes) < 1 or len(set(sizes)) != len(sizes):
-            raise ConfigurationError(
-                f"window_sizes must be distinct sizes of at least 1, got {sizes}")
-        if self.oov_scale is not None and not (
-            math.isfinite(self.oov_scale) and self.oov_scale >= 0
-        ):
-            raise ConfigurationError(
-                f"oov_scale must be finite and non-negative, got {self.oov_scale}"
-            )
-        if self.refit not in REFIT_MODES:
-            raise ConfigurationError(
-                f"refit must be one of {REFIT_MODES}, got {self.refit!r}"
-            )
-        if self.matrices and (self.alignment, self.refit) != ("translation_matrix", "global"):
-            keys = ", ".join(f"matrix.{lang}" for lang in sorted(self.matrices))
-            raise ConfigurationError(
-                f"{keys} would be unused: matrices apply only with "
-                f"alignment = translation_matrix and refit = global"
-            )
-        if self.refit == "per_fold":
-            if self.alignment != "translation_matrix":
-                raise ConfigurationError("refit=per_fold needs alignment=translation_matrix")
-            if self.target_language is None:
-                raise ConfigurationError("refit=per_fold needs a target_language")
-            if self.target_language not in self.languages:
-                raise ConfigurationError(
-                    f"target_language {self.target_language!r} is not in languages"
-                )
-            missing = [
-                lang for lang in self.languages
-                if lang != self.target_language and lang not in self.dictionaries
-            ]
-            if missing:
-                raise ConfigurationError(
-                    f"refit=per_fold needs a dictionary for every mapped language; "
-                    f"missing: {missing}"
-                )
-            if not 0 < self.pivot_train_count <= self.pivot_count:
-                raise ConfigurationError(
-                    "pivot_train_count must lie in [1, pivot_count]"
-                )
-        elif self.alignment == "translation_matrix" and not self.matrices:
-            # languages without a matrix are taken as the shared target space
-            raise ConfigurationError(
-                "alignment=translation_matrix requires at least one matrix"
-            )
+        unread = []
+        for f in fields(self):
+            reads, check = _RULES[f.name]
+            value, read = getattr(self, f.name), reads(self)
+            if check is not None and not check[0](value):
+                raise ConfigurationError(f"{f.name} must {check[1]}, got {value!r}")
+            if f.name in _PREFIXES:
+                unread += [_PREFIXES[f.name] + k for k in sorted(value) if k not in read]
+            elif value != f.default and not read:
+                unread.append(f.name)
         try:
             # every TrainConfig message starts with its field, so this names the key
             self.train_config(self.seed)
         except ArgumentError as err:
             raise ConfigurationError(f"train.{err}") from None
+        if unread:
+            run = ", ".join(f"{key} = {getattr(self, key)}" for key in ("kind", "alignment", "refit")
+                            if _RULES[key][0](self))
+            raise ConfigurationError(f"config keys that a run with {run} over languages "
+                                     f"{self.languages} never reads: {', '.join(unread)}")
+        if _per_fold(self):
+            if self.target_language is None:
+                raise ConfigurationError("refit=per_fold needs a target_language")
+            if self.target_language not in self.languages:
+                raise ConfigurationError(f"target_language {self.target_language!r} is not in "
+                                         "languages")
+            missing = [lang for lang in _RULES["dictionaries"][0](self) if lang not in self.dictionaries]
+            if missing:
+                raise ConfigurationError("refit=per_fold needs a dictionary for every mapped "
+                                         f"language; missing: {missing}")
+            if not 0 < self.pivot_train_count <= self.pivot_count:
+                raise ConfigurationError("pivot_train_count must lie in [1, pivot_count]")
+        elif _global(self) and not self.matrices:
+            # languages without a matrix are taken as the shared target space
+            raise ConfigurationError("alignment=translation_matrix requires at least one matrix")
 
     def canonical_text(self) -> str:
         """Sorted key=value lines; the basis of the config fingerprint."""
@@ -220,6 +180,47 @@ class ExperimentConfig:
 
     def train_config(self, seed: int) -> TrainConfig:
         return TrainConfig(**{**self.train_overrides, "seed": seed, "window_sizes": self.window_sizes})
+
+
+_every = lambda c: True
+_neural = lambda c: c.kind in ("lstm", "cnn")
+_mapped = lambda c: _neural(c) and c.alignment == "translation_matrix"
+_global = lambda c: _mapped(c) and c.refit == "global"
+_per_fold = lambda c: _mapped(c) and c.refit == "per_fold"
+_one_of = lambda choices: (lambda v: v in choices, f"be one of {choices}")
+_distinct = lambda v: bool(v) and len(set(v)) == len(v)
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "be finite and positive")
+# The train.* keys that only the other neural kind reads, by kind.
+_OTHERS_ONLY = {"lstm": ("filters_per_window", "cnn_activation"),
+                "cnn": ("hidden_dim", "forget_bias", "candidate_activation")}
+
+# Each config key's rule, by ExperimentConfig field: (the runs that read it,
+# None or (the test its value must pass, what the test asks)). A prefixed
+# field's reads give the entries a run reads. A plain key set to other than
+# its default, or an entry, that the run does not read is an error.
+_RULES = {
+    **dict.fromkeys(("name", "corpus", "folds", "seed"), (_every, None)),
+    "languages": (_every, (_distinct, "be distinct and non-empty")),
+    "kind": (_every, _one_of(KINDS)),
+    "alignment": (_neural, _one_of(ALIGNMENTS)),
+    "refit": (_mapped, _one_of(REFIT_MODES)),
+    **dict.fromkeys(("target_language", "pivot_count", "pivot_train_count"), (_per_fold, None)),
+    "embeddings": (lambda c: c.languages if _neural(c) else (), None),
+    "matrices": (lambda c: c.languages if _global(c) else (), None),
+    "dictionaries": (lambda c: [lang for lang in c.languages if lang != c.target_language]
+                     if _per_fold(c) else (), None),
+    "alpha": (lambda c: c.kind == "nb", _POSITIVE),
+    "C": (lambda c: c.kind == "svm", _POSITIVE),
+    "dev_fraction": (_neural, (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
+    "tokenize_mode": (_every, _one_of(TOKENIZE_MODES)),
+    "oov_seed": (_neural, None),
+    "oov_scale": (_neural, (lambda v: v is None or math.isfinite(v) and v >= 0,
+                            "be finite and non-negative")),
+    "window_sizes": (lambda c: c.kind == "cnn",
+                     (lambda v: _distinct(v) and min(v) >= 1, "be distinct sizes of at least 1")),
+    "train_overrides": (lambda c: [k for k in _TRAIN_KEYS if k not in _OTHERS_ONLY[c.kind]]
+                        if _neural(c) else (), None),
+}
 
 
 def parse_config(text: str, name: str = "run") -> ExperimentConfig:
@@ -318,12 +319,12 @@ class CVReport:
     wall_clock_per_fold: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.fold_accuracies:
-            mean = sum(self.fold_accuracies) / len(self.fold_accuracies)
-            if abs(mean - self.mean_accuracy) > 1e-12:
-                raise ArgumentError(
-                    f"mean_accuracy {self.mean_accuracy} is not the fold mean {mean}"
-                )
+        if not len(self.fold_accuracies) == self.folds >= 1:
+            raise ArgumentError(f"fold_accuracies must hold one accuracy per fold, at least one: "
+                                f"folds is {self.folds}, got {len(self.fold_accuracies)}")
+        mean = sum(self.fold_accuracies) / len(self.fold_accuracies)
+        if abs(mean - self.mean_accuracy) > 1e-12:
+            raise ArgumentError(f"mean_accuracy {self.mean_accuracy} is not the fold mean {mean}")
 
     def canonical_dict(self) -> dict:
         return {
@@ -437,19 +438,16 @@ def prepare_inputs(
     tweets, _dropped = preprocess_corpus(records, rules, config.tokenize_mode)
     if not tweets:
         raise ArgumentError(f"no usable records in languages {languages}")
-    if config.kind not in ("lstm", "cnn") or context is not None:
+    if not _neural(config) or context is not None:
         return tweets, context
     max_len = corpus_max_len(tweets)
     if config.kind == "cnn" and max(config.window_sizes) > max_len:
-        raise ConfigurationError(
-            f"window_sizes holds {max(config.window_sizes)}, longer than the longest "
-            f"tweet ({max_len} tokens)"
-        )
+        raise ConfigurationError(f"window_sizes holds {max(config.window_sizes)}, longer than "
+                                 f"the longest tweet ({max_len} tokens)")
     missing = [lang for lang in languages if lang not in config.embeddings]
     if missing:
         raise ConfigurationError(f"no embedding path for languages: {missing}")
-    # matrices are set only under global alignment and for listed languages,
-    # which __post_init__ checks
+    # __post_init__ allows matrices only under global alignment, for listed languages
     context = EmbeddingContext.from_paths(
         {lang: config.embeddings[lang] for lang in languages},
         config.matrices,

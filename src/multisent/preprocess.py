@@ -87,6 +87,7 @@ class CasingPolicy(enum.Enum):
 
 
 POLICIES = {"en": CasingPolicy.PLAIN, "ja": CasingPolicy.NFKC, "zh": CasingPolicy.TRAD2SIMP}
+TOKENIZE_MODES = ("whitespace", "pretokenized")
 
 # Replacement tokens, and the rule-set version every fingerprint starts with.
 EMOJI_TOKEN_PREFIX = "EMOJI_"

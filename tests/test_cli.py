@@ -292,8 +292,17 @@ class TestEvaluateAndCompare:
         ('{"name": "x", "kind": "nb", "folds": 2, "seed": 0, "fold_accuracies": [0.5], '
          '"mean_accuracy": 0.5, "overall_accuracy": 0.5, "per_language": {}, '
          '"config_fingerprint": null}', "config_fingerprint must be a string, got None"),
+        ('{"name": "x", "kind": "nb", "folds": 5, "seed": 0, "fold_accuracies": [0.5, 0.7], '
+         '"mean_accuracy": 0.6, "overall_accuracy": 0.6, "per_language": {}, '
+         '"config_fingerprint": "f"}', "fold_accuracies must hold one accuracy per fold, "
+         "at least one: folds is 5, got 2"),
+        ('{"name": "x", "kind": "nb", "folds": 0, "seed": 0, "fold_accuracies": [], '
+         '"mean_accuracy": 0.9, "overall_accuracy": 0.5, "per_language": {}, '
+         '"config_fingerprint": "f"}', "fold_accuracies must hold one accuracy per fold, "
+         "at least one: folds is 0, got 0"),
     ], ids=["missing-key", "bad-json", "wrong-type", "numeric-name", "bool-folds",
-            "nan-accuracy", "string-count", "null-fingerprint"])
+            "nan-accuracy", "string-count", "null-fingerprint", "folds-not-accuracies",
+            "no-folds"])
     def test_malformed_report_exits_2(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -353,8 +362,11 @@ class TestEvaluateAndCompare:
         ("languages = en,en,ja",
          "languages must be distinct and non-empty, got ('en', 'en', 'ja')"),
         ("scope = ja", "unknown config keys: ['scope']"),
+        ("tokenize_mode = foo",
+         "tokenize_mode must be one of ('whitespace', 'pretokenized'), got 'foo'"),
     ], ids=["window-zero", "window-negative", "window-repeated", "dev-above-one", "dev-nan",
-            "bool-typo", "int-word", "corpus-empty", "language-repeated", "scope-key"])
+            "bool-typo", "int-word", "corpus-empty", "language-repeated", "scope-key",
+            "tokenize-mode"])
     def test_bad_run_value_exits_2_before_reading_anything(
         self, fixture_dir, tmp_path, capsys, spy_calls, line, message
     ):
@@ -383,42 +395,60 @@ class TestEvaluateAndCompare:
             totals[mode] = sum(stats["total"] for stats in report["per_language"].values())
         assert totals == {"whitespace": len(rows) - 6, "pretokenized": len(rows)}
 
-    @pytest.mark.parametrize("lines, unused", [
-        (["matrix.ja = ja-en.mat", "matrix.zh = zh-en.mat"], "matrix.ja, matrix.zh"),
-        (["alignment = translation_matrix", "refit = per_fold", "target_language = en",
-          "dictionary.ja = ja-en.tsv", "dictionary.zh = zh-en.tsv", "matrix.zh = zh-en.mat"],
-         "matrix.zh"),
-    ], ids=["alignment-none", "per-fold-refit"])
-    def test_unused_matrices_exit_2_before_reading_corpus(
-        self, fixture_dir, tmp_path, capsys, spy_calls, lines, unused
-    ):
-        cfg = write_config(tmp_path / "bad.cfg", fixture_dir, ["kind = cnn", *lines])
-        for command in (["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r.json")],
-                        ["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]):
-            assert main(command) == 2
-            assert capsys.readouterr().err == (
-                f"error: {unused} would be unused: matrices apply only with "
-                f"alignment = translation_matrix and refit = global\n")
-        assert spy_calls == []
-        assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.ckpt").exists()
-
-    @pytest.mark.parametrize("lines, unlisted", [
-        (["kind = nb", "embedding.zh = no-such.vec", "dictionary.zh = no-such.tsv"],
-         "embedding.zh, dictionary.zh"),
+    @pytest.mark.parametrize("lines, run, unread", [
+        (["kind = cnn", "matrix.ja = ja-en.mat", "matrix.zh = zh-en.mat"],
+         "kind = cnn, alignment = none", "matrix.ja, matrix.zh"),
+        (["kind = cnn", "alignment = translation_matrix", "refit = per_fold",
+          "target_language = en", "dictionary.ja = ja-en.tsv", "dictionary.zh = zh-en.tsv",
+          "matrix.zh = zh-en.mat"],
+         "kind = cnn, alignment = translation_matrix, refit = per_fold", "matrix.zh"),
+        (["languages = en,ja", "kind = nb", "embedding.zh = no-such.vec",
+          "dictionary.zh = no-such.tsv"], "kind = nb", "embedding.zh, dictionary.zh"),
+        (["languages = en,ja", "kind = cnn", "alignment = translation_matrix",
+          "matrix.ja = ja-en.mat", "matrix.zh = no-such.mat",
+          *(f"embedding.{lang} = {lang}.vec" for lang in ("en", "ja"))],
+         "kind = cnn, alignment = translation_matrix, refit = global", "matrix.zh"),
+        (["kind = nb", "train.max_epochs = 7"], "kind = nb", "train.max_epochs"),
+        (["kind = nb", "window_sizes = 2,3"], "kind = nb", "window_sizes"),
+        (["kind = nb", "C = 3"], "kind = nb", "C"),
+        (["kind = nb", "pivot_count = 5"], "kind = nb", "pivot_count"),
+        (["kind = nb", "oov_seed = 4"], "kind = nb", "oov_seed"),
+        (["kind = nb", "dev_fraction = 0.2"], "kind = nb", "dev_fraction"),
+        (["kind = nb", "embedding.en = no-such.vec"], "kind = nb", "embedding.en"),
+        (["kind = nb", "dictionary.ja = no-such.tsv"], "kind = nb", "dictionary.ja"),
+        (["kind = nb", "alignment = translation_matrix", "matrix.ja = ja-en.mat"],
+         "kind = nb", "alignment, matrix.ja"),
+        (["kind = nb", "train.max_epochs = 7", "window_sizes = 2,3", "C = 3"],
+         "kind = nb", "C, window_sizes, train.max_epochs"),
+        (["kind = svm", "alpha = 2"], "kind = svm", "alpha"),
+        (["kind = lstm", "window_sizes = 2,3"], "kind = lstm, alignment = none", "window_sizes"),
+        (["kind = cnn", "train.hidden_dim = 8"], "kind = cnn, alignment = none",
+         "train.hidden_dim"),
         (["kind = cnn", "alignment = translation_matrix", "matrix.ja = ja-en.mat",
-          "matrix.zh = no-such.mat",
-          *(f"embedding.{lang} = {lang}.vec" for lang in ("en", "ja"))], "matrix.zh"),
-    ], ids=["nb", "cnn-global-maps"])
-    def test_keys_of_unlisted_languages_exit_2_before_reading_corpus(
-        self, fixture_dir, tmp_path, capsys, spy_calls, lines, unlisted
+          "matrix.zh = zh-en.mat", "target_language = en"],
+         "kind = cnn, alignment = translation_matrix, refit = global", "target_language"),
+        (["kind = lstm", "alignment = translation_matrix", "refit = per_fold",
+          "target_language = en", "dictionary.ja = ja-en.tsv", "dictionary.zh = zh-en.tsv",
+          "dictionary.en = en-en.tsv"],
+         "kind = lstm, alignment = translation_matrix, refit = per_fold", "dictionary.en"),
+        (["kind = cnn", "refit = per_fold"], "kind = cnn, alignment = none", "refit"),
+    ], ids=["matrices-alignment-none", "matrix-per-fold-refit", "nb-unlisted-language",
+            "matrix-unlisted-language", "nb-train-key", "nb-window-sizes", "nb-C",
+            "nb-pivot-count", "nb-oov-seed", "nb-dev-fraction", "nb-embedding",
+            "nb-dictionary", "nb-alignment", "nb-three-keys", "svm-alpha", "lstm-window-sizes",
+            "cnn-hidden-dim", "global-target-language", "per-fold-target-dictionary",
+            "refit-alignment-none"])
+    def test_unread_keys_exit_2_before_reading_corpus(
+        self, fixture_dir, tmp_path, capsys, spy_calls, lines, run, unread
     ):
-        cfg = write_config(tmp_path / "bad.cfg", fixture_dir, ["languages = en,ja", *lines])
+        cfg = write_config(tmp_path / "bad.cfg", fixture_dir, lines)
+        languages = ("en", "ja") if "languages = en,ja" in lines else ("en", "ja", "zh")
         for command in (["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r.json")],
                         ["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]):
             assert main(command) == 2
             assert capsys.readouterr().err == (
-                f"error: {unlisted} would be unused: their languages are not in "
-                f"languages ('en', 'ja')\n")
+                f"error: config keys that a run with {run} over languages {languages} "
+                f"never reads: {unread}\n")
         assert spy_calls == []
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.ckpt").exists()
 

@@ -67,23 +67,31 @@ def test_predictions_ignore_blas_threads(tmp_path):
 
 
 def _write_fixture(tmp_path: Path, config: list[str]) -> Path:
-    """The synth fixture, its ja/zh maps and a run config ending in config's lines."""
+    """The synth fixture, its ja/zh maps and a run config ending in config's lines.
+
+    A neural run also gets the fixture's tables and a short training run,
+    and a CNN windows of 2 and 3.
+    """
     assert main(["synth", "--out", str(tmp_path), "--seed", "2", "--tweets", "36"]) == 0
     for lang in ("ja", "zh"):
         assert main(["align", "--src", str(tmp_path / f"{lang}.vec"),
                      "--tgt", str(tmp_path / "en.vec"), "--dict", str(tmp_path / f"{lang}-en.tsv"),
                      "--src-lang", lang, "--tgt-lang", "en", "--k", "20", "--train", "16",
                      "--out", str(tmp_path / f"{lang}-en.mat")]) == 0
+    kind = next(line for line in config if line.startswith("kind = "))
+    neural = [
+        *[f"embedding.{lang} = {tmp_path / (lang + '.vec')}" for lang in ("en", "ja", "zh")],
+        "train.batch_size = 8",
+        "train.max_epochs = 3",
+        "train.patience = 3",
+    ] if kind in ("kind = lstm", "kind = cnn") else []
     cfg = tmp_path / "run.cfg"
     cfg.write_text("\n".join([
         f"corpus = {tmp_path / 'corpus.jsonl'}",
         "languages = en,ja,zh",
         "seed = 0",
-        "window_sizes = 2,3",
-        *[f"embedding.{lang} = {tmp_path / (lang + '.vec')}" for lang in ("en", "ja", "zh")],
-        "train.batch_size = 8",
-        "train.max_epochs = 3",
-        "train.patience = 3",
+        *(["window_sizes = 2,3"] if kind == "kind = cnn" else []),
+        *neural,
         *[line.format(dir=tmp_path) for line in config],
     ]) + "\n")
     return cfg

@@ -2,7 +2,10 @@
 
 import json
 import os
+import re
 from collections import Counter
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,10 +29,13 @@ from multisent.experiment import (
     parse_config,
     run_experiment,
 )
+from multisent.nn import TrainConfig
 from multisent.nn.workspace import Workspace
 from multisent.synth import SynthSpec, generate_fixture, write_fixture
 
 from conftest import marker_tweets, no_worker_left, toy_context
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def nb_config(**over) -> ExperimentConfig:
@@ -170,10 +176,11 @@ class TestConfigValidation:
         assert str(err.value) == message
 
     def test_fingerprint_tracks_content_not_insertion_order(self):
-        a = nb_config(languages=("en", "ja"), embeddings={"en": "x", "ja": "y"})
-        b = nb_config(languages=("en", "ja"), embeddings={"ja": "y", "en": "x"})
+        a = nb_config(kind="lstm", languages=("en", "ja"), embeddings={"en": "x", "ja": "y"})
+        b = nb_config(kind="lstm", languages=("en", "ja"), embeddings={"ja": "y", "en": "x"})
         assert a.fingerprint() == b.fingerprint()
-        c = nb_config(seed=1)
+        c = nb_config(kind="lstm", languages=("en", "ja"), embeddings={"en": "x", "ja": "y"},
+                      seed=1)
         assert c.fingerprint() != a.fingerprint()
 
     def test_train_config_carries_overrides_and_seed(self):
@@ -181,6 +188,95 @@ class TestConfigValidation:
                         window_sizes=(2,))
         tc = cfg.train_config(seed=7)
         assert tc.batch_size == 4 and tc.seed == 7 and tc.window_sizes == (2,)
+
+    @pytest.mark.parametrize("name, fingerprint", [
+        ("nb", "5cf41ac3a235ef41b798050833f01b33a8125b4e5de2f8771f89ddfe8373b66e"),
+        ("cnn", "50dbc3696347811efbf426c2d2dc1f6f2084709c5407eb7366f003cef08252bf"),
+    ])
+    def test_readme_demo_fingerprints_hold(self, name, fingerprint):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(rf"```\n# demo/{name}\.cfg\n(.*?)```", readme, re.S).group(1)
+        assert parse_config(block, name=name).fingerprint() == fingerprint
+
+
+class TestKeysEachRunReads:
+    """The config rule against its own copy of the keys each run reads.
+
+    kind, alignment and refit pick the run: each run's config, which sets
+    them as the run needs, is accepted, and alignment or refit set on a run
+    that does not read it is rejected. Every other key is set on each run to
+    a valid value other than its default, and the config is accepted exactly
+    when the run reads the key; a rejection names the key.
+    """
+
+    LISTED = ("en", "ja", "zh")
+    EVERY = {"name", "corpus", "languages", "kind", "folds", "seed", "tokenize_mode"}
+    NEURAL = {"alignment", "dev_fraction", "oov_seed", "oov_scale",
+              *(f"embedding.{lang}" for lang in LISTED),
+              *(f"train.{key}" for key in ("batch_size", "dropout_rate", "rho", "eps",
+                                           "max_epochs", "patience", "fine_tune_embeddings"))}
+    LSTM = {"train.hidden_dim", "train.forget_bias", "train.candidate_activation"}
+    CNN = {"window_sizes", "train.filters_per_window", "train.cnn_activation"}
+    GLOBAL = {"refit", *(f"matrix.{lang}" for lang in LISTED)}
+    PER_FOLD = {"refit", "target_language", "pivot_count", "pivot_train_count",
+                "dictionary.ja", "dictionary.zh"}
+    EMBEDDINGS = [f"embedding.{lang} = {lang}.vec" for lang in LISTED]
+    RUNS = {
+        "nb": (["kind = nb"], EVERY | {"alpha"}),
+        "svm": (["kind = svm"], EVERY | {"C"}),
+        "lstm": (["kind = lstm", *EMBEDDINGS], EVERY | NEURAL | LSTM),
+        "cnn-global-maps": (["kind = cnn", *EMBEDDINGS, "alignment = translation_matrix",
+                             "matrix.ja = ja-en.mat", "matrix.zh = zh-en.mat"],
+                            EVERY | NEURAL | CNN | GLOBAL),
+        "lstm-per-fold": (["kind = lstm", *EMBEDDINGS, "alignment = translation_matrix",
+                           "refit = per_fold", "target_language = en",
+                           "dictionary.ja = ja-en.tsv", "dictionary.zh = zh-en.tsv"],
+                          EVERY | NEURAL | LSTM | PER_FOLD),
+    }
+    # A valid value other than the default for every key; de is not a listed language.
+    VALUES = {
+        "name": "other", "corpus": "other.jsonl", "languages": "zh,ja,en", "folds": "4",
+        "seed": "9", "tokenize_mode": "pretokenized", "alignment": "translation_matrix",
+        "refit": "per_fold", "target_language": "en", "pivot_count": "30",
+        "pivot_train_count": "10", "alpha": "2", "C": "3", "dev_fraction": "0.2",
+        "oov_seed": "4", "oov_scale": "0.5", "window_sizes": "2,3",
+        **{f"{prefix}.{lang}": "other" for lang in (*LISTED, "de")
+           for prefix in ("embedding", "matrix", "dictionary")},
+        "train.batch_size": "8", "train.dropout_rate": "0.25", "train.rho": "0.9",
+        "train.eps": "1e-5", "train.max_epochs": "7", "train.patience": "2",
+        "train.fine_tune_embeddings": "true", "train.hidden_dim": "8",
+        "train.forget_bias": "0.5", "train.candidate_activation": "relu",
+        "train.filters_per_window": "8", "train.cnn_activation": "relu",
+    }
+
+    def parse(self, lines):
+        by_key = {line.partition("=")[0].strip(): line
+                  for line in ["corpus = c.jsonl", "languages = en,ja,zh", *lines]}
+        return parse_config("\n".join(by_key.values()))
+
+    def test_every_key_has_a_value(self):
+        plain = {f.name for f in fields(ExperimentConfig)} - set(experiment._PREFIXES)
+        train_keys = {f"train.{f.name}" for f in fields(TrainConfig)
+                      if f.name not in ("seed", "window_sizes")}
+        assert (plain - {"kind"}) | train_keys <= set(self.VALUES)    # kind picks the run
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_a_key_is_accepted_exactly_when_the_run_reads_it(self, run):
+        lines, reads = self.RUNS[run]
+        self.parse(lines)
+        wrong = []
+        for key, value in self.VALUES.items():
+            if key in ("kind", "alignment", "refit") and key in reads:
+                continue
+            try:
+                self.parse([*lines, f"{key} = {value}"])
+                accepted = True
+            except ConfigurationError as err:
+                accepted = False
+                assert key in str(err).partition(" never reads: ")[2].split(", "), str(err)
+            if accepted != (key in reads):
+                wrong.append(key)
+        assert wrong == []
 
 
 class TestIdAudit:
@@ -471,21 +567,23 @@ class TestSharedPerEvaluate:
         fixture = generate_fixture(self.SPEC)
         paths = write_fixture(fixture, tmp_path)
         mapped = [lang for lang in self.SPEC.languages if lang != self.SPEC.target]
-        matrices = {}
-        for lang in mapped:
-            matrices[lang] = tmp_path / f"{lang}.mat"
-            tm = TranslationMatrix(lang, self.SPEC.target, fixture.rotations[lang].T.copy())
-            save_translation_matrix(tm, matrices[lang])
+        # only the keys the run reads: its maps, and the CNN's windows and filters
+        if refit == "global":
+            maps = dict(matrices={lang: tmp_path / f"{lang}.mat" for lang in mapped})
+            for lang, path in maps["matrices"].items():
+                tm = TranslationMatrix(lang, self.SPEC.target, fixture.rotations[lang].T.copy())
+                save_translation_matrix(tm, path)
+        else:
+            maps = dict(target_language=self.SPEC.target, pivot_count=8, pivot_train_count=6,
+                        dictionaries={lang: paths[f"dictionary.{lang}"] for lang in mapped})
+        if kind == "cnn":
+            maps["window_sizes"] = (2, 3)
+            over = dict(filters_per_window=4, **over)
         return ExperimentConfig(
             name="shared", corpus=paths["corpus"], languages=self.SPEC.languages,
             kind=kind, folds=2, seed=0, alignment="translation_matrix", refit=refit,
-            target_language=self.SPEC.target, pivot_count=8, pivot_train_count=6,
             embeddings={lang: paths[f"embedding.{lang}"] for lang in self.SPEC.languages},
-            matrices=matrices if refit == "global" else {},
-            dictionaries={lang: paths[f"dictionary.{lang}"] for lang in mapped},
-            window_sizes=(2, 3),
-            train_overrides=dict(batch_size=8, max_epochs=2, patience=2,
-                                 filters_per_window=4, **over),
+            train_overrides=dict(batch_size=8, max_epochs=2, patience=2, **over), **maps,
         )
 
     @staticmethod

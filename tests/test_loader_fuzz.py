@@ -102,7 +102,7 @@ def originals(tmp_path_factory):
         "pivot_count = 20\npivot_train_count = 16\nwindow_sizes = 2,3\n"
         "embedding.en = en.vec\nembedding.ja = ja.vec\ndictionary.ja = ja-en.tsv\n"
         "oov_scale = 0.25\ntrain.batch_size = 50\ntrain.dropout_rate = 0.5\n"
-        "train.hidden_dim = 8\ntrain.fine_tune_embeddings = true\n", encoding="utf-8")
+        "train.filters_per_window = 8\ntrain.fine_tune_embeddings = true\n", encoding="utf-8")
     loaders["run.cfg"] = lambda path: parse_config(read_text(path))
     for name, read, field in [("emoticon_patterns.txt", load_pattern_file, "emoticon_patterns"),
                               ("emoticon_literals.txt", load_literal_file, "emoticon_literals"),

@@ -98,14 +98,14 @@ def test_training_twice_in_one_process_writes_a_fresh_process_checkpoint(tmp_pat
         f"corpus = {tmp_path / 'corpus.jsonl'}",
         "languages = en,ja,zh",
         "seed = 0",
-        "window_sizes = 2,3",
         *[f"embedding.{lang} = {tmp_path / (lang + '.vec')}" for lang in ("en", "ja", "zh")],
         "train.batch_size = 8",
         "train.max_epochs = 2",
         "train.patience = 2",
     ]
     configs = {
-        "cnn": ["kind = cnn", "train.filters_per_window = 6", "train.fine_tune_embeddings = true"],
+        "cnn": ["kind = cnn", "window_sizes = 2,3", "train.filters_per_window = 6",
+                "train.fine_tune_embeddings = true"],
         "lstm": ["kind = lstm", "train.hidden_dim = 5"],
     }
     for name, lines in configs.items():
