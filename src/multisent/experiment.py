@@ -429,24 +429,26 @@ def prepare_inputs(
     global alignment, its maps; its max_len comes from the tweets.
     """
     rules = default_rules()
+    languages = config.languages
+    build_context = _neural(config) and context is None
+    if build_context:   # before the corpus is read
+        missing = [lang for lang in languages if lang not in config.embeddings]
+        if missing:
+            raise ConfigurationError(f"no embedding path for languages: {missing}")
     if records is None:
         if not config.corpus:
             raise ConfigurationError("corpus is empty: give the corpus path, or pass records")
         records = load_corpus(config.corpus)
-    languages = config.languages
     records = [r for r in records if r.lang in languages]
     tweets, _dropped = preprocess_corpus(records, rules, config.tokenize_mode)
     if not tweets:
         raise ArgumentError(f"no usable records in languages {languages}")
-    if not _neural(config) or context is not None:
+    if not build_context:
         return tweets, context
     max_len = corpus_max_len(tweets)
     if config.kind == "cnn" and max(config.window_sizes) > max_len:
         raise ConfigurationError(f"window_sizes holds {max(config.window_sizes)}, longer than "
                                  f"the longest tweet ({max_len} tokens)")
-    missing = [lang for lang in languages if lang not in config.embeddings]
-    if missing:
-        raise ConfigurationError(f"no embedding path for languages: {missing}")
     # __post_init__ allows matrices only under global alignment, for listed languages
     context = EmbeddingContext.from_paths(
         {lang: config.embeddings[lang] for lang in languages},

@@ -523,6 +523,27 @@ def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
     write_output(path, fh.getvalue())
 
 
+def _block_values(block: list[str], count: int) -> np.ndarray | None:
+    """A tensor's count values from its block of lines in one pass, or None.
+
+    None unless the line-by-line parse in load_checkpoint would read
+    exactly these lines to these values: they hold count values in all,
+    the last line holds at least one (so the parse stops there), and
+    every value is finite. Each value goes through float() either way,
+    so the bits are the same.
+    """
+    if not block or not block[-1].split():
+        return None
+    fields = " ".join(block).split()
+    if len(fields) != count:
+        return None
+    try:
+        flat = np.fromiter(map(float, fields), np.float64, count)
+    except ValueError:
+        return None
+    return flat if np.isfinite(flat).all() else None
+
+
 # How many space-separated parts each fixed-form checkpoint line has.
 _LINE_PARTS = {"fingerprint": 3, "source": 3, "history": 4, "vocab": 4}
 
@@ -561,8 +582,14 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
                 raise ParseError(f"tensor {name} has an impossible shape {shape}", line=i + 1)
             tensor_lines[name] = i + 1
             count = math.prod(shape)
-            values: list[float] = []
             i += 1
+            block = lines[i:i + -(-count // 8)]    # save_checkpoint writes 8 values a line
+            flat = _block_values(block, count)
+            if flat is not None:
+                tensors[name] = flat.reshape(shape)
+                i += len(block)
+                continue
+            values: list[float] = []
             while len(values) < count:
                 if i >= len(lines):
                     raise ParseError(

@@ -15,12 +15,12 @@ import numpy as np
 from multisent import cli, experiment, pipeline, predict, preprocess
 from multisent.align import load_translation_matrix
 from multisent.cli import main
-from multisent.corpus import load_corpus
+from multisent.corpus import Polarity, load_corpus
 from multisent.errors import CoverageError, LeakageError, MultisentError
 from multisent.experiment import CVReport
-from multisent.nn import load_checkpoint, predict_batch
+from multisent.nn import argmax_label, load_checkpoint, predict_batch
 from multisent.pipeline import EmbeddingContext
-from multisent.preprocess import default_rules, preprocess_corpus
+from multisent.preprocess import TokenizedTweet, default_rules, preprocess_corpus
 
 from conftest import no_worker_left
 from test_option_coverage import invocations_in_readme
@@ -180,10 +180,11 @@ class TestAlign:
 
 @pytest.fixture
 def spy_calls(monkeypatch):
-    """Names of the corpus loads and fold runs made while the test runs, in order."""
+    """Names of the corpus loads, preprocessing runs and fold runs made while the
+    test runs, in order."""
     calls = []
-    for module, name in ((experiment, "load_corpus"), (experiment, "_run_fold"),
-                         (cli, "load_corpus")):
+    for module, name in ((experiment, "load_corpus"), (experiment, "preprocess_corpus"),
+                         (experiment, "_run_fold"), (cli, "load_corpus")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
@@ -449,6 +450,23 @@ class TestEvaluateAndCompare:
             assert capsys.readouterr().err == (
                 f"error: config keys that a run with {run} over languages {languages} "
                 f"never reads: {unread}\n")
+        assert spy_calls == []
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("kind,lines", [
+        ("cnn", ["window_sizes = 2"]), ("lstm", []),
+    ])
+    def test_missing_embedding_exits_2_before_reading_corpus(
+        self, fixture_dir, tmp_path, capsys, spy_calls, kind, lines
+    ):
+        cfg = write_config(tmp_path / "bad.cfg", fixture_dir, [
+            f"kind = {kind}", *lines,
+            *(f"embedding.{lang} = {fixture_dir / f'{lang}.vec'}" for lang in ("en", "ja")),
+        ])
+        for command in (["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r.json")],
+                        ["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == "error: no embedding path for languages: ['zh']\n"
         assert spy_calls == []
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.ckpt").exists()
 
@@ -873,6 +891,54 @@ class TestPredictOptions:
         with no_worker_left():
             assert main(["predict", *self.files(fixture_dir, tmp_path, ckpt)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "p.jsonl").exists()
+
+    def test_lines_are_json_dumps_of_each_prediction(self, fixture_dir, tmp_path, ckpt,
+                                                     monkeypatch):
+        ids = ['say "hi"', "back\\slash", "bell\x07 tab\t", "naïve 日本語", "emoji \U0001F600",
+               "plain"]
+        rows = [[0.0, 5e-324, 1.0], [1.0, 0.0, 0.0], [0.1, 0.2, 0.1 + 0.2 + 0.4],
+                [1 / 3, 1 / 3, 1 / 3], [2.5e-17, 0.9999999999999999, 0.0], [0.5, 0.25, 0.25]]
+        result = predict.PredictResult(
+            [TokenizedTweet(i, "en", Polarity.NEUTRAL, ["tok"]) for i in ids],
+            [(Polarity(argmax_label(np.array(row))), np.array(row)) for row in rows],
+            {}, 0, 0)
+        monkeypatch.setattr(cli, "predict_records", lambda *args: result)
+        self.write_input(fixture_dir, tmp_path / "in.jsonl")
+        assert main(["predict", *self.files(fixture_dir, tmp_path, ckpt)]) == 0
+        assert (tmp_path / "p.jsonl").read_text(encoding="utf-8") == "".join(
+            json.dumps({"id": tw.id, "label": int(label), "probs": [float(p) for p in probs]})
+            + "\n" for tw, (label, probs) in zip(result.tweets, result.predictions))
+
+    @pytest.mark.parametrize("case", ["bad-model-and-corpus", "bad-corpus", "missing-in"])
+    def test_load_error_ignores_the_cpu_count(self, fixture_dir, tmp_path, ckpt, capsys,
+                                              monkeypatch, case):
+        # with two CPUs the checkpoint parses here while a forked worker reads the corpus
+        good = self.write_input(fixture_dir, tmp_path / "in.jsonl")
+        bad_corpus = tmp_path / "bad.jsonl"
+        bad_corpus.write_text((tmp_path / "in.jsonl").read_text() + '{"id": "x", "lang"\n')
+        bad_model = tmp_path / "bad.ckpt"
+        bad_model.write_text("not a checkpoint\n")
+        model, infile, message = {
+            "bad-model-and-corpus": (bad_model, bad_corpus,
+                                     "line 1: not a model checkpoint (bad magic line)"),
+            "bad-corpus": (ckpt, bad_corpus,
+                           f"line {good + 1}: invalid JSON: Expecting ':' delimiter"),
+            "missing-in": (ckpt, tmp_path / "none.jsonl",
+                           f"[Errno 2] No such file or directory: '{tmp_path / 'none.jsonl'}'"),
+        }[case]
+        files = self.files(fixture_dir, tmp_path, ckpt)
+        files[files.index("--model") + 1] = str(model)
+        files[files.index("--in") + 1] = str(infile)
+        real_fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+            forks.clear()
+            with no_worker_left():
+                assert main(["predict", *files]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert len(forks) == cpus - 1
         assert not (tmp_path / "p.jsonl").exists()
 
     def test_unwritable_out_exits_2_naming_it(self, fixture_dir, tmp_path, ckpt, capsys):

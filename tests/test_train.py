@@ -526,6 +526,73 @@ class TestCheckpointAndLog:
         save_checkpoint(load_checkpoint(tmp_path / "a.txt"), tmp_path / "b.txt")
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
+    @staticmethod
+    def loaded_or_error(path, line_loop=False):
+        """What load_checkpoint(path) gives: each tensor's name, dtype, shape and
+        bytes with the other fields, or its ParseError's text and line. With
+        line_loop, every tensor block is parsed line by line."""
+        with pytest.MonkeyPatch.context() as patch:
+            if line_loop:
+                patch.setattr(importlib.import_module("multisent.nn.train"), "_block_values",
+                              lambda block, count: None)
+            try:
+                back = load_checkpoint(path)
+            except ParseError as err:
+                return str(err), err.line
+        tensors = back.model.params.tensors()
+        if back.fine_tuned is not None:
+            tensors["__embeddings__"] = back.fine_tuned.E
+        return ([(name, t.dtype.str, t.shape, t.tobytes()) for name, t in tensors.items()],
+                back.fine_tuned and back.fine_tuned.index, back.model.kind, back.model.max_len,
+                back.history, back.fingerprints, back.best_epoch, back.best_dev_accuracy)
+
+    @pytest.mark.parametrize("kind,over", [
+        ("cnn", dict(window_sizes=(2, 3), filters_per_window=3, fine_tune_embeddings=True)),
+        ("lstm", dict(hidden_dim=5)),
+    ])
+    def test_tensor_blocks_parse_in_one_pass_to_the_line_loop_bits(
+        self, tmp_path, toy, monkeypatch, kind, over
+    ):
+        tr, dev, ctx = toy
+        path = tmp_path / "model.txt"
+        save_checkpoint(train(kind, tr, dev, ctx, quick_config(max_epochs=2, **over)), path)
+        train_module = importlib.import_module("multisent.nn.train")
+        real, bulk = train_module._block_values, []
+        monkeypatch.setattr(train_module, "_block_values",
+                            lambda block, count: bulk.append(real(block, count)) or bulk[-1])
+        loaded = self.loaded_or_error(path)
+        n_tensors = path.read_text().count("\ntensor ")
+        assert len(bulk) == n_tensors and all(flat is not None for flat in bulk)
+        assert loaded == self.loaded_or_error(path, line_loop=True)
+
+    @pytest.mark.parametrize("edit,outcome", [
+        (lambda b: [b[0] + " " + b[1], *b[2:]], None),                # all 16 values on one line
+        (lambda b: [b[0], "", *b[1:]], None),                         # an empty line inside
+        # 9 values on the first line, then 7
+        (lambda b: [b[0] + " " + b[1].split(" ", 1)[0], b[1].split(" ", 1)[1], *b[2:]], None),
+        (lambda b: [" ".join(["1_0", *b[0].split(" ")[1:]]), *b[1:]], None),  # float() reads 10
+        (lambda b: [*b[:2], "0.5 0.25", *b[2:]], None),               # a stray line after it
+        (lambda b: [b[0], b[1] + " 0.5", *b[2:]], "tensor U_i has 17 values, shape needs 16"),
+        (lambda b: [b[0], *b[2:]], "tensor U_i is truncated: 'tensor b_i 4' is not a row"),
+    ], ids=["one-line", "empty-line", "nine-then-seven", "underscore", "stray-line",
+            "extra-value", "short-block"])
+    def test_hand_edited_tensor_block_loads_as_the_line_loop_does(
+        self, tmp_path, toy, edit, outcome
+    ):
+        tr, dev, ctx = toy
+        path = tmp_path / "model.txt"
+        save_checkpoint(train("lstm", tr, dev, ctx, quick_config(hidden_dim=4, max_epochs=1)), path)
+        lines = path.read_text().splitlines()
+        at = lines.index("tensor U_i 4 4") + 1      # 16 values, on two lines of 8
+        lines[at:] = edit(lines[at:])
+        path.write_text("\n".join(lines) + "\n")
+        loaded = self.loaded_or_error(path)
+        assert loaded == self.loaded_or_error(path, line_loop=True)
+        if outcome is None:
+            assert isinstance(loaded[0], list)
+        else:
+            assert outcome in loaded[0]
+
     @pytest.mark.parametrize("prefix,edit,message", [
         ("history ", lambda ln: "history 1 x1.49 0.5", "non-numeric history value"),
         ("history ", lambda ln: "history 1 0.5", "history line needs 4"),
