@@ -46,7 +46,6 @@ from .nn import load_checkpoint, save_checkpoint, save_training_log, train
 from .predict import predict_records
 from .preprocess import TOKENIZE_MODES, default_rules, preprocess_corpus
 from .rng import derive_stream
-from .shares import run_shares, share_run, usable_cpus
 from .synth import SynthSpec, generate_fixture, write_fixture
 
 
@@ -147,16 +146,8 @@ def _parse_lang_path(values: list[str], flag: str) -> dict[str, str]:
 def _cmd_predict(args) -> int:
     embeddings = _parse_lang_path(args.embedding, "--embedding")
     matrices = _parse_lang_path(args.matrix, "--matrix")
-    # The checkpoint parses here while a worker reads the corpus (multisent.shares);
-    # with one usable CPU both load here, in this order, so its error wins either way.
-    loads = (lambda: load_checkpoint(args.model), lambda: load_corpus(args.infile))
-    shares = min(usable_cpus(), len(loads))
-
-    def run_share(share: int) -> list:
-        return [loads[i]() for i in share_run(share, shares, len(loads))]
-
-    trained, records = [loaded for done in run_shares(run_share, shares) for loaded in done]
-    result = predict_records(trained, records, embeddings, matrices, args.mode)
+    trained = load_checkpoint(args.model)
+    result = predict_records(trained, load_corpus(args.infile), embeddings, matrices, args.mode)
     # json.dumps of {"id", "label", "probs"} to the byte: it writes a finite float
     # as its repr, and argmax_label has rejected any row holding NaN
     write_output(args.outfile, "".join(

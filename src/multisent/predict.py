@@ -1,10 +1,7 @@
 """Classify a corpus with a saved checkpoint, on every usable CPU.
 
-`multisent predict` runs four rounds of shares (multisent.shares), one
-share per usable CPU. First the command itself parses the checkpoint in
-this process while a forked worker reads the corpus and sends back its
-records. Then `predict_records`, the command without its files, runs
-the other three:
+`predict_records` is `multisent predict` without its files. It runs three
+rounds of shares (multisent.shares), one share per usable CPU:
 
 1. `preprocess_corpus` deals the records to the shares in contiguous
    runs and merges their tweets in input order.

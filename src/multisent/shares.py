@@ -1,8 +1,7 @@
 """Run a job's shares at once: share 0 in this process, each other share in a forked worker.
 
 `preprocess_corpus` deals its records, `EmbeddingContext.from_paths`
-its `.vec` tables, `evaluate` its folds and `multisent predict` its two
-loads, the checkpoint's then the corpus's, into one share per usable
+its `.vec` tables and `evaluate` its folds into one share per usable
 CPU in contiguous runs (`share_run`): results in
 share order are in item order, and the lowest share that raises holds
 the lowest failing item. `predict`'s length-sorted batches are the one

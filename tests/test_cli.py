@@ -910,37 +910,6 @@ class TestPredictOptions:
             json.dumps({"id": tw.id, "label": int(label), "probs": [float(p) for p in probs]})
             + "\n" for tw, (label, probs) in zip(result.tweets, result.predictions))
 
-    @pytest.mark.parametrize("case", ["bad-model-and-corpus", "bad-corpus", "missing-in"])
-    def test_load_error_ignores_the_cpu_count(self, fixture_dir, tmp_path, ckpt, capsys,
-                                              monkeypatch, case):
-        # with two CPUs the checkpoint parses here while a forked worker reads the corpus
-        good = self.write_input(fixture_dir, tmp_path / "in.jsonl")
-        bad_corpus = tmp_path / "bad.jsonl"
-        bad_corpus.write_text((tmp_path / "in.jsonl").read_text() + '{"id": "x", "lang"\n')
-        bad_model = tmp_path / "bad.ckpt"
-        bad_model.write_text("not a checkpoint\n")
-        model, infile, message = {
-            "bad-model-and-corpus": (bad_model, bad_corpus,
-                                     "line 1: not a model checkpoint (bad magic line)"),
-            "bad-corpus": (ckpt, bad_corpus,
-                           f"line {good + 1}: invalid JSON: Expecting ':' delimiter"),
-            "missing-in": (ckpt, tmp_path / "none.jsonl",
-                           f"[Errno 2] No such file or directory: '{tmp_path / 'none.jsonl'}'"),
-        }[case]
-        files = self.files(fixture_dir, tmp_path, ckpt)
-        files[files.index("--model") + 1] = str(model)
-        files[files.index("--in") + 1] = str(infile)
-        real_fork, forks = os.fork, []
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-        for cpus in (1, 2):
-            monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
-            forks.clear()
-            with no_worker_left():
-                assert main(["predict", *files]) == 2
-            assert capsys.readouterr().err == f"error: {message}\n"
-            assert len(forks) == cpus - 1
-        assert not (tmp_path / "p.jsonl").exists()
-
     def test_unwritable_out_exits_2_naming_it(self, fixture_dir, tmp_path, ckpt, capsys):
         self.write_input(fixture_dir, tmp_path / "in.jsonl")
         out = tmp_path / "no-such-dir" / "p.jsonl"

@@ -223,8 +223,8 @@ def test_predictions_ignore_the_cpu_count(tmp_path):
             forks.append(int(done.stdout.split()[-1]))
         assert outputs[0] == outputs[1], name
         assert outputs[0].count(b"\n") == usable, name
-        # one worker per share but the first: of the checkpoint and corpus loads,
-        # of the records, of the 3 tables, then of the 256-tweet batches
+        # one worker per share but the first: of the records, of the 3 tables,
+        # then of the 256-tweet batches
         batches = -(-usable // 256)
-        assert forks == [0, min(cpus, 2) - 1 + min(cpus, len(records)) - 1 + min(cpus, 3) - 1
+        assert forks == [0, min(cpus, len(records)) - 1 + min(cpus, 3) - 1
                          + max(min(cpus, batches) - 1, 0)], name
