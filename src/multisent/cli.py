@@ -3,7 +3,7 @@
 Thin argparse wrappers over the library: every subcommand loads files,
 calls one or two library functions, and writes the result. Exit codes:
 0 success, 2 any validation or data error, 3 a train/test leakage
-assertion tripped during evaluation.
+assertion tripped during evaluation, 130 SIGINT, 143 SIGTERM.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import (
     ConfigurationError,
     LeakageError,
     MultisentError,
+    Terminated,
     read_text,
     write_output,
 )
@@ -265,6 +266,12 @@ def main(argv: list[str] | None = None) -> int:
     except (MultisentError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+    except Terminated:
+        print("terminated", file=sys.stderr)
+        return 143
 
 
 if __name__ == "__main__":

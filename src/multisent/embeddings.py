@@ -15,7 +15,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Iterable, NamedTuple
+from typing import Collection, NamedTuple
 
 import numpy as np
 
@@ -60,12 +60,6 @@ class EmbeddingTable:
                 raise ArgumentError(
                     f"vector for {word!r} has shape {vec.shape}, expected ({self.dim},)"
                 )
-
-    def __reduce__(self):
-        """Pickle the entries as one matrix, which unpickles to read-only row views again."""
-        rows = np.array(list(self.entries.values())).reshape(-1, self.dim)
-        return _table_from_rows, (self.lang, self.dim, list(self.entries), rows,
-                                  self.sha256, self._fingerprint, self.duplicate_count)
 
     def __contains__(self, word: str) -> bool:
         return word in self.entries
@@ -151,23 +145,12 @@ def load_embedding_table(
     M = np.empty((len(rows), dim), dtype=np.float64)
     if not _parse_rows(rows, dim, M):
         _parse_each_line(body, dim, M)
-    return _table_from_rows(lang, dim, (row.partition(" ")[0] for row in rows), M,
-                            sha256, _trained.fingerprint if partial else None)
-
-
-def _table_from_rows(
-    lang: str, dim: int, words: Iterable[str], M: np.ndarray, sha256: str | None,
-    fingerprint: str | None, duplicate_count: int | None = None,
-) -> EmbeddingTable:
-    """The table whose entry words[i] is row i of M, made read-only. A later
-    duplicate word overwrites an earlier one, and the overwritten rows are the
-    duplicate_count unless one is given."""
     M.flags.writeable = False
-    entries = dict(zip(words, M))
+    entries = dict(zip((row.partition(" ")[0] for row in rows), M))
     table = EmbeddingTable(lang=lang, dim=dim, entries=entries, sha256=sha256,
-                           duplicate_count=len(M) - len(entries) if duplicate_count is None
-                           else duplicate_count)
-    table._fingerprint = fingerprint
+                           duplicate_count=len(M) - len(entries))
+    if partial:
+        table._fingerprint = _trained.fingerprint
     return table
 
 

@@ -72,6 +72,10 @@ class LeakageError(MultisentError):
     """A held-out test record was consulted while building training artifacts."""
 
 
+class Terminated(BaseException):
+    """SIGTERM while shares ran in workers (multisent.shares); like KeyboardInterrupt, no error."""
+
+
 def read_text(path: str | Path) -> str:
     """A UTF-8 file's text; an undecodable byte raises ParseError naming its line."""
     return _decode(Path(path).read_bytes())

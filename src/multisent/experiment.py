@@ -637,16 +637,10 @@ def _run_fold(
     train_tweets = list(audit.use(by_id[rid] for rid in sub_train_ids))
     dev_tweets = list(audit.use(by_id[rid] for rid in dev_ids))
     numbered, ids = numbering
-
-    def numbered_as(tweets: list[TokenizedTweet]) -> NumberedTokens:
-        return replace(numbered, ids=[ids[tw.id] for tw in tweets])
-
-    trained = train(
-        config.kind, train_tweets, dev_tweets, context, config.train_config(fold_seed),
-        workspace, numbered=numbered_as(train_tweets + dev_tweets),
-    )
-    preds = predict_batch(trained, test_tweets, context, workspace,
-                          numbered=numbered_as(test_tweets))
+    for_train = replace(numbered, ids=[ids[tw.id] for tw in train_tweets + dev_tweets])
+    trained = train(config.kind, train_tweets, dev_tweets, context,
+                    config.train_config(fold_seed), workspace, numbered=for_train)
+    preds = predict_batch(trained, test_tweets, context, workspace, numbered=numbered)
     return {tw.id: pred for tw, (pred, _probs) in zip(test_tweets, preds)}
 
 

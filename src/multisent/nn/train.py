@@ -293,13 +293,15 @@ class NumberedTokens:
 
     ids: list[np.ndarray]           # per tweet, by position: its tokens' key numbers
     keys: list[tuple[str, str]]     # key k is keys[k]
+    index: dict[tuple[str, str], int]   # keys[k] -> k
     rows: np.ndarray                # (K, dim): row k is context.vector(*keys[k])
     context: EmbeddingContext
 
     @classmethod
     def of(cls, tweets: list[TokenizedTweet], context: EmbeddingContext) -> "NumberedTokens":
-        ids, keys = number_tokens(tweets, {})
-        return cls(ids, keys, context.vectors(keys), context)
+        index: dict[tuple[str, str], int] = {}
+        ids, keys = number_tokens(tweets, index)
+        return cls(ids, keys, index, context.vectors(keys), context)
 
     def table(self, keys: np.ndarray, context: EmbeddingContext) -> np.ndarray:
         """The vectors of key numbers keys under context, as a new (len(keys), dim) array.
@@ -435,10 +437,11 @@ def predict_batch(
 ) -> list[tuple[Polarity, np.ndarray]]:
     """Classify tweets after checking the context matches the model.
 
-    numbered, when given, numbers the tweets against context (see
-    NumberedTokens.table); without it they are numbered here. Their
-    batches are dealt to at most `shares` shares, the first of which runs
-    on workspace (see _predict_in_length_order).
+    The vectors of the tweets' keys that the fine-tuned rows lack are
+    numbered's rows under context (see NumberedTokens.table) when it is
+    given, else context's. Their batches are dealt to at most `shares`
+    shares, the first of which runs on workspace (see
+    _predict_in_length_order).
     """
     current = context.fingerprint()
     if current != trained.fingerprints:
@@ -453,21 +456,15 @@ def predict_batch(
     # follow E, in first-seen order, each with its context vector.
     ft = trained.fine_tuned
     E = np.empty((0, context.dim)) if ft is None else ft.E
+    ids, added = number_tokens(tweets, {} if ft is None else dict(ft.index), len(E))
     if numbered is None:
-        ids, added = number_tokens(tweets, {} if ft is None else dict(ft.index), len(E))
         rows = context.vectors(added)
     else:
-        if len(numbered.ids) != len(tweets):
-            raise ArgumentError(
-                f"numbered holds {len(numbered.ids)} tweets, not the {len(tweets)} given"
-            )
-        keys = _first_seen(numbered.ids)
-        held = np.array([-1 if ft is None else ft.index.get(numbered.keys[k], -1)
-                         for k in keys.tolist()], dtype=np.intp)
-        added = keys[held < 0]
-        held[held < 0] = len(E) + np.arange(added.size)
-        ids = _renumber(numbered.ids, keys, held, len(numbered.keys))
-        rows = numbered.table(added, context)
+        try:
+            keys = np.array([numbered.index[key] for key in added], dtype=np.intp)
+        except KeyError as err:
+            raise ArgumentError(f"numbered lacks the key {err.args[0]!r}") from None
+        rows = numbered.table(keys, context)
     table = np.concatenate([E, rows])
     probs = _predict_in_length_order(trained.model, table, ids, 256, workspace, shares)
     return [(Polarity(code), row) for code, row in zip(argmax_label(probs).tolist(), probs)]

@@ -31,7 +31,6 @@ from .embeddings import (
 )
 from .errors import ArgumentError, ConfigurationError, ParseError
 from .preprocess import TokenizedTweet
-from .shares import run_shares, share_run, usable_cpus
 
 
 def corpus_max_len(tweets: list[TokenizedTweet]) -> int:
@@ -84,27 +83,16 @@ class EmbeddingContext:
         rules_version: str,
         trained: dict[str, TrainedFile] | None = None,
     ) -> "EmbeddingContext":
-        """Load one table per language and one map per mapped language.
+        """Load one table per language, in the given order, then one map per mapped language.
 
         A language in `trained` whose file is the one recorded there, byte
-        for byte, gets only the rows of the words recorded with it. The
-        tables load on every usable CPU, the languages dealt in contiguous
-        runs to the shares (multisent.shares), so the first language that
-        fails, in the given order, raises as it would on one CPU; the maps
-        load after them, in this process.
+        for byte, gets only the rows of the words recorded with it. Every
+        table and map loads in this process, so the first language whose
+        table fails raises.
         """
-        trained = trained or {}
-        langs = list(embeddings)
-        shares = min(usable_cpus(), len(langs))
-
-        def run_share(share: int) -> list[EmbeddingTable]:
-            run = share_run(share, shares, len(langs))
-            return [load_embedding_table(embeddings[lang], lang, _trained=trained.get(lang))
-                    for lang in langs[run.start:run.stop]]
-
-        loaded = [table for tables in run_shares(run_share, shares) for table in tables]
         return cls(
-            tables=dict(zip(langs, loaded)),
+            tables={lang: load_embedding_table(path, lang, _trained=(trained or {}).get(lang))
+                    for lang, path in embeddings.items()},
             translations={lang: load_translation_matrix(path) for lang, path in matrices.items()},
             oov_seed=oov_seed,
             oov_scale=oov_scale,

@@ -1,15 +1,16 @@
 """Classify a corpus with a saved checkpoint, on every usable CPU.
 
-`predict_records` is `multisent predict` without its files. It runs three
-rounds of shares (multisent.shares), one share per usable CPU:
+`predict_records` is `multisent predict` without its files. It runs two
+rounds of shares (multisent.shares), one share per usable CPU, and loads
+the tables in this process between them:
 
 1. `preprocess_corpus` deals the records to the shares in contiguous
    runs and merges their tweets in input order.
-2. `EmbeddingContext.from_paths` deals the `.vec` tables to the shares.
-   Of a file whose bytes are the ones the checkpoint recorded it parses
-   only the rows of the words the model will look up: those of the
-   tweets as classified (in a language with a table, cut to a CNN's
-   max_len) that the checkpoint's fine-tuned rows do not hold.
+2. `EmbeddingContext.from_paths` loads the `.vec` tables. Of a file
+   whose bytes are the ones the checkpoint recorded it parses only the
+   rows of the words the model will look up: those of the tweets as
+   classified (in a language with a table, cut to a CNN's max_len) that
+   the checkpoint's fine-tuned rows do not hold.
 3. This process numbers the tweets' tokens, and `predict_batch` deals
    its length-sorted batches, whole and longest first, round-robin to
    the shares.

@@ -1,8 +1,7 @@
 """Run a job's shares at once: share 0 in this process, each other share in a forked worker.
 
-`preprocess_corpus` deals its records, `EmbeddingContext.from_paths`
-its `.vec` tables and `evaluate` its folds into one share per usable
-CPU in contiguous runs (`share_run`): results in
+`preprocess_corpus` deals its records and `evaluate` its folds into one
+share per usable CPU in contiguous runs (`share_run`): results in
 share order are in item order, and the lowest share that raises holds
 the lowest failing item. `predict`'s length-sorted batches are the one
 exception, dealt round-robin because contiguous runs would put every
@@ -23,9 +22,10 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import threading
 from typing import NoReturn
 
-from .errors import MultisentError
+from .errors import MultisentError, Terminated
 
 _in_share = False   # True while this process runs a share; a worker never clears it
 
@@ -52,22 +52,34 @@ def run_shares(run_share, shares: int) -> list:
     MultisentError naming its exit code, negative for a signal. Every
     worker has been reaped and every pipe closed when this returns or
     raises; on a raise, workers still running are sent SIGTERM first.
+
+    While workers run, a SIGTERM to this process raises Terminated here
+    if this is the main thread and SIGTERM had its default action, so it
+    ends the workers too; that action is put back on return or raise.
     """
     if shares < 2 or _in_share:
         return _run_here(run_share, range(shares))
     readers: list[int] = []     # by share, from share 1
     running: list[int] = []     # pids of the workers not yet reaped
+    own = (threading.current_thread() is threading.main_thread()
+           and signal.getsignal(signal.SIGTERM) is signal.SIG_DFL)
+    if own:
+        signal.signal(signal.SIGTERM, _terminate)
     try:
         for share in range(1, shares):
             reader, writer = os.pipe()
             readers.append(reader)
+            # SIGTERM is held until the worker is in running, and in the worker until it
+            # has SIGTERM's default action back
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(run_share, share, readers, writer)
+                    _work(run_share, share, readers, writer, mask)
+                running.append(pid)
             finally:
                 os.close(writer)    # before the next fork, so a dead worker's pipe reads EOF
-            running.append(pid)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         results = _run_here(run_share, range(1))
         for pid, reader in zip(list(running), readers):
             # read before reaping: a result larger than the pipe's buffer blocks its writer
@@ -94,6 +106,12 @@ def run_shares(run_share, shares: int) -> list:
             os.close(reader)
         for pid in running:
             os.waitpid(pid, 0)
+        if own:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _terminate(signum, frame) -> NoReturn:
+    raise Terminated("terminated by SIGTERM")
 
 
 def _run_here(run_share, shares: range) -> list:
@@ -106,15 +124,18 @@ def _run_here(run_share, shares: range) -> list:
         _in_share = outer
 
 
-def _work(run_share, share: int, readers: list[int], writer: int) -> NoReturn:
+def _work(run_share, share: int, readers: list[int], writer: int, mask) -> NoReturn:
     """A worker's whole life: run its share, write back its message, leave through os._exit.
 
-    The message is (True, result) or (False, exception), pickled; the
-    exit code is 0 only once every byte of it is written.
+    SIGTERM gets its default action back, so the parent's SIGTERM ends the
+    worker at once. The message is (True, result) or (False, exception),
+    pickled; the exit code is 0 only once every byte of it is written.
     """
     global _in_share
     code = 1
     try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         _in_share = True
         for reader in readers:      # its own pipe's and the earlier workers'
             os.close(reader)

@@ -4,12 +4,17 @@ import contextlib
 import hashlib
 import os
 import signal
+import subprocess
+import sys
+import time
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import multisent
 from multisent import embeddings
 from multisent.baselines import NGRAM_JOINER, ngrams_of
 from multisent.corpus import Polarity, TweetRecord
@@ -85,6 +90,45 @@ def no_worker_left(seconds: int = 60):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert _open_fds() == fds
+
+
+def signal_parent(script: str, args: list[str], tmp_path: Path, signum: int) -> tuple[int, str]:
+    """Run `python -c script PIDFILE *args`, whose worker writes its pid to PIDFILE as one
+    line; then send the parent signum, and assert that the worker is gone within 5 s of
+    the parent's exit. Returns the parent's exit code and its stderr."""
+    src = str(Path(multisent.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    marker = tmp_path / "worker.pid"
+    # stderr goes to a file: an orphaned worker would hold a pipe open
+    with open(tmp_path / "stderr.txt", "w", encoding="utf-8") as stderr:
+        proc = subprocess.Popen([sys.executable, "-c", script, str(marker), *args], env=env,
+                                stdout=subprocess.DEVNULL, stderr=stderr)
+    worker = None
+    try:
+        deadline = time.monotonic() + 60
+        while not (marker.exists() and marker.read_text(encoding="utf-8").endswith("\n")):
+            assert proc.poll() is None, "the process ended before its worker started"
+            assert time.monotonic() < deadline, "no worker started"
+            time.sleep(0.02)
+        worker = int(marker.read_text(encoding="utf-8"))
+        proc.send_signal(signum)
+        proc.wait(timeout=60)
+        deadline = time.monotonic() + 5
+        while worker is not None:
+            try:
+                os.kill(worker, 0)
+            except ProcessLookupError:
+                worker = None
+            else:
+                assert time.monotonic() < deadline, "the worker outlived its parent"
+                time.sleep(0.05)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        if worker is not None:
+            os.kill(worker, signal.SIGKILL)
+    return proc.returncode, (tmp_path / "stderr.txt").read_text(encoding="utf-8")
 
 
 def finite_difference(f, params: dict[str, np.ndarray], step: float = 1e-5) -> dict[str, np.ndarray]:

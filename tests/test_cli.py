@@ -1,4 +1,4 @@
-"""Every subcommand driven in-process through main(argv)."""
+"""Every subcommand driven through main(argv): in this process, or in a child one to signal it."""
 
 import argparse
 import hashlib
@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import re
+import signal
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from multisent.nn import argmax_label, load_checkpoint, predict_batch
 from multisent.pipeline import EmbeddingContext
 from multisent.preprocess import TokenizedTweet, default_rules, preprocess_corpus
 
-from conftest import no_worker_left
+from conftest import no_worker_left, signal_parent
 from test_option_coverage import invocations_in_readme
 
 
@@ -205,6 +206,26 @@ def write_config(path, fixture_dir, lines):
         by_key[line.partition("=")[0].strip()] = line
     path.write_text("\n".join(by_key.values()) + "\n", encoding="utf-8")
     return path
+
+
+# `multisent ARGV` whose folds see two usable CPUs and whose preprocessing
+# one, so its one worker runs a fold; the worker writes its pid to the file
+# argv[1] as it starts.
+FOLD_WORKER = """
+import os, signal, sys
+from pathlib import Path
+from multisent import preprocess
+from multisent.cli import main
+
+# the actions a shell gives a foreground command, whatever this one inherited
+signal.signal(signal.SIGINT, signal.default_int_handler)
+signal.signal(signal.SIGTERM, signal.SIG_DFL)
+os.sched_getaffinity = lambda pid: {0, 1}
+preprocess.usable_cpus = lambda: 1
+os.register_at_fork(
+    after_in_child=lambda: Path(sys.argv[1]).write_text(f"{os.getpid()}\\n", encoding="utf-8"))
+sys.exit(main(sys.argv[2:]))
+"""
 
 
 class TestEvaluateAndCompare:
@@ -570,6 +591,19 @@ class TestEvaluateAndCompare:
             assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == code
         assert capsys.readouterr().err == printed
         assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+    @pytest.mark.parametrize("signum, code, line", [
+        (signal.SIGTERM, 143, "terminated"), (signal.SIGINT, 130, "interrupted"),
+    ], ids=["sigterm-exits-143", "sigint-exits-130"])
+    def test_signal_ends_evaluate_and_its_worker(self, fixture_dir, tmp_path, signum, code, line):
+        cfg = write_config(tmp_path / "cnn.cfg", fixture_dir, [
+            "kind = cnn", "folds = 2", "window_sizes = 2",
+            *(f"embedding.{lang} = {fixture_dir / f'{lang}.vec'}" for lang in ("en", "ja", "zh")),
+            "train.max_epochs = 100000", "train.patience = 100000",     # runs until signalled
+        ])
+        argv = ["evaluate", "--config", str(cfg)]
+        assert signal_parent(FOLD_WORKER, argv, tmp_path, signum) == (code, f"{line}\n")
 
     def test_relu_candidate_still_evaluates(self, fixture_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "relu.cfg", fixture_dir, [
@@ -1224,7 +1258,7 @@ class TestPredictParsesOnlyTheUsedRows:
     def loaded(self, monkeypatch):
         """lang -> the table predict loaded last for it.
 
-        The tables load on one CPU, so that the spy sees every call.
+        The tables load in this process, so the spy sees every call.
         """
         tables = {}
         real = pipeline.load_embedding_table
@@ -1234,7 +1268,6 @@ class TestPredictParsesOnlyTheUsedRows:
             return tables[lang]
 
         monkeypatch.setattr(pipeline, "load_embedding_table", record)
-        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
         return tables
 
     def predict(self, d, ckpt, out, en=None, infile="unseen.jsonl"):

@@ -156,12 +156,34 @@ def test_report_bytes_ignore_the_cpu_count(tmp_path, config):
         reports.append(_canonical_report(out))
         forks.append(int(done.stdout.split()[-1]))
     assert reports[0] == reports[1]
-    # one worker per share but the first: of the records, of the 3 tables a
-    # neural kind loads, then of the 3 folds
+    # one worker per share but the first: of the records, then of the 3 folds
     cpus = len(os.sched_getaffinity(0))
     records = len((tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines())
-    table_workers = 0 if config[0] in ("kind = nb", "kind = svm") else min(cpus, 3) - 1
-    assert forks == [0, min(cpus, records) - 1 + table_workers + min(cpus, 3) - 1]
+    assert forks == [0, min(cpus, records) - 1 + min(cpus, 3) - 1]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity (Linux)")
+def test_checkpoint_bytes_ignore_the_cpu_count(tmp_path):
+    cfg = _write_fixture(tmp_path, [
+        "kind = cnn", "train.filters_per_window = 8", "train.fine_tune_embeddings = true",
+        "alignment = translation_matrix",
+        "matrix.ja = {dir}/ja-en.mat", "matrix.zh = {dir}/zh-en.mat"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    checkpoints, forks = [], []
+    for mode in ("pinned", "default"):
+        out = tmp_path / f"{mode}.ckpt"
+        done = subprocess.run(
+            [sys.executable, "-c", COUNT_FORKS, mode, "train", "--config", str(cfg),
+             "--out", str(out)],
+            env=env, check=True, capture_output=True, text=True, timeout=300)
+        checkpoints.append(out.read_bytes())
+        forks.append(int(done.stdout.split()[-1]))
+    assert b"tensor __embeddings__" in checkpoints[0]
+    assert checkpoints[0] == checkpoints[1]
+    # one worker per share of the records but the first; the tables and maps
+    # load in the parent, and training runs there
+    records = len((tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines())
+    assert forks == [0, min(len(os.sched_getaffinity(0)), records) - 1]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity (Linux)")
@@ -223,8 +245,7 @@ def test_predictions_ignore_the_cpu_count(tmp_path):
             forks.append(int(done.stdout.split()[-1]))
         assert outputs[0] == outputs[1], name
         assert outputs[0].count(b"\n") == usable, name
-        # one worker per share but the first: of the records, of the 3 tables,
-        # then of the 256-tweet batches
+        # one worker per share but the first: of the records, then of the
+        # 256-tweet batches
         batches = -(-usable // 256)
-        assert forks == [0, min(cpus, len(records)) - 1 + min(cpus, 3) - 1
-                         + max(min(cpus, batches) - 1, 0)], name
+        assert forks == [0, min(cpus, len(records)) - 1 + max(min(cpus, batches) - 1, 0)], name

@@ -1,7 +1,7 @@
 """Embedding table IO and OOV policy."""
 
 import hashlib
-import pickle
+import os
 import warnings
 
 import numpy as np
@@ -9,7 +9,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from multisent import pipeline
 from multisent.corpus import Polarity
 from multisent.embeddings import (
     _LOAD_CHUNK_ROWS,
@@ -276,22 +275,8 @@ def test_loaded_rows_are_read_only(tmp_path):
     assert table.entries["b"].tolist() == [3.0, 4.0]
 
 
-@pytest.mark.parametrize("words", [[], ["a", "b", "c"]])
-def test_pickled_table_has_read_only_rows_of_one_matrix(words):
-    built = seeded_table("en", words, 3)
-    built.duplicate_count, built.sha256 = 2, "f" * 64
-    copy = pickle.loads(pickle.dumps(built, pickle.HIGHEST_PROTOCOL))
-    assert (copy.lang, copy.dim, copy.duplicate_count, copy.sha256) == ("en", 3, 2, "f" * 64)
-    assert copy.fingerprint() == built.fingerprint()
-    assert list(copy.entries) == words
-    for word, row in copy.entries.items():
-        assert row.tobytes() == built.entries[word].tobytes()
-        assert not row.flags.writeable
-        assert row.base is copy.entries[words[0]].base is not None
-
-
-# Four languages, so that at 3 CPUs the shares hold 2, 1 and 1 tables and
-# at 2 CPUs 2 and 2; ja holds a duplicate word.
+# Four languages, more than there are CPUs in any case below; ja holds a
+# duplicate word.
 _LANGS = ("en", "es", "ja", "zh")
 
 
@@ -304,8 +289,14 @@ def _vec_files(tmp_path) -> dict[str, str]:
     return paths
 
 
+def _no_fork():
+    raise AssertionError("the tables load in this process")
+
+
 def _context(monkeypatch, cpus: int, paths: dict[str, str], trained=None) -> EmbeddingContext:
-    monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+    """from_paths while the OS reports cpus usable CPUs; a fork fails the test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "fork", _no_fork)
     return EmbeddingContext.from_paths(paths, {}, oov_seed=0, oov_scale=None, max_len=1,
                                        rules_version="-", trained=trained)
 
@@ -338,8 +329,8 @@ def test_tables_load_alike_whatever_the_cpu_count(monkeypatch, tmp_path, cpus):
 @pytest.mark.parametrize("bad", [1, 2])
 @pytest.mark.parametrize("fault", ["malformed", "missing"])
 def test_first_failing_table_raises_as_on_one_cpu(monkeypatch, tmp_path, cpus, bad, fault):
-    # the 2nd language loads in this process at every CPU count, the 3rd in a
-    # worker at 2 and 3; zh, which fails too, comes later
+    # every language loads in this process at every CPU count; zh, which
+    # fails too, comes after the failing one
     paths = _vec_files(tmp_path)
     lang = _LANGS[bad]
     if fault == "missing":

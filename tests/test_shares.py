@@ -14,7 +14,7 @@ from multisent.cli import main
 from multisent.errors import CoverageError, MultisentError
 from multisent.shares import run_shares, share_run
 
-from conftest import no_worker_left
+from conftest import no_worker_left, signal_parent
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
 
@@ -137,3 +137,28 @@ def test_forking_evaluate_never_imports_multiprocessing(tmp_path):
     forks, imported = done.stdout.split()[-2:]
     assert int(forks) == 2   # one worker to preprocess, one for the second fold
     assert imported == "False"
+
+
+# run_shares over two shares that each compute for 10 s; the worker first
+# writes its pid to the file argv[1].
+BUSY_SHARES = """
+import os, signal, sys, time
+from pathlib import Path
+from multisent.shares import run_shares
+
+signal.signal(signal.SIGTERM, signal.SIG_DFL)   # even when started with SIGTERM ignored
+
+def run_share(share):
+    if share == 1:
+        Path(sys.argv[1]).write_text(f"{os.getpid()}\\n", encoding="utf-8")
+    end = time.monotonic() + 10
+    while time.monotonic() < end:
+        pass
+
+run_shares(run_share, 2)
+"""
+
+
+def test_sigterm_to_the_parent_ends_its_workers(tmp_path):
+    _, err = signal_parent(BUSY_SHARES, [], tmp_path, signal.SIGTERM)
+    assert err.rstrip().endswith("Terminated: terminated by SIGTERM")

@@ -269,6 +269,16 @@ class TestSharedNumbering:
         with pytest.raises(ArgumentError, match="numbered under another context"):
             for_train.table(np.arange(2), other)
 
+    def test_numbering_that_lacks_a_key_is_rejected(self, split, contexts):
+        train_tweets, dev_tweets, test_tweets = split
+        under, ctx = contexts
+        cfg = quick_config(max_epochs=1, window_sizes=(2,), filters_per_window=2)
+        trained = train("cnn", train_tweets, dev_tweets, ctx, cfg)
+        # the first test tweet's oov4 is in no train or dev tweet
+        seen = NumberedTokens.of(train_tweets + dev_tweets, under)
+        with pytest.raises(ArgumentError, match=r"numbered lacks the key \('ja', 'oov4'\)"):
+            predict_batch(trained, test_tweets, ctx, numbered=seen)
+
 
 class TestOneVectorPerToken:
     """A mapped token has one vector, whichever tweet holds it and wherever it is read."""
