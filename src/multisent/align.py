@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     parse_numbers,
     read_text,
+    split_lines,
     write_output,
 )
 from .rng import SplitMix64, derive_stream
@@ -101,7 +102,7 @@ def load_dictionary(path: str | Path) -> dict[str, str]:
     share one target word.
     """
     mapping: dict[str, str] = {}
-    for i, raw in enumerate(read_text(path).splitlines(), start=1):
+    for i, raw in enumerate(split_lines(read_text(path)), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
         parts = raw.split("\t")
@@ -281,7 +282,7 @@ def save_translation_matrix(tm: TranslationMatrix, path: str | Path) -> None:
 
 def load_translation_matrix(path: str | Path) -> TranslationMatrix:
     """Read a map written by save_translation_matrix."""
-    lines = read_text(path).splitlines()
+    lines = split_lines(read_text(path))
     if not lines:
         raise ParseError("empty translation matrix file", line=1)
     header = lines[0].split()

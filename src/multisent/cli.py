@@ -3,13 +3,16 @@
 Thin argparse wrappers over the library: every subcommand loads files,
 calls one or two library functions, and writes the result. Exit codes:
 0 success, 2 any validation or data error, 3 a train/test leakage
-assertion tripped during evaluation, 130 SIGINT, 143 SIGTERM.
+assertion tripped during evaluation, 130 SIGINT, 143 SIGTERM: either
+signal prints one line and ends the command's workers too (`shares`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import sys
 from pathlib import Path
 
@@ -31,7 +34,6 @@ from .errors import (
     ConfigurationError,
     LeakageError,
     MultisentError,
-    Terminated,
     read_text,
     write_output,
 )
@@ -256,8 +258,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminated(signum, frame):
+    # Never unwinds: a worker that catches it before it resets SIGTERM runs no parent code.
+    try:
+        sys.stdout.flush()
+        print("terminated", file=sys.stderr, flush=True)
+    finally:
+        os._exit(143)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, _terminated)
     try:
         return args.func(args)
     except LeakageError as err:
@@ -269,9 +281,8 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
-    except Terminated:
-        print("terminated", file=sys.stderr)
-        return 143
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

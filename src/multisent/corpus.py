@@ -90,8 +90,8 @@ def _record_from_json(obj: dict, line: int) -> TweetRecord:
         raise
 
 
-# A line and its end: \n, \r\n or \r only. A raw U+2028 or U+0085 inside
-# a JSON string belongs to its record, so str.splitlines would be wrong.
+# A line and its end: \n, \r\n or \r only, as errors.split_lines breaks
+# them. A raw U+2028 or U+0085 inside a JSON string belongs to its record.
 _LINE = re.compile(r"([^\r\n]*)(?:\r\n?|\n)?")
 
 

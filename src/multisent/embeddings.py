@@ -26,6 +26,7 @@ from .errors import (
     parse_numbers,
     read_text,
     read_text_sha256,
+    split_lines,
     write_output,
 )
 from .preprocess import TokenizedTweet
@@ -113,7 +114,7 @@ def load_embedding_table(
     fine-tuned rows lack.
     """
     text, sha256 = read_text_sha256(path)
-    lines = text.splitlines()
+    lines = split_lines(text)
     del text    # the lines hold their own copy
     if not lines:
         raise ParseError("empty embedding file", line=1)
@@ -223,7 +224,7 @@ def ranks_from_counts(counts: dict[str, int]) -> dict[str, int]:
 def load_frequency_counts(path: str | Path) -> dict[str, int]:
     """Read a sidecar frequency TSV: "word<TAB>count" per line."""
     counts: dict[str, int] = {}
-    for i, raw in enumerate(read_text(path).splitlines(), start=1):
+    for i, raw in enumerate(split_lines(read_text(path)), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
         parts = raw.split("\t")

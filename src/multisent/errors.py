@@ -72,13 +72,17 @@ class LeakageError(MultisentError):
     """A held-out test record was consulted while building training artifacts."""
 
 
-class Terminated(BaseException):
-    """SIGTERM while shares ran in workers (multisent.shares); like KeyboardInterrupt, no error."""
-
-
 def read_text(path: str | Path) -> str:
     """A UTF-8 file's text; an undecodable byte raises ParseError naming its line."""
     return _decode(Path(path).read_bytes())
+
+
+def split_lines(text: str) -> list[str]:
+    """text's lines, ended by \\n, \\r\\n or \\r only, unlike str.splitlines (U+2028 and others)."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    return lines if lines[-1] else lines[:-1]
 
 
 def write_output(path: str | Path, text: str) -> None:

@@ -46,6 +46,7 @@ from .errors import (
     ConfigurationError,
     LeakageError,
     ParseError,
+    split_lines,
 )
 from .nn import TrainConfig, predict_batch, train
 from .nn.train import NumberedTokens
@@ -231,7 +232,7 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
     """
     raw: dict[str, str] = {"name": name}
     set_on: dict[str, int] = {}     # key -> line that set it
-    for i, line in enumerate(text.splitlines(), start=1):
+    for i, line in enumerate(split_lines(text), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -45,6 +45,7 @@ from ..errors import (
     ParseError,
     parse_numbers,
     read_text,
+    split_lines,
     write_output,
 )
 from ..pipeline import EmbeddingContext
@@ -177,19 +178,20 @@ def train(
         dropout_rate=config.dropout_rate,
     )
 
-    # One table holds a row per key, gathered from numbered's rows: the
-    # training vocabulary first, in first-seen order (E, which fine-tuning
-    # updates through a view), then the keys only dev tweets hold, in
-    # first-seen order. The tweets are renumbered into it; every batch is
-    # table[ids].
+    # One table holds a row per key, gathered from numbered's rows in the
+    # order the train then dev tweets first hold them, so the training
+    # vocabulary comes first: E, the rows up to the largest train id, which
+    # fine-tuning updates through a view. The tweets are renumbered into it;
+    # every batch is table[ids].
     n = len(train_tweets)
-    vocab_keys = _first_seen(numbered.ids[:n])
-    dev_keys = _first_seen(numbered.ids[n:])
-    table_keys = np.concatenate([vocab_keys, dev_keys[~np.isin(dev_keys, vocab_keys)]])
-    ids = _renumber(numbered.ids, table_keys, np.arange(table_keys.size), len(numbered.keys))
+    unique, first = np.unique(np.concatenate(numbered.ids), return_index=True)
+    table_keys = unique[np.argsort(first)]
+    remap = np.empty(len(numbered.keys), dtype=np.intp)
+    remap[table_keys] = np.arange(table_keys.size)
+    ids = [remap[row] for row in numbered.ids]
     train_ids, dev_ids = ids[:n], ids[n:]
     table = numbered.table(table_keys, context)
-    E = table[:vocab_keys.size]
+    E = table[:np.concatenate(train_ids).max(initial=-1) + 1]
     train_y = [int(tw.label) for tw in train_tweets]
     dev_y = [int(tw.label) for tw in dev_tweets]
 
@@ -250,7 +252,7 @@ def train(
         best_epoch=best_epoch,
         best_dev_accuracy=best_acc,
         fine_tuned=FineTunedEmbeddings(
-            {numbered.keys[k]: row for row, k in enumerate(vocab_keys.tolist())}, best_E
+            {numbered.keys[k]: row for row, k in enumerate(table_keys[:len(E)].tolist())}, best_E
         ) if fine_tune else None,
     )
 
@@ -321,23 +323,6 @@ class NumberedTokens:
                 )
             context.map_rows([self.keys[k] for k in keys.tolist()], rows)
         return rows
-
-
-def _first_seen(ids: list[np.ndarray]) -> np.ndarray:
-    """The distinct numbers of ids, in the order they first appear."""
-    if not ids:
-        return np.empty(0, dtype=np.intp)
-    unique, first = np.unique(np.concatenate(ids), return_index=True)
-    return unique[np.argsort(first)]
-
-
-def _renumber(
-    ids: list[np.ndarray], old: np.ndarray, new: np.ndarray, size: int
-) -> list[np.ndarray]:
-    """ids with each number old[i] replaced by new[i]; every number lies in [0, size)."""
-    remap = np.empty(size, dtype=np.intp)
-    remap[old] = new
-    return [remap[row] for row in ids]
 
 
 def scatter_embedding_grad(
@@ -553,7 +538,7 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     the architecture, vocab lines that do not number each __embeddings__
     row exactly once) raises ParseError.
     """
-    lines = read_text(path).splitlines()
+    lines = split_lines(read_text(path))
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ParseError("not a model checkpoint (bad magic line)", line=1)
     header: dict[str, int] = {}     # field name -> index of its line

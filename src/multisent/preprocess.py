@@ -46,7 +46,7 @@ from importlib import resources
 from pathlib import Path
 
 from .corpus import Polarity, TweetRecord
-from .errors import ArgumentError, ConfigurationError, ParseError, RecordDropError, read_text
+from .errors import ArgumentError, ConfigurationError, ParseError, RecordDropError, read_text, split_lines
 from .shares import run_shares, share_run, usable_cpus
 
 # Codepoint ranges replaced by emoji tokens (inclusive).
@@ -103,20 +103,20 @@ _GUARD = re.compile(
 
 def load_pattern_file(path: str | Path) -> list[str]:
     """Read a pattern file: one regular expression per line, '#' comments."""
-    lines = read_text(path).splitlines()
+    lines = split_lines(read_text(path))
     return [ln for ln in (l.strip() for l in lines) if ln and not ln.startswith("#")]
 
 
 def load_literal_file(path: str | Path) -> list[str]:
     """Read a literal emoticon list: one verbatim string per line."""
-    lines = read_text(path).splitlines()
+    lines = split_lines(read_text(path))
     return [ln for ln in lines if ln.strip() and not ln.startswith("#")]
 
 
 def load_mapping_table(path: str | Path) -> dict[int, int]:
     """Read a TSV of hex codepoint pairs (traditional -> simplified)."""
     table: dict[int, int] = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(read_text(path)), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -15,24 +15,32 @@ slabs are shared maps (`nn.workspace`): a share that runs in a worker
 makes its own workspace. No share forks again: `run_shares` called from
 inside a share, here or in a worker, runs all its shares in that
 process.
+
+A worker asks the kernel to SIGKILL it when its parent ends, however that
+ends (`prctl(PR_SET_PDEATHSIG)`); where it cannot, nothing is forked.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import signal
-import threading
 from typing import NoReturn
 
-from .errors import MultisentError, Terminated
+from .errors import MultisentError
 
 _in_share = False   # True while this process runs a share; a worker never clears it
 
+# libc's prctl(option, arg2), looked up only where the OS can say which CPUs this process may use
+_prctl = getattr(ctypes.CDLL(None), "prctl", None) if hasattr(os, "sched_getaffinity") else None
+if _prctl is not None:
+    _prctl.argtypes, _prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity); 1 where the OS cannot say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    """The CPUs this process may run on (its affinity); 1 where prctl is not found."""
+    return len(os.sched_getaffinity(0)) if _prctl is not None else 1
 
 
 def share_run(share: int, shares: int, items: int) -> range:
@@ -51,35 +59,24 @@ def run_shares(run_share, shares: int) -> list:
     pickling error instead. A worker that ends without a result raises a
     MultisentError naming its exit code, negative for a signal. Every
     worker has been reaped and every pipe closed when this returns or
-    raises; on a raise, workers still running are sent SIGTERM first.
-
-    While workers run, a SIGTERM to this process raises Terminated here
-    if this is the main thread and SIGTERM had its default action, so it
-    ends the workers too; that action is put back on return or raise.
+    raises; on a raise, workers still running are sent SIGKILL first.
     """
     if shares < 2 or _in_share:
         return _run_here(run_share, range(shares))
+    parent = os.getpid()
     readers: list[int] = []     # by share, from share 1
     running: list[int] = []     # pids of the workers not yet reaped
-    own = (threading.current_thread() is threading.main_thread()
-           and signal.getsignal(signal.SIGTERM) is signal.SIG_DFL)
-    if own:
-        signal.signal(signal.SIGTERM, _terminate)
     try:
         for share in range(1, shares):
             reader, writer = os.pipe()
             readers.append(reader)
-            # SIGTERM is held until the worker is in running, and in the worker until it
-            # has SIGTERM's default action back
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(run_share, share, readers, writer, mask)
+                    _work(run_share, share, readers, writer, parent)
                 running.append(pid)
             finally:
                 os.close(writer)    # before the next fork, so a dead worker's pipe reads EOF
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         results = _run_here(run_share, range(1))
         for pid, reader in zip(list(running), readers):
             # read before reaping: a result larger than the pipe's buffer blocks its writer
@@ -99,19 +96,13 @@ def run_shares(run_share, shares: int) -> list:
         return results
     except BaseException:
         for pid in running:
-            os.kill(pid, signal.SIGTERM)
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
         for reader in readers:
             os.close(reader)
         for pid in running:
             os.waitpid(pid, 0)
-        if own:
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
-def _terminate(signum, frame) -> NoReturn:
-    raise Terminated("terminated by SIGTERM")
 
 
 def _run_here(run_share, shares: range) -> list:
@@ -124,18 +115,20 @@ def _run_here(run_share, shares: range) -> list:
         _in_share = outer
 
 
-def _work(run_share, share: int, readers: list[int], writer: int, mask) -> NoReturn:
+def _work(run_share, share: int, readers: list[int], writer: int, parent: int) -> NoReturn:
     """A worker's whole life: run its share, write back its message, leave through os._exit.
 
-    SIGTERM gets its default action back, so the parent's SIGTERM ends the
-    worker at once. The message is (True, result) or (False, exception),
-    pickled; the exit code is 0 only once every byte of it is written.
+    It leaves at once if it cannot ask to die with its parent or the parent
+    is already gone, and gives SIGTERM its default action back, so a SIGTERM
+    to the process group ends it. The message is (True, result) or (False,
+    exception), pickled; the exit code is 0 only once all of it is written.
     """
     global _in_share
     code = 1
     try:
+        if _prctl(1, signal.SIGKILL) != 0 or os.getppid() != parent:    # 1: PR_SET_PDEATHSIG
+            return
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         _in_share = True
         for reader in readers:      # its own pipe's and the earlier workers'
             os.close(reader)

@@ -199,6 +199,18 @@ def test_matrix_without_underdetermined_field_loads(tmp_path):
     assert back.fit_residual == 0.5 and back.underdetermined is False
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: empty translation matrix file"),
+    ("ja en two\n1 0\n0 1\n", "line 1: dim must be an integer, got 'two'"),
+], ids=["empty-file", "non-integer-dim"])
+def test_matrix_header_message(tmp_path, text, message):
+    p = tmp_path / "w.mat"
+    p.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        load_translation_matrix(p)
+    assert str(exc.value) == message
+
+
 def test_matrix_load_rejects_garbage(tmp_path):
     p = tmp_path / "w.mat"
     p.write_text("nonsense\n")
@@ -236,3 +248,9 @@ def test_dictionary_loading(tmp_path):
     p.write_text("# comment\ninu\tdog\nneko\tcat\ninu\thound\n")
     d = load_dictionary(p)
     assert d == {"inu": "hound", "neko": "cat"}  # last duplicate wins
+
+
+def test_dictionary_word_may_hold_a_unicode_line_break(tmp_path):
+    p = tmp_path / "d.tsv"
+    p.write_text("inu\u2028x\tdog\u2028y\r\nneko\tcat\rtori\tbird\n", encoding="utf-8")
+    assert load_dictionary(p) == {"inu\u2028x": "dog\u2028y", "neko": "cat", "tori": "bird"}

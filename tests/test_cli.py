@@ -227,6 +227,28 @@ os.register_at_fork(
 sys.exit(main(sys.argv[2:]))
 """
 
+# `multisent ARGV` on one usable CPU, so nothing forks; as its first fold
+# starts, this process writes its own pid to the file argv[1], standing in
+# for the worker signal_parent waits for.
+ONE_CPU = """
+import os, signal, sys
+from pathlib import Path
+from multisent import experiment
+from multisent.cli import main
+
+signal.signal(signal.SIGINT, signal.default_int_handler)
+signal.signal(signal.SIGTERM, signal.SIG_DFL)
+os.sched_getaffinity = lambda pid: {0}
+run_fold = experiment._run_fold
+
+def first_fold(*args):
+    Path(sys.argv[1]).write_text(f"{os.getpid()}\\n", encoding="utf-8")
+    return run_fold(*args)
+
+experiment._run_fold = first_fold
+sys.exit(main(sys.argv[2:]))
+"""
+
 
 class TestEvaluateAndCompare:
     def test_nb_evaluate_writes_report(self, fixture_dir, tmp_path, capsys):
@@ -593,17 +615,22 @@ class TestEvaluateAndCompare:
         assert not out.exists()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
-    @pytest.mark.parametrize("signum, code, line", [
-        (signal.SIGTERM, 143, "terminated"), (signal.SIGINT, 130, "interrupted"),
-    ], ids=["sigterm-exits-143", "sigint-exits-130"])
-    def test_signal_ends_evaluate_and_its_worker(self, fixture_dir, tmp_path, signum, code, line):
+    @pytest.mark.parametrize("script, signum, code, line", [
+        (FOLD_WORKER, signal.SIGTERM, 143, "terminated"),
+        (FOLD_WORKER, signal.SIGINT, 130, "interrupted"),
+        (ONE_CPU, signal.SIGTERM, 143, "terminated"),
+        (ONE_CPU, signal.SIGINT, 130, "interrupted"),
+    ], ids=["sigterm-exits-143", "sigint-exits-130",
+            "one-cpu-sigterm-exits-143", "one-cpu-sigint-exits-130"])
+    def test_signal_ends_evaluate_and_its_worker(self, fixture_dir, tmp_path, script, signum,
+                                                 code, line):
         cfg = write_config(tmp_path / "cnn.cfg", fixture_dir, [
             "kind = cnn", "folds = 2", "window_sizes = 2",
             *(f"embedding.{lang} = {fixture_dir / f'{lang}.vec'}" for lang in ("en", "ja", "zh")),
             "train.max_epochs = 100000", "train.patience = 100000",     # runs until signalled
         ])
         argv = ["evaluate", "--config", str(cfg)]
-        assert signal_parent(FOLD_WORKER, argv, tmp_path, signum) == (code, f"{line}\n")
+        assert signal_parent(script, argv, tmp_path, signum) == (code, f"{line}\n")
 
     def test_relu_candidate_still_evaluates(self, fixture_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "relu.cfg", fixture_dir, [
@@ -694,6 +721,24 @@ class TestTrainAndPredict:
         fingerprints = load_checkpoint(ckpt).fingerprints
         assert fingerprints == experiment.prepare_inputs(config)[1].fingerprint()
         assert fingerprints["alignment:ja"] != "none"
+
+    def test_language_neither_mapped_nor_the_target_exits_2(self, fixture_dir, tmp_path, capsys):
+        assert main(["align", "--src", str(fixture_dir / "ja.vec"),
+                     "--tgt", str(fixture_dir / "en.vec"), "--dict", str(fixture_dir / "ja-en.tsv"),
+                     "--src-lang", "ja", "--tgt-lang", "en", "--k", "12", "--train", "9",
+                     "--out", str(tmp_path / "ja-en.mat")]) == 0
+        cfg = write_config(tmp_path / "cnn.cfg", fixture_dir, [
+            "kind = cnn", "window_sizes = 2",
+            *(f"embedding.{lang} = {fixture_dir / f'{lang}.vec'}" for lang in ("en", "ja", "zh")),
+            "alignment = translation_matrix", f"matrix.ja = {tmp_path / 'ja-en.mat'}",
+        ])
+        capsys.readouterr()
+        for command in (["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r.json")],
+                        ["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == (
+                "error: languages neither mapped nor the map target: ['zh']\n")
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.ckpt").exists()
 
     def test_per_fold_refit_rejected_before_reading_corpus(
         self, fixture_dir, tmp_path, capsys, spy_calls

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multisent.corpus import (
+    _LINE,
     Polarity,
     TweetRecord,
     load_corpus,
@@ -16,7 +17,7 @@ from multisent.corpus import (
     save_corpus,
     split_dev,
 )
-from multisent.errors import ArgumentError, ParseError, SchemaError
+from multisent.errors import ArgumentError, ParseError, SchemaError, split_lines
 
 
 def test_label_codes_are_stable():
@@ -119,6 +120,21 @@ def test_missing_field_names_line(tmp_path):
     with pytest.raises(SchemaError) as exc:
         load_corpus(p)
     assert exc.value.line == 1 and "lang" in str(exc.value)
+
+
+def test_record_without_text_or_tokens_names_line(tmp_path):
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"id": "a", "lang": "en", "text": "", "label": 0}\n')
+    with pytest.raises(SchemaError) as exc:
+        load_corpus(p)
+    assert str(exc.value) == "line 1: record 'a': both text and tokens are empty"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(text=st.text(alphabet="a \n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_corpus_lines_are_the_lines_of_every_other_loader(text):
+    # _LINE also matches the empty string at the end of the text, a blank line load_corpus skips
+    assert [match[1] for match in _LINE.finditer(text)] == split_lines(text) + [""]
 
 
 def test_empty_record_rejected():

@@ -25,7 +25,7 @@ from multisent.embeddings import (
     ranks_from_counts,
     save_embedding_table,
 )
-from multisent.errors import ArgumentError, ConfigurationError, ParseError
+from multisent.errors import ArgumentError, ConfigurationError, ParseError, split_lines
 from multisent.pipeline import EmbeddingContext
 from multisent.preprocess import TokenizedTweet
 
@@ -93,6 +93,18 @@ def test_bad_header(tmp_path):
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: empty embedding file"),
+    ("-1 5\n", "line 1: invalid header values -1 5"),
+], ids=["empty-file", "negative-count"])
+def test_bad_header_message(tmp_path, text, message):
+    p = tmp_path / "e.vec"
+    p.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        load_embedding_table(p, "en")
+    assert str(exc.value) == message
+
+
 def test_duplicates_last_win_and_are_counted(tmp_path):
     p = tmp_path / "e.vec"
     p.write_text("3 2\na 1 2\nb 3 4\na 9 9\n")
@@ -108,6 +120,30 @@ def test_five_word_round_trip(tmp_path):
     loaded = load_embedding_table(p, "en")
     for word in table.entries:
         assert np.array_equal(loaded.entries[word], table.entries[word])
+
+
+# Each character str.splitlines would break a line at, beyond \n, \r\n and \r.
+# fastText splits words at ASCII whitespace only, so a word may hold any of them.
+_NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=lambda c: f"U+{ord(c):04X}")
+@pytest.mark.parametrize("spelling", ["0.5", "0.5_0"], ids=["loadtxt", "per-line"])
+def test_word_holding_a_unicode_line_break_round_trips(tmp_path, char, spelling):
+    word = f"a{char}b"
+    table = EmbeddingTable(lang="en", dim=2, entries={
+        word: np.array([1.0, 0.5]), char: np.array([2.0, 3.0]), "z": np.array([4.0, 5.0])})
+    p = tmp_path / "e.vec"
+    save_embedding_table(table, p)
+    text = p.read_text(encoding="utf-8").replace(" 0.5\n", f" {spelling}\n")
+    p.write_text(text, encoding="utf-8")
+    # the path each spelling takes
+    assert _parse_rows(split_lines(text)[1:], 2, np.empty((3, 2))) is (spelling == "0.5")
+    whole = load_embedding_table(p, "en")
+    assert {w: v.tolist() for w, v in whole.entries.items()} == {
+        w: v.tolist() for w, v in table.entries.items()}
+    part = load_embedding_table(p, "en", _trained=TrainedFile(whole.sha256, "pinned", {word}))
+    assert {w: v.tolist() for w, v in part.entries.items()} == {word: [1.0, 0.5]}
 
 
 # -- values read as float() reads them ---------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import multisent
+from multisent import shares
 from multisent.cli import main
 from multisent.errors import CoverageError, MultisentError
 from multisent.shares import run_shares, share_run
@@ -160,5 +161,14 @@ run_shares(run_share, 2)
 
 
 def test_sigterm_to_the_parent_ends_its_workers(tmp_path):
-    _, err = signal_parent(BUSY_SHARES, [], tmp_path, signal.SIGTERM)
-    assert err.rstrip().endswith("Terminated: terminated by SIGTERM")
+    # nothing catches SIGTERM, so the parent dies by it, without a traceback
+    assert signal_parent(BUSY_SHARES, [], tmp_path, signal.SIGTERM) == (-signal.SIGTERM, "")
+
+
+def test_sigkill_to_the_parent_ends_its_workers(tmp_path):
+    assert signal_parent(BUSY_SHARES, [], tmp_path, signal.SIGKILL) == (-signal.SIGKILL, "")
+
+
+def test_no_worker_where_it_cannot_be_made_to_end_with_its_parent(monkeypatch):
+    monkeypatch.setattr(shares, "_prctl", None)
+    assert shares.usable_cpus() == 1

@@ -623,6 +623,7 @@ class TestCheckpointAndLog:
         ("tensor filters_3 ", lambda ln: "tensor filters_3 3 6 3",
          "tensor filters_3 has shape (3, 6, 3), the model needs (3, 3, 6)"),
         ("tensor bias_2 ", lambda ln: "tensor bias_2 1 3", "tensor bias_2 has shape (1, 3)"),
+        ("kind ", lambda ln: "kind gru", "unknown model kind 'gru'"),
     ])
     def test_malformed_line_raises_parse_error(self, tmp_path, toy, prefix, edit, message):
         tr, dev, ctx = toy
