@@ -14,6 +14,7 @@ import json
 import os
 import signal
 import sys
+import threading
 from pathlib import Path
 
 from .align import (
@@ -269,7 +270,9 @@ def _terminated(signum, frame):
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    previous = signal.signal(signal.SIGTERM, _terminated)
+    # Python runs signal handlers only in the main thread, and sets them only there.
+    handles = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminated) if handles else None
     try:
         return args.func(args)
     except LeakageError as err:
@@ -282,7 +285,8 @@ def main(argv: list[str] | None = None) -> int:
         print("interrupted", file=sys.stderr)
         return 130
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        if handles:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -8,10 +8,14 @@ Per component, with decay rho and stabilizer eps:
     p   <- p + d
 
 Eg accumulates squared gradients, Eu accumulates squared updates; both
-start at zero. A zero gradient leaves the parameters untouched but still
-scales both accumulators by rho, so it leaves the state untouched only
-while the state is zero. A sparse update of only the embedding rows a
-batch touched would therefore differ from this dense one.
+start at +0.0 and never go negative. A gradient of +0.0 leaves the
+parameter bit for bit as it was (d is -0.0) but still scales both
+accumulators by rho: the step computes Eg * rho + 0.0 and Eu * rho + 0.0,
+which are exactly Eg * rho and Eu * rho. So an update that scales every
+row of an embedding table by rho and runs the formulas above only on the
+rows a batch touched gives the bits of this dense one. Only a lazy update
+that skipped the untouched rows and later applied their decay in closed
+form (rho^n) would change bits.
 """
 
 from __future__ import annotations

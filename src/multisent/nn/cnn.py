@@ -44,6 +44,15 @@ argmax). The input gradient accumulates in filter order: every input row
 receives its additions filter by filter, window sizes in order, so it is
 bit-identical to a per-(example, filter) loop.
 
+The scatter skips every (example, filter) pair whose pre-activation
+gradient is zero: dropout at rate 0.5 zeroes about half of them, and a
+relu feature that is 0 has a zero gradient. With finite filter weights a
+skipped pair would add only ±0.0. dX starts at +0.0, and an IEEE sum is
+−0.0 only when both operands are, so no dX entry is ever −0.0, and
+adding ±0.0 to it changes no bit. The skip therefore keeps dX
+bit-identical to the loop that adds every pair. (A weight of inf or nan
+times 0.0 is nan, which the loop would spread and the skip does not.)
+
 Both passes write their per-batch arrays with `out=` into the slabs of a
 Workspace (see nn.workspace): one gather slab holds forward's packed
 windows and then backward's argmax windows, one the gemm output, one the
@@ -185,10 +194,17 @@ def cnn_backward_batch(
         grads[f"bias_{h}"] += dpre.sum(axis=0)
         if want_dx:
             # Scatter each filter's gradient back into its argmax window
-            # rows, one filter at a time over the whole batch. An example's
-            # window covers h distinct rows, so the fancy-index += sees no
-            # repeated index within one filter.
-            by_filter = window_rows.transpose(1, 0, 2).reshape(F, B * h)
-            for f in range(F):
-                dX_flat[by_filter[f]] += (dpre[:, f, None, None] * W[f]).reshape(B * h, dim)
+            # rows, one filter at a time over the examples where its
+            # gradient is nonzero (filter-major, examples ascending).
+            # An example's window covers h distinct rows, so the
+            # fancy-index += sees no repeated index within one filter.
+            f_idx, b_idx = np.nonzero(dpre.T)
+            vals = dpre[b_idx, f_idx]
+            rows = window_rows[b_idx, f_idx].reshape(-1)
+            ends = np.cumsum(np.bincount(f_idx, minlength=F))
+            s = 0
+            for f, e in enumerate(ends.tolist()):
+                if e > s:
+                    dX_flat[rows[s * h:e * h]] += (vals[s:e, None, None] * W[f]).reshape(-1, dim)
+                s = e
     return grads, dX

@@ -495,14 +495,24 @@ def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
     for name, tensor in tensors.items():
         shape = " ".join(str(s) for s in tensor.shape)
         fh.write(f"tensor {name} {shape}\n")
-        flat = tensor.ravel()
-        for start in range(0, flat.size, 8):
-            fh.write(" ".join(f"{v:.17g}" for v in flat[start:start + 8]) + "\n")
+        fh.write(_tensor_lines(tensor.ravel().tolist()))
     if trained.fine_tuned is not None:
         for (lang, tok), row in sorted(trained.fine_tuned.index.items(), key=lambda kv: kv[1]):
             fh.write(f"vocab {lang} {tok} {row}\n")
     fh.write("end\n")
     write_output(path, fh.getvalue())
+
+
+_FULL_LINE = "%.17g " * 7 + "%.17g\n"
+
+
+def _tensor_lines(values: list[float]) -> str:
+    """values as checkpoint lines of 8, each value written as f"{v:.17g}"."""
+    full = len(values) - len(values) % 8
+    lines = [_FULL_LINE % tuple(values[i:i + 8]) for i in range(0, full, 8)]
+    if full < len(values):
+        lines.append(" ".join("%.17g" % v for v in values[full:]) + "\n")
+    return "".join(lines)
 
 
 def _block_values(block: list[str], count: int) -> np.ndarray | None:

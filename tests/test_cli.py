@@ -7,6 +7,7 @@ import json
 import os
 import re
 import signal
+import threading
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,20 @@ class TestSynth:
         names = {p.name for p in fixture_dir.iterdir()}
         assert {"corpus.jsonl", "en.vec", "ja.vec", "zh.vec",
                 "ja-en.tsv", "zh-en.tsv"} <= names
+
+    def test_runs_outside_the_main_thread(self, fixture_dir, tmp_path):
+        # Only the main thread may set a signal handler; main() sets none elsewhere.
+        handler = signal.getsignal(signal.SIGTERM)
+        out = tmp_path / "fixture"
+        result = []
+        thread = threading.Thread(target=lambda: result.append(main([
+            "synth", "--out", str(out), "--seed", "0", "--tweets", "36", "--dim", "8"])))
+        thread.start()
+        thread.join()
+        assert result == [0]
+        for path in fixture_dir.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes()
+        assert signal.getsignal(signal.SIGTERM) is handler
 
 
 class TestPreprocess:

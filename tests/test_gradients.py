@@ -157,30 +157,42 @@ class TestCnnGradients:
         assert rows_hit[1] == rows_hit[0] + 1
 
 
-def reference_cnn_dx(dlogits, params, cache, x_shape):
-    """The CNN input gradient as a per-(example, filter) loop."""
-    dX = np.zeros(x_shape)
+def reference_cnn_dpre(dlogits, params, cache):
+    """h -> (B, F_h) loss gradient at each pooled feature's pre-activation."""
     dpenult = dlogits @ params.V
     if cache.dropout_mask is not None:
         dpenult = dpenult * cache.dropout_mask
+    dpre = {}
     offset = 0
     for h in params.window_sizes:
-        W = params.filters[h]
-        F = W.shape[0]
+        F = params.filters[h].shape[0]
         am = cache.argmax[h]
         y_at = np.take_along_axis(cache.feature_maps[h], am[:, None, :], axis=1)[:, 0, :]
-        dpre = dpenult[:, offset:offset + F] * activation_grad_from_output(cache.activation, y_at)
+        dpre[h] = dpenult[:, offset:offset + F] * activation_grad_from_output(cache.activation, y_at)
         offset += F
+    return dpre
+
+
+def reference_cnn_dx(dlogits, params, cache, x_shape):
+    """The CNN input gradient as a per-(example, filter) loop over every pair."""
+    dX = np.zeros(x_shape)
+    for h, dpre in reference_cnn_dpre(dlogits, params, cache).items():
+        W = params.filters[h]
         for b in range(x_shape[0]):
-            for f in range(F):
-                start = am[b, f]
+            for f in range(W.shape[0]):
+                start = cache.argmax[h][b, f]
                 dX[b, start:start + h] += dpre[b, f] * W[f]
     return dX
 
 
 class TestCnnInputGradientExact:
-    def test_matches_per_example_filter_loop_bit_for_bit(self):
-        B, L, dim, F = 4, 7, 3, 4
+    # The backward skips pairs whose gradient is zero; the reference adds
+    # every pair. Comparing bytes (not ==, which equates -0.0 and +0.0)
+    # also checks the sign of every zero.
+    B, L, dim, F = 4, 7, 3, 4
+
+    def run(self, activation="tanh", dropout="half", dead_filter=False):
+        B, L, dim, F = self.B, self.L, self.dim, self.F
         params = init_cnn_params(input_dim=dim, seed=12, window_sizes=(2, 3),
                                  filters_per_window=F)
         # Non-negative weights for three filters of each size, and a bump
@@ -189,17 +201,42 @@ class TestCnnInputGradientExact:
         # same rows of dX.
         for h in params.window_sizes:
             params.filters[h][:3] = np.abs(params.filters[h][:3])
+            if dead_filter:
+                # Far below any window's w . x, so relu outputs 0 everywhere.
+                params.biases[h][3] = -100.0
         rng = SplitMix64(derive_stream(13, "exact-dx"))
         X = rng.uniform_array(B * L * dim, -0.3, 0.3).reshape(B, L, dim)
         for b in range(B):
             X[b, b + 1:b + 4] += 0.5
-        mask = dropout_mask(derive_stream(13, "mask"), (B, params.total_filters), 0.5)
-        assert np.any(mask == 0.0) and np.any(mask != 0.0)
-        _, cache = cnn_forward_batch(X, params, "tanh", mask)
+        shape = (B, params.total_filters)
+        mask = {"half": dropout_mask(derive_stream(13, "mask"), shape, 0.5),
+                "all": np.zeros(shape), "off": None}[dropout]
+        _, cache = cnn_forward_batch(X, params, activation, mask)
         for h in params.window_sizes:
             for b in range(B):
                 assert np.unique(cache.argmax[h][b]).size < F, (h, b)
         dlogits = rng.uniform_array(B * 3, -1.0, 1.0).reshape(B, 3)
 
         _, dX = cnn_backward_batch(dlogits, params, cache, want_dx=True)
-        assert np.array_equal(dX, reference_cnn_dx(dlogits, params, cache, X.shape))
+        assert dX.tobytes() == reference_cnn_dx(dlogits, params, cache, X.shape).tobytes()
+        return dX, reference_cnn_dpre(dlogits, params, cache)
+
+    def test_matches_per_example_filter_loop_bit_for_bit(self):
+        _, dpre = self.run()
+        zeros = [np.count_nonzero(d == 0.0) for d in dpre.values()]
+        assert 0 < sum(zeros) < self.B * self.F * len(dpre)
+
+    def test_every_feature_dropped_gives_positive_zeros(self):
+        dX, dpre = self.run(dropout="all")
+        assert all(np.all(d == 0.0) for d in dpre.values())
+        assert np.all(dX == 0.0) and not np.signbit(dX).any()
+
+    def test_dropout_off_has_no_zero_gradient(self):
+        _, dpre = self.run(dropout="off")
+        assert all(np.all(d != 0.0) for d in dpre.values())
+
+    def test_relu_dead_units(self):
+        dX, dpre = self.run(activation="relu", dropout="off", dead_filter=True)
+        for d in dpre.values():
+            assert np.all(d[:, 3] == 0.0) and np.all(d[:, :3] != 0.0)
+        assert np.any(dX != 0.0)

@@ -536,6 +536,33 @@ class TestCheckpointAndLog:
         save_checkpoint(load_checkpoint(tmp_path / "a.txt"), tmp_path / "b.txt")
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
+    def test_tensor_lines_are_the_per_value_format(self, tmp_path, toy):
+        tr, dev, ctx = toy
+        cfg = quick_config(window_sizes=(2, 3), filters_per_window=3, fine_tune_embeddings=True,
+                           max_epochs=1)
+        trained = train("cnn", tr, dev, ctx, cfg)
+        tensors = trained.model.params.tensors()
+        tensors["__embeddings__"] = trained.fine_tuned.E
+        special = [-0.0, 0.0, 5e-324, 2.2250738585072e-310, 1e22, -1e22, 0.1, -1 / 3, 1e-300]
+        rng = SplitMix64(derive_stream(3, "ckpt-format"))
+        for t in tensors.values():
+            flat = rng.uniform_array(t.size, -2.0, 2.0)
+            flat[:len(special)] = special[:t.size]
+            t[...] = flat.reshape(t.shape)
+        assert any(t.size % 8 for t in tensors.values())
+        path = tmp_path / "model.txt"
+        save_checkpoint(trained, path)
+        lines = path.read_text().splitlines()
+        back = load_checkpoint(path)
+        back_tensors = back.model.params.tensors()
+        back_tensors["__embeddings__"] = back.fine_tuned.E
+        for name, t in tensors.items():
+            at = lines.index(f"tensor {name} {' '.join(str(s) for s in t.shape)}") + 1
+            flat = t.ravel()
+            expected = [" ".join(f"{v:.17g}" for v in flat[i:i + 8]) for i in range(0, flat.size, 8)]
+            assert lines[at:at + len(expected)] == expected, name
+            assert back_tensors[name].tobytes() == t.tobytes(), name
+
     @staticmethod
     def loaded_or_error(path, line_loop=False):
         """What load_checkpoint(path) gives: each tensor's name, dtype, shape and
