@@ -151,7 +151,7 @@ def _cmd_predict(args) -> int:
     embeddings = _parse_lang_path(args.embedding, "--embedding")
     matrices = _parse_lang_path(args.matrix, "--matrix")
     trained = load_checkpoint(args.model)
-    result = predict_records(trained, load_corpus(args.infile), embeddings, matrices, args.mode)
+    result = predict_records(trained, load_corpus(args.infile), embeddings, matrices)
     # json.dumps of {"id", "label", "probs"} to the byte: it writes a finite float
     # as its repr, and argmax_label has rejected any row holding NaN
     write_output(args.outfile, "".join(
@@ -238,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--mode", choices=TOKENIZE_MODES, default="whitespace")
     p.add_argument("--embedding", action="append", default=[], metavar="LANG=PATH")
     p.add_argument("--matrix", action="append", default=[], metavar="LANG=PATH")
     p.set_defaults(func=_cmd_predict)
@@ -256,6 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=12)
     p.set_defaults(func=_cmd_synth)
 
+    # Whole option names only: a removed option, such as predict's --mode,
+    # must not parse as one it abbreviates (--model).
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return parser
 
 

@@ -52,7 +52,13 @@ from .nn import TrainConfig, predict_batch, train
 from .nn.train import NumberedTokens
 from .nn.workspace import Workspace
 from .pipeline import EmbeddingContext, corpus_max_len
-from .preprocess import TOKENIZE_MODES, TokenizedTweet, default_rules, preprocess_corpus
+from .preprocess import (
+    TOKENIZE_MODES,
+    TokenizedTweet,
+    default_rules,
+    preprocess_corpus,
+    rules_version,
+)
 from .rng import derive_stream
 from .shares import run_shares, share_run, usable_cpus
 
@@ -360,6 +366,7 @@ class CVReport:
             raise ParseError(f"report is not valid JSON: {err.msg}", line=err.lineno) from None
         if not isinstance(obj, dict):
             raise ParseError("report must be a JSON object")
+        obj = {"wall_clock_per_fold": [], **obj}    # the one optional field
         try:
             _check_report_types(obj)
             return cls(
@@ -372,7 +379,7 @@ class CVReport:
                 overall_accuracy=obj["overall_accuracy"],
                 per_language=obj["per_language"],
                 config_fingerprint=obj["config_fingerprint"],
-                wall_clock_per_fold=list(obj.get("wall_clock_per_fold", [])),
+                wall_clock_per_fold=obj["wall_clock_per_fold"],
             )
         except KeyError as err:
             raise ParseError(f"report lacks key {err.args[0]!r}") from None
@@ -391,6 +398,8 @@ def _finite(value) -> bool:
 _STRING = ("a string", lambda v: isinstance(v, str))
 _INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
 _FINITE = ("a finite number", _finite)
+_FINITE_LIST = ("a list of finite numbers",
+                lambda v: isinstance(v, list) and all(map(_finite, v)))
 
 # Each report field's JSON type, in field order, as (description, test).
 _REPORT_TYPES = {
@@ -398,8 +407,7 @@ _REPORT_TYPES = {
     "kind": _STRING,
     "folds": _INTEGER,
     "seed": _INTEGER,
-    "fold_accuracies": ("a list of finite numbers",
-                        lambda v: isinstance(v, list) and all(map(_finite, v))),
+    "fold_accuracies": _FINITE_LIST,
     "mean_accuracy": _FINITE,
     "overall_accuracy": _FINITE,
     "per_language": ("an object of objects of numbers",
@@ -407,6 +415,7 @@ _REPORT_TYPES = {
                          isinstance(s, dict) and all(map(_number, s.values()))
                          for s in v.values())),
     "config_fingerprint": _STRING,
+    "wall_clock_per_fold": _FINITE_LIST,
 }
 
 
@@ -457,7 +466,7 @@ def prepare_inputs(
         oov_seed=config.oov_seed,
         oov_scale=config.oov_scale,
         max_len=max_len,
-        rules_version=rules.fingerprint(),
+        rules_version=rules_version(rules, config.tokenize_mode),
     )
     if config.matrices:
         targets = {tm.tgt_lang for tm in context.translations.values()}

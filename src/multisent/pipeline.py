@@ -7,11 +7,13 @@ A token's vector is its table row, or its seeded OOV vector, then its
 language's map, if any; `vectors` gives many tokens' vectors at once, in
 the bits `vector` gives each. Nothing is cached: callers number their
 tokens and take each vector once (nn.train.NumberedTokens).
-Its fingerprint ties a trained model to exactly these inputs so stale
-model/context pairings fail loudly instead of predicting garbage. Each
-table hashes its own content once and keeps the digest, so contexts that
-share tables, such as one per fold, share those hashes; a context's
-tables, maps and settings do not change after it is built.
+Its fingerprint ties a trained model to exactly these inputs, and by
+`rules_version` (multisent.preprocess.rules_version) to the rule set and
+tokenize mode its tweets were preprocessed with, so stale model/context
+pairings fail loudly instead of predicting garbage. Each table hashes
+its own content once and keeps the digest, so contexts that share
+tables, such as one per fold, share those hashes; a context's tables,
+maps and settings do not change after it is built.
 """
 
 from __future__ import annotations

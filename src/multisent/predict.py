@@ -5,7 +5,9 @@ rounds of shares (multisent.shares), one share per usable CPU, and loads
 the tables in this process between them:
 
 1. `preprocess_corpus` deals the records to the shares in contiguous
-   runs and merges their tweets in input order.
+   runs and merges their tweets in input order. It tokenizes them in
+   the mode the checkpoint's `fingerprint rules` records
+   (`mode_from_fingerprint`).
 2. `EmbeddingContext.from_paths` loads the `.vec` tables. Of a file
    whose bytes are the ones the checkpoint recorded it parses only the
    rows of the words the model will look up: those of the tweets as
@@ -30,7 +32,13 @@ from .corpus import Polarity, TweetRecord
 from .embeddings import TrainedFile
 from .nn import TrainedModel, predict_batch
 from .pipeline import EmbeddingContext, oov_from_fingerprint
-from .preprocess import TokenizedTweet, default_rules, preprocess_corpus
+from .preprocess import (
+    TokenizedTweet,
+    default_rules,
+    mode_from_fingerprint,
+    preprocess_corpus,
+    rules_version,
+)
 from .shares import usable_cpus
 
 
@@ -50,17 +58,18 @@ def predict_records(
     records: list[TweetRecord],
     embeddings: dict[str, str],
     matrices: dict[str, str],
-    mode: str = "whitespace",
 ) -> PredictResult:
     """Classify records with a trained model over the given .vec and matrix paths.
 
-    The model's tables must be the files it was trained on: any other
-    set raises ConfigurationError naming what differs. A record whose
-    language has no table, or whose text normalizes to no tokens, is
-    not classified. A CNN classifies a tweet longer than its max_len on
-    its first max_len tokens.
+    The records are tokenized in the mode the model was trained with,
+    which its checkpoint records. The model's tables must be the files
+    it was trained on: any other set raises ConfigurationError naming
+    what differs. A record whose language has no table, or whose text
+    normalizes to no tokens, is not classified. A CNN classifies a tweet
+    longer than its max_len on its first max_len tokens.
     """
     oov_seed, oov_scale = oov_from_fingerprint(trained.fingerprints)
+    mode = mode_from_fingerprint(trained.fingerprints)
     rules = default_rules()
     tweets, dropped = preprocess_corpus(records, rules, mode)
     skipped = Counter(tw.lang for tw in tweets if tw.lang not in embeddings)
@@ -86,7 +95,7 @@ def predict_records(
         oov_seed=oov_seed,
         oov_scale=oov_scale,
         max_len=max_len,
-        rules_version=rules.fingerprint(),
+        rules_version=rules_version(rules, mode),
         trained={lang: TrainedFile(sha256, trained.fingerprints[f"embeddings:{lang}"], words[lang])
                  for lang, sha256 in trained.sources.items()},
     )

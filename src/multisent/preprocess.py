@@ -231,6 +231,30 @@ def default_rules() -> NormalizationRuleSet:
     )
 
 
+def rules_version(rules: NormalizationRuleSet, mode: str) -> str:
+    """A model's `fingerprint rules` value: the rule-set hash, then `:MODE` unless whitespace.
+
+    A whitespace model's value is the plain hash, so a value without a
+    suffix, such as one written before the mode was recorded, reads as
+    whitespace (mode_from_fingerprint).
+    """
+    return rules.fingerprint() if mode == "whitespace" else f"{rules.fingerprint()}:{mode}"
+
+
+def mode_from_fingerprint(fingerprints: dict[str, str]) -> str:
+    """The tokenize mode of the "HASH[:MODE]" `rules_version` writes."""
+    text = fingerprints.get("rules")
+    if text is None:
+        raise ParseError("checkpoint lacks fingerprint 'rules'")
+    _hash, colon, mode = text.partition(":")
+    if not colon:
+        return "whitespace"
+    if mode == "whitespace" or mode not in TOKENIZE_MODES:
+        raise ParseError(f"checkpoint fingerprint 'rules' must read HASH or HASH:MODE, MODE a "
+                         f"tokenize mode other than whitespace, got {text!r}")
+    return mode
+
+
 def normalize(text: str, lang: str, rules: NormalizationRuleSet) -> str:
     """Normalize one tweet's text for a given language.
 

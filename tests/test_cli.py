@@ -18,7 +18,7 @@ from multisent import cli, experiment, pipeline, predict, preprocess
 from multisent.align import load_translation_matrix
 from multisent.cli import main
 from multisent.corpus import Polarity, load_corpus
-from multisent.errors import CoverageError, LeakageError, MultisentError
+from multisent.errors import ConfigurationError, CoverageError, LeakageError, MultisentError
 from multisent.experiment import CVReport
 from multisent.nn import argmax_label, load_checkpoint, predict_batch
 from multisent.pipeline import EmbeddingContext
@@ -359,9 +359,16 @@ class TestEvaluateAndCompare:
          '"mean_accuracy": 0.9, "overall_accuracy": 0.5, "per_language": {}, '
          '"config_fingerprint": "f"}', "fold_accuracies must hold one accuracy per fold, "
          "at least one: folds is 0, got 0"),
+        *((f'{{"name": "x", "kind": "nb", "folds": 1, "seed": 0, "fold_accuracies": [0.5], '
+           f'"mean_accuracy": 0.5, "overall_accuracy": 0.5, "per_language": {{}}, '
+           f'"config_fingerprint": "f", "wall_clock_per_fold": {value}}}',
+           f"wall_clock_per_fold must be a list of finite numbers, got {got}")
+          for value, got in [('"abc"', "'abc'"), ('{"k": 1}', "{'k': 1}"),
+                             ('[1, "x"]', "[1, 'x']"), ("[NaN]", "[nan]"), ("null", "None")]),
     ], ids=["missing-key", "bad-json", "wrong-type", "numeric-name", "bool-folds",
             "nan-accuracy", "string-count", "null-fingerprint", "folds-not-accuracies",
-            "no-folds"])
+            "no-folds", "string-timings", "object-timings", "mixed-timings", "nan-timings",
+            "null-timings"])
     def test_malformed_report_exits_2(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -904,6 +911,26 @@ class TestPredictOptions:
         assert main(["train", "--config", str(cfg), "--out", str(out / "m.ckpt")]) == 0
         return out / "m.ckpt"
 
+    @pytest.fixture(scope="class")
+    def pretokenized(self, fixture_dir, tmp_path_factory):
+        """A CNN trained in pretokenized mode, and its corpus: the fixture's with
+        the words in tokens and the ja and zh text written without spaces."""
+        out = tmp_path_factory.mktemp("pretokenized")
+        rows = [json.loads(ln) for ln in (fixture_dir / "corpus.jsonl").read_text().splitlines()]
+        rows = [dict(r, tokens=r["text"].split(),
+                     text=r["text"] if r["lang"] == "en" else r["text"].replace(" ", ""))
+                for r in rows]
+        corpus = out / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        cfg = write_config(out / "pt.cfg", fixture_dir, [
+            f"corpus = {corpus}", "kind = cnn", "window_sizes = 2",
+            *(f"embedding.{lang} = {fixture_dir / f'{lang}.vec'}" for lang in ("en", "ja", "zh")),
+            "tokenize_mode = pretokenized",
+            "train.max_epochs = 1", "train.filters_per_window = 3",
+        ])
+        assert main(["train", "--config", str(cfg), "--out", str(out / "pt.ckpt")]) == 0
+        return out / "pt.ckpt", corpus
+
     def write_input(self, fixture_dir, path):
         """The fixture corpus with tokens, a tokens-only record and one of unseen words."""
         rows = [json.loads(ln) for ln in (fixture_dir / "corpus.jsonl").read_text().splitlines()]
@@ -938,14 +965,38 @@ class TestPredictOptions:
         assert rows == expected
         assert "unseen" in [row["id"] for row in rows]
 
+    def test_tokenize_mode_comes_from_the_checkpoint(self, fixture_dir, tmp_path, pretokenized):
+        model, corpus = pretokenized
+        (tmp_path / "in.jsonl").write_bytes(corpus.read_bytes())
+        assert main(["predict", *self.files(fixture_dir, tmp_path, model)]) == 0
+        trained = load_checkpoint(model)
+        rules = default_rules()
+        assert trained.fingerprints["rules"] == f"{rules.fingerprint()}:pretokenized"
+        tweets, _ = preprocess_corpus(load_corpus(corpus), rules, "pretokenized")
+        contexts = {mode: EmbeddingContext.from_paths(
+            {lang: str(fixture_dir / f"{lang}.vec") for lang in ("en", "ja", "zh")}, {},
+            oov_seed=0, oov_scale=None, max_len=trained.model.max_len,
+            rules_version=preprocess.rules_version(rules, mode),
+        ) for mode in ("pretokenized", "whitespace")}
+        predictions = predict_batch(trained, tweets, contexts["pretokenized"])
+        expected = [{"id": tw.id, "label": int(label), "probs": [float(p) for p in probs]}
+                    for tw, (label, probs) in zip(tweets, predictions)]
+        rows = [json.loads(ln) for ln in (tmp_path / "p.jsonl").read_text().splitlines()]
+        assert rows == expected
+        # a caller's context built under another mode is refused
+        assert contexts["whitespace"].rules_version == rules.fingerprint()
+        with pytest.raises(ConfigurationError, match=r"\(differs: \['rules'\]\)"):
+            predict_batch(trained, tweets, contexts["whitespace"])
+
     def test_pretokenized_mode_classifies_tokens_only_records(
-        self, fixture_dir, tmp_path, ckpt, capsys
+        self, fixture_dir, tmp_path, ckpt, pretokenized, capsys
     ):
         n = self.write_input(fixture_dir, tmp_path / "in.jsonl")
         ids = {}
-        for mode, written in (("whitespace", n - 1), ("pretokenized", n)):
+        for mode, model, written in (("whitespace", ckpt, n - 1),
+                                     ("pretokenized", pretokenized[0], n)):
             capsys.readouterr()
-            assert main(["predict", *self.files(fixture_dir, tmp_path, ckpt), "--mode", mode]) == 0
+            assert main(["predict", *self.files(fixture_dir, tmp_path, model)]) == 0
             printed = capsys.readouterr().out
             assert f"wrote {written} predictions" in printed
             assert ("skipped 1 record with no tokens after normalization" in printed) == \
@@ -957,7 +1008,7 @@ class TestPredictOptions:
 
     def test_oov_flags_are_gone(self, fixture_dir, tmp_path, ckpt, capsys):
         self.write_input(fixture_dir, tmp_path / "in.jsonl")
-        for flag in (["--oov-seed", "3"], ["--oov-scale", "0.25"]):
+        for flag in (["--oov-seed", "3"], ["--oov-scale", "0.25"], ["--mode", "pretokenized"]):
             with pytest.raises(SystemExit) as exit_info:
                 main(["predict", *self.files(fixture_dir, tmp_path, ckpt), *flag])
             assert exit_info.value.code == 2
@@ -1137,18 +1188,19 @@ class TestPredictRejectsBadCheckpoint:
 
 
     @pytest.mark.parametrize("new", ["fingerprint oov x:y", None, "fingerprint oov 0:nan",
-                                     "fingerprint oov 0:inf"],
-                             ids=["malformed", "missing", "nan", "inf"])
+                                     "fingerprint oov 0:inf", "fingerprint rules {}:bogus"],
+                             ids=["malformed", "missing", "nan", "inf", "unknown-mode"])
     def test_bad_oov_fingerprint_exits_2(self, fixture_dir, tmp_path, ckpt_lines, capsys, new):
-        at = ckpt_lines.index("fingerprint oov 0:None")
+        key = "oov" if new is None else new.split()[1]
+        at = next(i for i, ln in enumerate(ckpt_lines) if ln.startswith(f"fingerprint {key} "))
         lines = list(ckpt_lines)
         if new is None:
             del lines[at]
-        else:
-            lines[at] = new
+        else:   # {} is the value's rule-set hash
+            lines[at] = new.format(lines[at].split()[2])
         capsys.readouterr()
         assert self.predict(fixture_dir, tmp_path, lines) == 2
-        assert "fingerprint 'oov'" in capsys.readouterr().err
+        assert f"fingerprint '{key}'" in capsys.readouterr().err
 
     def test_tensor_shapes_that_disagree_exit_2(self, fixture_dir, tmp_path, ckpt_lines, capsys):
         at = ckpt_lines.index("tensor V 3 6")

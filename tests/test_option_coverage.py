@@ -6,8 +6,8 @@ string S and one of whose items is the option, alone or as the head of
 "--option=value" (an f-string counts by its constant head), or when a
 command in a README ```sh block runs `multisent S` with it. The
 subcommand and the option must share one display, so an option that two
-subcommands register (predict --mode, preprocess --mode) needs a use
-under each. -h/--help is argparse's own and is skipped.
+subcommands register (preprocess --in, predict --in) needs a use under
+each. -h/--help is argparse's own and is skipped.
 """
 
 import argparse

@@ -12,15 +12,18 @@ from multisent.corpus import Polarity, TweetRecord
 from multisent.errors import ArgumentError, ConfigurationError, ParseError, RecordDropError
 from multisent.preprocess import (
     EMOJI_RANGES,
+    TOKENIZE_MODES,
     CasingPolicy,
     NormalizationRuleSet,
     default_rules,
     load_literal_file,
     load_mapping_table,
     load_pattern_file,
+    mode_from_fingerprint,
     normalize,
     preprocess_corpus,
     preprocess_record,
+    rules_version,
 )
 
 from conftest import no_worker_left
@@ -420,3 +423,20 @@ def test_default_rules_fingerprint_is_pinned():
     assert default_rules().fingerprint() == (
         "68d8927b67bc819f9bf8de1c856bf6b49cadfaea522360c7a40e5bf5f12c9a08"
     )
+
+
+def test_rules_version_records_the_tokenize_mode():
+    # A whitespace model records the plain hash, as before modes were recorded.
+    plain = RULES.fingerprint()
+    assert rules_version(RULES, "whitespace") == plain
+    assert rules_version(RULES, "pretokenized") == f"{plain}:pretokenized"
+    for mode in TOKENIZE_MODES:
+        assert mode_from_fingerprint({"rules": rules_version(RULES, mode)}) == mode
+    with pytest.raises(ParseError, match="lacks fingerprint 'rules'"):
+        mode_from_fingerprint({"oov": "0:None"})
+
+
+@pytest.mark.parametrize("suffix", [":", ":whitespace", ":bogus", ":pretokenized:x"])
+def test_rules_fingerprint_with_an_unknown_mode_is_rejected(suffix):
+    with pytest.raises(ParseError, match="fingerprint 'rules' must read HASH or HASH:MODE"):
+        mode_from_fingerprint({"rules": RULES.fingerprint() + suffix})
