@@ -22,10 +22,10 @@ import numpy as np
 from .errors import (
     ArgumentError,
     ConfigurationError,
+    LinePieces,
     ParseError,
     parse_numbers,
     read_text,
-    read_text_sha256,
     split_lines,
     write_output,
 )
@@ -104,43 +104,30 @@ def load_embedding_table(
     overwritten. The first malformed line, including one with nan or
     infinite components, raises ParseError with its 1-based line number.
 
-    When the file's bytes hash to `_trained.sha256`, the file is the one a
-    model was trained on and parsed whole then, so only the rows whose word
-    is in `_trained.words` are parsed (duplicate_count then counts only
-    among those); the table reports `_trained.fingerprint`, the whole
-    table's, as its own. The hash, the header checks and the UTF-8 decode
-    still cover the whole file. `predict` passes the words it will look
-    up: those of its tweets as classified that the checkpoint's
-    fine-tuned rows lack.
-    """
-    text, sha256 = read_text_sha256(path)
-    lines = split_lines(text)
-    del text    # the lines hold their own copy
-    if not lines:
-        raise ParseError("empty embedding file", line=1)
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ParseError(f"header must be 'vocab_size dim', got {lines[0]!r}", line=1)
-    try:
-        vocab_size, dim = int(header[0]), int(header[1])
-    except ValueError:
-        raise ParseError(f"header must be two integers, got {lines[0]!r}", line=1) from None
-    if dim <= 0 or vocab_size < 0:
-        raise ParseError(f"invalid header values {vocab_size} {dim}", line=1)
+    The file is read in pieces (errors.LinePieces), never whole, and
+    errors keep the order of a whole-file read: an undecodable byte, an
+    empty file, a bad header, a row count that differs from the header's,
+    then the first bad row.
 
-    partial = _trained is not None and _trained.sha256 == sha256
-    if partial:
-        # A row's word is the text before its first space, as below.
-        words = _trained.words
-        body = [(i, ln) for i, ln in enumerate(lines[1:], start=2)
-                if ln.partition(" ")[0] in words and ln.strip()]
-    else:
-        body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
-        if len(body) != vocab_size:
-            lineno = body[-1][0] if body else 1
-            raise ParseError(
-                f"header promises {vocab_size} rows, file has {len(body)}", line=lineno
-            )
+    Given `_trained`, that one read keeps only the rows whose word is in
+    `_trained.words`. When the file's bytes then hash to `_trained.sha256`,
+    the file is the one a model was trained on and parsed whole then, so
+    only those rows are parsed (duplicate_count then counts only among
+    them) and the table reports `_trained.fingerprint`, the whole table's,
+    as its own. The hash, the header checks and the UTF-8 decode still
+    cover the whole file. Other bytes are read a second time and parsed
+    whole. `predict` passes the words it will look up: those of its
+    tweets as classified that the checkpoint's fine-tuned rows lack.
+    """
+    words = None if _trained is None else _trained.words
+    vocab_size, dim, body, sha256 = _read_rows(path, words)
+    if words is not None and sha256 != _trained.sha256:
+        # not the bytes the model was trained on: read again, keeping every row
+        words = None
+        vocab_size, dim, body, sha256 = _read_rows(path, None)
+    if words is None and len(body) != vocab_size:
+        lineno = body[-1][0] if body else 1
+        raise ParseError(f"header promises {vocab_size} rows, file has {len(body)}", line=lineno)
 
     rows = [ln.rstrip() for _, ln in body]
     M = np.empty((len(rows), dim), dtype=np.float64)
@@ -150,9 +137,42 @@ def load_embedding_table(
     entries = dict(zip((row.partition(" ")[0] for row in rows), M))
     table = EmbeddingTable(lang=lang, dim=dim, entries=entries, sha256=sha256,
                            duplicate_count=len(M) - len(entries))
-    if partial:
+    if words is not None:
         table._fingerprint = _trained.fingerprint
     return table
+
+
+def _read_rows(
+    path: str | Path, words: Collection[str] | None
+) -> tuple[int, int, list[tuple[int, str]], str]:
+    """(vocab_size, dim, the kept rows with their line numbers, the hex SHA-256
+    of the file's bytes). A row is kept when it is not blank and, given
+    words, its word (the text before its first space) is one of them. The
+    header is checked once the last piece is read."""
+    pieces = LinePieces(path)
+    header = None
+    body: list[tuple[int, str]] = []
+    for first, lines in pieces:
+        if header is None:
+            header = lines[0]
+            lines, first = lines[1:], 2
+        if words is None:
+            body += [(i, ln) for i, ln in enumerate(lines, first) if ln.strip()]
+        else:
+            body += [(i, ln) for i, ln in enumerate(lines, first)
+                     if ln.partition(" ")[0] in words and ln.strip()]
+    if header is None:
+        raise ParseError("empty embedding file", line=1)
+    fields = header.split()
+    if len(fields) != 2:
+        raise ParseError(f"header must be 'vocab_size dim', got {header!r}", line=1)
+    try:
+        vocab_size, dim = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise ParseError(f"header must be two integers, got {header!r}", line=1) from None
+    if dim <= 0 or vocab_size < 0:
+        raise ParseError(f"invalid header values {vocab_size} {dim}", line=1)
+    return vocab_size, dim, body, pieces.sha256
 
 
 def _parse_rows(rows: list[str], dim: int, M: np.ndarray) -> bool:

@@ -3,7 +3,11 @@
 import hashlib
 import math
 import os
+from collections.abc import Iterator
 from pathlib import Path
+
+# Bytes per read in LinePieces; a piece ends after its read's last line break.
+_PIECE_BYTES = 1 << 16
 
 
 class MultisentError(Exception):
@@ -113,19 +117,60 @@ def write_output(path: str | Path, text: str) -> None:
         raise type(err)(err.errno, err.strerror, os.fspath(path)) from None
 
 
-def read_text_sha256(path: str | Path) -> tuple[str, str]:
-    """read_text's result and the hex SHA-256 of the bytes it decoded."""
-    data = Path(path).read_bytes()
-    return _decode(data), hashlib.sha256(data).hexdigest()
+class LinePieces:
+    """A UTF-8 file's lines as split_lines splits them, read in pieces of
+    about _PIECE_BYTES bytes.
+
+    Iterating yields (the piece's first 1-based line number, its lines),
+    and once the pieces run out `sha256` is the hex SHA-256 of every byte
+    read. Each piece ends after the last \\n of its read, or in a read
+    without one after its last \\r but the read's final byte, so no UTF-8
+    sequence and no \\r\\n pair straddles two pieces, and a line longer
+    than one read waits for its end. An undecodable byte raises
+    ParseError naming it and its line, as read_text does.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self.sha256: str | None = None
+
+    def __iter__(self) -> Iterator[tuple[int, list[str]]]:
+        digest = hashlib.sha256()
+        first = 1
+        with open(self.path, "rb") as fh:
+            for piece in _newline_pieces(fh):
+                digest.update(piece)
+                lines = split_lines(_decode(piece, first - 1))
+                yield first, lines
+                first += len(lines)     # every piece but the last ends a line
+        self.sha256 = digest.hexdigest()
 
 
-def _decode(data: bytes) -> str:
+def _newline_pieces(fh) -> Iterator[bytes]:
+    held: list[bytes] = []      # what was read since the last cut
+    while block := fh.read(_PIECE_BYTES):
+        # a file with lone \r line ends would otherwise be one piece
+        cut = block.rfind(b"\n") + 1 or block.rfind(b"\r", 0, len(block) - 1) + 1
+        if cut:
+            held.append(block[:cut])
+            yield b"".join(held)
+            held = [block[cut:]]
+        else:
+            held.append(block)
+    tail = b"".join(held)
+    if tail:
+        yield tail
+
+
+def _decode(data: bytes, breaks: int = 0) -> str:
+    """data as UTF-8 text; breaks counts the line breaks before data in its file."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:
-        raise ParseError(
-            f"invalid UTF-8 byte 0x{data[err.start]:02x}", line=data.count(b"\n", 0, err.start) + 1
-        ) from None
+        # Lines end as split_lines ends them: at \n, \r\n or a lone \r.
+        head = data[:err.start]
+        breaks += head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ParseError(f"invalid UTF-8 byte 0x{data[err.start]:02x}", line=breaks + 1) from None
 
 
 def parse_numbers(fields: list[str], kind: type, what: str, text: str, line: int) -> list:

@@ -271,18 +271,37 @@ def number_tokens(
     """
     encoded = []
     added: list[tuple[str, str]] = []
-    get = index.get
+    by_lang: dict[str, dict[str, int]] = {}     # lang -> token -> number, as index
     for tw in tweets:
         lang = tw.lang
-        ids = []
-        for tok in tw.tokens:
-            number = get((lang, tok))
-            if number is None:
-                number = index[(lang, tok)] = start + len(added)
-                added.append((lang, tok))
-            ids.append(number)
+        numbers = by_lang.get(lang)
+        if numbers is None:
+            numbers = by_lang[lang] = {tok: n for (k, tok), n in index.items() if k == lang}
+        ids = list(map(numbers.get, tw.tokens))
+        if None in ids:     # a key index lacks
+            ids = []
+            for tok in tw.tokens:
+                number = numbers.get(tok)
+                if number is None:
+                    number = numbers[tok] = index[(lang, tok)] = start + len(added)
+                    added.append((lang, tok))
+                ids.append(number)
         encoded.append(np.array(ids, dtype=np.intp))
     return encoded, added
+
+
+def number_for_prediction(
+    trained: TrainedModel, tweets: list[TokenizedTweet]
+) -> tuple[list[np.ndarray], list[tuple[str, str]]]:
+    """tweets numbered as predict_batch numbers them, and the keys after E's rows.
+
+    A key with a fine-tuned row takes that row's number; the other keys
+    follow E's rows in first-seen order.
+    """
+    ft = trained.fine_tuned
+    if ft is None:
+        return number_tokens(tweets, {})
+    return number_tokens(tweets, dict(ft.index), len(ft.E))
 
 
 @dataclass
@@ -419,14 +438,16 @@ def predict_batch(
     shares: int = 1,
     *,
     numbered: NumberedTokens | None = None,
+    numbering: tuple[list[np.ndarray], list[tuple[str, str]]] | None = None,
 ) -> list[tuple[Polarity, np.ndarray]]:
     """Classify tweets after checking the context matches the model.
 
-    The vectors of the tweets' keys that the fine-tuned rows lack are
-    numbered's rows under context (see NumberedTokens.table) when it is
-    given, else context's. Their batches are dealt to at most `shares`
-    shares, the first of which runs on workspace (see
-    _predict_in_length_order).
+    numbering is number_for_prediction(trained, tweets) when the caller
+    has taken it already. The vectors of the tweets' keys that the
+    fine-tuned rows lack are numbered's rows under context (see
+    NumberedTokens.table) when it is given, else context's. Their batches
+    are dealt to at most `shares` shares, the first of which runs on
+    workspace (see _predict_in_length_order).
     """
     current = context.fingerprint()
     if current != trained.fingerprints:
@@ -441,7 +462,7 @@ def predict_batch(
     # follow E, in first-seen order, each with its context vector.
     ft = trained.fine_tuned
     E = np.empty((0, context.dim)) if ft is None else ft.E
-    ids, added = number_tokens(tweets, {} if ft is None else dict(ft.index), len(E))
+    ids, added = numbering if numbering is not None else number_for_prediction(trained, tweets)
     if numbered is None:
         rows = context.vectors(added)
     else:

@@ -1,21 +1,22 @@
 """Classify a corpus with a saved checkpoint, on every usable CPU.
 
 `predict_records` is `multisent predict` without its files. It runs two
-rounds of shares (multisent.shares), one share per usable CPU, and loads
-the tables in this process between them:
+rounds of shares (multisent.shares), one share per usable CPU, and
+numbers the tokens and loads the tables in this process between them:
 
 1. `preprocess_corpus` deals the records to the shares in contiguous
    runs and merges their tweets in input order. It tokenizes them in
    the mode the checkpoint's `fingerprint rules` records
    (`mode_from_fingerprint`).
-2. `EmbeddingContext.from_paths` loads the `.vec` tables. Of a file
+2. This process numbers the tokens of the tweets as classified (in a
+   language with a table, cut to a CNN's max_len), once: a token with a
+   fine-tuned row in the checkpoint takes that row's number, and the
+   others are the words the model will look up in the tables.
+3. `EmbeddingContext.from_paths` loads the `.vec` tables. Of a file
    whose bytes are the ones the checkpoint recorded it parses only the
-   rows of the words the model will look up: those of the tweets as
-   classified (in a language with a table, cut to a CNN's max_len) that
-   the checkpoint's fine-tuned rows do not hold.
-3. This process numbers the tweets' tokens, and `predict_batch` deals
-   its length-sorted batches, whole and longest first, round-robin to
-   the shares.
+   rows of those words.
+4. `predict_batch` takes that numbering and deals its length-sorted
+   batches, whole and longest first, round-robin to the shares.
 
 No share re-cuts a batch, so the predictions keep their bits whatever
 the CPU count; with one usable CPU nothing is forked.
@@ -31,6 +32,7 @@ import numpy as np
 from .corpus import Polarity, TweetRecord
 from .embeddings import TrainedFile
 from .nn import TrainedModel, predict_batch
+from .nn.train import number_for_prediction
 from .pipeline import EmbeddingContext, oov_from_fingerprint
 from .preprocess import (
     TokenizedTweet,
@@ -83,12 +85,13 @@ def predict_records(
         tweets = [tw if tw.length <= max_len else
                   TokenizedTweet(tw.id, tw.lang, tw.label, tw.tokens[:max_len])
                   for tw in tweets]
-    # predict_batch looks up only the tokens the fine-tuned rows lack
-    held = {} if trained.fine_tuned is None else trained.fine_tuned.index
+    # The keys numbering adds are the tokens the fine-tuned rows lack,
+    # the only ones predict_batch looks up in the tables.
+    numbering = number_for_prediction(trained, tweets)
     words: dict[str, set[str]] = {lang: set() for lang in trained.sources}
-    for tw in tweets:
-        if tw.lang in words:
-            words[tw.lang].update(tok for tok in tw.tokens if (tw.lang, tok) not in held)
+    for lang, tok in numbering[1]:
+        if lang in words:
+            words[lang].add(tok)
     context = EmbeddingContext.from_paths(
         embeddings,
         matrices,
@@ -99,5 +102,6 @@ def predict_records(
         trained={lang: TrainedFile(sha256, trained.fingerprints[f"embeddings:{lang}"], words[lang])
                  for lang, sha256 in trained.sources.items()},
     )
-    predictions = predict_batch(trained, tweets, context, shares=usable_cpus())
+    predictions = predict_batch(trained, tweets, context, shares=usable_cpus(),
+                                numbering=numbering)
     return PredictResult(tweets, predictions, dict(skipped), len(dropped), truncated)

@@ -144,7 +144,9 @@ class NormalizationRuleSet:
     Construction compiles `stages`, the ordered (regex, replacement) pairs
     that normalize applies; `screens`, aligned with `stages`, each None or
     a regex that finds something in every piece its stage could change;
-    and `guard`, the regex of replacement tokens every stage leaves alone.
+    `guard`, the regex of replacement tokens every stage leaves alone; and
+    `simplify`, None without a trad->simp table, else a (regex, replacement)
+    pair that maps each character as str.translate with the table would.
     An emoticon pattern that does not compile raises ConfigurationError.
     """
 
@@ -197,6 +199,13 @@ class NormalizationRuleSet:
         self.stages = tuple(stages)
         self.screens = tuple(screens)
         self.guard = _GUARD
+        # One class of the mapped characters scans far faster than a
+        # dict-backed str.translate walks non-ASCII text.
+        self.simplify = None
+        if self.trad2simp:
+            simple = {chr(k): chr(v) for k, v in self.trad2simp.items()}
+            mapped = re.compile("[" + "".join(map(re.escape, sorted(simple))) + "]")
+            self.simplify = (mapped, lambda m: simple[m[0]])
 
     def policy_for(self, lang: str) -> CasingPolicy:
         return POLICIES.get(lang, CasingPolicy.PLAIN)
@@ -270,8 +279,9 @@ def normalize(text: str, lang: str, rules: NormalizationRuleSet) -> str:
         seg = pieces[i]
         if policy is CasingPolicy.NFKC:
             seg = unicodedata.normalize("NFKC", seg)
-        elif policy is CasingPolicy.TRAD2SIMP:
-            seg = seg.translate(rules.trad2simp)
+        elif policy is CasingPolicy.TRAD2SIMP and rules.simplify is not None:
+            mapped, simple = rules.simplify
+            seg = mapped.sub(simple, seg)
         pieces[i] = seg.lower()
     pieces = guard.split("".join(pieces))
     for (rx, repl), screen in zip(rules.stages, rules.screens):

@@ -2,13 +2,16 @@
 
 import hashlib
 import os
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from multisent import embeddings, errors
 from multisent.corpus import Polarity
 from multisent.embeddings import (
     _LOAD_CHUNK_ROWS,
@@ -25,7 +28,13 @@ from multisent.embeddings import (
     ranks_from_counts,
     save_embedding_table,
 )
-from multisent.errors import ArgumentError, ConfigurationError, ParseError, split_lines
+from multisent.errors import (
+    ArgumentError,
+    ConfigurationError,
+    LinePieces,
+    ParseError,
+    split_lines,
+)
 from multisent.pipeline import EmbeddingContext
 from multisent.preprocess import TokenizedTweet
 
@@ -71,11 +80,12 @@ def test_non_finite_component_names_line(tmp_path, bad):
 
 def test_invalid_utf8_names_line(tmp_path):
     p = tmp_path / "e.vec"
-    p.write_bytes(b"2 2\ngood 0.5 1.0\nb\xffd 0.5 1.0\n")
-    with pytest.raises(ParseError) as exc:
-        load_embedding_table(p, "en")
-    assert exc.value.line == 3
-    assert "invalid UTF-8 byte 0xff" in str(exc.value)
+    for end in (b"\n", b"\r\n", b"\r"):
+        p.write_bytes(b"2 2\ngood 0.5 1.0\nb\xffd 0.5 1.0\n".replace(b"\n", end))
+        with pytest.raises(ParseError) as exc:
+            load_embedding_table(p, "en")
+        assert exc.value.line == 3, end
+        assert "invalid UTF-8 byte 0xff" in str(exc.value)
 
 
 def test_row_count_mismatch(tmp_path):
@@ -300,6 +310,140 @@ def test_recorded_file_with_other_bytes_loads_whole(tmp_path):
     assert respelled.sha256 != whole.sha256
     assert sorted(respelled.entries) == sorted(whole.entries)
     assert respelled.fingerprint() == whole.fingerprint()
+
+
+@pytest.mark.parametrize("other", ["lf", "bad row"])
+def test_other_bytes_fall_back_to_the_full_table(tmp_path, monkeypatch, other):
+    p = tmp_path / "e.vec"
+    p.write_bytes(_RECORDED.encode())
+    recorded = load_embedding_table(p, "en")
+    if other == "lf":
+        p.write_bytes(_RECORDED.replace("\r\n", "\n").encode())
+    else:   # a row no given word names, which a partial parse would skip
+        p.write_bytes(_RECORDED.replace("gamma -0.0", "gamma x").encode())
+    reads = []
+    monkeypatch.setattr(embeddings, "LinePieces",
+                        lambda path: reads.append(path) or LinePieces(path))
+    trained = TrainedFile(recorded.sha256, "pinned", {"alpha"})
+    if other == "bad row":
+        with pytest.raises(ParseError, match="^line 7: non-numeric vector component"):
+            load_embedding_table(p, "en", _trained=trained)
+        assert reads == [p, p]
+        return
+    fallback = load_embedding_table(p, "en", _trained=trained)
+    assert reads == [p, p]
+    whole = load_embedding_table(p, "en")
+    assert fallback.sha256 == whole.sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
+    assert fallback.duplicate_count == whole.duplicate_count == 2
+    assert fallback.fingerprint() == whole.fingerprint() == recorded.fingerprint() != "pinned"
+    assert list(fallback.entries) == list(whole.entries)
+    for word, vec in fallback.entries.items():
+        assert vec.tobytes() == whole.entries[word].tobytes()
+
+
+class _WholeFile:
+    """The oracle for errors.LinePieces: the file's bytes read, hashed,
+    decoded and split by split_lines at once, in one piece. A decode error
+    names the line split_lines gives the text before the bad byte."""
+
+    def __init__(self, path):
+        self.path = path
+        self.sha256 = None
+
+    def __iter__(self):
+        data = Path(self.path).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            line = len(split_lines(data[:err.start].decode("utf-8") + "x"))
+            raise ParseError(f"invalid UTF-8 byte 0x{data[err.start]:02x}", line=line) from None
+        self.sha256 = hashlib.sha256(data).hexdigest()
+        lines = split_lines(text)
+        if lines:
+            yield 1, lines
+
+
+def _load_outcome(path, trained):
+    """What load_embedding_table gives: the table's parts, or the ParseError's."""
+    try:
+        table = load_embedding_table(path, "en", _trained=trained)
+    except ParseError as err:
+        return "error", str(err), err.line
+    return ("table", {w: v.tobytes() for w, v in table.entries.items()}, list(table.entries),
+            table.duplicate_count, table.sha256, table.fingerprint())
+
+
+@st.composite
+def _vec_bytes(draw):
+    """A .vec file's bytes: CRLF, CR or LF line ends (or a mix), blank lines,
+    non-ASCII words, rows with a wrong field count or a bad value, a header
+    that may not match, and maybe no final line end or one invalid byte."""
+    dim = draw(st.integers(1, 3))
+    word = st.text(st.sampled_from("ab\u00e9\u65e5\u2028\U0001D518"), min_size=1, max_size=3)
+    value = st.sampled_from(["0.5", "-1", "2e3", "1_0", "7"] * 4 + ["x", "nan"])
+    rows = [f"{draw(word)} {' '.join(draw(st.lists(value, min_size=dim, max_size=dim)))}"
+            for _ in range(draw(st.integers(0, 6)))]
+    if rows and draw(st.integers(0, 4)) == 0:
+        rows[draw(st.integers(0, len(rows) - 1))] += " 1"
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["", " "])))
+    count = len([r for r in rows if r.strip()]) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    lines = [f"{count} {dim}"] + rows
+    style = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) if style == "mixed" else style
+            for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    data = "".join(line + end for line, end in zip(lines, ends)).encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe6\x97", b"\x80"])) + data[at:]
+    return data
+
+
+@pytest.mark.parametrize("piece", [1, 7, 64])
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_vec_bytes(), chosen=st.sets(st.sampled_from(["a", "b", "\u65e5", "ab", "\u00e9a"])),
+       recorded=st.booleans())
+# lone \r line ends before a bad byte, and a file with no \n at all
+@example(data=b"2 1\ra 1\r\nb\xff 2\n", chosen=set(), recorded=False)
+@example(data=b"2 1\ra 1\rb 2\r", chosen={"b"}, recorded=True)
+def test_pieces_load_as_the_whole_file_does(tmp_path, piece, data, chosen, recorded):
+    p = tmp_path / "e.vec"
+    p.write_bytes(data)
+    sha256 = hashlib.sha256(data).hexdigest() if recorded else "0" * 64
+    for trained in (None, TrainedFile(sha256, "pinned", chosen)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embeddings, "LinePieces", _WholeFile)
+            want = _load_outcome(p, trained)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(errors, "_PIECE_BYTES", piece)
+            assert _load_outcome(p, trained) == want
+            if want[0] == "table":  # the pieces number their lines as one split does
+                pieces = list(LinePieces(p))
+                assert [(n, ln) for first, lines in pieces for n, ln in enumerate(lines, first)] \
+                    == list(enumerate(split_lines(data.decode()), 1))
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_partial_load_of_a_large_table_stays_small(tmp_path, end):
+    rows = [f"w{i} " + " ".join(f"{(i * 7 + j) % 997 / 991:.15f}" for j in range(16))
+            for i in range(10_000)]
+    p = tmp_path / "big.vec"
+    p.write_bytes(f"{len(rows)} 16{end}{end.join(rows)}{end}".encode())
+    assert p.stat().st_size > 2_000_000
+    trained = TrainedFile(hashlib.sha256(p.read_bytes()).hexdigest(), "pinned", {"w7", "w9999"})
+    tracemalloc.start()
+    try:
+        table = load_embedding_table(p, "en", _trained=trained)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(table.entries) == ["w7", "w9999"]
+    whole = load_embedding_table(p, "en")
+    assert table.entries["w9999"].tobytes() == whole.entries["w9999"].tobytes()
+    assert peak < 1_000_000
 
 
 def test_loaded_rows_are_read_only(tmp_path):

@@ -240,6 +240,24 @@ def test_normalize_equals_loop_under_random_literals(literals, data):
     _assert_matches_oracle_and_screens(text, data.draw(st.sampled_from(["en", "ja", "zh"])), rules)
 
 
+# Mapped and unmapped characters: ASCII (the class's own metacharacters
+# too), CJK and astral ones.
+_MAPPABLE = st.sampled_from("a]^-\\[.說這国\u00e9\U00020000\U0001F600\U0010FFFF")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.dictionaries(_MAPPABLE.map(ord), _MAPPABLE.map(ord)), st.data())
+def test_simplify_maps_as_str_translate(mapping, data):
+    text = data.draw(st.text(st.one_of(_MAPPABLE, st.characters(blacklist_categories=("Cs",)))))
+    rules = NormalizationRuleSet(trad2simp=mapping)
+    if mapping:
+        mapped, simple = rules.simplify
+        assert mapped.sub(simple, text) == text.translate(mapping)
+    else:
+        assert rules.simplify is None
+    assert normalize(text, "zh", rules) == _oracle(text, "zh", rules)
+
+
 @pytest.mark.parametrize("text,lang,expected", [
     # NFKC turns the full-width digits into hex digits of the token before them
     ("EMOJI_1F600１２", "ja", "EMOJI_1F60012"),

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multisent.align import TranslationMatrix
 from multisent.corpus import Polarity
@@ -25,6 +27,7 @@ from multisent.nn import (
 from multisent.nn.train import (
     NumberedTokens,
     _accuracy,
+    number_for_prediction,
     number_tokens,
     scatter_embedding_grad,
 )
@@ -278,6 +281,58 @@ class TestSharedNumbering:
         seen = NumberedTokens.of(train_tweets + dev_tweets, under)
         with pytest.raises(ArgumentError, match=r"numbered lacks the key \('ja', 'oov4'\)"):
             predict_batch(trained, test_tweets, ctx, numbered=seen)
+
+
+    @pytest.mark.parametrize("fine_tune", [False, True])
+    def test_predict_takes_the_callers_numbering(self, split, contexts, fine_tune):
+        train_tweets, dev_tweets, test_tweets = split
+        _, ctx = contexts
+        cfg = quick_config(max_epochs=1, window_sizes=(2,), filters_per_window=2,
+                           fine_tune_embeddings=fine_tune)
+        trained = train("cnn", train_tweets, dev_tweets, ctx, cfg)
+        ft = trained.fine_tuned
+        held = {} if ft is None else dict(ft.index)
+        ids, added = numbering = number_for_prediction(trained, test_tweets)
+        assert held == ({} if ft is None else ft.index)     # the model's index does not grow
+        # the fine-tuned rows keep their numbers; the other keys follow E in first-seen order
+        want_ids, want_added = _number_one_by_one(test_tweets, held, 0 if ft is None else len(ft.E))
+        assert [row.tolist() for row in ids] == want_ids and added == want_added
+        given_ = predict_batch(trained, test_tweets, ctx, numbering=numbering)
+        own = predict_batch(trained, test_tweets, ctx)
+        assert [(int(a), p.tobytes()) for a, p in given_] == [(int(a), p.tobytes()) for a, p in own]
+
+
+def _number_one_by_one(tweets, index, start):
+    """number_tokens' reference: one index lookup per token."""
+    encoded, added = [], []
+    for tw in tweets:
+        ids = []
+        for tok in tw.tokens:
+            if (tw.lang, tok) not in index:
+                index[(tw.lang, tok)] = start + len(added)
+                added.append((tw.lang, tok))
+            ids.append(index[(tw.lang, tok)])
+        encoded.append(ids)
+    return encoded, added
+
+
+_LANG = st.sampled_from(["en", "ja", "zh"])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(_LANG, st.lists(st.sampled_from("abcd"), min_size=1, max_size=5)),
+                max_size=8),
+       st.dictionaries(st.tuples(_LANG, st.sampled_from("abcd")), st.integers(0, 9)),
+       st.integers(0, 9))
+def test_number_tokens_equals_one_lookup_per_token(tweets, index, start):
+    tweets = [TokenizedTweet(id="t", lang=lang, label=Polarity.NEUTRAL, tokens=toks)
+              for lang, toks in tweets]
+    want_index = dict(index)
+    want = _number_one_by_one(tweets, want_index, start)
+    ids, added = number_tokens(tweets, index, start)
+    assert ([row.tolist() for row in ids], added) == want
+    assert all(row.dtype == np.intp for row in ids)
+    assert list(index.items()) == list(want_index.items())
 
 
 class TestOneVectorPerToken:
