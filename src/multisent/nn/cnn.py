@@ -71,7 +71,7 @@ import numpy as np
 
 from ..errors import ArgumentError, ConfigurationError
 from .activations import activation_grad_from_output, apply_activation
-from .params import CnnParams, zero_like_tensors
+from .params import CnnParams, check_lengths, zero_like_tensors
 from .workspace import Workspace
 
 # The packed window gemm's row count is a multiple of this (see the module docstring).
@@ -105,10 +105,11 @@ def cnn_forward_batch(
 
     dropout_mask, when given, is a (B, total_filters) matrix multiplied
     into the penultimate layer (inverted dropout: zeros and 1/(1-rate)
-    survivors). Prediction passes no mask. lengths, when given, holds
-    each example's real token count; rows past it must be zero. The
-    feature maps live in the workspace (a throwaway one when None), so
-    the cache is valid only until the next call on it.
+    survivors). Prediction passes no mask. lengths, when given, is a 1-D
+    integer array of each example's real token count, all in [1, T]; rows
+    past it must be zero. The feature maps live in the workspace (a
+    throwaway one when None), so the cache is valid only until the next
+    call on it.
     """
     if X.ndim != 3:
         raise ArgumentError(f"X must be (batch, length, dim), got {X.shape}")
@@ -118,6 +119,8 @@ def cnn_forward_batch(
         raise ConfigurationError(
             f"padded length {T} is below the largest window size {max_h}"
         )
+    if lengths is not None:
+        check_lengths(lengths, B, T)
     ws = Workspace() if workspace is None else workspace
     flat = X.reshape(B * T, dim)
     starts = np.arange(T)

@@ -20,21 +20,29 @@ per call; one gemm projects every cell before the loop, and each step
 adds one h @ U.T. Each sigmoid is taken as 0.5 + 0.5 * tanh(z / 2): the
 sigmoid gates' rows of W, U and b are halved (exact, as a power of two),
 so one tanh in place over a step's gate block and a multiply-add on the
-sigmoid columns give every gate. c, tanh(c) and h are written straight
-into their packed per-cell arrays; step t + 1 reads its rows' state from
-the first n_{t+1} rows of step t's block, and h_prev is gathered once
-after the loop. The backward pass reverses the loop into a packed
-array of pre-activation gradients, then takes the weight gradients and
-dX with one gemm each over all cells. Each weight gradient's gemm is
-transposed once into a contiguous slab, so every per-gate gradient is a
-contiguous slice.
+sigmoid columns give every gate. The multiply-add runs over the whole
+contiguous (n_t, 4H) block, which is faster, copies included, than over
+the strided sigmoid columns alone: the columns that are not sigmoids
+(the candidate's H, unless it is a sigmoid too) are first copied into a
+slab, and copied back after. Both ops act on each entry alone, so each
+sigmoid entry gets the same two roundings wherever it sits, and the copy
+back restores every other entry bit for bit. f * c_prev goes into a slab
+too.
+c, tanh(c) and h are written straight into their packed per-cell
+arrays; step t + 1 reads its rows' state from the first n_{t+1} rows of
+step t's block, and h_prev is gathered once after the loop. The
+backward pass reverses the loop into a packed array of pre-activation
+gradients, then takes the weight gradients and dX with one gemm each
+over all cells. Each weight gradient's gemm is transposed once into a
+contiguous slab, so every per-gate gradient is a contiguous slice.
 
 Both passes write their per-cell arrays with `out=` into the slabs of a
 Workspace (see nn.workspace): the packed input, gates and states, the
-pre-activation gradients, dc and dh factors, the weight gradients and
-dX. The slabs are reused across the batches of one train or predict
-call, so a forward cache and the grads and dX backward returns are valid
-only until the next call on the same workspace.
+per-step h @ U.T, set-aside columns and f * c_prev, the pre-activation
+gradients, dc and dh factors, the weight gradients and dX. The slabs
+are reused across the batches of one train or predict call, so a
+forward cache and the grads and dX backward returns are valid only
+until the next call on the same workspace.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ import numpy as np
 
 from ..errors import ArgumentError
 from .activations import ACTIVATIONS, activation_grad_from_output
-from .params import LstmParams
+from .params import LstmParams, check_lengths
 from .workspace import Workspace
 
 GATES = ("i", "f", "o", "c")
@@ -109,10 +117,11 @@ def lstm_forward_batch(
 ) -> tuple[np.ndarray, LstmForwardCache]:
     """Run the recurrence over a padded batch; returns (logits, cache).
 
-    X is (B, T, input); lengths gives each sequence's true length, all in
-    [1, T]. The final hidden state is the penultimate layer; an optional
-    dropout mask (inverted dropout, training only) multiplies it before
-    the softmax-layer affine map. The per-cell arrays live in the
+    X is (B, T, input) with T >= 1; lengths, a 1-D integer array of B
+    entries, gives each sequence's true length, all in [1, T]. The final
+    hidden state is the penultimate layer; an optional dropout mask
+    (inverted dropout, training only) multiplies it before the
+    softmax-layer affine map. The per-cell arrays live in the
     workspace (a throwaway one when None), so the cache is valid only
     until the next call on it.
     """
@@ -121,8 +130,9 @@ def lstm_forward_batch(
     if X.ndim != 3:
         raise ArgumentError(f"X must be (batch, time, dim), got shape {X.shape}")
     B, T, _ = X.shape
-    if T == 0 or np.any(lengths < 1) or np.any(lengths > T):
-        raise ArgumentError("sequence lengths must be in [1, T] with T >= 1")
+    if T == 0:
+        raise ArgumentError("X must hold at least one timestep")
+    check_lengths(lengths, B, T)
     ws = Workspace() if workspace is None else workspace
     H = params.hidden_dim
     W, U, b = _stacked(params, ws)
@@ -142,24 +152,32 @@ def lstm_forward_batch(
     gates += b
     UT = ws.copy("UT", U.T)
     c_all, tanh_c, h_all = ws.get("cells", (3, cells, H))
+    # Per-step slabs sized for step 0, the widest; step t uses the first n_t rows.
+    step = ws.get("step", (n[0], 4 * H))
+    kept = ws.get("kept", (n[0], 4 * H - k))
+    fc = ws.get("fc", (n[0], H))
     for t in range(T):
-        a, z = offsets[t], offsets[t + 1]
+        a, z, m = offsets[t], offsets[t + 1], n[t]
         pre = gates[a:z]
         if t:
             # step t's rows are the first n_t rows of step t-1's block
-            prev = slice(offsets[t - 1], offsets[t - 1] + n[t])
-            pre += np.matmul(h_all[prev], UT, out=ws.get("step", (n[t], 4 * H)))
+            prev = slice(offsets[t - 1], offsets[t - 1] + m)
+            pre += np.matmul(h_all[prev], UT, out=step[:m])
         if candidate_activation == "relu":
             np.tanh(pre[:, :k], out=pre[:, :k])
             np.maximum(pre[:, k:], 0.0, out=pre[:, k:])
         else:
             np.tanh(pre, out=pre)
-        pre[:, :k] *= 0.5
-        pre[:, :k] += 0.5
+        # The columns past k are not sigmoids: set them aside, scale the
+        # whole contiguous block, and put them back.
+        kept[:m] = pre[:, k:]
+        pre *= 0.5
+        pre += 0.5
+        pre[:, k:] = kept[:m]
         i, f, o, g = (pre[:, j * H:(j + 1) * H] for j in range(4))
         c = np.multiply(i, g, out=c_all[a:z])
         if t:
-            c += f * c_all[prev]
+            c += np.multiply(f, c_all[prev], out=fc[:m])
         np.multiply(o, np.tanh(c, out=tanh_c[a:z]), out=h_all[a:z])
     h_prev = _one_step_back(h_all, n, ws.get("h_prev", h_all.shape))
     h_last = np.empty((B, H))

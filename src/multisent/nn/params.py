@@ -1,4 +1,5 @@
-"""Parameter containers and initialization for the neural classifiers.
+"""Parameter containers and initialization for the neural classifiers,
+and the check both classifiers make of a batch's sequence lengths.
 
 Both classifiers expose their parameters as an ordered name -> array
 mapping (tensors()), which is what the optimizer, gradient checks, and
@@ -24,6 +25,17 @@ from ..rng import SplitMix64, derive_stream
 N_CLASSES = 3
 DEFAULT_WINDOW_SIZES = (3, 4, 5)
 DEFAULT_FILTERS_PER_WINDOW = 100
+
+
+def check_lengths(lengths: np.ndarray, batch: int, steps: int) -> None:
+    """Raise ArgumentError unless lengths is a 1-D integer array of batch entries, each in [1, steps]."""
+    if not (isinstance(lengths, np.ndarray) and lengths.shape == (batch,)
+            and np.issubdtype(lengths.dtype, np.integer)):
+        raise ArgumentError(f"lengths must be a 1-D integer array of {batch} entries, "
+                            f"got {lengths!r}")
+    if batch and (lengths.min() < 1 or lengths.max() > steps):
+        raise ArgumentError(f"sequence lengths must be in [1, {steps}], got "
+                            f"{lengths.min()} to {lengths.max()}")
 
 
 def glorot_uniform(seed: int, kind: str, name: str, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:

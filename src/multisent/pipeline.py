@@ -120,15 +120,18 @@ class EmbeddingContext:
     def map_rows(self, keys: list[tuple[str, str]], rows: np.ndarray) -> None:
         """Map row k of rows, in place, by the map of keys[k]'s language, if it has one.
 
-        Each row is mapped on its own, as `vector` maps it: a stacked product
-        may sum in another order and change the bits.
+        Each mapped language's rows go through one stacked product of
+        (1, dim) rows with its map. numpy runs it row by row with the
+        vector-matrix kernel that `rows[k] @ tm.W` runs, so every row keeps
+        the bits `vector` gives it. A 2-D gemm `rows[sel] @ tm.W` blocks
+        its sums in another order and would change them.
         """
-        if not self.translations:
-            return
+        selected: dict[str, list[int]] = {}
         for k, (lang, _token) in enumerate(keys):
-            tm = self.translations.get(lang)
-            if tm is not None:
-                rows[k] = rows[k] @ tm.W
+            if lang in self.translations:
+                selected.setdefault(lang, []).append(k)
+        for lang, sel in selected.items():
+            rows[sel] = np.matmul(rows[sel][:, None, :], self.translations[lang].W)[:, 0]
 
     def _table(self, lang: str) -> EmbeddingTable:
         table = self.tables.get(lang)

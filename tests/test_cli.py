@@ -53,7 +53,7 @@ def test_readme_commands_and_configs_parse():
         if lang == "" and name.endswith(".cfg"):
             experiment.parse_config(body, name=Path(name).stem)
             names.append(name)
-    assert names == ["demo/nb.cfg", "demo/cnn.cfg"]
+    assert names == ["demo/nb.cfg", "demo/cnn.cfg", "demo/lstm.cfg"]
 
 
 def test_readme_subcommand_table_matches_parser():

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from multisent import embeddings, errors
+from multisent.align import TranslationMatrix
 from multisent.corpus import Polarity
 from multisent.embeddings import (
     _LOAD_CHUNK_ROWS,
@@ -621,3 +622,29 @@ def test_table_fingerprint_tracks_content():
     c = seeded_table("en", ["a", "b"], dim=3, seed=1)
     assert a.fingerprint() == b.fingerprint()
     assert a.fingerprint() != c.fingerprint()
+
+
+# -- mapping rows into the shared space ------------------------------------
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_map_rows_keeps_each_rows_bytes(data):
+    # One stacked product per mapped language, against one vector-matrix
+    # product per row, byte for byte; unmapped languages' rows stay as given.
+    dim = data.draw(st.integers(1, 64), label="dim")
+    mapped = data.draw(st.sets(st.sampled_from(["en", "ja", "zh"]), max_size=3), label="mapped")
+    langs = data.draw(st.lists(st.sampled_from(["en", "ja", "zh"]), max_size=200), label="langs")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    ctx = EmbeddingContext(
+        tables={lang: seeded_table(lang, ["w"], dim) for lang in ("en", "ja", "zh")},
+        translations={lang: TranslationMatrix(lang, "en", rng.normal(size=(dim, dim)))
+                      for lang in sorted(mapped)},
+    )
+    keys = [(lang, f"w{k}") for k, lang in enumerate(langs)]
+    given_rows = rng.normal(size=(len(keys), dim))
+    rows = given_rows.copy()
+    ctx.map_rows(keys, rows)
+    for k, (lang, _token) in enumerate(keys):
+        tm = ctx.translations.get(lang)
+        want = given_rows[k] if tm is None else given_rows[k] @ tm.W
+        assert rows[k].tobytes() == want.tobytes(), (k, lang)

@@ -34,11 +34,24 @@ from multisent.nn.activations import (
     sigmoid,
 )
 from multisent.nn.cnn import cnn_backward_batch
-from multisent.nn.lstm import GATES, LstmForwardCache, _cells, _stacked, lstm_backward_batch
+from multisent.nn.lstm import (
+    GATES,
+    LstmForwardCache,
+    _cells,
+    _one_step_back,
+    _stacked,
+    lstm_backward_batch,
+)
 from multisent.nn.model import _assemble_batch
+from multisent.nn.workspace import Workspace
 
 SIG1 = 0.7310585786300049   # 1 / (1 + e^-1)
 TANH1 = 0.7615941559557649  # tanh(1)
+
+
+# Lengths that a batch X of shape (3, 5, 4) must reject: the wrong count,
+# a non-integer dtype, the wrong rank, and entries outside [1, 5].
+BAD_LENGTHS = [[5, 2], [5, 2, 1, 1], [5.0, 2.0, 1.0], [[5, 2, 1]], [0, 2, 1], [9, 2, 1]]
 
 
 def unit_lstm_params() -> LstmParams:
@@ -170,6 +183,10 @@ class TestLstmBatch:
             lstm_forward_batch(X, np.array([0]), params)
         with pytest.raises(ArgumentError):
             lstm_forward_batch(X, np.array([5]), params)
+        params = init_lstm_params(input_dim=4, hidden_dim=2, seed=3)
+        for lengths in BAD_LENGTHS:
+            with pytest.raises(ArgumentError, match="lengths"):
+                lstm_forward_batch(np.zeros((3, 5, 4)), np.array(lengths), params)
 
     def test_hidden_state_bounded(self):
         # h = o * tanh(c) with o in (0,1) keeps every coordinate inside (-1, 1).
@@ -356,6 +373,152 @@ class TestLstmAgainstOracle:
             assert float(np.max(np.abs(gate - sigmoid(pre)))) <= self.SIGMOID_GATE_TOL
 
 
+# The kernel before the contiguous scaling, kept as a byte-exact oracle: it
+# scales the strided sigmoid columns [:, :k] of each step's gate block in
+# place and takes f * c_prev into a fresh array. Its backward is the
+# kernel's backward of that time.
+def strided_lstm_forward(X, lengths, params, candidate_activation="tanh", dropout_mask=None):
+    B, T, _ = X.shape
+    ws = Workspace()
+    H = params.hidden_dim
+    W, U, b = _stacked(params, ws)
+    k = 4 * H if candidate_activation == "sigmoid" else 3 * H
+    for m in (W, U, b):
+        m[:k] *= 0.5
+    order = np.argsort(-lengths, kind="stable")
+    n = np.count_nonzero(lengths > np.arange(T)[:, None], axis=1)
+    offsets = np.concatenate([[0], np.cumsum(n)])
+    rows, steps = _cells(order, offsets)
+    cells = len(rows)
+    x = np.take(X.reshape(B * T, -1), rows * T + steps, axis=0, mode="clip",
+                out=ws.get("x", (cells, X.shape[2])))
+    gates = np.matmul(x, ws.copy("WT", W.T), out=ws.get("gates", (cells, 4 * H)))
+    gates += b
+    UT = ws.copy("UT", U.T)
+    c_all, tanh_c, h_all = ws.get("cells", (3, cells, H))
+    for t in range(T):
+        a, z = offsets[t], offsets[t + 1]
+        pre = gates[a:z]
+        if t:
+            prev = slice(offsets[t - 1], offsets[t - 1] + n[t])
+            pre += np.matmul(h_all[prev], UT, out=ws.get("step", (n[t], 4 * H)))
+        if candidate_activation == "relu":
+            np.tanh(pre[:, :k], out=pre[:, :k])
+            np.maximum(pre[:, k:], 0.0, out=pre[:, k:])
+        else:
+            np.tanh(pre, out=pre)
+        pre[:, :k] *= 0.5
+        pre[:, :k] += 0.5
+        i, f, o, g = (pre[:, j * H:(j + 1) * H] for j in range(4))
+        c = np.multiply(i, g, out=c_all[a:z])
+        if t:
+            c += f * c_all[prev]
+        np.multiply(o, np.tanh(c, out=tanh_c[a:z]), out=h_all[a:z])
+    h_prev = _one_step_back(h_all, n, ws.get("h_prev", h_all.shape))
+    h_last = np.empty((B, H))
+    h_last[order] = h_all[offsets[lengths[order] - 1] + np.arange(B)]
+    penult = h_last if dropout_mask is None else h_last * dropout_mask
+    logits = penult @ params.V.T + params.b_y
+    return logits, LstmForwardCache(
+        x=x, h_prev=h_prev, c=c_all, tanh_c=tanh_c, gates=gates, order=order,
+        offsets=offsets, x_shape=X.shape, h_last=h_last, penultimate=penult,
+        dropout_mask=dropout_mask, candidate_activation=candidate_activation)
+
+
+def strided_lstm_backward(dlogits, params, cache, want_dx=False):
+    ws = Workspace()
+    H = params.hidden_dim
+    W, U, _ = _stacked(params, ws)
+    offsets, tanh_c = cache.offsets, cache.tanh_c
+    n = np.diff(offsets)
+    c_prev = _one_step_back(cache.c, n, ws.get("c_prev", cache.c.shape))
+    gates = cache.gates.reshape(-1, 4, H)
+    i, f, o, g = (gates[:, k] for k in range(4))
+    dpre = np.subtract(1.0, gates, out=ws.get("dpre", gates.shape))
+    dpre *= gates
+    dpre[:, 0] *= g
+    dpre[:, 1] *= c_prev
+    dpre[:, 2] *= tanh_c
+    activation_grad_from_output(cache.candidate_activation, g, out=dpre[:, 3])
+    dpre[:, 3] *= i
+    dc_dh = activation_grad_from_output("tanh", tanh_c, out=ws.get("dc_dh", tanh_c.shape))
+    dc_dh *= o
+    f = ws.copy("f", f)
+
+    mask = 1.0 if cache.dropout_mask is None else cache.dropout_mask
+    dh = (dlogits @ params.V * mask)[cache.order]
+    dc = np.zeros_like(dh)
+    dc_new, d_o = np.empty((2, *dh.shape))
+    for t in range(len(n) - 1, -1, -1):
+        a, z, m = offsets[t], offsets[t + 1], n[t]
+        d = dpre[a:z]
+        np.multiply(dh[:m], dc_dh[a:z], out=dc_new[:m])
+        dc_new[:m] += dc[:m]
+        np.multiply(dh[:m], d[:, 2], out=d_o[:m])
+        d *= dc_new[:m, None, :]
+        d[:, 2] = d_o[:m]
+        np.matmul(d.reshape(m, 4 * H), U, out=dh[:m])
+        np.multiply(dc_new[:m], f[a:z], out=dc[:m])
+
+    dpre = dpre.reshape(-1, 4 * H)
+    dW = ws.copy("dW", np.matmul(cache.x.T, dpre, out=ws.get("gemm", W.shape[::-1])).T)
+    dU = ws.copy("dU", np.matmul(cache.h_prev.T, dpre, out=ws.get("gemm", U.shape[::-1])).T)
+    db = dpre.sum(axis=0)
+    grads = {f"{p}_{gate}": grad[k * H:(k + 1) * H]
+             for k, gate in enumerate(GATES) for p, grad in zip("WUb", (dW, dU, db))}
+    grads["V"] = dlogits.T @ cache.penultimate
+    grads["b_y"] = dlogits.sum(axis=0)
+    dX = None
+    if want_dx:
+        dX = ws.zeros("dX", cache.x_shape)
+        dX[_cells(cache.order, offsets)] = np.matmul(dpre, W, out=ws.get("dx_cells", cache.x.shape))
+    return grads, dX
+
+
+class TestLstmBytesAgainstStridedKernel:
+    """Scaling the whole contiguous gate block with the candidate columns set
+    aside and put back, and f * c_prev in a slab, give every byte of the
+    kernel that scaled the strided sigmoid columns."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_every_byte_matches(self, data):
+        T = data.draw(st.integers(1, 8), label="T")
+        lengths = np.array(data.draw(st.lists(st.integers(1, T), min_size=1, max_size=8),
+                                     label="lengths"))
+        d = data.draw(st.integers(1, 8), label="input_dim")
+        H = data.draw(st.integers(1, 8), label="hidden_dim")
+        act = data.draw(st.sampled_from(ACTIVATIONS), label="act")
+        use_dropout = data.draw(st.booleans(), label="dropout")
+        want_dx = data.draw(st.booleans(), label="want_dx")
+        scale = data.draw(st.sampled_from([1.0, 3.0]), label="weight_scale")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        params = init_lstm_params(d, H, seed=int(rng.integers(2**31)))
+        for tensor in params.tensors().values():
+            tensor *= scale
+        B = len(lengths)
+        X = rng.normal(scale=2.0, size=(B, T, d))
+        mask = (rng.random((B, H)) >= 0.5) * 2.0 if use_dropout else None
+        dlogits = rng.normal(size=(B, 3))
+
+        want, want_cache = strided_lstm_forward(X, lengths, params, act, mask)
+        want_grads, want_dX = strided_lstm_backward(dlogits, params, want_cache, want_dx)
+        got, cache = lstm_forward_batch(X, lengths, params, act, mask)
+        grads, dX = lstm_backward_batch(dlogits, params, cache, want_dx)
+
+        assert set(grads) == set(want_grads)
+        assert (dX is None) == (want_dX is None) == (not want_dx)
+        pairs = [("logits", got, want)]
+        pairs += [(name, getattr(cache, name), getattr(want_cache, name))
+                  for name in ("gates", "c", "tanh_c", "h_prev", "h_last")]
+        pairs += [(name, grads[name], want_grads[name]) for name in want_grads]
+        if want_dx:
+            pairs.append(("dX", dX, want_dX))
+        for name, a, b in pairs:
+            assert a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+
 def sign_split_sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-x) on x >= 0 and e^x / (1 + e^x) below, entry by entry."""
     out = np.empty_like(x)
@@ -486,6 +649,12 @@ class TestCnnBatch:
             predict_proba_batch(model, [np.ones((2, 3)), np.zeros((0, 3))])
         with pytest.raises(ConfigurationError):
             predict_proba_batch(model, [np.ones((2, 3)), np.ones((6, 3))])
+
+    def test_bad_lengths_rejected(self):
+        params = init_cnn_params(input_dim=4, seed=5, window_sizes=(2,), filters_per_window=2)
+        for lengths in BAD_LENGTHS:
+            with pytest.raises(ArgumentError, match="lengths"):
+                cnn_forward_batch(np.zeros((3, 5, 4)), params, lengths=np.array(lengths))
 
     def test_pooling_is_order_insensitive_when_windows_coincide(self):
         # Width-1 windows make the model a bag of tokens: permuting rows
