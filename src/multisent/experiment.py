@@ -436,7 +436,8 @@ def prepare_inputs(
 
     records and context, when given, stand in for the configured corpus
     and embedding paths. The context holds the config's tables and, under
-    global alignment, its maps; its max_len comes from the tweets.
+    global alignment, its maps; its max_len comes from the tweets. A CNN's
+    tweets and windows must fit a given context's max_len.
     """
     rules = default_rules()
     languages = config.languages
@@ -454,6 +455,14 @@ def prepare_inputs(
     if not tweets:
         raise ArgumentError(f"no usable records in languages {languages}")
     if not build_context:
+        if context is not None and config.kind == "cnn":
+            longest, window = corpus_max_len(tweets), max(config.window_sizes)
+            if longest > context.max_len:
+                raise ConfigurationError(f"the longest tweet has {longest} tokens, more than "
+                                         f"the given context's max_len {context.max_len}")
+            if window > context.max_len:
+                raise ConfigurationError(f"window_sizes holds {window}, more than the given "
+                                         f"context's max_len {context.max_len}")
         return tweets, context
     max_len = corpus_max_len(tweets)
     if config.kind == "cnn" and max(config.window_sizes) > max_len:

@@ -80,16 +80,15 @@ class LstmForwardCache:
 
 
 def _stacked(
-    params: LstmParams, workspace: Workspace | None = None
+    params: LstmParams, workspace: Workspace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(W (4H, d), U (4H, H), b (4H)) with the gates in i, f, o, c order."""
-    ws = Workspace() if workspace is None else workspace
     t = params.tensors()
     stacked = []
     for p in "WUb":
         parts = [t[f"{p}_{g}"] for g in GATES]
         shape = (sum(len(part) for part in parts), *parts[0].shape[1:])
-        stacked.append(np.concatenate(parts, out=ws.get(f"stacked_{p}", shape)))
+        stacked.append(np.concatenate(parts, out=workspace.get(f"stacked_{p}", shape)))
     return tuple(stacked)
 
 

@@ -77,7 +77,7 @@ def dropout_mask(seed: int, shape: tuple[int, ...], rate: float) -> np.ndarray:
 
 
 def _assemble_batch(
-    model: NeuralModel, batch: list[tuple[np.ndarray, int]], workspace: Workspace | None = None
+    model: NeuralModel, batch: list[tuple[np.ndarray, int]], workspace: Workspace
 ):
     """Zero-pad variable-length examples at the back into (B, T, dim), plus lengths.
 
@@ -101,8 +101,7 @@ def _assemble_batch(
             raise ConfigurationError(
                 f"sequence length {longest} exceeds the model's max_len {model.max_len}")
         T = min(model.max_len, longest + max(model.params.window_sizes))
-    ws = Workspace() if workspace is None else workspace
-    X = ws.zeros("X", (len(batch), T, batch[0][0].shape[1]))
+    X = workspace.zeros("X", (len(batch), T, batch[0][0].shape[1]))
     for b, (x, _) in enumerate(batch):
         X[b, :x.shape[0]] = x
     return X, lengths, labels

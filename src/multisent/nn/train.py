@@ -202,7 +202,7 @@ def train(
     state = AdadeltaState.for_tensors(tensors)
 
     best_params = model.params.copy()
-    best_E = E.copy()
+    best_E = E.copy() if fine_tune else None
     best_acc = -1.0
     best_epoch = 0
     epochs_since = 0
@@ -290,20 +290,6 @@ def number_tokens(
     return encoded, added
 
 
-def number_for_prediction(
-    trained: TrainedModel, tweets: list[TokenizedTweet]
-) -> tuple[list[np.ndarray], list[tuple[str, str]]]:
-    """tweets numbered as predict_batch numbers them, and the keys after E's rows.
-
-    A key with a fine-tuned row takes that row's number; the other keys
-    follow E's rows in first-seen order.
-    """
-    ft = trained.fine_tuned
-    if ft is None:
-        return number_tokens(tweets, {})
-    return number_tokens(tweets, dict(ft.index), len(ft.E))
-
-
 @dataclass
 class NumberedTokens:
     """Tweets as (lang, token) key numbers, and each key's vector, taken once.
@@ -315,7 +301,7 @@ class NumberedTokens:
     ids: list[np.ndarray]           # per tweet, by position: its tokens' key numbers
     keys: list[tuple[str, str]]     # key k is keys[k]
     index: dict[tuple[str, str], int]   # keys[k] -> k
-    rows: np.ndarray                # (K, dim): row k is context.vector(*keys[k])
+    rows: np.ndarray                # (K, dim): context.vectors(keys)
     context: EmbeddingContext
 
     @classmethod
@@ -348,7 +334,7 @@ def scatter_embedding_grad(
     shape: tuple[int, int],
     batch_ids: list[np.ndarray],
     dX: np.ndarray,
-    workspace: Workspace | None = None,
+    workspace: Workspace,
 ) -> np.ndarray:
     """Sum each token's input gradient into its row of an E-shaped gradient.
 
@@ -357,10 +343,10 @@ def scatter_embedding_grad(
     `gE[ids] += ...` keeps only one of a repeated row's additions, so the
     tokens are cut into rank layers: the r-th occurrence of each row, in
     (example, token) order, goes to layer r, and each layer, whose rows are
-    distinct, is one such `+=`. The result lives in the workspace (a
-    throwaway one when None) until the next call on it.
+    distinct, is one such `+=`. The result lives in the workspace until
+    the next call on it.
     """
-    gE = (Workspace() if workspace is None else workspace).zeros("gE", shape)
+    gE = workspace.zeros("gE", shape)
     ids = np.concatenate(batch_ids)
     lengths = np.array([b.size for b in batch_ids])
     vals = dX[np.arange(dX.shape[1]) < lengths[:, None]]   # (n, dim), row-major order
@@ -423,7 +409,7 @@ def _accuracy(
     ids: list[np.ndarray],
     y: list[int],
     batch_size: int,
-    workspace: Workspace | None = None,
+    workspace: Workspace,
 ) -> float:
     probs = _predict_in_length_order(model, table, ids, batch_size, workspace)
     correct = int(np.count_nonzero(argmax_label(probs) == np.array(y)))
@@ -438,16 +424,14 @@ def predict_batch(
     shares: int = 1,
     *,
     numbered: NumberedTokens | None = None,
-    numbering: tuple[list[np.ndarray], list[tuple[str, str]]] | None = None,
 ) -> list[tuple[Polarity, np.ndarray]]:
     """Classify tweets after checking the context matches the model.
 
-    numbering is number_for_prediction(trained, tweets) when the caller
-    has taken it already. The vectors of the tweets' keys that the
-    fine-tuned rows lack are numbered's rows under context (see
-    NumberedTokens.table) when it is given, else context's. Their batches
-    are dealt to at most `shares` shares, the first of which runs on
-    workspace (see _predict_in_length_order).
+    A token with a fine-tuned row takes that row; every other key follows
+    E's rows in first-seen order. Those keys' vectors are numbered's rows
+    under context (see NumberedTokens.table) when it is given, else
+    context's. The batches are dealt to at most `shares` shares, the
+    first of which runs on workspace (see _predict_in_length_order).
     """
     current = context.fingerprint()
     if current != trained.fingerprints:
@@ -458,11 +442,9 @@ def predict_batch(
         raise ConfigurationError(
             f"context does not match the model's training inputs (differs: {changed})"
         )
-    # A token takes its fine-tuned row when it has one; the other keys
-    # follow E, in first-seen order, each with its context vector.
     ft = trained.fine_tuned
     E = np.empty((0, context.dim)) if ft is None else ft.E
-    ids, added = numbering if numbering is not None else number_for_prediction(trained, tweets)
+    ids, added = number_tokens(tweets, {} if ft is None else dict(ft.index), len(E))
     if numbered is None:
         rows = context.vectors(added)
     else:

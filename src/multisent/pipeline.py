@@ -4,9 +4,9 @@ An EmbeddingContext bundles the per-language embedding tables, optional
 translation matrices mapping each language into the shared target
 space, the OOV policy, and the corpus maximum length used for padding.
 A token's vector is its table row, or its seeded OOV vector, then its
-language's map, if any; `vectors` gives many tokens' vectors at once, in
-the bits `vector` gives each. Nothing is cached: callers number their
-tokens and take each vector once (nn.train.NumberedTokens).
+language's map, if any; `vectors` gives the vectors of a list of
+(lang, token) keys. Nothing is cached: callers number their tokens and
+take each vector once (nn.train.NumberedTokens).
 Its fingerprint ties a trained model to exactly these inputs, and by
 `rules_version` (multisent.preprocess.rules_version) to the rule set and
 tokenize mode its tweets were preprocessed with, so stale model/context
@@ -102,15 +102,8 @@ class EmbeddingContext:
             rules_version=rules_version,
         )
 
-    def vector(self, lang: str, token: str) -> np.ndarray:
-        """A token's vector in the shared space: lookup then optional map."""
-        vec = np.asarray(self._table(lang).lookup(token, self.oov_seed, self.oov_scale),
-                         np.float64)
-        tm = self.translations.get(lang)
-        return vec if tm is None else vec @ tm.W
-
     def vectors(self, keys: list[tuple[str, str]]) -> np.ndarray:
-        """Row k is vector(*keys[k]): a new (K, dim) array."""
+        """Row k is keys[k]'s vector in the shared space, lookup then map: a new (K, dim) array."""
         rows = np.empty((len(keys), self.dim))
         for k, (lang, token) in enumerate(keys):
             rows[k] = self._table(lang).lookup(token, self.oov_seed, self.oov_scale)
@@ -123,8 +116,8 @@ class EmbeddingContext:
         Each mapped language's rows go through one stacked product of
         (1, dim) rows with its map. numpy runs it row by row with the
         vector-matrix kernel that `rows[k] @ tm.W` runs, so every row keeps
-        the bits `vector` gives it. A 2-D gemm `rows[sel] @ tm.W` blocks
-        its sums in another order and would change them.
+        the bits that product gives it. A 2-D gemm `rows[sel] @ tm.W`
+        blocks its sums in another order and would change them.
         """
         selected: dict[str, list[int]] = {}
         for k, (lang, _token) in enumerate(keys):
@@ -141,7 +134,7 @@ class EmbeddingContext:
 
     def embed(self, tweet: TokenizedTweet) -> np.ndarray:
         """Embed one tweet into the shared space; row t is token t's vector."""
-        return np.stack([self.vector(tweet.lang, tok) for tok in tweet.tokens])
+        return self.vectors([(tweet.lang, tok) for tok in tweet.tokens])
 
     def fingerprint(self) -> dict[str, str]:
         """Stable hashes of everything that shapes model inputs, in a new dict."""

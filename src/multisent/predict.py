@@ -2,20 +2,19 @@
 
 `predict_records` is `multisent predict` without its files. It runs two
 rounds of shares (multisent.shares), one share per usable CPU, and
-numbers the tokens and loads the tables in this process between them:
+loads the tables in this process between them:
 
 1. `preprocess_corpus` deals the records to the shares in contiguous
    runs and merges their tweets in input order. It tokenizes them in
    the mode the checkpoint's `fingerprint rules` records
    (`mode_from_fingerprint`).
-2. This process numbers the tokens of the tweets as classified (in a
-   language with a table, cut to a CNN's max_len), once: a token with a
-   fine-tuned row in the checkpoint takes that row's number, and the
-   others are the words the model will look up in the tables.
+2. The words the model will look up in the tables are the tokens of the
+   tweets as classified (in a language with a table, cut to a CNN's
+   max_len), less those with a fine-tuned row in the checkpoint.
 3. `EmbeddingContext.from_paths` loads the `.vec` tables. Of a file
    whose bytes are the ones the checkpoint recorded it parses only the
    rows of those words.
-4. `predict_batch` takes that numbering and deals its length-sorted
+4. `predict_batch` numbers the tokens and deals its length-sorted
    batches, whole and longest first, round-robin to the shares.
 
 No share re-cuts a batch, so the predictions keep their bits whatever
@@ -32,7 +31,6 @@ import numpy as np
 from .corpus import Polarity, TweetRecord
 from .embeddings import TrainedFile
 from .nn import TrainedModel, predict_batch
-from .nn.train import number_for_prediction
 from .pipeline import EmbeddingContext, oov_from_fingerprint
 from .preprocess import (
     TokenizedTweet,
@@ -85,13 +83,15 @@ def predict_records(
         tweets = [tw if tw.length <= max_len else
                   TokenizedTweet(tw.id, tw.lang, tw.label, tw.tokens[:max_len])
                   for tw in tweets]
-    # The keys numbering adds are the tokens the fine-tuned rows lack,
-    # the only ones predict_batch looks up in the tables.
-    numbering = number_for_prediction(trained, tweets)
+    # predict_batch looks up in the tables only the tokens the fine-tuned rows lack.
     words: dict[str, set[str]] = {lang: set() for lang in trained.sources}
-    for lang, tok in numbering[1]:
-        if lang in words:
-            words[lang].add(tok)
+    for tw in tweets:
+        if tw.lang in words:
+            words[tw.lang].update(tw.tokens)
+    if trained.fine_tuned is not None:
+        for lang, tok in trained.fine_tuned.index:
+            if lang in words:
+                words[lang].discard(tok)
     context = EmbeddingContext.from_paths(
         embeddings,
         matrices,
@@ -102,6 +102,5 @@ def predict_records(
         trained={lang: TrainedFile(sha256, trained.fingerprints[f"embeddings:{lang}"], words[lang])
                  for lang, sha256 in trained.sources.items()},
     )
-    predictions = predict_batch(trained, tweets, context, shares=usable_cpus(),
-                                numbering=numbering)
+    predictions = predict_batch(trained, tweets, context, shares=usable_cpus())
     return PredictResult(tweets, predictions, dict(skipped), len(dropped), truncated)

@@ -1106,8 +1106,8 @@ class TestPredictNumbersByPosition:
         for table, ids in seen:
             assert ids[0].tolist() == [len(E), len(E) + 1]
             assert table[:len(E)].tobytes() == E.tobytes()
-            assert table[len(E)].tobytes() == context.vector(lang, "qqq").tobytes()
-            assert table[len(E) + 1].tobytes() == context.vector(lang, "zzz").tobytes()
+            assert table[len(E):len(E) + 2].tobytes() == context.vectors(
+                [(lang, "qqq"), (lang, "zzz")]).tobytes()
         assert len(seen) == 2
 
 
@@ -1433,6 +1433,34 @@ class TestPredictParsesOnlyTheUsedRows:
                             infile="spare.jsonl") == 0
         assert {lang: len(t.entries) for lang, t in loaded.items()} == {"en": 9, "ja": 5, "zh": 5}
         assert (tmp_path / "used.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+
+    def test_words_are_the_classified_tokens_less_the_fine_tuned_keys(self, files, tmp_path,
+                                                                      monkeypatch):
+        asked = {}      # lang -> the words predict asks its table for, held there or not
+        real = pipeline.load_embedding_table
+
+        def record(path, lang, **kwargs):
+            asked[lang] = set(kwargs["_trained"].words)
+            return real(path, lang, **kwargs)
+
+        monkeypatch.setattr(pipeline, "load_embedding_table", record)
+        infile = tmp_path / "in.jsonl"
+        infile.write_text("".join((files / name).read_text(encoding="utf-8")
+                                  for name in ("spare.jsonl", "long.jsonl")), encoding="utf-8")
+        records = load_corpus(infile)
+        embeddings = {lang: str(files / f"{lang}.vec") for lang in self.WORDS}
+        for name in ("model.ckpt", "ft.ckpt"):
+            trained = load_checkpoint(files / name)
+            result = predict.predict_records(trained, records, embeddings, {})
+            assert result.truncated == 2
+            held = {} if trained.fine_tuned is None else trained.fine_tuned.index
+            want = {lang: set() for lang in self.WORDS}
+            for tw in result.tweets:
+                want[tw.lang].update(tok for tok in tw.tokens if (tw.lang, tok) not in held)
+            assert asked == want, name
+            # each is a word of its tweet only past the max_len cut of 3 tokens
+            assert "sun" not in asked["en"] and "雨" not in asked["ja"], name
+        assert ("en", "good") in held and "good" not in asked["en"] and "spare" in asked["en"]
 
     def test_respelled_unused_value_loads_the_whole_file(self, files, tmp_path, loaded,
                                                          table_hashes):

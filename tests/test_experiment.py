@@ -457,6 +457,20 @@ class TestRunExperiment:
         assert len(report.wall_clock_per_fold) == 3
         assert all(t > 0 for t in report.wall_clock_per_fold)
 
+    @pytest.mark.parametrize("max_len, window_sizes, message", [
+        (3, (2,), "the longest tweet has 5 tokens, more than the given context's max_len 3"),
+        (5, (2, 6), "window_sizes holds 6, more than the given context's max_len 5"),
+    ])
+    def test_cnn_context_too_short_fails_before_any_fold(self, monkeypatch, max_len,
+                                                         window_sizes, message):
+        ctx = toy_context(marker_tweets(30), dim=6)
+        ctx.max_len = max_len
+        monkeypatch.setattr(experiment, "_run_fold", lambda *a: pytest.fail("a fold ran"))
+        cfg = nb_config(kind="cnn", folds=3, window_sizes=window_sizes,
+                        train_overrides=dict(max_epochs=1, filters_per_window=2))
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            run_experiment(cfg, records=marker_records(30), context=ctx)
+
     def test_leakage_in_fold_worker_is_fatal(self, monkeypatch):
         def dishonest(config, fold, train_ids, test_ids, by_id, context,
                       dictionaries, ngrams, audit, *_):

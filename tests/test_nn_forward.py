@@ -203,7 +203,7 @@ class TestLstmBatch:
 def oracle_lstm_forward(X, lengths, params, candidate_activation="tanh", dropout_mask=None):
     B, T, _ = X.shape
     H = params.hidden_dim
-    W, U, b = _stacked(params)
+    W, U, b = _stacked(params, Workspace())
     order = np.argsort(-lengths, kind="stable")
     n = np.count_nonzero(lengths > np.arange(T)[:, None], axis=1)
     offsets = np.concatenate([[0], np.cumsum(n)])
@@ -236,7 +236,7 @@ def oracle_lstm_forward(X, lengths, params, candidate_activation="tanh", dropout
 
 def oracle_lstm_backward(dlogits, params, cache, want_dx=False):
     H = params.hidden_dim
-    W, U, _ = _stacked(params)
+    W, U, _ = _stacked(params, Workspace())
     offsets, tanh_c = cache.offsets, cache.tanh_c
     n = np.diff(offsets)
     c_prev = np.zeros_like(cache.c)
@@ -284,7 +284,7 @@ def sigmoid_gate_preactivations(cache, params) -> tuple[np.ndarray, np.ndarray]:
     the halving is exact, so this repeats that sum and doubles it."""
     H = params.hidden_dim
     k = 4 * H if cache.candidate_activation == "sigmoid" else 3 * H
-    W, U, b = _stacked(params)
+    W, U, b = _stacked(params, Workspace())
     for m in (W, U, b):
         m[:k] *= 0.5
     z = cache.x @ np.ascontiguousarray(W.T)
@@ -718,11 +718,11 @@ class TestCnnTrimmedPadding:
         params = init_cnn_params(input_dim=2, seed=1, window_sizes=(2, 3), filters_per_window=2)
         model = NeuralModel(kind="cnn", params=params, max_len=10)
         short = [(np.ones((n, 2)), 0) for n in (4, 2)]
-        assert _assemble_batch(model, short)[0].shape == (2, 7, 2)
+        assert _assemble_batch(model, short, Workspace())[0].shape == (2, 7, 2)
         long = [(np.ones((n, 2)), 0) for n in (9, 2)]
-        assert _assemble_batch(model, long)[0].shape == (2, 10, 2)
+        assert _assemble_batch(model, long, Workspace())[0].shape == (2, 10, 2)
         with pytest.raises(ConfigurationError, match="the model's max_len 10"):
-            _assemble_batch(model, [(np.ones((11, 2)), 0)])
+            _assemble_batch(model, [(np.ones((11, 2)), 0)], Workspace())
 
 
 # The kernel before packed windows, kept as the oracle: every window of the

@@ -27,10 +27,10 @@ from multisent.nn import (
 from multisent.nn.train import (
     NumberedTokens,
     _accuracy,
-    number_for_prediction,
     number_tokens,
     scatter_embedding_grad,
 )
+from multisent.nn.workspace import Workspace
 from multisent.pipeline import EmbeddingContext
 from multisent.preprocess import TokenizedTweet
 from multisent.rng import SplitMix64, derive_stream
@@ -144,7 +144,7 @@ class TestFineTuning:
 
 
 def _first_seen_reference(tweets, context, index, rows):
-    """Number each (lang, token) in first-seen order, one context.vector per new key.
+    """Number each (lang, token) in first-seen order, one context.vectors call per new key.
 
     index and rows grow in place; rows[index[key]] is the key's vector.
     """
@@ -152,7 +152,7 @@ def _first_seen_reference(tweets, context, index, rows):
         for tok in tw.tokens:
             if (tw.lang, tok) not in index:
                 index[(tw.lang, tok)] = len(rows)
-                rows.append(context.vector(tw.lang, tok))
+                rows.append(context.vectors([(tw.lang, tok)])[0])
 
 
 class TestSharedNumbering:
@@ -282,9 +282,9 @@ class TestSharedNumbering:
         with pytest.raises(ArgumentError, match=r"numbered lacks the key \('ja', 'oov4'\)"):
             predict_batch(trained, test_tweets, ctx, numbered=seen)
 
-
     @pytest.mark.parametrize("fine_tune", [False, True])
-    def test_predict_takes_the_callers_numbering(self, split, contexts, fine_tune):
+    def test_predict_numbers_keys_after_the_fine_tuned_rows(self, split, contexts, monkeypatch,
+                                                            fine_tune):
         train_tweets, dev_tweets, test_tweets = split
         _, ctx = contexts
         cfg = quick_config(max_epochs=1, window_sizes=(2,), filters_per_window=2,
@@ -292,14 +292,20 @@ class TestSharedNumbering:
         trained = train("cnn", train_tweets, dev_tweets, ctx, cfg)
         ft = trained.fine_tuned
         held = {} if ft is None else dict(ft.index)
-        ids, added = numbering = number_for_prediction(trained, test_tweets)
+        train_module = importlib.import_module("multisent.nn.train")
+        predicted = []
+        real_predict = train_module._predict_in_length_order
+        monkeypatch.setattr(train_module, "_predict_in_length_order",
+                            lambda model, table, ids, *a: predicted.append((table, ids))
+                            or real_predict(model, table, ids, *a))
+        predict_batch(trained, test_tweets, ctx)
         assert held == ({} if ft is None else ft.index)     # the model's index does not grow
         # the fine-tuned rows keep their numbers; the other keys follow E in first-seen order
-        want_ids, want_added = _number_one_by_one(test_tweets, held, 0 if ft is None else len(ft.E))
-        assert [row.tolist() for row in ids] == want_ids and added == want_added
-        given_ = predict_batch(trained, test_tweets, ctx, numbering=numbering)
-        own = predict_batch(trained, test_tweets, ctx)
-        assert [(int(a), p.tobytes()) for a, p in given_] == [(int(a), p.tobytes()) for a, p in own]
+        start = 0 if ft is None else len(ft.E)
+        want_ids, want_added = _number_one_by_one(test_tweets, dict(held), start)
+        [(table, ids)] = predicted
+        assert [row.tolist() for row in ids] == want_ids
+        assert table[start:].tobytes() == ctx.vectors(want_added).tobytes()
 
 
 def _number_one_by_one(tweets, index, start):
@@ -410,7 +416,7 @@ class TestEmbeddingGradScatter:
         batch_ids = [np.array([2, 4, 2, 0]), np.array([4, 1])]
         rng = SplitMix64(derive_stream(3, "scatter"))
         dX = rng.uniform_array(2 * 5 * 3, -1.0, 1.0).reshape(2, 5, 3)
-        gE = scatter_embedding_grad((6, 3), batch_ids, dX)
+        gE = scatter_embedding_grad((6, 3), batch_ids, dX, Workspace())
         assert np.array_equal(gE, self.reference((6, 3), batch_ids, dX))
         # Row 2 and row 4 each get two additions; plain fancy-index `+=`
         # would keep only one of them.
@@ -813,7 +819,7 @@ class TestLengthOrder:
             correct += sum(argmax_label(row) == label
                            for row, label in zip(probs, y[start:start + 7]))
         assert 0 < correct < len(ids)
-        assert _accuracy(trained.model, table, ids, y, 7) == correct / len(ids)
+        assert _accuracy(trained.model, table, ids, y, 7, Workspace()) == correct / len(ids)
 
 
 class TestPredictGuards:
