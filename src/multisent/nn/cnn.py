@@ -24,8 +24,7 @@ Packed windows: given the tweets' lengths, forward convolves only the
 windows that start on a real token. For each window size it gathers them
 from the flat (B*T, dim) view of the batch into one (N, h*dim) matrix and
 runs one gemm over it; every other window is wholly padded, and its
-feature map entry is filled with act(b), its exact value. Without
-lengths, every window counts as real.
+feature is act(b) exactly. Without lengths, every window counts as real.
 
 The gemm's row count is rounded up to a multiple of ROW_ALIGN with zero
 rows. With OpenBLAS a row's bits depend on where it sits in the call: the
@@ -35,13 +34,21 @@ tile, which on training batches reproduces the bits of convolving every
 window one example per call. It guarantees no bits, so the tests compare
 against that kernel within a tolerance.
 
-Forward pools by value (fmap.max); the argmax positions that backward
-needs are computed from the feature maps on first read of
-`CnnForwardCache.argmax`, so prediction never computes them. Backward
-gathers each pooled feature's argmax window from the cached input and
-routes the feature's gradient to it (first index on ties, matching numpy
-argmax). The input gradient accumulates in filter order: every input row
-receives its additions filter by filter, window sizes in order, so it is
+Forward pools straight from the packed rows: one maximum.reduceat over
+each example's real windows, then, for an example with a wholly padded
+window, a maximum with act(b). No (B, P, F) feature map is built. Both
+steps apply maximum in window order, as a max over the dense map would,
+so every pooled value keeps its bits (a NaN may carry another sign: numpy
+returns its own NaN from a max over a contiguous axis). The argmax
+positions that backward needs are computed from the packed rows on first
+read of `CnnForwardCache.argmax`, so prediction never computes them: the
+first real window whose feature equals the pooled value (the first NaN,
+as numpy's argmax picks), else the first wholly padded window, so a real
+window that ties act(b) wins. Backward gathers the argmax windows from
+the cached input one window offset at a time, (B, F, dim) per offset,
+and routes each pooled feature's gradient to its window. The input
+gradient accumulates in filter order: every input row receives its
+additions filter by filter, window sizes in order, so it is
 bit-identical to a per-(example, filter) loop.
 
 The scatter skips every (example, filter) pair whose pre-activation
@@ -55,11 +62,11 @@ times 0.0 is nan, which the loop would spread and the skip does not.)
 
 Both passes write their per-batch arrays with `out=` into the slabs of a
 Workspace (see nn.workspace): one gather slab holds forward's packed
-windows and then backward's argmax windows, one the gemm output, one the
-feature maps of each window size, one dX. The slabs are reused across
-the batches of one train or predict call, so a forward cache and the dX
-backward returns are valid only until the next call on the same
-workspace.
+windows and then backward's argmax windows at one offset, one slab per
+window size its activated packed rows (backward reads them all), one
+dX. The slabs are reused across the batches of one train or predict
+call, so a forward cache and the dX backward returns are valid only
+until the next call on the same workspace.
 """
 
 from __future__ import annotations
@@ -80,17 +87,33 @@ ROW_ALIGN = 16
 
 @dataclass
 class CnnForwardCache:
-    X: np.ndarray                        # (B, T, dim) zero-padded input; backward gathers from it
-    feature_maps: dict[int, np.ndarray]  # h -> (B, P_h, F_h) activated; act(b) where wholly padded
-    penultimate: np.ndarray              # (B, total) after dropout
-    pooled: np.ndarray                   # (B, total) before dropout
+    X: np.ndarray                   # (B, T, dim) zero-padded input; backward gathers from it
+    packed: dict[int, np.ndarray]   # h -> (N_h, F_h) activated windows that start on a real token
+    counts: dict[int, np.ndarray]   # h -> (B,) each example's packed rows, in example order
+    penultimate: np.ndarray         # (B, total) after dropout
+    pooled: np.ndarray              # (B, total) before dropout
     dropout_mask: np.ndarray | None
     activation: str
 
     @cached_property
     def argmax(self) -> dict[int, np.ndarray]:
-        """h -> (B, F_h) window index of each pooled feature, first max on ties."""
-        return {h: np.argmax(fmap, axis=1) for h, fmap in self.feature_maps.items()}
+        """h -> (B, F_h) window index of each pooled feature, first max on ties.
+
+        The first packed row equal to the pooled value (the first NaN row
+        when the pooled value is NaN), else the first wholly padded
+        window, whose index is the example's real-window count.
+        """
+        out, offset = {}, 0
+        for h, act in self.packed.items():
+            count, F = self.counts[h], act.shape[1]
+            starts = np.cumsum(count) - count
+            hit = act == np.repeat(self.pooled[:, offset:offset + F], count, axis=0)
+            hit |= np.isnan(act)   # maximum spreads NaN, so a NaN row pooled NaN
+            index = np.where(hit, (np.arange(act.shape[0]) - np.repeat(starts, count))[:, None],
+                             np.repeat(count, count)[:, None])
+            out[h] = np.minimum.reduceat(index, starts, axis=0)
+            offset += F
+        return out
 
 
 def cnn_forward_batch(
@@ -107,9 +130,9 @@ def cnn_forward_batch(
     into the penultimate layer (inverted dropout: zeros and 1/(1-rate)
     survivors). Prediction passes no mask. lengths, when given, is a 1-D
     integer array of each example's real token count, all in [1, T]; rows
-    past it must be zero. The feature maps live in the workspace (a
-    throwaway one when None), so the cache is valid only until the next
-    call on it.
+    past it must be zero. The packed activations live in the workspace
+    (a throwaway one when None), so the cache is valid only until the
+    next call on it.
     """
     if X.ndim != 3:
         raise ArgumentError(f"X must be (batch, length, dim), got {X.shape}")
@@ -123,33 +146,37 @@ def cnn_forward_batch(
         check_lengths(lengths, B, T)
     ws = Workspace() if workspace is None else workspace
     flat = X.reshape(B * T, dim)
-    starts = np.arange(T)
-    firsts = np.arange(B)[:, None] * T + starts   # (B, T) flat row of each window start
-    maps: dict[int, np.ndarray] = {}
-    pooled_parts = []
+    lengths = np.full(B, T) if lengths is None else lengths
+    positions = np.arange(T)
+    firsts = np.arange(B)[:, None] * T + positions  # (B, T) flat row of each window start
+    packed: dict[int, np.ndarray] = {}
+    counts: dict[int, np.ndarray] = {}
+    pooled = np.empty((B, params.total_filters))
+    offset = 0
     for h in params.window_sizes:
         W = params.filters[h]                      # (F, h, dim)
         F = W.shape[0]
         P = T - h + 1
-        real = np.ones((B, P), dtype=bool) if lengths is None else starts[:P] < lengths[:, None]
-        first = firsts[:, :P][real]                # (N,) in (example, position) order
+        first = firsts[:, :P][positions[:P] < lengths[:, None]]  # (N,) in (example, position) order
+        count = np.minimum(lengths, P)             # (B,) real windows of each example
+        starts = np.cumsum(count) - count          # (B,) each example's first packed row
         N = first.size
         rows = -(-N // ROW_ALIGN) * ROW_ALIGN
         cols = ws.get("gather", (rows, h * dim))
         np.take(flat, first[:, None] + np.arange(h), axis=0, mode="clip",
                 out=cols[:N].reshape(N, h, dim))
         cols[N:] = 0.0
-        pre = np.matmul(cols, W.reshape(F, -1).T, out=ws.get("pre", (rows, F)))
+        pre = np.matmul(cols, W.reshape(F, -1).T, out=ws.get(f"packed_{h}", (rows, F)))
         pre += params.biases[h]
-        fmap = ws.get(f"fmap_{h}", (B, P, F))
-        fmap[...] = apply_activation(activation, params.biases[h])
-        fmap[real] = apply_activation(activation, pre[:N], out=pre[:N])
-        pooled_parts.append(fmap.max(axis=1))
-        maps[h] = fmap
-    pooled = np.concatenate(pooled_parts, axis=1)  # (B, total)
+        act = apply_activation(activation, pre[:N], out=pre[:N])
+        part = np.maximum.reduceat(act, starts, axis=0, out=pooled[:, offset:offset + F])
+        np.maximum(part, apply_activation(activation, params.biases[h]), out=part,
+                   where=(count < P)[:, None])
+        packed[h], counts[h] = act, count
+        offset += F
     penult = pooled if dropout_mask is None else pooled * dropout_mask
     logits = penult @ params.V.T + params.b_y
-    cache = CnnForwardCache(X=X, feature_maps=maps, penultimate=penult,
+    cache = CnnForwardCache(X=X, packed=packed, counts=counts, penultimate=penult,
                             pooled=pooled, dropout_mask=dropout_mask, activation=activation)
     return logits, cache
 
@@ -189,11 +216,12 @@ def cnn_backward_batch(
         y_at = cache.pooled[:, offset:offset + F]  # activation output at each argmax
         offset += F
         dpre = dpool * activation_grad_from_output(cache.activation, y_at)  # (B, F)
-        # The flat rows of each argmax window: (B, F, h).
-        window_rows = (row_starts + cache.argmax[h])[:, :, None] + np.arange(h)
-        cols_at = np.take(flat, window_rows, axis=0, mode="clip",
-                          out=ws.get("gather", (B, F, h, dim))).reshape(B, F, h * dim)
-        grads[f"filters_{h}"] += np.einsum("bf,bfk->fk", dpre, cols_at).reshape(F, h, -1)
+        window_starts = row_starts + cache.argmax[h]  # (B, F) flat row of each argmax window
+        gW = grads[f"filters_{h}"]
+        for j in range(h):
+            cols_j = np.take(flat, window_starts + j, axis=0, mode="clip",
+                             out=ws.get("gather", (B, F, dim)))
+            gW[:, j, :] += np.einsum("bf,bfd->fd", dpre, cols_j)
         grads[f"bias_{h}"] += dpre.sum(axis=0)
         if want_dx:
             # Scatter each filter's gradient back into its argmax window
@@ -203,7 +231,7 @@ def cnn_backward_batch(
             # fancy-index += sees no repeated index within one filter.
             f_idx, b_idx = np.nonzero(dpre.T)
             vals = dpre[b_idx, f_idx]
-            rows = window_rows[b_idx, f_idx].reshape(-1)
+            rows = (window_starts[b_idx, f_idx][:, None] + np.arange(h)).reshape(-1)
             ends = np.cumsum(np.bincount(f_idx, minlength=F))
             s = 0
             for f, e in enumerate(ends.tolist()):

@@ -20,8 +20,9 @@ selectors (U+FE0E/U+FE0F) and the zero-width joiner (U+200D) are dropped.
 normalize splits the text on the guard once after the casing pass and
 again only after a stage changed some piece, since a change can merge a
 piece into the token beside it. `NormalizationRuleSet.screens` holds, per
-stage, None or a cheap regex that finds something in every piece the
-stage could change, and a stage skips each piece its screen passes over.
+stage, None or a tuple of cheap regexes, one of which finds something in
+every piece the stage could change, and a stage skips each piece in
+which none of them finds anything.
 Both skips are exact: the output has the bytes of splitting, substituting
 and joining for every stage.
 
@@ -143,7 +144,8 @@ class NormalizationRuleSet:
     The replacement tokens and per-language policies are module constants.
     Construction compiles `stages`, the ordered (regex, replacement) pairs
     that normalize applies; `screens`, aligned with `stages`, each None or
-    a regex that finds something in every piece its stage could change;
+    a tuple of regexes, one of which finds something in every piece its
+    stage could change;
     `guard`, the regex of replacement tokens every stage leaves alone; and
     `simplify`, None without a trad->simp table, else a (regex, replacement)
     pair that maps each character as str.translate with the table would.
@@ -163,12 +165,15 @@ class NormalizationRuleSet:
         for lit in self.emoticon_literals:
             variants.add(lit)
             variants.add(unicodedata.normalize("NFKC", lit))
-        parts, screen_chars, screen_words = [], set(), []
+        parts, screen_chars, screen_words = [], set(), set()
         for lit in sorted(variants, key=len, reverse=True):
             body = re.escape(lit)
             symbol = next((ch for ch in lit if not (ch.isalnum() or ch == "_")), None)
             if symbol is None:
-                screen_words.append(body)
+                # Under IGNORECASE an ASCII word accepts what its lower case
+                # does, and lower-case words that share a first letter give
+                # the search a common prefix to scan for.
+                screen_words.add(re.escape(lit.lower()) if lit.isascii() else body)
                 body = rf"(?<!\w){body}(?!\w)"
             else:
                 screen_chars.add(symbol)
@@ -179,15 +184,20 @@ class NormalizationRuleSet:
             (_EMOJI_PATTERN,
              lambda m: "" if m[0] in _DROPPED else f" {EMOJI_TOKEN_PREFIX}{ord(m[0]):X} "),
         ]
-        screens = [_URL_SCREEN, None]
+        screens = [(_URL_SCREEN,), None]
         if parts:
             stages.append((re.compile("|".join(parts), re.IGNORECASE), emoticon))
             # Every match of a literal contains the character or word its
-            # screen alternative names, and under IGNORECASE a class [c]
-            # accepts the same characters as the literal c.
+            # screen names, and under IGNORECASE a class [c] accepts the
+            # same characters as the literal c. The class and the words
+            # are two searches: re scans fast for a class or for a common
+            # prefix, but not for an alternation that starts with a class.
+            searches = []
             if screen_chars:
-                screen_words.insert(0, "[" + "".join(map(re.escape, sorted(screen_chars))) + "]")
-            screens.append(re.compile("|".join(screen_words), re.IGNORECASE))
+                searches.append("[" + "".join(map(re.escape, sorted(screen_chars))) + "]")
+            if screen_words:
+                searches.append("|".join(sorted(screen_words)))
+            screens.append(tuple(re.compile(rx, re.IGNORECASE) for rx in searches))
         for position, pattern in enumerate(self.emoticon_patterns, start=1):
             try:
                 stages.append((re.compile(pattern), emoticon))
@@ -288,8 +298,12 @@ def normalize(text: str, lang: str, rules: NormalizationRuleSet) -> str:
         changed = False
         for i in range(0, len(pieces), 2):
             piece = pieces[i]
-            if screen is not None and screen.search(piece) is None:
-                continue
+            if screen is not None:
+                for rx_screen in screen:
+                    if rx_screen.search(piece) is not None:
+                        break
+                else:
+                    continue
             new = rx.sub(repl, piece)
             if new != piece:
                 pieces[i] = new

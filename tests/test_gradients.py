@@ -166,8 +166,7 @@ def reference_cnn_dpre(dlogits, params, cache):
     offset = 0
     for h in params.window_sizes:
         F = params.filters[h].shape[0]
-        am = cache.argmax[h]
-        y_at = np.take_along_axis(cache.feature_maps[h], am[:, None, :], axis=1)[:, 0, :]
+        y_at = cache.pooled[:, offset:offset + F]   # the feature at each argmax window
         dpre[h] = dpenult[:, offset:offset + F] * activation_grad_from_output(cache.activation, y_at)
         offset += F
     return dpre

@@ -23,6 +23,7 @@ from multisent.nn import (
     cnn_forward_batch,
     init_cnn_params,
     init_lstm_params,
+    loss_and_gradients,
     lstm_forward_batch,
     predict_proba_batch,
     softmax,
@@ -596,14 +597,21 @@ class TestCnnOracle:
     def test_padded_windows_see_bias_only(self):
         # A length-1 tweet padded to 3 rows gives two width-2 windows; the
         # second covers only padding, so its pre-activation is the bias.
+        # With the row flipped, the padded window is the larger one and
+        # pooling reports it, whether or not the kernel is told the length.
         params = single_filter_cnn()
-        X = np.zeros((1, 3, 2))
-        X[0, 0] = [1.0, -1.0]
-        _, cache = cnn_forward_batch(X, params, "tanh")
-        fmap = cache.feature_maps[2][0, :, 0]
-        assert fmap.shape == (2,)
-        assert abs(fmap[0] - math.tanh(0.2 * 1 + (-0.3) * (-1) + 0.05)) < 1e-12
-        assert abs(fmap[1] - math.tanh(0.05)) < 1e-12
+        for row, argmax in (([1.0, -1.0], 0), ([-1.0, 1.0], 1)):
+            X = np.zeros((1, 3, 2))
+            X[0, 0] = row
+            window0 = math.tanh(0.2 * row[0] + (-0.3) * row[1] + 0.05)
+            fmap = oracle_cnn_forward(X, params, "tanh")[1].feature_maps[2][0, :, 0]
+            assert fmap.shape == (2,)
+            assert abs(fmap[0] - window0) < 1e-12
+            assert abs(fmap[1] - math.tanh(0.05)) < 1e-12
+            for lengths in (None, np.array([1])):
+                _, cache = cnn_forward_batch(X, params, "tanh", lengths=lengths)
+                assert cache.argmax[2][0, 0] == argmax
+                assert abs(cache.pooled[0, 0] - max(window0, math.tanh(0.05))) < 1e-12
 
     def test_sigmoid_activation_mode(self):
         params = single_filter_cnn()
@@ -708,9 +716,9 @@ class TestCnnTrimmedPadding:
             np.testing.assert_array_equal(trim.argmax[h], full.argmax[h])
         np.testing.assert_allclose(trim.pooled, full.pooled, rtol=1e-12, atol=0.0)
         for cache in (full, trim):
+            maps = dense_feature_maps(cache, params)
             by_index = np.concatenate([
-                np.take_along_axis(cache.feature_maps[h], cache.argmax[h][:, None, :],
-                                   axis=1)[:, 0, :]
+                np.take_along_axis(maps[h], cache.argmax[h][:, None, :], axis=1)[:, 0, :]
                 for h in window_sizes], axis=1)
             assert by_index.tobytes() == cache.pooled.tobytes()
 
@@ -723,6 +731,20 @@ class TestCnnTrimmedPadding:
         assert _assemble_batch(model, long, Workspace())[0].shape == (2, 10, 2)
         with pytest.raises(ConfigurationError, match="the model's max_len 10"):
             _assemble_batch(model, [(np.ones((11, 2)), 0)], Workspace())
+
+
+def dense_feature_maps(cache, params):
+    """h -> the (B, P_h, F_h) feature map that a forward cache's packed rows
+    stand for: each example's real windows, then act(b) in every wholly
+    padded one."""
+    B, T, _ = cache.X.shape
+    maps = {}
+    for h, act in cache.packed.items():
+        fmap = np.empty((B, T - h + 1, act.shape[1]))
+        fmap[...] = apply_activation(cache.activation, params.biases[h])
+        fmap[np.arange(T - h + 1) < cache.counts[h][:, None]] = act
+        maps[h] = fmap
+    return maps
 
 
 # The kernel before packed windows, kept as the oracle: every window of the
@@ -860,12 +882,20 @@ class TestCnnPackedAgainstOracle:
         X[0, :2] = [[1.0, -2.0, 0.5], [0.25, 0.75, -1.0]]
         X[1, :5] = np.linspace(-1.0, 1.0, 15).reshape(5, 3)
         _, cache = cnn_forward_batch(X, params, act, lengths=lengths)
+        oracle = oracle_cnn_forward(X, params, act)[1]
+        offset = 0
         for h in params.window_sizes:
             want = apply_activation(act, params.biases[h])
-            fmap = cache.feature_maps[h]
-            for b, n in enumerate(lengths):
-                for i in range(n, fmap.shape[1]):
-                    assert fmap[b, i].tobytes() == want.tobytes(), (h, b, i)
+            pooled = cache.pooled[:, offset:offset + want.size]
+            offset += want.size
+            assert np.all(pooled[lengths < X.shape[1] - h + 1] >= want), h
+            # Where a wholly padded window wins, it is the first one, the
+            # oracle picks it too, and the pooled feature is act(b) exactly.
+            padded = cache.argmax[h] >= lengths[:, None]
+            assert padded.any(), h
+            for b, f in zip(*np.nonzero(padded)):
+                assert cache.argmax[h][b, f] == oracle.argmax[h][b, f] == lengths[b], (h, b, f)
+                assert pooled[b, f].tobytes() == want[f].tobytes(), (h, b, f)
 
     def test_relu_tie_with_padding_picks_the_real_window(self):
         # Negative weights on positive rows and a negative bias: every real
@@ -877,10 +907,89 @@ class TestCnnPackedAgainstOracle:
         X[0, :3] = 1.0
         X[1, :1] = 2.0
         _, cache = cnn_forward_batch(X, params, "relu", lengths=np.array([3, 1]))
-        fmap = cache.feature_maps[2][:, :, 0]
-        assert np.all(fmap == 0.0)
+        assert np.all(oracle_cnn_forward(X, params, "relu")[1].feature_maps[2] == 0.0)
+        assert np.all(cache.packed[2] == 0.0) and np.all(cache.pooled == 0.0)
         assert cache.argmax[2].tolist() == [[0], [0]]
         assert float(apply_activation("relu", params.biases[2])[0]) == 0.0
+
+
+class TestCnnPoolsPackedRows:
+    """Forward pools straight from the packed rows; that keeps the bytes of
+    max-pooling the dense (B, P, F) feature map they stand for, and backward's
+    argmax is that map's first-index argmax."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_pooled_and_argmax_match_the_dense_feature_map(self, data):
+        window_sizes = tuple(sorted(data.draw(
+            st.sets(st.integers(1, 4), min_size=1, max_size=3), label="window_sizes")))
+        max_h = max(window_sizes)
+        lengths = data.draw(st.lists(st.integers(1, 10), min_size=1, max_size=6), label="lengths")
+        longest = max(lengths)
+        T = data.draw(st.integers(max(longest, max_h), longest + max_h), label="T")
+        dim = data.draw(st.integers(1, 4), label="dim")
+        F = data.draw(st.integers(1, 4), label="F")
+        act = data.draw(st.sampled_from(ACTIVATIONS), label="act")
+        # "zero" filters make every real window tie act(b); "negative" ones
+        # over positive rows, with a negative bias, make every relu feature 0.
+        weights = data.draw(st.sampled_from(["normal", "zero", "negative"]), label="weights")
+        bias_shift = data.draw(st.sampled_from([0.0, -3.0]), label="bias_shift")
+        nan_at = data.draw(st.sampled_from([None, "input", "bias"]), label="nan_at")
+        use_lengths = data.draw(st.booleans(), label="use_lengths")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        filters = {h: rng.normal(size=(F, h, dim)) for h in window_sizes}
+        if weights == "zero":
+            filters = {h: np.zeros_like(w) for h, w in filters.items()}
+        elif weights == "negative":
+            filters = {h: -np.abs(w) for h, w in filters.items()}
+        params = CnnParams(window_sizes=window_sizes, filters=filters,
+                           biases={h: rng.normal(size=F) + bias_shift for h in window_sizes},
+                           V=rng.normal(size=(3, F * len(window_sizes))), b_y=rng.normal(size=3))
+        X = np.zeros((len(lengths), T, dim))
+        for b, n in enumerate(lengths):
+            X[b, :n] = np.abs(rng.normal(size=(n, dim)))
+        if nan_at == "input":
+            b = int(rng.integers(len(lengths)))
+            X[b, int(rng.integers(lengths[b])), int(rng.integers(dim))] = np.nan
+        elif nan_at == "bias":
+            params.biases[window_sizes[0]][int(rng.integers(F))] = np.nan
+
+        _, cache = cnn_forward_batch(X, params, act,
+                                     lengths=np.array(lengths) if use_lengths else None)
+        maps = dense_feature_maps(cache, params)
+        want = np.concatenate([fmap.max(axis=1) for fmap in maps.values()], axis=1)
+        # Which NaN a max returns is numpy's choice (over a contiguous axis,
+        # as when F is 1, it returns its own), so NaNs compare by position.
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(cache.pooled), nan)
+        assert cache.pooled[~nan].tobytes() == want[~nan].tobytes()
+        for h, fmap in maps.items():
+            np.testing.assert_array_equal(cache.argmax[h], np.argmax(fmap, axis=1))
+
+
+def test_fine_tuned_cnn_batch_requests_no_dense_map_or_full_window_gather(monkeypatch):
+    # A fine-tuned batch runs forward and backward with dX. No workspace
+    # request may be a (B, P_h, F_h) feature map or a (B, F_h, h, dim)
+    # gather of whole argmax windows.
+    B, dim, F = 5, 7, 4
+    params = init_cnn_params(input_dim=dim, seed=3, window_sizes=(2, 3), filters_per_window=F)
+    model = NeuralModel(kind="cnn", params=params, max_len=12, dropout_rate=0.5)
+    rng = np.random.default_rng(6)
+    batch = [(rng.normal(size=(n, dim)), n % 3) for n in (4, 9, 2, 6, 1)]
+    requests = []
+    get = Workspace.get
+
+    def spy(self, name, shape):
+        requests.append(tuple(shape))
+        return get(self, name, shape)
+
+    monkeypatch.setattr(Workspace, "get", spy)
+    _, _, dX = loss_and_gradients(model, batch, dropout_seed=11, want_dx=True)
+    T = dX.shape[1]
+    assert (B, T, dim) in requests
+    for h in params.window_sizes:
+        assert (B, T - h + 1, F) not in requests, h
+        assert (B, F, h, dim) not in requests, h
 
 
 class TestSoftmaxAndPredict:

@@ -1,6 +1,7 @@
 """Text normalization, tokenization, and record preprocessing."""
 
 import re
+import string
 import unicodedata
 
 import pytest
@@ -214,8 +215,8 @@ def _assert_matches_oracle_and_screens(text, lang, rules):
     assert normalize(text, lang, rules) == _oracle(text, lang, rules)
     for s in (text, text.lower(), unicodedata.normalize("NFKC", text)):
         for (rx, repl), screen in zip(rules.stages, rules.screens):
-            if screen is not None and screen.search(s) is None:
-                assert rx.sub(repl, s) == s, (rx.pattern, screen.pattern, s)
+            if screen is not None and not any(x.search(s) for x in screen):
+                assert rx.sub(repl, s) == s, (rx.pattern, [x.pattern for x in screen], s)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -271,10 +272,30 @@ def test_a_change_that_merges_into_a_token_is_split_again(text, lang, expected):
 def test_literal_screen_is_one_class_plus_bare_words():
     rules = NormalizationRuleSet(emoticon_literals=["m(_ _)m", "\\o/", "orz", "xD"])
     rx, _ = rules.stages[2]
-    assert rules.screens[:2] == (re.compile("://"), None)
-    assert rules.screens[2].pattern == r"[\(\\]|orz|xD"
-    assert rules.screens[2].flags & re.IGNORECASE and rx.flags & re.IGNORECASE
-    assert NormalizationRuleSet(emoticon_patterns=[":\\)"]).screens == (re.compile("://"), None, None)
+    assert rules.screens[:2] == ((re.compile("://"),), None)
+    assert [x.pattern for x in rules.screens[2]] == [r"[\(\\]", "orz|xd"]
+    assert all(x.flags & re.IGNORECASE for x in rules.screens[2]) and rx.flags & re.IGNORECASE
+    assert [x.pattern for x in NormalizationRuleSet(emoticon_literals=["OTL", "orz"]).screens[2]] \
+        == ["orz|otl"]
+    assert NormalizationRuleSet(emoticon_patterns=[":\\)"]).screens == ((re.compile("://"),), None, None)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(_literal, min_size=1, max_size=5), st.data())
+def test_literal_screen_finds_something_in_every_piece_the_literal_stage_changes(literals, data):
+    rules = NormalizationRuleSet(emoticon_literals=literals)
+    (rx, repl), screen = rules.stages[2], rules.screens[2]
+    text = data.draw(_texts(literals))
+    for s in (text, text.lower(), unicodedata.normalize("NFKC", text)):
+        for piece in rules.guard.split(s)[0::2]:
+            if rx.sub(repl, piece) != piece:
+                assert any(x.search(piece) for x in screen), ([x.pattern for x in screen], piece)
+
+
+# every ASCII letter, as the word screen writes each ASCII word in lower case
+@pytest.mark.parametrize("ch", string.ascii_uppercase)
+def test_ignorecase_letter_accepts_what_its_lower_case_accepts(ch):
+    assert re.findall(ch, _ALL_CHARS, re.IGNORECASE) == re.findall(ch.lower(), _ALL_CHARS, re.IGNORECASE)
 
 
 _ALL_CHARS = "".join(chr(cp) for cp in range(0x110000) if not 0xD800 <= cp <= 0xDFFF)
